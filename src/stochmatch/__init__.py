@@ -23,7 +23,14 @@ from .augmenter import (
     round_fractional,
     run_pipeline_once,
 )
-from .exact import ExactConditional, MatchingLaw, exact_expected_mm_weight, exact_x, prob_in_plan
+from .exact import (
+    EnumerationTooLarge,
+    ExactConditional,
+    MatchingLaw,
+    exact_expected_mm_weight,
+    exact_x,
+    prob_in_plan,
+)
 from .estimator import (
     EstimateTable,
     MonteCarloConditional,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import ExactConditional, MatchingLaw, exact_x, prob_in_plan
+from .exact import EnumerationTooLarge, ExactConditional, MatchingLaw, exact_x, prob_in_plan
 from .graph_core import (
     FractionalMatching,
     Matching,
@@ -292,7 +292,7 @@ def build_tables_exact(
         for e in classes.noncrucial():
             u, v = g.endpoints(e)
             pair_est[e] = ProbEstimate(dist.pair_alive_prob(u, v), 0, 0.0)
-    except ValueError:
+    except EnumerationTooLarge:
         pairs = [g.endpoints(e) for e in classes.noncrucial()]
         by_pair = estimate_pair_alive(sampler, pairs, pair_trials, seed, workers)
         pair_est = _pair_estimates_for_edges(g, classes, by_pair)

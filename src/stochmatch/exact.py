@@ -26,9 +26,13 @@ from .mwm import mm_edge_mask
 MAX_ENUM_EDGES = 20
 
 
+class EnumerationTooLarge(ValueError):
+    """An instance is past an enumeration cap; callers may fall back to sampling."""
+
+
 def _check_enum_size(m: int, cap: int = MAX_ENUM_EDGES) -> None:
     if m > cap:
-        raise ValueError(f"enumeration limited to {cap} edges, got {m}")
+        raise EnumerationTooLarge(f"enumeration limited to {cap} edges, got {m}")
 
 
 def mask_probability(g: StochasticGraph, mask: int, scope_mask: int | None = None) -> float:

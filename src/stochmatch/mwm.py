@@ -1,11 +1,26 @@
 """Exact maximum-weight matching on general graphs.
 
-``max_weight_matching`` is the deterministic oracle the whole pipeline leans
-on; it delegates to networkx's blossom (primal-dual) solver with a fixed
-insertion order, and memoizes results per (graph, edge mask) since the Monte
-Carlo loops revisit the same realized subgraphs constantly.
-``brute_force_mwm`` is the independent cross-validation oracle: exhaustive
-enumeration, small instances only.
+``max_weight_matching`` (and its mask form ``mm_edge_mask``) is the
+deterministic oracle the whole pipeline leans on.  Answers are memoized per
+(graph, edge mask) in ``g._caches["mm"]``, since the Monte Carlo loops
+revisit the same realized subgraphs constantly; the memo is cleared when it
+reaches ``MM_CACHE_MAX`` entries, so graphs whose masks rarely repeat do not
+grow it without bound.
+
+A memo miss is answered from a *matching table*: every matching of the
+graph, as an int64 edge mask, stably sorted by weight, heaviest first.  The
+maximum-weight matching of a realized mask ``R`` is the first row ``M`` with
+``M & ~R == 0``.  The table is built once per graph, and only when
+``m <= 62`` and the graph has at most ``TABLE_MAX_MATCHINGS`` matchings;
+otherwise "no table" is cached and every miss goes to networkx.
+
+networkx's blossom (primal-dual) solver, with a fixed insertion order, is the
+reference.  Whenever the two heaviest table rows inside ``R`` weigh within
+``WEIGHT_TIE_TOL`` of each other (weight ties, zero-weight edges) the miss is
+solved by networkx, so the table only answers masks with a unique optimum and
+every answer is the one networkx gives.  ``brute_force_mwm`` is the
+independent cross-validation oracle: exhaustive enumeration, small instances
+only.
 """
 
 from __future__ import annotations
@@ -13,8 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
 
 from .graph_core import WEIGHT_TIE_TOL, Matching, StochasticGraph, make_matching
+
+# Largest matching count for which a graph gets a matching table (2 MB of
+# rows and weights); enumeration stops as soon as the count passes it.
+TABLE_MAX_MATCHINGS = 1 << 17
+# The per-graph memo is cleared when it reaches this many entries.
+MM_CACHE_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,25 +68,47 @@ def max_weight_matching(view: GraphView) -> Matching:
     """Maximum-weight matching of the view; deterministic, memoized."""
     g = view.graph
     mask = view.effective_mask
-    cache = g._caches.setdefault("mm", {})
-    hit = cache.get(mask)
+    hit = g._caches.setdefault("mm", {}).get(mask)
     if hit is None:
-        hit = _solve(g, mask)
-        cache[mask] = hit
+        hit = _remember(g, mask)
     return hit[0]
 
 
 def mm_edge_mask(g: StochasticGraph, mask: int) -> int:
-    """Bitmask of MM(view) edges; same cache as :func:`max_weight_matching`."""
-    cache = g._caches.setdefault("mm", {})
-    hit = cache.get(mask)
+    """Bitmask of MM(view) edges; same memo as :func:`max_weight_matching`."""
+    hit = g._caches.setdefault("mm", {}).get(mask)
     if hit is None:
-        hit = _solve(g, mask)
-        cache[mask] = hit
+        hit = _remember(g, mask)
     return hit[1]
 
 
+def _remember(g: StochasticGraph, mask: int) -> tuple[Matching, int]:
+    cache = g._caches["mm"]
+    if len(cache) >= MM_CACHE_MAX:
+        cache.clear()
+    hit = cache[mask] = _solve(g, mask)
+    return hit
+
+
 def _solve(g: StochasticGraph, mask: int) -> tuple[Matching, int]:
+    """Table lookup, or networkx when there is no table or the optimum ties."""
+    table = matching_table(g)
+    if table is None:
+        return _solve_networkx(g, mask)
+    rows, weights = table
+    inside = (rows & np.int64(~mask)) == 0
+    first = int(inside.argmax())
+    rest = inside[first + 1:]
+    if rest.size:
+        second = first + 1 + int(rest.argmax())
+        if inside[second] and weights[first] - weights[second] <= WEIGHT_TIE_TOL:
+            return _solve_networkx(g, mask)
+    best = int(rows[first])
+    edges = frozenset(e for e in range(g.m) if (best >> e) & 1)
+    return Matching(edges=edges, parent=g.token), best
+
+
+def _solve_networkx(g: StochasticGraph, mask: int) -> tuple[Matching, int]:
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
     for e in range(g.m):
@@ -76,6 +120,38 @@ def _solve(g: StochasticGraph, mask: int) -> tuple[Matching, int]:
     edges = [index[(min(u, v), max(u, v))] for u, v in pairs]
     matching = make_matching(g, edges)
     return matching, matching.as_mask()
+
+
+def matching_table(g: StochasticGraph) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(rows, weights)`` of every matching of ``g``, heaviest first; cached.
+
+    ``rows`` are int64 edge masks, ``weights`` their float weights, in a
+    stable sort by decreasing weight of the enumeration order (the empty
+    matching first, then each edge added to every earlier row it fits).
+    ``None`` when ``m > 62`` or ``g`` has more than ``TABLE_MAX_MATCHINGS``
+    matchings.
+    """
+    if "mm_table" not in g._caches:
+        g._caches["mm_table"] = _build_table(g)
+    return g._caches["mm_table"]
+
+
+def _build_table(g: StochasticGraph) -> tuple[np.ndarray, np.ndarray] | None:
+    if g.m > 62:
+        return None
+    rows = np.zeros(1, dtype=np.int64)
+    weights = np.zeros(1)
+    for e, (u, v, w, _p) in enumerate(g.edges):
+        conflict = 0
+        for f in g.incident[u] + g.incident[v]:
+            conflict |= 1 << f
+        fits = (rows & np.int64(conflict)) == 0
+        if rows.size + int(np.count_nonzero(fits)) > TABLE_MAX_MATCHINGS:
+            return None
+        rows = np.concatenate([rows, rows[fits] | np.int64(1 << e)])
+        weights = np.concatenate([weights, weights[fits] + w])
+    order = np.argsort(-weights, kind="stable")
+    return rows[order], weights[order]
 
 
 def brute_force_mwm(view: GraphView) -> Matching:

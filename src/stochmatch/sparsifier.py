@@ -61,17 +61,27 @@ class QueryPlan:
 
     @classmethod
     def from_json(cls, text: str, g: StochasticGraph) -> "QueryPlan":
+        """Parse a plan of ``g``; edge indices must lie in ``0..m-1`` and
+        ``edges`` must be exactly the union of ``matchings``."""
         data = json.loads(text)
-        rounds = []
-        for edges in data["matchings"]:
+
+        def to_mask(edges) -> int:
             mask = 0
             for e in edges:
-                mask |= 1 << int(e)
-            rounds.append(mask)
-        q_mask = 0
-        for e in data["edges"]:
-            q_mask |= 1 << int(e)
-        return cls(t=int(data["t"]), q_mask=q_mask, rounds=tuple(rounds), parent=g.token)
+                e = int(e)
+                if not 0 <= e < g.m:
+                    raise ValueError(f"plan edge index {e} is outside 0..{g.m - 1}")
+                mask |= 1 << e
+            return mask
+
+        rounds = tuple(to_mask(edges) for edges in data["matchings"])
+        q_mask = to_mask(data["edges"])
+        union = 0
+        for mask in rounds:
+            union |= mask
+        if q_mask != union:
+            raise ValueError("plan edges are not the union of its matchings")
+        return cls(t=int(data["t"]), q_mask=q_mask, rounds=rounds, parent=g.token)
 
 
 def build_query_plan(g: StochasticGraph, t: int, seed: int) -> QueryPlan:

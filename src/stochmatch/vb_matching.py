@@ -26,6 +26,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from .exact import EnumerationTooLarge
 from .graph_core import Matching, StochasticGraph, make_matching
 from .mwm import GraphView
 
@@ -335,12 +336,12 @@ def exact_vb_enumeration(
     comps = []
     for verts, edges in _crucial_components(g, crucial_mask):
         if len(edges) > 0 and len(verts) > max_component_vertices:
-            raise ValueError(
+            raise EnumerationTooLarge(
                 f"component {verts} has {len(verts)} vertices; enumeration cap is "
                 f"{max_component_vertices}"
             )
         if len(edges) > max_component_edges:
-            raise ValueError(f"component {verts} has too many edges ({len(edges)})")
+            raise EnumerationTooLarge(f"component {verts} has too many edges ({len(edges)})")
         comps.append(_enumerate_component(g, verts, edges, y, cond))
     return ExactVBDistribution(graph=g, crucial_mask=crucial_mask, components=tuple(comps))
 

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .augmenter import PipelineTables, build_tables_exact
+from .exact import EnumerationTooLarge
 from .estimator import VBSampler, estimate_pair_alive
 from .gadgets import (
     Gadget,
@@ -125,7 +125,7 @@ def _try_enumeration(gadget: Gadget):
     sampler = gadget.sampler()
     try:
         return exact_vb_enumeration(sampler.view, sampler.y, sampler.cond)
-    except ValueError:
+    except EnumerationTooLarge:
         return None
 
 
@@ -540,6 +540,10 @@ def check_influence_independence(gadget: Gadget, u: int, w: int, perm,
     Runs with a fixed arrival order (the independence statement is per
     order); expected cell masses come from the exact enumeration marginals.
     """
+    # Imported here: scipy.stats costs most of the package import time and
+    # no other check or CLI command needs it.
+    from scipy import stats as sps
+
     sampler = gadget.sampler()
     dist = exact_vb_enumeration(sampler.view, sampler.y, sampler.cond)
     comp = dist.component_of(u)

@@ -15,6 +15,7 @@ from stochmatch.augmenter import (
     run_pipeline_once,
 )
 from stochmatch.estimator import ProbEstimate
+from stochmatch.exact import EnumerationTooLarge, ExactConditional
 from stochmatch.gadgets import benchmark_6v8e, relaxed_suite_8v, star
 from stochmatch.graph_core import (
     Edge,
@@ -352,3 +353,13 @@ def test_mean_f_tracks_gamma_x_on_relaxed_suite():
     for e in tables.classes.noncrucial():
         target = (1 - params.epsilon / 2) * tables.x[e]
         assert mean_f[e] >= target - 3 * se[e]
+
+
+def test_build_tables_exact_propagates_activation_breach(monkeypatch):
+    # exact conditionals that overfill a batch are a broken invariant, not a
+    # size limit: they must not fall back to Monte Carlo pair-alive estimates
+    g = graph(3, [(0, 1, 1.0, 0.9), (1, 2, 1.3, 0.9)])
+    monkeypatch.setattr(ExactConditional, "y_prime", lambda self, e, mask, bits: 1.0)
+    with pytest.raises(ValueError, match="exceed one") as info:
+        build_tables_exact(g, params_for(g), 4, tau=0.05)
+    assert not isinstance(info.value, EnumerationTooLarge)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,3 +128,14 @@ def test_config_hash_stable_under_key_order():
     assert a == b
     c = ExperimentConfig(seed=2, trials=10).config_hash()
     assert a != c
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    import stochmatch
+
+    src = str(Path(stochmatch.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import stochmatch.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

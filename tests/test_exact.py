@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from stochmatch.exact import ExactConditional, MatchingLaw, exact_expected_mm_weight, exact_x, prob_in_plan
+from stochmatch.exact import (
+    EnumerationTooLarge,
+    ExactConditional,
+    MatchingLaw,
+    exact_expected_mm_weight,
+    exact_x,
+    prob_in_plan,
+)
 from stochmatch.gadgets import three_path, two_path
-from stochmatch.graph_core import Edge, StochasticGraph
+from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph
 
 
 def graph(n, edges):
@@ -106,3 +113,12 @@ def test_noncrucial_marginalized_out():
     law.validate_realization_marginals()
     # crucial edge beats the light one whenever realized
     assert law.y_values()[0] == pytest.approx(0.8, abs=1e-12)
+
+
+def test_enumeration_cap_raises_typed_error():
+    g = gen_random_graph(8, 0.8, {"name": "constant", "value": 1.0},
+                         {"name": "constant", "value": 0.5}, seed=1)
+    assert g.m > 20
+    for fn in (exact_x, exact_expected_mm_weight):
+        with pytest.raises(EnumerationTooLarge):
+            fn(g)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from stochmatch import mwm
+from stochmatch.gadgets import benchmark_6v8e
 from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph, weight_of
-from stochmatch.mwm import GraphView, brute_force_mwm, max_weight_matching
+from stochmatch.mwm import GraphView, brute_force_mwm, max_weight_matching, mm_edge_mask
 
 
 def graph(n, weighted_edges):
@@ -129,3 +133,109 @@ def test_masked_view_restricts_edges():
     assert m.sorted_edges() == [0, 2]
     with pytest.raises(ValueError):
         GraphView(g, 1 << 10)
+
+
+def is_matching(g, mask):
+    used = 0
+    for e in range(g.m):
+        if (mask >> e) & 1:
+            u, v = g.endpoints(e)
+            if (used >> u) & 1 or (used >> v) & 1:
+                return False
+            used |= (1 << u) | (1 << v)
+    return True
+
+
+def test_matching_table_lists_every_matching_heaviest_first():
+    g = gen_random_graph(7, 0.6, {"name": "uniform", "low": 0.1, "high": 2.0},
+                         {"name": "constant", "value": 0.5}, seed=4)
+    rows, weights = mwm.matching_table(g)
+    expected = {mask for mask in range(1 << g.m) if is_matching(g, mask)}
+    assert len(rows) == len(expected) and set(int(r) for r in rows) == expected
+    assert np.all(np.diff(weights) <= 0.0)
+    for row, w in zip(rows, weights):
+        assert w == pytest.approx(sum(g.edges[e].w for e in range(g.m) if (int(row) >> e) & 1))
+
+
+def test_table_matches_networkx_on_every_benchmark_mask():
+    # benchmark_6v8e is the tie fixture: some realizations have two optima
+    g = benchmark_6v8e().graph
+    assert mwm.matching_table(g) is not None
+    for mask in range(1 << g.m):
+        assert mwm._solve(g, mask) == mwm._solve_networkx(g, mask), mask
+
+
+def test_tie_and_zero_weight_fall_back_to_networkx(monkeypatch):
+    g = graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.0), (0, 3, 2.0)])
+    calls = []
+    solve_nx = mwm._solve_networkx
+    monkeypatch.setattr(mwm, "_solve_networkx",
+                        lambda g_, mask: calls.append(mask) or solve_nx(g_, mask))
+    assert mwm._solve(g, 0b0011) == solve_nx(g, 0b0011)  # two weight-1 optima
+    assert mwm._solve(g, 0b0101) == solve_nx(g, 0b0101)  # optional zero-weight edge
+    assert calls == [0b0011, 0b0101]
+    assert mwm._solve(g, 0b1010)[1] == 0b1010  # unique optimum: answered by the table
+    assert mwm._solve(g, 0) == solve_nx(g, 0)
+    assert calls == [0b0011, 0b0101]
+
+
+WEIGHTS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
+                    st.floats(0.01, 5.0, allow_nan=False))
+
+
+@st.composite
+def graphs_and_masks(draw):
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    g = graph(n, [(u, v, draw(WEIGHTS)) for u, v in chosen])
+    masks = draw(st.lists(st.integers(0, g.full_mask), min_size=1, max_size=12))
+    return g, masks + [g.full_mask]
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graphs_and_masks())
+def test_table_equals_networkx_and_brute_force(case):
+    g, masks = case
+    assert mwm.matching_table(g) is not None
+    for mask in masks:
+        matching, bits = mwm._solve(g, mask)
+        assert (matching, bits) == mwm._solve_networkx(g, mask)
+        assert weight_of(matching, g) == pytest.approx(
+            weight_of(brute_force_mwm(GraphView(g, mask)), g), abs=1e-9)
+
+
+def test_over_cap_graph_uses_networkx_and_caches_no_table(monkeypatch):
+    def fresh():
+        return gen_random_graph(8, 0.6, {"name": "uniform", "low": 0.1, "high": 2.0},
+                                {"name": "constant", "value": 0.5}, seed=6)
+
+    reference = fresh()
+    masks = list(range(0, 1 << reference.m, 97))
+    expected = [mm_edge_mask(reference, mask) for mask in masks]
+    assert mwm.matching_table(reference) is not None
+
+    monkeypatch.setattr(mwm, "TABLE_MAX_MATCHINGS", 16)
+    builds, solves = [], []
+    build, solve_nx = mwm._build_table, mwm._solve_networkx
+    monkeypatch.setattr(mwm, "_build_table", lambda g_: builds.append(1) or build(g_))
+    monkeypatch.setattr(mwm, "_solve_networkx",
+                        lambda g_, mask: solves.append(mask) or solve_nx(g_, mask))
+    g = fresh()
+    assert [mm_edge_mask(g, mask) for mask in masks] == expected
+    assert g._caches["mm_table"] is None
+    assert builds == [1]
+    assert solves == masks
+
+
+def test_memo_is_cleared_at_its_cap(monkeypatch):
+    monkeypatch.setattr(mwm, "MM_CACHE_MAX", 8)
+    g = gen_random_graph(8, 0.5, {"name": "uniform", "low": 0.1, "high": 2.0},
+                         {"name": "constant", "value": 0.5}, seed=8)
+    masks = list(range(0, 1 << g.m, (1 << g.m) // 100))
+    for mask in masks:
+        bits = mm_edge_mask(g, mask)
+        assert len(g._caches["mm"]) <= 8
+        assert bits == mwm._solve_networkx(g, mask)[1]
+        assert max_weight_matching(GraphView(g, mask)).as_mask() == bits

@@ -1,4 +1,7 @@
+import json
+
 import numpy as np
+import pytest
 from scipy import stats as sps
 
 from stochmatch.exact import exact_x
@@ -147,3 +150,22 @@ def test_plan_json_roundtrip():
     assert back.q_mask == plan.q_mask
     assert back.rounds == plan.rounds
     assert back.t == plan.t
+
+
+def test_plan_json_rejects_out_of_range_edges():
+    g = benchmark_6v8e().graph
+    for bad in (-1, g.m, 64):
+        text = json.dumps({"t": 1, "edges": [bad], "matchings": [[bad]]})
+        with pytest.raises(ValueError, match="outside"):
+            QueryPlan.from_json(text, g)
+
+
+def test_plan_json_rejects_edges_that_are_not_the_union():
+    g = benchmark_6v8e().graph
+    data = json.loads(build_query_plan(g, 3, seed=2).to_json())
+    missing = dict(data, edges=data["edges"][1:])
+    extra_edge = next(e for e in range(g.m) if e not in data["edges"])
+    extra = dict(data, edges=sorted(data["edges"] + [extra_edge]))
+    for bad in (missing, extra):
+        with pytest.raises(ValueError, match="union"):
+            QueryPlan.from_json(json.dumps(bad), g)

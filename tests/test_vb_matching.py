@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from stochmatch.exact import MatchingLaw
+from stochmatch.exact import EnumerationTooLarge, MatchingLaw
 from stochmatch.gadgets import (
     four_cycle,
     isolated_pair,
     single_edge,
+    star,
     three_path,
     two_path,
 )
@@ -252,3 +253,13 @@ def test_vb_output_json_dict():
     assert set(payload) == {"permutation", "activation_log", "matching", "alive",
                             "clip_events"}
     assert sorted(payload["permutation"]) == [0, 1, 2]
+
+
+def test_exact_enumeration_caps_raise_typed_error():
+    big = star(5)
+    sampler = big.sampler()
+    with pytest.raises(EnumerationTooLarge, match="vertices"):
+        exact_vb_enumeration(sampler.view, sampler.y, sampler.cond)
+    cycle = four_cycle().sampler()
+    with pytest.raises(EnumerationTooLarge, match="too many edges"):
+        exact_vb_enumeration(cycle.view, cycle.y, cycle.cond, max_component_edges=3)

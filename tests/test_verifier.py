@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stochmatch.augmenter import build_tables_exact
+from stochmatch.exact import EnumerationTooLarge, ExactConditional
 from stochmatch.gadgets import (
     benchmark_6v8e,
     isolated_pair,
@@ -31,6 +32,7 @@ from stochmatch.verifier import (
     incident_edge_pairs,
     two_point_covariance,
 )
+from stochmatch.verifier import _try_enumeration
 
 
 def test_two_point_covariance_oracle():
@@ -210,3 +212,11 @@ def test_report_table_and_failures():
     assert "pair_alive[isolated_pair]" in table
     fails = gated_failures(reports)
     assert [r.name for r in fails] == ["negative_association[positive_covariance_control]"]
+
+
+def test_try_enumeration_skips_only_oversized_instances(monkeypatch):
+    assert _try_enumeration(star(5)) is None
+    monkeypatch.setattr(ExactConditional, "y_prime", lambda self, e, mask, bits: 1.0)
+    with pytest.raises(ValueError, match="exceed one") as info:
+        _try_enumeration(two_path())
+    assert not isinstance(info.value, EnumerationTooLarge)
