@@ -39,7 +39,7 @@ from .estimator import (
 )
 from .mwm import GraphView, max_weight_matching
 from .parallel import BLOCK_LEN, rng_from, run_blocks
-from .sparsifier import EdgeClasses, QueryPlan, classify_edges, plan_round_masks
+from .sparsifier import EdgeClasses, QueryPlan, classify_edges, draw_plan
 from .vb_matching import VBOutput, exact_vb_enumeration, run_vb
 
 _TAG_E2E_PLAN = 0x11
@@ -438,12 +438,7 @@ def run_pipeline_once(
     if force_full_plan:
         plan = QueryPlan(t=0, q_mask=g.full_mask, rounds=(), parent=g.token)
     else:
-        plan_rng = rng_from(seed, _TAG_E2E_PLAN, run_index)
-        rounds = plan_round_masks(g, t, plan_rng)
-        q_mask = 0
-        for mask in rounds:
-            q_mask |= mask
-        plan = QueryPlan(t=t, q_mask=q_mask, rounds=tuple(rounds), parent=g.token)
+        plan = draw_plan(g, t, rng_from(seed, _TAG_E2E_PLAN, run_index))
 
     real_rng = rng_from(seed, _TAG_E2E_REAL, run_index)
     realization = Realization(mask=sample_mask(g, real_rng), parent=g.token)

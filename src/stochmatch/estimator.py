@@ -7,22 +7,25 @@ estimate carries its binomial standard error; trials are chopped into fixed
 blocks with index-derived streams so results do not depend on the worker
 count.
 
-Sampling for x and y exploits that a realization of a small graph is one of
-at most ``2^m`` masks: trials are drawn vectorized, reduced to distinct
-masks, and the matching oracle runs once per distinct mask.
+Every realization is drawn through :func:`graph_core.sample_masks` and every
+plan through :func:`sparsifier.draw_plan`.  For x and y a block's
+realizations are drawn as one batch and reduced to distinct masks, so the
+matching oracle runs once per distinct mask; y' draws only the edges its
+batch reveal leaves hidden.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph_core import StochasticGraph, sample_mask
+from .graph_core import StochasticGraph, mask_edges, sample_masks
 from .mwm import GraphView, mm_edge_mask
-from .parallel import rng_from, run_blocks, sum_counts
-from .sparsifier import mask_edges, plan_round_masks
+from .parallel import rng_from, run_blocks
+from .sparsifier import draw_plan
 from .vb_matching import CondEstimator, run_vb
 
 _TAG_X = 0x01
@@ -62,43 +65,14 @@ def z_distance(a: ProbEstimate, b: ProbEstimate) -> float:
 # Realization sampling helpers
 
 
-def _sample_mask_block(g: StochasticGraph, seed: int, tag: int, block: int,
-                       count: int) -> tuple[list, np.ndarray]:
-    """Distinct realization masks and their multiplicities for one block."""
+def _mm_counts_block(g: StochasticGraph, keep_mask: int, seed: int, tag: int,
+                     block: int, count: int) -> np.ndarray:
+    """Per-edge count of realizations whose MM, restricted to ``keep_mask``,
+    contains the edge; the oracle runs once per distinct realization."""
     rng = rng_from(seed, tag, block)
-    if g.m == 0:
-        return [0], np.array([count], dtype=np.int64)
-    if g.m > 62:
-        acc: dict[int, int] = {}
-        for _ in range(count):
-            mask = sample_mask(g, rng)
-            acc[mask] = acc.get(mask, 0) + 1
-        items = sorted(acc.items())
-        return [m for m, _ in items], np.array([k for _, k in items], dtype=np.int64)
-    bits = rng.random((count, g.m)) < g.probs
-    weights = np.int64(1) << np.arange(g.m, dtype=np.int64)
-    masks = bits.astype(np.int64) @ weights
-    uniq, mult = np.unique(masks, return_counts=True)
-    return [int(m) for m in uniq], mult
-
-
-def _x_counts_block(g: StochasticGraph, seed: int, block: int, count: int) -> np.ndarray:
-    masks, mult = _sample_mask_block(g, seed, _TAG_X, block, count)
     counts = np.zeros(g.m, dtype=np.int64)
-    for mask, k in zip(masks, mult):
-        mm = mm_edge_mask(g, mask)
-        for e in mask_edges(mm):
-            counts[e] += k
-    return counts
-
-
-def _y_counts_block(g: StochasticGraph, crucial_mask: int, seed: int, block: int,
-                    count: int) -> np.ndarray:
-    masks, mult = _sample_mask_block(g, seed, _TAG_Y, block, count)
-    counts = np.zeros(g.m, dtype=np.int64)
-    for mask, k in zip(masks, mult):
-        mo = mm_edge_mask(g, mask) & crucial_mask
-        for e in mask_edges(mo):
+    for mask, k in Counter(sample_masks(g, rng, count)).items():
+        for e in mask_edges(mm_edge_mask(g, mask) & keep_mask):
             counts[e] += k
     return counts
 
@@ -108,8 +82,8 @@ def estimate_x(g: StochasticGraph, trials: int = DEFAULT_TRIALS, seed: int = 0,
     """Per-edge frequency of membership in MM(realization)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    parts = run_blocks(_x_counts_block, (g, seed), trials, workers)
-    counts = sum_counts(parts)
+    parts = run_blocks(_mm_counts_block, (g, g.full_mask, seed, _TAG_X), trials, workers)
+    counts = sum(parts)
     return [ProbEstimate.from_count(int(c), trials) for c in counts]
 
 
@@ -124,8 +98,8 @@ def estimate_y(g: StochasticGraph, crucial_mask: int, trials: int = DEFAULT_TRIA
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    parts = run_blocks(_y_counts_block, (g, crucial_mask, seed), trials, workers)
-    counts = sum_counts(parts)
+    parts = run_blocks(_mm_counts_block, (g, crucial_mask, seed, _TAG_Y), trials, workers)
+    counts = sum(parts)
     return [ProbEstimate.from_count(int(c), trials) for c in counts]
 
 
@@ -153,17 +127,10 @@ def estimate_y_conditional(
             raise ValueError("activation only considers realized edges")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    hidden = [i for i in range(g.m) if not (revealed_mask >> i) & 1]
+    hidden = mask_edges(g.full_mask & ~revealed_mask)
     count = 0
-    p_hidden = np.array([g.edges[i].p for i in hidden])
-    for _ in range(trials):
-        mask = revealed_bits
-        if hidden:
-            draws = rng.random(len(hidden)) < p_hidden
-            for i, hit in zip(hidden, draws):
-                if hit:
-                    mask |= 1 << i
-        mo = mm_edge_mask(g, mask) & crucial_mask
+    for mask in sample_masks(g, rng, trials, scope=hidden):
+        mo = mm_edge_mask(g, mask | revealed_bits) & crucial_mask
         if (mo >> e) & 1:
             count += 1
     return ProbEstimate.from_count(count, trials)
@@ -208,10 +175,7 @@ def _q_counts_block(g: StochasticGraph, t: int, seed: int, block: int,
     rng = rng_from(seed, _TAG_Q, block)
     counts = np.zeros(g.m, dtype=np.int64)
     for _ in range(count):
-        q_mask = 0
-        for mask in plan_round_masks(g, t, rng):
-            q_mask |= mask
-        for e in mask_edges(q_mask):
+        for e in draw_plan(g, t, rng).edges():
             counts[e] += 1
     return counts
 
@@ -222,7 +186,7 @@ def estimate_q(g: StochasticGraph, t: int, trials: int, seed: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     parts = run_blocks(_q_counts_block, (g, t, seed), trials, workers)
-    counts = sum_counts(parts)
+    counts = sum(parts)
     return [ProbEstimate.from_count(int(c), trials) for c in counts]
 
 
@@ -266,7 +230,7 @@ def estimate_pair_alive(
         raise ValueError("trials must be >= 1")
     norm_pairs = tuple((min(u, v), max(u, v)) for u, v in pairs)
     parts = run_blocks(_pair_alive_block, (sampler, norm_pairs, seed), trials, workers)
-    counts = sum_counts(parts)
+    counts = sum(parts)
     g = sampler.view.graph
     crucial_mask = sampler.view.effective_mask
     out = {}

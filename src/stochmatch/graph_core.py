@@ -137,9 +137,6 @@ class Realization:
     def includes(self, e: int) -> bool:
         return bool((self.mask >> e) & 1)
 
-    def edge_indices(self, m: int) -> list[int]:
-        return [e for e in range(m) if (self.mask >> e) & 1]
-
     def to_hex(self, m: int) -> str:
         width = max(1, (m + 3) // 4)
         return format(self.mask, f"0{width}x")
@@ -329,16 +326,45 @@ def sample_realization(g: StochasticGraph, rng: np.random.Generator) -> Realizat
 
 
 def sample_mask(g: StochasticGraph, rng: np.random.Generator) -> int:
-    """Bitmask form of :func:`sample_realization` (hot path)."""
-    if g.m == 0:
-        return 0
-    bits = rng.random(g.m) < g.probs
-    packed = np.packbits(bits, bitorder="little").tobytes()
-    return int.from_bytes(packed, "little")
+    """Bitmask form of :func:`sample_realization`."""
+    return sample_masks(g, rng, 1)[0]
 
 
-def mask_to_bits(mask: int, m: int) -> np.ndarray:
-    return np.array([(mask >> e) & 1 for e in range(m)], dtype=bool)
+def sample_masks(g: StochasticGraph, rng: np.random.Generator, count: int,
+                 scope: Iterable[int] | None = None) -> list[int]:
+    """``count`` independent realization masks, for any number of edges.
+
+    Each edge in ``scope`` (default: every edge) is drawn with its
+    probability; edges outside it stay 0.  The draw is one
+    ``rng.random((count, len(scope)))`` consumed row by row, so a batch reads
+    the generator exactly as ``count`` sequential calls with ``count=1`` do.
+    Rows are packed into 64-bit words (``tolist`` turns a column of words
+    into Python ints cheaply), which are then joined into one int per row.
+    """
+    words = -(-g.m // 64)
+    bits = np.zeros((count, 64 * words), dtype=bool)
+    if scope is None:
+        bits[:, :g.m] = rng.random((count, g.m)) < g.probs
+    else:
+        cols = np.fromiter(scope, dtype=np.intp)
+        bits[:, cols] = rng.random((count, len(cols))) < g.probs[cols]
+    packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    masks = [0] * count
+    for k in range(words):
+        masks = [mask | word << 64 * k for mask, word in zip(masks, packed[:, k].tolist())]
+    return masks
+
+
+def mask_edges(mask: int) -> list[int]:
+    """Edge indices set in ``mask``, ascending."""
+    out = []
+    e = 0
+    while mask:
+        if mask & 1:
+            out.append(e)
+        mask >>= 1
+        e += 1
+    return out
 
 
 # ---------------------------------------------------------------------------

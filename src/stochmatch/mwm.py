@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .graph_core import WEIGHT_TIE_TOL, Matching, StochasticGraph, make_matching
+from .graph_core import WEIGHT_TIE_TOL, Matching, StochasticGraph, make_matching, mask_edges
 
 # Largest matching count for which a graph gets a matching table (2 MB of
 # rows and weights); enumeration stops as soon as the count passes it.
@@ -60,8 +60,7 @@ class GraphView:
         return self.graph.full_mask if self.mask is None else self.mask
 
     def edge_indices(self) -> list[int]:
-        mask = self.effective_mask
-        return [e for e in range(self.graph.m) if (mask >> e) & 1]
+        return mask_edges(self.effective_mask)
 
 
 def max_weight_matching(view: GraphView) -> Matching:

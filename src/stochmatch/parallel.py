@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -38,15 +38,14 @@ def resolve_workers(workers: int | None = None) -> int:
     return 1
 
 
-def iter_blocks(total: int, block_len: int = BLOCK_LEN):
-    """Yield (block_index, start, count) covering ``total`` trials."""
-    start = 0
-    index = 0
-    while start < total:
-        count = min(block_len, total - start)
-        yield index, start, count
-        index += 1
-        start += count
+def iter_blocks(total: int):
+    """Yield (block_index, count) covering ``total`` trials in ``BLOCK_LEN`` blocks.
+
+    Block ``i`` holds trials ``i * BLOCK_LEN`` onwards; callers that number
+    their trials rely on that.
+    """
+    for index, start in enumerate(range(0, total, BLOCK_LEN)):
+        yield index, min(BLOCK_LEN, total - start)
 
 
 def run_blocks(
@@ -54,7 +53,6 @@ def run_blocks(
     args: tuple,
     total: int,
     workers: int | None = None,
-    block_len: int = BLOCK_LEN,
 ) -> list:
     """Run ``fn(*args, block_index, count)`` over all blocks of ``total`` trials.
 
@@ -62,17 +60,9 @@ def run_blocks(
     module-level function) when more than one worker is used.
     """
     workers = resolve_workers(workers)
-    blocks = list(iter_blocks(total, block_len))
+    blocks = list(iter_blocks(total))
     if workers == 1 or len(blocks) == 1:
-        return [fn(*args, index, count) for index, _start, count in blocks]
+        return [fn(*args, index, count) for index, count in blocks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args, index, count) for index, _start, count in blocks]
+        futures = [pool.submit(fn, *args, index, count) for index, count in blocks]
         return [f.result() for f in futures]
-
-
-def sum_counts(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Reduce per-block count vectors in block order."""
-    out = np.zeros_like(parts[0])
-    for part in parts:
-        out = out + part
-    return out

@@ -14,22 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import StochasticGraph, sample_mask
+from .graph_core import StochasticGraph, mask_edges, sample_mask, sample_masks
 from .mwm import mm_edge_mask
 from .parallel import rng_from
 
 _TAG_PLAN_ROUND = 0x51
-
-
-def mask_edges(mask: int) -> list[int]:
-    out = []
-    e = 0
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -100,20 +89,22 @@ def build_query_plan(g: StochasticGraph, t: int, seed: int) -> QueryPlan:
 
 
 def plan_round_masks(g: StochasticGraph, t: int, rng: np.random.Generator) -> list[int]:
-    """Per-round matching masks drawn from one generator (hot path for re-draws).
+    """Per-round matching masks of ``t`` realizations drawn from one generator.
 
-    The vectorized draw consumes the stream row by row, so for a fixed
-    generator state the first rounds of a larger ``t`` are exactly the rounds
-    of a smaller one (nested plans).
+    The realizations come from one :func:`sample_masks` batch, which reads
+    the stream row by row, so for a fixed generator state the first rounds
+    of a larger ``t`` are exactly the rounds of a smaller one (nested plans).
     """
-    if g.m == 0:
-        return [0] * t
-    if g.m <= 62:
-        bits = rng.random((t, g.m)) < g.probs
-        weights = np.int64(1) << np.arange(g.m, dtype=np.int64)
-        masks = bits.astype(np.int64) @ weights
-        return [mm_edge_mask(g, int(mask)) for mask in masks]
-    return [mm_edge_mask(g, sample_mask(g, rng)) for _ in range(t)]
+    return [mm_edge_mask(g, mask) for mask in sample_masks(g, rng, t)]
+
+
+def draw_plan(g: StochasticGraph, t: int, rng: np.random.Generator) -> QueryPlan:
+    """The plan of ``t`` rounds from :func:`plan_round_masks` and their union."""
+    rounds = plan_round_masks(g, t, rng)
+    q_mask = 0
+    for mask in rounds:
+        q_mask |= mask
+    return QueryPlan(t=t, q_mask=q_mask, rounds=tuple(rounds), parent=g.token)
 
 
 @dataclass(frozen=True)
@@ -132,10 +123,10 @@ class EdgeClasses:
         return bool((self.crucial_mask >> e) & 1)
 
     def crucial(self) -> list[int]:
-        return [e for e in range(self.m) if self.is_crucial(e)]
+        return mask_edges(self.crucial_mask)
 
     def noncrucial(self) -> list[int]:
-        return [e for e in range(self.m) if not self.is_crucial(e)]
+        return mask_edges(self.noncrucial_mask)
 
 
 def classify_edges(x_hat: np.ndarray, tau: float) -> EdgeClasses:
@@ -188,23 +179,11 @@ def check_crucial_coverage(
     """
     counts = np.zeros(g.m, dtype=np.int64)
     max_degree_seen = 0
-    degree_ok = True
     for i in range(trials):
-        rng = rng_from(seed, 0x5152, i)
-        q_mask = 0
-        for _ in range(t):
-            q_mask |= mm_edge_mask(g, sample_mask(g, rng))
-        deg = [0] * g.n
-        for e in range(g.m):
-            if (q_mask >> e) & 1:
-                counts[e] += 1
-                u, v = g.endpoints(e)
-                deg[u] += 1
-                deg[v] += 1
-        top = max(deg, default=0)
-        max_degree_seen = max(max_degree_seen, top)
-        if top > t:
-            degree_ok = False
+        plan = draw_plan(g, t, rng_from(seed, 0x5152, i))
+        for e in plan.edges():
+            counts[e] += 1
+        max_degree_seen = max(max_degree_seen, plan.max_degree(g))
 
     freq = counts / trials
     se = np.sqrt(np.maximum(freq * (1.0 - freq), 0.0) / trials)
@@ -230,5 +209,5 @@ def check_crucial_coverage(
         coverage=coverage,
         claim_floor=claim_floor,
         max_degree_seen=max_degree_seen,
-        degree_bound_ok=degree_ok,
+        degree_bound_ok=max_degree_seen <= t,
     )

@@ -29,7 +29,7 @@ from .gadgets import (
 )
 from .graph_core import Params, StochasticGraph, sample_mask
 from .parallel import rng_from, run_blocks
-from .sparsifier import plan_round_masks
+from .sparsifier import draw_plan
 from .vb_matching import attenuation_g, exact_vb_enumeration, run_vb
 
 _TAG_VB = 0x21
@@ -292,9 +292,7 @@ def _plan_pair_block(g: StochasticGraph, t: int, pairs: tuple, seed: int,
     rng = rng_from(seed, _TAG_NA, block)
     cells = np.zeros((len(pairs), 4), dtype=np.int64)  # n00 n01 n10 n11
     for _ in range(count):
-        q_mask = 0
-        for mask in plan_round_masks(g, t, rng):
-            q_mask |= mask
+        q_mask = draw_plan(g, t, rng).q_mask
         for j, (e1, e2) in enumerate(pairs):
             a = (q_mask >> e1) & 1
             b = (q_mask >> e2) & 1
@@ -436,9 +434,7 @@ def _y_block(g: StochasticGraph, tables: PipelineTables, t: int, seed: int,
     classes = tables.classes
     sampler = tables.sampler
     for i in range(count):
-        q_mask = 0
-        for mask in plan_round_masks(g, t, rng):
-            q_mask |= mask
+        q_mask = draw_plan(g, t, rng).q_mask
         real_mask = sample_mask(g, rng)
         out = run_vb(sampler.view, sampler.y, sampler.cond, rng,
                      realization_mask=real_mask)

@@ -15,7 +15,7 @@ from stochmatch.estimator import (
 )
 from stochmatch.exact import exact_x
 from stochmatch.gadgets import four_cycle, isolated_pair, two_path
-from stochmatch.graph_core import Edge, StochasticGraph
+from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph
 from stochmatch.parallel import rng_from
 from stochmatch.vb_matching import exact_vb_enumeration
 
@@ -72,6 +72,22 @@ def test_estimate_x_deterministic_across_workers():
     a = estimate_x(g, trials=5000, seed=9, workers=1)
     b = estimate_x(g, trials=5000, seed=9, workers=3)
     assert [e.value for e in a] == [e.value for e in b]
+
+
+def test_estimate_x_on_graph_without_matching_table():
+    # 66 edges: realizations do not fit an int64 and the oracle has no table
+    g = gen_random_graph(12, 1.0, {"name": "uniform", "low": 0.1, "high": 2.0},
+                         {"name": "uniform", "low": 0.3, "high": 0.9}, seed=5)
+    assert g.m == 66
+    trials = 48
+    xs = estimate_x(g, trials=trials, seed=2)
+    assert xs == estimate_x(g, trials=trials, seed=2)
+    counts = [round(est.value * trials) for est in xs]
+    assert any(counts[e] for e in range(63, 66))
+    for v in range(g.n):
+        assert sum(counts[e] for e in g.incident[v]) <= trials
+    # every realization of a dense graph has a matching covering most vertices
+    assert sum(counts) >= trials * 4
 
 
 def test_estimate_y_no_crucial_edges():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochmatch.graph_core import (
     Edge,
@@ -14,6 +16,8 @@ from stochmatch.graph_core import (
     is_valid_fractional,
     loads_graph,
     make_matching,
+    sample_mask,
+    sample_masks,
     sample_realization,
     weight_of,
 )
@@ -198,3 +202,121 @@ def test_realization_hex_roundtrip():
     text = r.to_hex(g.m)
     back = Realization.from_hex(text, g)
     assert back.mask == r.mask
+
+
+# ---------------------------------------------------------------------------
+# The realization sampler on graphs with more edges than an int64 holds
+
+
+def sampler_graphs():
+    weights = {"name": "uniform", "low": 0.1, "high": 2.0}
+    probs = {"name": "uniform", "low": 0.3, "high": 0.9}
+    complete = gen_random_graph(12, 1.0, weights, probs, seed=5)
+    generated = gen_random_graph(12, 0.3, weights, probs, seed=3)
+    assert (complete.m, generated.m) == (66, 19)
+    return [complete, generated]
+
+
+def reference_mask(draws, probs, edges):
+    """Mask with bit ``edges[j]`` set when ``draws[j] < probs[j]``, bit by bit."""
+    mask = 0
+    for e, u, p in zip(edges, draws, probs):
+        if u < p:
+            mask |= 1 << e
+    return mask
+
+
+@pytest.mark.parametrize("g", sampler_graphs(), ids=["complete_66e", "generated_19e"])
+def test_sample_masks_batch_equals_sequential_draws(g):
+    batch = sample_masks(g, rng_from(3), 40)
+    rng = rng_from(3)
+    assert batch == [sample_mask(g, rng) for _ in range(40)]
+    rng = rng_from(3)
+    edges = range(g.m)
+    assert batch == [reference_mask(rng.random(g.m), g.probs, edges) for _ in range(40)]
+    assert max(batch) <= g.full_mask
+    assert max(batch).bit_length() > min(g.m - 4, 62)  # high edges are drawn too
+
+
+@pytest.mark.parametrize("g", sampler_graphs(), ids=["complete_66e", "generated_19e"])
+def test_sample_masks_scope_equals_hidden_edge_loop(g):
+    revealed_mask = (1 << 0) | (1 << 5) | (1 << (g.m - 1))
+    revealed_bits = (1 << 0) | (1 << (g.m - 1))
+    hidden = [i for i in range(g.m) if not (revealed_mask >> i) & 1]
+    scoped = sample_masks(g, rng_from(4), 30, scope=hidden)
+    assert all(mask & revealed_mask == 0 for mask in scoped)
+    rng = rng_from(4)
+    p_hidden = np.array([g.edges[i].p for i in hidden])
+    expected = [revealed_bits | reference_mask(rng.random(len(hidden)), p_hidden, hidden)
+                for _ in range(30)]
+    assert [mask | revealed_bits for mask in scoped] == expected
+
+
+def test_sample_masks_empty_graph_empty_scope_and_zero_count():
+    g = sampler_graphs()[1]
+    assert sample_masks(graph(3, []), rng_from(0), 4) == [0, 0, 0, 0]
+    assert sample_masks(g, rng_from(0), 3, scope=[]) == [0, 0, 0]
+    assert sample_masks(g, rng_from(0), 0) == []
+    rng = rng_from(0)
+    sample_masks(g, rng, 2, scope=[])  # an empty scope reads nothing
+    assert sample_mask(g, rng) == sample_mask(g, rng_from(0))
+
+
+# ---------------------------------------------------------------------------
+# Graph text format
+
+
+@st.composite
+def text_graphs(draw, min_edges=0):
+    n = draw(st.integers(2 if min_edges else 0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=min_edges,
+                           max_size=15)) if pairs else []
+    weight = st.floats(0.0, 1e12, allow_nan=False, allow_infinity=False)
+    prob = st.floats(0.0, 1.0, exclude_min=True)
+    edges = []
+    for u, v in chosen:
+        if draw(st.booleans()):
+            u, v = v, u
+        edges.append((u, v, draw(weight), draw(prob)))
+    return graph(n, edges)
+
+
+def edit_line(text, index, fields):
+    lines = text.splitlines()
+    lines[index] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(text_graphs(), st.text(alphabet="abc =#\n", max_size=20))
+def test_graph_text_roundtrip_property(g, comment):
+    back = loads_graph(dumps_graph(g, header_comment=comment))
+    assert back.n == g.n
+    assert back.edges == g.edges
+    assert back.token == g.token
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(text_graphs(min_edges=1), st.data())
+def test_graph_text_rejects_malformed(g, data):
+    text = dumps_graph(g)
+    row = data.draw(st.integers(1, g.m))  # line 0 is the header
+    u, v, w, p = text.splitlines()[row].split()
+    bad_weight = data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "-1.5"]))
+    bad_prob = data.draw(st.one_of(st.floats(max_value=0.0), st.just(math.nan),
+                                   st.floats(min_value=1.0, exclude_min=True)))
+    bad_vertex = data.draw(st.one_of(st.integers(g.n, g.n + 5), st.integers(-5, -1)))
+    fields = data.draw(st.lists(st.just("1"), max_size=6).filter(lambda f: len(f) != 4))
+    header_m = data.draw(st.integers(0, g.m + 3).filter(lambda k: k != g.m))
+    bad_texts = [
+        edit_line(text, row, [u, v, bad_weight, p]),
+        edit_line(text, row, [u, v, w, repr(bad_prob)]),
+        edit_line(text, row, fields),
+        edit_line(text, 0, [str(g.n), str(header_m)]),
+        edit_line(text, row, [u, u, w, p]),
+        edit_line(text, row, [str(bad_vertex), v, w, p]),
+    ]
+    for bad in bad_texts:
+        with pytest.raises(ValueError):
+            loads_graph(bad)

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from stochmatch import mwm
 from stochmatch.exact import exact_x
 from stochmatch.gadgets import benchmark_6v8e
-from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph
+from stochmatch.graph_core import (
+    Edge,
+    StochasticGraph,
+    gen_random_graph,
+    make_matching,
+    mask_edges,
+    sample_masks,
+)
 from stochmatch.mwm import mm_edge_mask
 from stochmatch.parallel import rng_from
 from stochmatch.sparsifier import (
@@ -14,6 +22,7 @@ from stochmatch.sparsifier import (
     build_query_plan,
     check_crucial_coverage,
     classify_edges,
+    draw_plan,
     plan_round_masks,
 )
 
@@ -83,6 +92,41 @@ def test_plan_round_masks_prefix_stream():
     a = plan_round_masks(g, 4, rng_from(5))
     b = plan_round_masks(g, 11, rng_from(5))
     assert b[:4] == a
+
+
+def complete_66e():
+    return gen_random_graph(12, 1.0, {"name": "uniform", "low": 0.1, "high": 2.0},
+                            {"name": "uniform", "low": 0.3, "high": 0.9}, seed=5)
+
+
+@pytest.mark.parametrize("make", [lambda: benchmark_6v8e().graph, complete_66e],
+                         ids=["benchmark_6v8e", "complete_66e"])
+def test_draw_plan_prefix_stream(make):
+    g = make()
+    small = draw_plan(g, 3, rng_from(5))
+    large = draw_plan(g, 7, rng_from(5))
+    assert small.rounds == tuple(plan_round_masks(g, 3, rng_from(5)))
+    assert large.rounds[:3] == small.rounds
+    for plan in (small, large):
+        union = 0
+        for mask in plan.rounds:
+            union |= mask
+        assert plan.q_mask == union
+        assert plan.parent == g.token
+    assert (small.t, large.t) == (3, 7)
+    assert small.q_mask & ~large.q_mask == 0
+
+
+def test_plan_round_masks_without_matching_table():
+    g = complete_66e()
+    assert g.m == 66 and mwm.matching_table(g) is None
+    realized = sample_masks(g, rng_from(6), 4)
+    rounds = plan_round_masks(g, 4, rng_from(6))
+    assert rounds == [mwm._solve_networkx(g, mask)[1] for mask in realized]
+    for mask, round_mask in zip(realized, rounds):
+        assert round_mask & ~mask == 0
+        make_matching(g, mask_edges(round_mask))
+    assert plan_round_masks(g, 2, rng_from(6)) == rounds[:2]
 
 
 def test_classify_extremes_and_ties():
