@@ -8,7 +8,7 @@ blocks with index-derived streams so results do not depend on the worker
 count.
 
 Every realization is drawn through :func:`graph_core.sample_masks` and every
-plan through :func:`sparsifier.draw_plan`.  For x and y a block's
+plan through :func:`sparsifier.draw_plans`.  For x and y a block's
 realizations are drawn as one batch and reduced to distinct masks, so the
 matching oracle runs once per distinct mask; y' draws only the edges its
 batch reveal leaves hidden.
@@ -25,7 +25,7 @@ import numpy as np
 from .graph_core import StochasticGraph, mask_edges, sample_masks
 from .mwm import GraphView, mm_edge_mask
 from .parallel import rng_from, run_blocks
-from .sparsifier import draw_plan
+from .sparsifier import draw_plans
 from .vb_matching import CondEstimator, run_vb
 
 _TAG_X = 0x01
@@ -174,9 +174,9 @@ def _q_counts_block(g: StochasticGraph, t: int, seed: int, block: int,
                     count: int) -> np.ndarray:
     rng = rng_from(seed, _TAG_Q, block)
     counts = np.zeros(g.m, dtype=np.int64)
-    for _ in range(count):
-        for e in draw_plan(g, t, rng).edges():
-            counts[e] += 1
+    for q_mask, k in Counter(plan.q_mask for plan in draw_plans(g, t, rng, count)).items():
+        for e in mask_edges(q_mask):
+            counts[e] += k
     return counts
 
 
@@ -203,11 +203,12 @@ def _pair_alive_block(sampler: VBSampler, pairs: tuple, seed: int, block: int,
                       count: int) -> np.ndarray:
     rng = rng_from(seed, _TAG_PAIR, block)
     counts = np.zeros(len(pairs), dtype=np.int64)
-    for _ in range(count):
-        out = run_vb(sampler.view, sampler.y, sampler.cond, rng)
+    runs = Counter(run_vb(sampler.view, sampler.y, sampler.cond, rng).alive
+                   for _ in range(count))
+    for alive, k in runs.items():
         for j, (u, v) in enumerate(pairs):
-            if u in out.alive and v in out.alive:
-                counts[j] += 1
+            if u in alive and v in alive:
+                counts[j] += k
     return counts
 
 

@@ -338,20 +338,26 @@ def sample_masks(g: StochasticGraph, rng: np.random.Generator, count: int,
     probability; edges outside it stay 0.  The draw is one
     ``rng.random((count, len(scope)))`` consumed row by row, so a batch reads
     the generator exactly as ``count`` sequential calls with ``count=1`` do.
-    Rows are packed into 64-bit words (``tolist`` turns a column of words
-    into Python ints cheaply), which are then joined into one int per row.
+    Only the ``m`` drawn columns are packed; the packed bytes are padded to
+    whole 64-bit words (``tolist`` turns a column of words into Python ints
+    cheaply), which are then joined into one int per row.
     """
-    words = -(-g.m // 64)
-    bits = np.zeros((count, 64 * words), dtype=bool)
+    m = g.m
     if scope is None:
-        bits[:, :g.m] = rng.random((count, g.m)) < g.probs
+        bits = rng.random((count, m)) < g.probs
     else:
         cols = np.fromiter(scope, dtype=np.intp)
+        bits = np.zeros((count, m), dtype=bool)
         bits[:, cols] = rng.random((count, len(cols))) < g.probs[cols]
-    packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-    masks = [0] * count
-    for k in range(words):
-        masks = [mask | word << 64 * k for mask, word in zip(masks, packed[:, k].tolist())]
+    words = -(-m // 64)
+    packed = np.zeros((count, 8 * words), dtype=np.uint8)
+    packed[:, :-(-m // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    columns = packed.view("<u8").T.tolist()
+    if not columns:
+        return [0] * count
+    masks = columns[0]
+    for k in range(1, words):
+        masks = [mask | word << 64 * k for mask, word in zip(masks, columns[k])]
     return masks
 
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .graph_core import StochasticGraph, mask_edges, sample_mask, sample_masks
 from .mwm import mm_edge_mask
-from .parallel import rng_from
+from .parallel import BLOCK_LEN, rng_from
 
 _TAG_PLAN_ROUND = 0x51
 
@@ -100,11 +101,31 @@ def plan_round_masks(g: StochasticGraph, t: int, rng: np.random.Generator) -> li
 
 def draw_plan(g: StochasticGraph, t: int, rng: np.random.Generator) -> QueryPlan:
     """The plan of ``t`` rounds from :func:`plan_round_masks` and their union."""
-    rounds = plan_round_masks(g, t, rng)
-    q_mask = 0
-    for mask in rounds:
-        q_mask |= mask
-    return QueryPlan(t=t, q_mask=q_mask, rounds=tuple(rounds), parent=g.token)
+    return next(draw_plans(g, t, rng, 1))
+
+
+def draw_plans(g: StochasticGraph, t: int, rng: np.random.Generator,
+               count: int) -> Iterator[QueryPlan]:
+    """``count`` plans of ``t`` rounds each, the same as ``count`` successive
+    :func:`draw_plan` calls on ``rng``, provided nothing else reads ``rng``
+    until the iteration ends.
+
+    By the prefix-stream property of :func:`plan_round_masks`, ``k`` plans
+    can take their rounds from one call for ``k * t`` rounds.  Each call asks
+    for at most ``BLOCK_LEN`` rounds (or one plan's ``t`` if that is more),
+    and plans are built as they are consumed, so memory stays bounded by one
+    call's rounds.
+    """
+    per_call = max(1, BLOCK_LEN // max(t, 1))
+    for start in range(0, count, per_call):
+        k = min(per_call, count - start)
+        rounds = plan_round_masks(g, k * t, rng)
+        for i in range(k):
+            plan_rounds = tuple(rounds[i * t:(i + 1) * t])
+            q_mask = 0
+            for mask in plan_rounds:
+                q_mask |= mask
+            yield QueryPlan(t=t, q_mask=q_mask, rounds=plan_rounds, parent=g.token)
 
 
 @dataclass(frozen=True)

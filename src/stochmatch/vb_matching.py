@@ -27,7 +27,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .exact import EnumerationTooLarge
-from .graph_core import Matching, StochasticGraph, make_matching
+from .graph_core import Matching, StochasticGraph, mask_edges
 from .mwm import GraphView
 
 _CLIP_TOL = 1e-12
@@ -110,18 +110,17 @@ def activate_batch(
 
 
 def _crucial_adjacency(g: StochasticGraph, mask: int):
-    key = ("vb_adj", mask)
-    hit = g._caches.get(key)
-    if hit is None:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for e in range(g.m):
-            if (mask >> e) & 1:
-                u, v, _w, _p = g.edges[e]
-                adj[u].append((v, e))
-                adj[v].append((u, e))
-        hit = tuple(tuple(x) for x in adj)
-        g._caches[key] = hit
-    return hit
+    """Per-vertex ``(neighbor, edge, 1 << edge, p)`` over the edges in
+    ``mask``, in edge order; only the latest mask's table is kept."""
+    hit = g._caches.get("vb_adj")
+    if hit is None or hit[0] != mask:
+        adj: list[list[tuple[int, int, int, float]]] = [[] for _ in range(g.n)]
+        for e in mask_edges(mask):
+            u, v, _w, p = g.edges[e]
+            adj[u].append((v, e, 1 << e, p))
+            adj[v].append((u, e, 1 << e, p))
+        hit = g._caches["vb_adj"] = (mask, tuple(tuple(x) for x in adj))
+    return hit[1]
 
 
 def run_vb(
@@ -138,46 +137,50 @@ def run_vb(
     ``realization_mask`` is given its bits are revealed instead of drawing
     fresh coins (the pipeline feeds the true realization through here); when
     ``permutation`` is given the arrival order is fixed instead of uniform.
+
+    The generator is read in this order, which every caller's numbers rest
+    on: ``rng.permutation(n)`` (unless ``permutation`` is given), then per
+    arrival one ``rng.random()`` per batch edge (unless ``realization_mask``
+    is given), then one :func:`activate_batch` draw if the batch has a
+    realized edge.  Vertex sets are int masks until the output is built.
     """
     g = view.graph
     crucial_mask = view.effective_mask
     adj = _crucial_adjacency(g, crucial_mask)
 
     if permutation is None:
-        order = [int(v) for v in rng.permutation(g.n)]
+        order = rng.permutation(g.n).tolist()
     else:
         order = [int(v) for v in permutation]
         if sorted(order) != list(range(g.n)):
             raise ValueError("permutation must cover every vertex exactly once")
 
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-
-    matched = [False] * g.n
-    had_active = [False] * g.n
+    arrived = 0
+    matched = 0
+    active = 0  # vertices with an active edge
+    mc_mask = 0
     log: list[tuple[int, int | None, int | None]] = []
-    mc_edges: list[int] = []
     clip_events = 0
     revealed_mask = 0
     revealed_bits = 0
+    draw = rng.random
 
     for v in order:
         batch_mask = 0
         batch_bits = 0
-        realized: list[tuple[int, int]] = []
-        for u, e in adj[v]:
-            if pos[u] >= pos[v]:
+        realized: list[int] = []
+        for u, e, bit, p in adj[v]:
+            if not (arrived >> u) & 1:
                 continue
-            bit_e = 1 << e
-            batch_mask |= bit_e
+            batch_mask |= bit
             if realization_mask is not None:
-                hit = bool(realization_mask & bit_e)
+                hit = realization_mask & bit
             else:
-                hit = rng.random() < g.edges[e].p
+                hit = draw() < p
             if hit:
-                batch_bits |= bit_e
-                realized.append((u, e))
+                batch_bits |= bit
+                realized.append(e)
+        arrived |= 1 << v
         revealed_mask |= batch_mask
         revealed_bits |= batch_bits
         if not realized:
@@ -185,7 +188,7 @@ def run_vb(
             continue
         candidates = [
             (e, float(y[e]), cond.y_prime(e, batch_mask, batch_bits), True)
-            for _u, e in realized
+            for e in realized
         ]
         choice, clipped = activate_batch(candidates, rng)
         if clipped:
@@ -195,29 +198,29 @@ def run_vb(
             continue
         partner = g.other_end(choice, v)
         log.append((v, partner, choice))
-        had_active[v] = True
-        had_active[partner] = True
-        if not matched[partner]:
-            matched[partner] = True
-            matched[v] = True
-            mc_edges.append(choice)
+        pair = (1 << v) | (1 << partner)
+        active |= pair
+        if not (matched >> partner) & 1:
+            assert not matched & pair  # matched edges stay vertex-disjoint
+            matched |= pair
+            mc_mask |= 1 << choice
 
-    alive = frozenset(v for v in range(g.n) if not had_active[v])
-    matching = make_matching(g, mc_edges)
+    everyone = (1 << g.n) - 1
+    alive_mask = everyone & ~active
 
     # Structural guarantees: alive vertices are unmatched, the log determines
     # the alive set, and matched edges were revealed crucial edges.
-    assert all(not matched[v] for v in alive)
-    touched = {v for v, partner, _e in log if partner is not None} | {
-        partner for _v, partner, _e in log if partner is not None
-    }
-    assert alive == frozenset(range(g.n)) - touched
-    for e in mc_edges:
-        assert (crucial_mask >> e) & 1 and (revealed_bits >> e) & 1
+    assert not alive_mask & matched
+    touched = 0
+    for v, partner, _e in log:
+        if partner is not None:
+            touched |= (1 << v) | (1 << partner)
+    assert alive_mask == everyone & ~touched
+    assert not mc_mask & ~(crucial_mask & revealed_bits)
 
     return VBOutput(
-        matching=matching,
-        alive=alive,
+        matching=Matching(edges=frozenset(mask_edges(mc_mask)), parent=g.token),
+        alive=frozenset(mask_edges(alive_mask)),
         activation_log=tuple(log),
         permutation=tuple(order),
         clip_events=clip_events,

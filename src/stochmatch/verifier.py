@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +28,9 @@ from .gadgets import (
     var_z_synthetic_x,
     verification_gadgets,
 )
-from .graph_core import Params, StochasticGraph, sample_mask
+from .graph_core import Params, StochasticGraph, mask_edges, sample_mask
 from .parallel import rng_from, run_blocks
-from .sparsifier import draw_plan
+from .sparsifier import draw_plan, draw_plans
 from .vb_matching import attenuation_g, exact_vb_enumeration, run_vb
 
 _TAG_VB = 0x21
@@ -93,19 +94,22 @@ def _vb_stats_block(sampler: VBSampler, pairs: tuple, perm, seed: int,
     alive = np.zeros(g.n, dtype=np.int64)
     pair_counts = np.zeros(len(pairs), dtype=np.int64)
     clip = 0
+    outcomes: Counter = Counter()
     for _ in range(count):
         out = run_vb(sampler.view, sampler.y, sampler.cond, rng, permutation=perm)
         clip += out.clip_events
-        for _v, partner, e in out.activation_log:
+        outcomes[frozenset(out.activation_log), out.matching.edges, out.alive] += 1
+    for (log, matched, alive_set), k in outcomes.items():
+        for _v, partner, e in log:
             if partner is not None:
-                active[e] += 1
-        for e in out.matching.edges:
-            selected[e] += 1
-        for v in out.alive:
-            alive[v] += 1
+                active[e] += k
+        for e in matched:
+            selected[e] += k
+        for v in alive_set:
+            alive[v] += k
         for j, (u, v) in enumerate(pairs):
-            if u in out.alive and v in out.alive:
-                pair_counts[j] += 1
+            if u in alive_set and v in alive_set:
+                pair_counts[j] += k
     return active, selected, alive, pair_counts, clip
 
 
@@ -291,12 +295,11 @@ def _plan_pair_block(g: StochasticGraph, t: int, pairs: tuple, seed: int,
                      block: int, count: int) -> np.ndarray:
     rng = rng_from(seed, _TAG_NA, block)
     cells = np.zeros((len(pairs), 4), dtype=np.int64)  # n00 n01 n10 n11
-    for _ in range(count):
-        q_mask = draw_plan(g, t, rng).q_mask
+    for q_mask, k in Counter(plan.q_mask for plan in draw_plans(g, t, rng, count)).items():
         for j, (e1, e2) in enumerate(pairs):
             a = (q_mask >> e1) & 1
             b = (q_mask >> e2) & 1
-            cells[j, 2 * a + b] += 1
+            cells[j, 2 * a + b] += k
     return cells
 
 
@@ -373,19 +376,21 @@ def check_negative_association(gadget: Gadget, trials: int, seed: int,
 def _z_block(sampler: VBSampler, support: tuple, h_values: tuple, n: int,
              seed: int, block: int, count: int):
     rng = rng_from(seed, _TAG_Z, block)
-    sums = np.zeros(n)
-    sumsq = np.zeros(n)
-    for _ in range(count):
-        out = run_vb(sampler.view, sampler.y, sampler.cond, rng)
-        z = np.zeros(n)
+    outcomes: dict = {}  # alive set -> row of `rows`
+    runs = [outcomes.setdefault(run_vb(sampler.view, sampler.y, sampler.cond, rng).alive,
+                                len(outcomes))
+            for _ in range(count)]
+    rows = np.zeros((len(outcomes), n))
+    for alive, i in outcomes.items():
         for (u, v), h in zip(support, h_values):
-            if u in out.alive:
-                z[v] += h
-            if v in out.alive:
-                z[u] += h
-        sums += z
-        sumsq += z * z
-    return sums, sumsq
+            if u in alive:
+                rows[i, v] += h
+            if v in alive:
+                rows[i, u] += h
+    # add.accumulate sums the runs one by one in run order, so the float
+    # sums are those of adding each run's vector in turn
+    z = rows[runs]
+    return np.add.accumulate(z)[-1], np.add.accumulate(z * z)[-1]
 
 
 def check_var_z(gadget: Gadget, synthetic_x: dict[tuple[int, int], float],
@@ -430,25 +435,27 @@ def check_var_z(gadget: Gadget, synthetic_x: dict[tuple[int, int], float],
 def _y_block(g: StochasticGraph, tables: PipelineTables, t: int, seed: int,
              block: int, count: int) -> np.ndarray:
     rng = rng_from(seed, _TAG_Y, block)
-    rows = np.zeros((count, g.n))
-    classes = tables.classes
+    noncrucial = tables.classes.noncrucial_mask
     sampler = tables.sampler
-    for i in range(count):
+    outcomes: dict = {}  # (queried non-crucial edges, alive set) -> row of `rows`
+    runs = []
+    for _ in range(count):
         q_mask = draw_plan(g, t, rng).q_mask
         real_mask = sample_mask(g, rng)
         out = run_vb(sampler.view, sampler.y, sampler.cond, rng,
                      realization_mask=real_mask)
-        queried = q_mask & real_mask
-        for e in classes.noncrucial():
-            if not (queried >> e) & 1:
-                continue
+        runs.append(outcomes.setdefault((q_mask & real_mask & noncrucial, out.alive),
+                                        len(outcomes)))
+    rows = np.zeros((len(outcomes), g.n))
+    for (queried, alive), i in outcomes.items():
+        for e in mask_edges(queried):
             u, v = g.endpoints(e)
             g_e = tables.g_table.get(e)
-            if u in out.alive:
+            if u in alive:
                 rows[i, v] += g_e
-            if v in out.alive:
+            if v in alive:
                 rows[i, u] += g_e
-    return rows
+    return rows[runs]
 
 
 def check_concentration_y(gadget: Gadget, tables: PipelineTables, trials: int,
@@ -518,13 +525,16 @@ def check_concentration_y(gadget: Gadget, tables: PipelineTables, trials: int,
 def _log_joint_block(sampler: VBSampler, perm: tuple, u: int, w: int, seed: int,
                      block: int, count: int) -> dict:
     rng = rng_from(seed, _TAG_IND, block)
+    logs = Counter(
+        run_vb(sampler.view, sampler.y, sampler.cond, rng, permutation=perm).activation_log
+        for _ in range(count)
+    )
     counts: dict[tuple, int] = {}
-    for _ in range(count):
-        out = run_vb(sampler.view, sampler.y, sampler.cond, rng, permutation=perm)
-        xu = next(p for v, p, _e in out.activation_log if v == u)
-        xw = next(p for v, p, _e in out.activation_log if v == w)
+    for log, k in logs.items():
+        xu = next(p for v, p, _e in log if v == u)
+        xw = next(p for v, p, _e in log if v == w)
         key = (xu, xw)
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + k
     return counts
 
 

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from stochmatch import estimator
 from stochmatch.estimator import (
     EstimateTable,
     MonteCarloConditional,
@@ -14,10 +16,11 @@ from stochmatch.estimator import (
     z_distance,
 )
 from stochmatch.exact import exact_x
-from stochmatch.gadgets import four_cycle, isolated_pair, two_path
+from stochmatch.gadgets import benchmark_6v8e, four_cycle, isolated_pair, two_path
 from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph
 from stochmatch.parallel import rng_from
-from stochmatch.vb_matching import exact_vb_enumeration
+from stochmatch.sparsifier import draw_plan
+from stochmatch.vb_matching import exact_vb_enumeration, run_vb
 
 
 def graph(n, edges):
@@ -253,3 +256,26 @@ def test_estimate_table_csv_shape():
     assert len(lines) == 2 + g.m
     # non-crucial edge 1 has empty y columns
     assert lines[3].split(",")[5] == ""
+
+
+def test_counted_q_and_pair_alive_blocks_equal_per_run_loops():
+    gadget = benchmark_6v8e()
+    g = gadget.graph
+    rng = rng_from(51, estimator._TAG_Q, 1)
+    q_counts = np.zeros(g.m, dtype=np.int64)
+    for _ in range(300):
+        for e in draw_plan(g, 3, rng).edges():
+            q_counts[e] += 1
+    assert np.array_equal(estimator._q_counts_block(g, 3, 51, 1, 300), q_counts)
+
+    sampler = gadget.sampler()
+    pairs = ((0, 3), (1, 4), (2, 5), (0, 1))
+    rng = rng_from(52, estimator._TAG_PAIR, 0)
+    pair_counts = np.zeros(len(pairs), dtype=np.int64)
+    for _ in range(400):
+        out = run_vb(sampler.view, sampler.y, sampler.cond, rng)
+        for j, (u, v) in enumerate(pairs):
+            if u in out.alive and v in out.alive:
+                pair_counts[j] += 1
+    got = estimator._pair_alive_block(sampler, pairs, 52, 0, 400)
+    assert np.array_equal(got, pair_counts)

@@ -6,7 +6,7 @@ from scipy import stats as sps
 
 from stochmatch import mwm
 from stochmatch.exact import exact_x
-from stochmatch.gadgets import benchmark_6v8e
+from stochmatch.gadgets import benchmark_6v8e, relaxed_suite_8v
 from stochmatch.graph_core import (
     Edge,
     StochasticGraph,
@@ -23,6 +23,7 @@ from stochmatch.sparsifier import (
     check_crucial_coverage,
     classify_edges,
     draw_plan,
+    draw_plans,
     plan_round_masks,
 )
 
@@ -213,3 +214,20 @@ def test_plan_json_rejects_edges_that_are_not_the_union():
     for bad in (missing, extra):
         with pytest.raises(ValueError, match="union"):
             QueryPlan.from_json(json.dumps(bad), g)
+
+
+@pytest.mark.parametrize("t,count", [(1, 5), (3, 40), (120, 40), (0, 3)])
+def test_draw_plans_equals_sequential_draw_plan(t, count):
+    g = relaxed_suite_8v().graph
+    rng_batch, rng_seq, rng_rounds = rng_from(9), rng_from(9), rng_from(9)
+    plans = list(draw_plans(g, t, rng_batch, count))
+    assert plans == [draw_plan(g, t, rng_seq) for _ in range(count)]
+    for plan in plans:  # each plan is the next t rounds of one stream, and their OR
+        assert plan.rounds == tuple(plan_round_masks(g, t, rng_rounds))
+        union = 0
+        for mask in plan.rounds:
+            union |= mask
+        assert (plan.t, plan.q_mask, plan.parent) == (t, union, g.token)
+    assert rng_batch.bit_generator.state == rng_seq.bit_generator.state
+    assert rng_batch.bit_generator.state == rng_rounds.bit_generator.state
+    assert list(draw_plans(g, t, rng_from(9), 0)) == []

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stochmatch.estimator import MonteCarloConditional
 from stochmatch.exact import EnumerationTooLarge, MatchingLaw
 from stochmatch.gadgets import (
     four_cycle,
@@ -12,11 +13,19 @@ from stochmatch.gadgets import (
     star,
     three_path,
     two_path,
+    verification_gadgets,
 )
-from stochmatch.graph_core import Edge, StochasticGraph
+from stochmatch.graph_core import (
+    Edge,
+    StochasticGraph,
+    gen_random_graph,
+    make_matching,
+    sample_mask,
+)
 from stochmatch.mwm import GraphView
 from stochmatch.parallel import rng_from
 from stochmatch.vb_matching import (
+    VBOutput,
     activate_batch,
     attenuation_g,
     exact_vb_enumeration,
@@ -263,3 +272,176 @@ def test_exact_enumeration_caps_raise_typed_error():
     cycle = four_cycle().sampler()
     with pytest.raises(EnumerationTooLarge, match="too many edges"):
         exact_vb_enumeration(cycle.view, cycle.y, cycle.cond, max_component_edges=3)
+
+
+# ---------------------------------------------------------------------------
+# The mask implementation of run_vb against the list-and-set one it replaced
+
+
+def reference_run_vb(view, y, cond, rng, realization_mask=None, permutation=None):
+    """``run_vb`` as written with per-vertex lists and sets, kept verbatim
+    (apart from building its adjacency inline) as the reference the mask
+    implementation must reproduce output for output and draw for draw."""
+    g = view.graph
+    crucial_mask = view.effective_mask
+    adj = [[] for _ in range(g.n)]
+    for e in range(g.m):
+        if (crucial_mask >> e) & 1:
+            u, v, _w, _p = g.edges[e]
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+
+    if permutation is None:
+        order = [int(v) for v in rng.permutation(g.n)]
+    else:
+        order = [int(v) for v in permutation]
+        if sorted(order) != list(range(g.n)):
+            raise ValueError("permutation must cover every vertex exactly once")
+
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+
+    matched = [False] * g.n
+    had_active = [False] * g.n
+    log = []
+    mc_edges = []
+    clip_events = 0
+    revealed_mask = 0
+    revealed_bits = 0
+
+    for v in order:
+        batch_mask = 0
+        batch_bits = 0
+        realized = []
+        for u, e in adj[v]:
+            if pos[u] >= pos[v]:
+                continue
+            bit_e = 1 << e
+            batch_mask |= bit_e
+            if realization_mask is not None:
+                hit = bool(realization_mask & bit_e)
+            else:
+                hit = rng.random() < g.edges[e].p
+            if hit:
+                batch_bits |= bit_e
+                realized.append((u, e))
+        revealed_mask |= batch_mask
+        revealed_bits |= batch_bits
+        if not realized:
+            log.append((v, None, None))
+            continue
+        candidates = [
+            (e, float(y[e]), cond.y_prime(e, batch_mask, batch_bits), True)
+            for _u, e in realized
+        ]
+        choice, clipped = activate_batch(candidates, rng)
+        if clipped:
+            clip_events += 1
+        if choice is None:
+            log.append((v, None, None))
+            continue
+        partner = g.other_end(choice, v)
+        log.append((v, partner, choice))
+        had_active[v] = True
+        had_active[partner] = True
+        if not matched[partner]:
+            matched[partner] = True
+            matched[v] = True
+            mc_edges.append(choice)
+
+    alive = frozenset(v for v in range(g.n) if not had_active[v])
+    matching = make_matching(g, mc_edges)
+    return VBOutput(
+        matching=matching,
+        alive=alive,
+        activation_log=tuple(log),
+        permutation=tuple(order),
+        clip_events=clip_events,
+        revealed_mask=revealed_mask,
+        revealed_bits=revealed_bits,
+    )
+
+
+def assert_same_runs(view, y, cond, seed, runs, realization=None, permutation=None,
+                     ref_cond=None):
+    """``runs`` successive runs of both implementations on equal generators
+    give equal outputs and leave the generators in equal states."""
+    rng_new, rng_ref = rng_from(seed), rng_from(seed)
+    mask_rng = rng_from(seed, 1)
+    outs = []
+    for _ in range(runs):
+        mask = None if realization is None else realization(mask_rng)
+        new = run_vb(view, y, cond, rng_new, realization_mask=mask,
+                     permutation=permutation)
+        ref = reference_run_vb(view, y, cond if ref_cond is None else ref_cond,
+                               rng_ref, realization_mask=mask, permutation=permutation)
+        for name in ("matching", "alive", "activation_log", "permutation",
+                     "clip_events", "revealed_mask", "revealed_bits"):
+            assert getattr(new, name) == getattr(ref, name), name
+        assert list(new.alive) == list(ref.alive)
+        assert list(new.matching.edges) == list(ref.matching.edges)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        outs.append(new)
+    return outs
+
+
+@pytest.mark.parametrize("gadget", verification_gadgets(), ids=lambda gd: gd.name)
+def test_run_vb_equals_reference_on_every_gadget(gadget):
+    s = gadget.sampler()
+    g = gadget.graph
+    perm = tuple(reversed(range(g.n)))
+    draw = lambda rng: sample_mask(g, rng)  # noqa: E731
+    assert_same_runs(s.view, s.y, s.cond, 11, 150)
+    assert_same_runs(s.view, s.y, s.cond, 12, 150, permutation=perm)
+    assert_same_runs(s.view, s.y, s.cond, 13, 150, realization=draw)
+    assert_same_runs(s.view, s.y, s.cond, 14, 150, realization=draw, permutation=perm)
+
+
+def test_run_vb_equals_reference_with_clipping_monte_carlo_conditionals():
+    g = gen_random_graph(7, 0.6, {"name": "uniform", "low": 0.1, "high": 2.0},
+                         {"name": "uniform", "low": 0.3, "high": 0.9}, seed=5)
+    y = np.full(g.m, 0.1)  # small denominators: 2-trial estimates of y' clip
+    view = GraphView(g)
+    outs = assert_same_runs(view, y, MonteCarloConditional(g, g.full_mask, 2, 3), 21, 200,
+                            ref_cond=MonteCarloConditional(g, g.full_mask, 2, 3))
+    assert sum(out.clip_events for out in outs) > 0
+    assert_same_runs(view, y, MonteCarloConditional(g, g.full_mask, 2, 3), 22, 100,
+                     realization=lambda rng: sample_mask(g, rng))
+
+
+def test_run_vb_equals_reference_without_crucial_edges():
+    g = graph(3, [(0, 1, 1.0, 0.5)])
+    outs = assert_same_runs(GraphView(g, 0), np.zeros(1), None, 0, 5)
+    assert outs[0].alive == frozenset(range(3))
+    assert_same_runs(GraphView(g, 0), np.zeros(1), None, 1, 5, permutation=(2, 1, 0))
+
+
+def test_run_vb_error_paths_still_raise():
+    class Negative:
+        def y_prime(self, e, batch_mask, batch_bits):
+            return -0.1
+
+    g = graph(2, [(0, 1, 1.0, 1.0)])
+    view = GraphView(g)
+    cond = single_edge().sampler().cond
+    with pytest.raises(ValueError, match="negative conditional"):
+        run_vb(view, np.full(1, 0.5), Negative(), rng_from(0))
+    for bad_y in (-0.5, 1.5):
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+            run_vb(view, np.full(1, bad_y), cond, rng_from(0))
+    for bad_perm in ((0, 0), (0,), (0, 2), (1, 0, 2)):
+        with pytest.raises(ValueError, match="permutation"):
+            run_vb(view, np.full(1, 0.5), cond, rng_from(0), permutation=bad_perm)
+
+
+def test_vb_adjacency_cache_keeps_only_latest_mask():
+    g = graph(4, [(0, 1, 1.0, 0.5), (1, 2, 1.0, 0.5), (2, 3, 1.0, 0.5)])
+    y = np.full(3, 0.5)
+    cond = type("Half", (), {"y_prime": lambda self, e, m, b: 0.5})()
+    run_vb(GraphView(g, 0b011), y, cond, rng_from(0))
+    run_vb(GraphView(g, 0b110), y, cond, rng_from(0))
+    keys = [k for k in g._caches
+            if k == "vb_adj" or (isinstance(k, tuple) and k and k[0] == "vb_adj")]
+    assert keys == ["vb_adj"]
+    assert g._caches["vb_adj"][0] == 0b110
