@@ -21,14 +21,16 @@ print(f"benchmark: {g.n} vertices, {g.m} edges, p_min={g.p_min}, "
       f"crucial={tables.classes.crucial()}, non-crucial={tables.classes.noncrucial()}")
 print(f"reference line: 0.681\n")
 
+# One call runs the whole sweep: each run's realization, variance-bounding
+# run and plan rounds are drawn once and shared by every t (None is the
+# query-everything control).
 runs = 3000
+*sweep, control = end_to_end(g, tables, [1, 2, 4, 8, 16, None], runs=runs, seed=17)
 print(f"{'t':>5} {'ratio':>8} {'+-3se':>8} {'alg ratio':>10} {'augmented wins':>15}")
-for t in (1, 2, 4, 8, 16):
-    res = end_to_end(g, tables, t, runs=runs, seed=17)
+for res in sweep:
     aug = sum(1 for r in res.runs if r.scheme == "augmented") / runs
-    print(f"{t:>5} {res.ratio:>8.4f} {3 * res.ratio_std_err():>8.4f} "
+    print(f"{res.t:>5} {res.ratio:>8.4f} {3 * res.ratio_std_err():>8.4f} "
           f"{res.alg_ratio:>10.4f} {aug:>15.3f}")
 
-control = end_to_end(g, tables, 16, runs=runs, seed=17, force_full_plan=True)
 print(f"{'Q=E':>5} {control.ratio:>8.4f} {3 * control.ratio_std_err():>8.4f} "
       f"{control.alg_ratio:>10.4f}")

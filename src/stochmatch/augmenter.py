@@ -13,7 +13,8 @@ matching of the realized crucial plan edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .graph_core import (
     Params,
     Realization,
     StochasticGraph,
+    mask_edges,
     sample_mask,
     weight_of,
 )
@@ -39,7 +41,7 @@ from .estimator import (
 )
 from .mwm import GraphView, max_weight_matching
 from .parallel import BLOCK_LEN, rng_from, run_blocks
-from .sparsifier import EdgeClasses, QueryPlan, classify_edges, draw_plan
+from .sparsifier import EdgeClasses, QueryPlan, classify_edges, plan_round_masks
 from .vb_matching import VBOutput, exact_vb_enumeration, run_vb
 
 _TAG_E2E_PLAN = 0x11
@@ -110,17 +112,37 @@ def build_g_table(
 
 @dataclass(frozen=True)
 class SurvivalRecord:
-    """Who made it through the fractional stage.
+    """Who made it through the fractional stage, as vertex masks.
 
     A vertex survives iff it is alive and its pre-zeroing fractional degree
     did not exceed one; an edge survives iff both endpoints do, whether or
     not it was queried.
     """
 
-    in_alive: tuple[bool, ...]
-    overloaded: tuple[bool, ...]
-    vertex_survived: tuple[bool, ...]
-    edge_survived: tuple[bool, ...]
+    graph: StochasticGraph = field(repr=False)
+    alive_mask: int
+    overloaded_mask: int
+
+    def _flags(self, mask: int) -> tuple[bool, ...]:
+        return tuple(bool((mask >> v) & 1) for v in range(self.graph.n))
+
+    @property
+    def in_alive(self) -> tuple[bool, ...]:
+        return self._flags(self.alive_mask)
+
+    @property
+    def overloaded(self) -> tuple[bool, ...]:
+        return self._flags(self.overloaded_mask)
+
+    @property
+    def vertex_survived(self) -> tuple[bool, ...]:
+        return self._flags(self.alive_mask & ~self.overloaded_mask)
+
+    @property
+    def edge_survived(self) -> tuple[bool, ...]:
+        survived = self.alive_mask & ~self.overloaded_mask
+        return tuple(bool((survived >> u) & 1 and (survived >> v) & 1)
+                     for u, v, _w, _p in self.graph.edges)
 
 
 def build_fractional(
@@ -139,44 +161,35 @@ def build_fractional(
     """
     gamma = params.gamma
     alive = vb_out.alive
+    edges = g.edges
     pre: dict[int, float] = {}
-    for e in classes.noncrucial():
-        if not plan.contains(e) or not realization.includes(e):
-            continue
-        u, v = g.endpoints(e)
+    degree = [0.0] * g.n
+    for e in mask_edges(classes.noncrucial_mask & plan.q_mask & realization.mask):
+        u, v, _w, _p = edges[e]
         if u not in alive or v not in alive:
             continue
         value = gamma * g_table.get(e)
         if value > 0.0:
             pre[e] = value
+            degree[u] += value
+            degree[v] += value
 
-    degree = [0.0] * g.n
-    for e, value in pre.items():
-        u, v = g.endpoints(e)
-        degree[u] += value
-        degree[v] += value
-    overloaded = tuple(d > 1.0 + _DEGREE_TOL for d in degree)
+    overloaded = 0
+    for v, d in enumerate(degree):
+        if d > 1.0 + _DEGREE_TOL:
+            overloaded |= 1 << v
 
     final = {}
     for e, value in pre.items():
-        u, v = g.endpoints(e)
-        if not overloaded[u] and not overloaded[v]:
+        u, v, _w, _p = edges[e]
+        if not (overloaded >> u) & 1 and not (overloaded >> v) & 1:
             final[e] = min(value, 1.0)
 
-    in_alive = tuple(v in alive for v in range(g.n))
-    vertex_survived = tuple(a and not o for a, o in zip(in_alive, overloaded))
-    edge_survived = tuple(
-        vertex_survived[g.edges[e].u] and vertex_survived[g.edges[e].v]
-        for e in range(g.m)
-    )
+    alive_mask = 0
+    for v in alive:
+        alive_mask |= 1 << v
     f = FractionalMatching(values=final, parent=g.token)
-    record = SurvivalRecord(
-        in_alive=in_alive,
-        overloaded=overloaded,
-        vertex_survived=vertex_survived,
-        edge_survived=edge_survived,
-    )
-    return f, record
+    return f, SurvivalRecord(graph=g, alive_mask=alive_mask, overloaded_mask=overloaded)
 
 
 def round_fractional(g: StochasticGraph, f: FractionalMatching) -> Matching:
@@ -207,22 +220,19 @@ def combine(
     only touches alive vertices, which the crucial matching left unmatched);
     a conflict would mean a broken invariant and raises.
     """
-    crucial_realized = classes.crucial_mask & plan.q_mask & realization.mask
-    scheme_a = max_weight_matching(GraphView(g, crucial_realized))
+    q_mask = plan.q_mask
+    scheme_a = max_weight_matching(GraphView(g, classes.crucial_mask & q_mask & realization.mask))
 
-    mc_in_plan = [e for e in vb_out.matching.edges if plan.contains(e)]
-    union = set(mc_in_plan) | set(m_n.edges)
-    try:
-        scheme_b = Matching(edges=frozenset(union), parent=g.token)
-        used: set[int] = set()
-        for e in sorted(union):
-            u, v = g.endpoints(e)
-            if u in used or v in used:
-                raise ValueError(f"overlap at edge {e}")
-            used.add(u)
-            used.add(v)
-    except ValueError as exc:
-        raise RuntimeError(f"combiner invariant breach: {exc}") from exc
+    union = (vb_out.matching.as_mask() & q_mask) | m_n.as_mask()
+    union_edges = mask_edges(union)
+    used = 0
+    for e in union_edges:
+        u, v, _w, _p = g.edges[e]
+        ends = (1 << u) | (1 << v)
+        if used & ends:
+            raise RuntimeError(f"combiner invariant breach: overlap at edge {e}")
+        used |= ends
+    scheme_b = Matching(edges=frozenset(union_edges), parent=g.token)
 
     w_a = weight_of(scheme_a, g)
     w_b = weight_of(scheme_b, g)
@@ -381,11 +391,17 @@ class RunRecord:
 
 @dataclass
 class E2EResult:
-    t: int
+    """One sweep point: ``t`` plan rounds, or ``t=None`` for the control."""
+
+    t: int | None
     runs: list[RunRecord]
     f_sums: np.ndarray
     f_sumsq: np.ndarray
-    force_full_plan: bool
+
+    @property
+    def force_full_plan(self) -> bool:
+        """True for the query-everything control, whose plan is every edge."""
+        return self.t is None
 
     @property
     def ratio(self) -> float:
@@ -426,98 +442,139 @@ class E2EResult:
         return np.sqrt(var / n)
 
 
+def _pipeline_run(
+    g: StochasticGraph,
+    tables: PipelineTables,
+    ts: tuple[int | None, ...],
+    seed: int,
+    run_index: int,
+) -> tuple[VBOutput, list[tuple[RunRecord, FractionalMatching]]]:
+    """Run ``run_index`` at every sweep point in ``ts``.
+
+    The realization, the variance-bounding run, MM_G and the plan rounds
+    come from per-run streams that do not depend on ``t``, so they are drawn
+    once: the plan for ``t`` is the union of the first ``t`` of ``max(ts)``
+    rounds, which by the prefix-stream property of :func:`plan_round_masks`
+    is the plan ``t`` rounds alone would draw.  ``None`` is the
+    query-everything control.
+    """
+    real_mask = sample_mask(g, rng_from(seed, _TAG_E2E_REAL, run_index))
+    realization = Realization(mask=real_mask, parent=g.token)
+    sampler = tables.sampler
+    vb_out = run_vb(sampler.view, sampler.y, sampler.cond,
+                    rng_from(seed, _TAG_E2E_VB, run_index), realization_mask=real_mask)
+    mmg = weight_of(max_weight_matching(GraphView(g, real_mask)), g)
+
+    t_max = max((t for t in ts if t is not None), default=0)
+    rounds = plan_round_masks(g, t_max, rng_from(seed, _TAG_E2E_PLAN, run_index)) if t_max else []
+    unions = [0]
+    for mask in rounds:
+        unions.append(unions[-1] | mask)
+
+    points = []
+    for t in ts:
+        if t is None:
+            plan = QueryPlan(t=0, q_mask=g.full_mask, rounds=(), parent=g.token)
+        else:
+            plan = QueryPlan(t=t, q_mask=unions[t], rounds=tuple(rounds[:t]),
+                             parent=g.token)
+        f, survival = build_fractional(
+            g, tables.classes, plan, realization, vb_out, tables.g_table, tables.params,
+        )
+        m_n = round_fractional(g, f)
+        alg, scheme = combine(g, plan, realization, vb_out, m_n, tables.classes)
+        mmq = weight_of(max_weight_matching(GraphView(g, plan.q_mask & real_mask)), g)
+
+        # Same sums as FractionalMatching.vertex_load: ascending edge order.
+        loads = [0.0] * g.n
+        for e, value in sorted(f.values.items()):
+            u, v = g.endpoints(e)
+            loads[u] += value
+            loads[v] += value
+
+        record = RunRecord(
+            run=run_index,
+            alg_weight=weight_of(alg, g),
+            mmq_weight=mmq,
+            mmg_weight=mmg,
+            scheme=scheme,
+            clip_events=vb_out.clip_events,
+            zeroed_vertices=survival.overloaded_mask.bit_count(),
+            f_weight=f.dot_weights(g),
+            f_max=f.max_value(),
+            round_weight=weight_of(m_n, g),
+            max_post_degree=max(loads, default=0.0),
+        )
+        points.append((record, f))
+    return vb_out, points
+
+
 def run_pipeline_once(
     g: StochasticGraph,
     tables: PipelineTables,
-    t: int,
+    t: int | None,
     seed: int,
     run_index: int,
-    force_full_plan: bool = False,
 ) -> tuple[RunRecord, np.ndarray, VBOutput]:
-    """One pipeline sample: fresh plan, fresh realization, fresh run."""
-    if force_full_plan:
-        plan = QueryPlan(t=0, q_mask=g.full_mask, rounds=(), parent=g.token)
-    else:
-        plan = draw_plan(g, t, rng_from(seed, _TAG_E2E_PLAN, run_index))
-
-    real_rng = rng_from(seed, _TAG_E2E_REAL, run_index)
-    realization = Realization(mask=sample_mask(g, real_rng), parent=g.token)
-
-    vb_rng = rng_from(seed, _TAG_E2E_VB, run_index)
-    vb_out = run_vb(
-        tables.sampler.view, tables.sampler.y, tables.sampler.cond, vb_rng,
-        realization_mask=realization.mask,
-    )
-
-    f, survival = build_fractional(
-        g, tables.classes, plan, realization, vb_out, tables.g_table, tables.params,
-    )
-    m_n = round_fractional(g, f)
-    alg, scheme = combine(g, plan, realization, vb_out, m_n, tables.classes)
-
-    mmq = weight_of(max_weight_matching(GraphView(g, plan.q_mask & realization.mask)), g)
-    mmg = weight_of(max_weight_matching(GraphView(g, realization.mask)), g)
-
-    post_degrees = [f.vertex_load(g, v) for v in range(g.n)] or [0.0]
+    """One pipeline sample at one sweep point (``t=None``: query everything)."""
+    vb_out, [(record, f)] = _pipeline_run(g, tables, (t,), seed, run_index)
     f_vec = np.zeros(g.m)
     for e, value in f.values.items():
         f_vec[e] = value
-
-    record = RunRecord(
-        run=run_index,
-        alg_weight=weight_of(alg, g),
-        mmq_weight=mmq,
-        mmg_weight=mmg,
-        scheme=scheme,
-        clip_events=vb_out.clip_events,
-        zeroed_vertices=sum(survival.overloaded),
-        f_weight=f.dot_weights(g),
-        f_max=f.max_value(),
-        round_weight=weight_of(m_n, g),
-        max_post_degree=max(post_degrees),
-    )
     return record, f_vec, vb_out
 
 
-def _e2e_block(g, tables, t, seed, force_full_plan, block, count):
-    records = []
-    f_sums = np.zeros(g.m)
-    f_sumsq = np.zeros(g.m)
+def _e2e_block(g, tables, ts, seed, block, count):
+    records = [[] for _ in ts]
+    sums = [[0.0] * g.m for _ in ts]
+    sumsq = [[0.0] * g.m for _ in ts]
     start = block * BLOCK_LEN
     for j in range(count):
-        record, f_vec, _out = run_pipeline_once(
-            g, tables, t, seed, start + j, force_full_plan,
-        )
-        records.append(record)
-        f_sums += f_vec
-        f_sumsq += f_vec**2
-    return records, f_sums, f_sumsq
+        _vb_out, points = _pipeline_run(g, tables, ts, seed, start + j)
+        for i, (record, f) in enumerate(points):
+            records[i].append(record)
+            s, sq = sums[i], sumsq[i]
+            for e, value in f.values.items():
+                s[e] += value
+                sq[e] += value * value
+    return [(records[i], np.array(sums[i]), np.array(sumsq[i])) for i in range(len(ts))]
 
 
 def end_to_end(
     g: StochasticGraph,
     tables: PipelineTables,
-    t: int,
+    ts: Iterable[int | None],
     runs: int,
     seed: int,
-    force_full_plan: bool = False,
     workers: int | None = None,
-) -> E2EResult:
-    """Sample the full pipeline ``runs`` times with paired per-run streams.
+) -> list[E2EResult]:
+    """Sample the full pipeline ``runs`` times at every sweep point of ``ts``.
 
-    Plan rounds for run ``r`` come from the stream ``(seed, PLAN, r)`` drawn
-    sequentially, so sweeps over ``t`` at a fixed seed compare nested plans
-    on identical realizations, run by run.
+    ``ts`` holds plan round counts; ``None`` is the query-everything control.
+    Run ``r`` draws its realization, variance-bounding run and plan rounds
+    from the streams ``(seed, REAL, r)``, ``(seed, VB, r)`` and
+    ``(seed, PLAN, r)``, none of which depend on ``t``, so every point sees
+    the same realizations and runs, and plans are nested across ``t``, run
+    by run.  One result per point, in the order of ``ts``.
     """
+    ts = tuple(ts)
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    parts = run_blocks(_e2e_block, (g, tables, t, seed, force_full_plan), runs, workers)
-    records: list[RunRecord] = []
-    f_sums = np.zeros(g.m)
-    f_sumsq = np.zeros(g.m)
-    for recs, sums, sumsq in parts:
-        records.extend(recs)
-        f_sums += sums
-        f_sumsq += sumsq
-    return E2EResult(t=t, runs=records, f_sums=f_sums, f_sumsq=f_sumsq,
-                     force_full_plan=force_full_plan)
+    if not ts:
+        raise ValueError("ts must hold at least one sweep point")
+    for t in ts:
+        if t is not None and t < 0:
+            raise ValueError(f"plan round count must be >= 0, got {t}")
+    parts = run_blocks(_e2e_block, (g, tables, ts, seed), runs, workers)
+    results = []
+    for i, t in enumerate(ts):
+        records: list[RunRecord] = []
+        f_sums = np.zeros(g.m)
+        f_sumsq = np.zeros(g.m)
+        for block in parts:
+            recs, sums, sumsq = block[i]
+            records.extend(recs)
+            f_sums += sums
+            f_sumsq += sumsq
+        results.append(E2EResult(t=t, runs=records, f_sums=f_sums, f_sumsq=f_sumsq))
+    return results

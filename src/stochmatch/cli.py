@@ -15,7 +15,13 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .augmenter import PipelineTables, build_tables_exact, build_tables_monte_carlo, end_to_end
+from .augmenter import (
+    E2EResult,
+    PipelineTables,
+    build_tables_exact,
+    build_tables_monte_carlo,
+    end_to_end,
+)
 from .gadgets import benchmark_6v8e
 from .graph_core import Params, StochasticGraph, gen_random_graph, read_graph, write_graph
 from .parallel import resolve_workers
@@ -132,6 +138,11 @@ def cmd_generate(config: ExperimentConfig) -> Path:
     return path
 
 
+def _t_label(result: E2EResult) -> int:
+    """The sweep point as written to the outputs; -1 is the control."""
+    return -1 if result.force_full_plan else result.t
+
+
 def cmd_run(config: ExperimentConfig) -> Path:
     """t-sweep of the full pipeline; writes runs, aggregates and plot data."""
     g = load_graph(config)
@@ -145,20 +156,14 @@ def cmd_run(config: ExperimentConfig) -> Path:
     t_values = sorted(set(int(t) for t in config.t))
     tables = build_tables(g, config, max(t_values))
 
-    sweeps = []
-    for t in t_values:
-        sweeps.append(end_to_end(g, tables, t, config.trials, config.seed,
-                                 workers=workers))
-    control = None
-    if config.control_full_plan:
-        control = end_to_end(g, tables, max(t_values), config.trials, config.seed,
-                             force_full_plan=True, workers=workers)
+    points = t_values + ([None] if config.control_full_plan else [])
+    results = end_to_end(g, tables, points, config.trials, config.seed, workers=workers)
 
     runs_path = out_dir / "runs.jsonl"
     with open(runs_path, "w") as fh:
         fh.write(json.dumps({"config_hash": chash}, sort_keys=True) + "\n")
-        for result in sweeps + ([control] if control else []):
-            t_label = -1 if result.force_full_plan else result.t
+        for result in results:
+            t_label = _t_label(result)
             for record in result.runs:
                 fh.write(json.dumps({
                     "seed": config.seed,
@@ -177,8 +182,8 @@ def cmd_run(config: ExperimentConfig) -> Path:
     with open(agg_path, "w") as fh:
         fh.write(f"# config_hash={chash}\n")
         fh.write("seed,t,ratio,alg_weight,mmQ_weight,mmG_weight,scheme\n")
-        for result in sweeps + ([control] if control else []):
-            t_label = -1 if result.force_full_plan else result.t
+        for result in results:
+            t_label = _t_label(result)
             n = len(result.runs)
             mean_alg = sum(r.alg_weight for r in result.runs) / n
             mean_q = sum(r.mmq_weight for r in result.runs) / n
@@ -193,8 +198,8 @@ def cmd_run(config: ExperimentConfig) -> Path:
     with open(plot_path, "w") as fh:
         fh.write(f"# config_hash={chash}\n")
         fh.write("# t ratio   (t=-1 is the query-everything control; reference 0.681)\n")
-        for result in sweeps + ([control] if control else []):
-            t_label = -1 if result.force_full_plan else result.t
+        for result in results:
+            t_label = _t_label(result)
             fh.write(f"{t_label} {result.ratio!r}\n")
 
     summary = {
@@ -203,13 +208,13 @@ def cmd_run(config: ExperimentConfig) -> Path:
         "reference_ratio": 0.681,
         "sweep": [
             {
-                "t": (-1 if r.force_full_plan else r.t),
+                "t": _t_label(r),
                 "ratio": r.ratio,
                 "ratio_se": r.ratio_std_err(),
                 "alg_ratio": r.alg_ratio,
                 "runs": len(r.runs),
             }
-            for r in sweeps + ([control] if control else [])
+            for r in results
         ],
     }
     with open(out_dir / "summary.json", "w") as fh:

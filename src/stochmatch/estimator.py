@@ -35,6 +35,8 @@ _TAG_PAIR = 0x04
 _TAG_Q = 0x05
 
 DEFAULT_TRIALS = 4000  # std_err <= 0.008 for probabilities near 0.5
+# A MonteCarloConditional memo is cleared when it reaches this many entries.
+COND_CACHE_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,9 @@ class MonteCarloConditional:
     Each distinct (edge, batch) query gets its own stream derived from the
     master seed and the query key, and the result is cached, so estimates are
     deterministic regardless of query order; batch clipping downstream is
-    logged by the run itself.
+    logged by the run itself.  The cache is cleared when it reaches
+    ``COND_CACHE_MAX`` entries; a key asked again after that is re-estimated
+    from its own stream, to the same value.
     """
 
     def __init__(self, g: StochasticGraph, crucial_mask: int, trials: int, seed: int):
@@ -162,6 +166,8 @@ class MonteCarloConditional:
                 self.trials, rng,
             )
             hit = est.value
+            if len(self._cache) >= COND_CACHE_MAX:
+                self._cache.clear()
             self._cache[key] = hit
         return hit
 

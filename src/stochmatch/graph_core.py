@@ -200,11 +200,12 @@ def make_matching(g: StochasticGraph, edge_indices: Iterable[int]) -> Matching:
 def weight_of(matching: Matching, g: StochasticGraph) -> float:
     """Total weight of a matching; foreign edges are an error."""
     check_parent(matching.parent, g, "matching")
+    edges = g.edges
     total = 0.0
     for e in sorted(matching.edges):
-        if not (0 <= e < g.m):
+        if not 0 <= e < len(edges):
             raise ValueError(f"edge index {e} is not an edge of the graph")
-        total += g.edges[e].w
+        total += edges[e].w
     return total
 
 

@@ -103,8 +103,7 @@ def _solve(g: StochasticGraph, mask: int) -> tuple[Matching, int]:
         if inside[second] and weights[first] - weights[second] <= WEIGHT_TIE_TOL:
             return _solve_networkx(g, mask)
     best = int(rows[first])
-    edges = frozenset(e for e in range(g.m) if (best >> e) & 1)
-    return Matching(edges=edges, parent=g.token), best
+    return Matching(edges=frozenset(mask_edges(best)), parent=g.token), best
 
 
 def _solve_networkx(g: StochasticGraph, mask: int) -> tuple[Matching, int]:

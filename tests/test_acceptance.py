@@ -169,7 +169,7 @@ def test_criterion_7_fractional_stage():
     g = relaxed.graph
     params = Params(epsilon=relaxed.epsilon, delta=1 / 576.0, p_min=g.p_min)
     tables = build_tables_exact(g, params, relaxed.t, tau=relaxed.tau)
-    res = end_to_end(g, tables, relaxed.t, runs=30_000, seed=701)
+    [res] = end_to_end(g, tables, [relaxed.t], runs=30_000, seed=701)
     assert all(r.max_post_degree <= 1.0 + 1e-9 for r in res.runs)
     # rounding bound on every run in the small-values regime
     eps = params.epsilon
@@ -227,13 +227,12 @@ def test_criterion_9_end_to_end_ratios():
     g = bench.graph
     params = Params(epsilon=bench.epsilon, delta=1 / 576.0, p_min=g.p_min)
     tables = build_tables_exact(g, params, bench.t, tau=bench.tau)
-    control = end_to_end(g, tables, bench.t, runs=1500, seed=901, force_full_plan=True)
+    [control] = end_to_end(g, tables, [None], runs=1500, seed=901)
     assert control.ratio == 1.0
     assert control.ratio_std_err() <= 1e-12
     t_big = math.ceil(g.m / g.p_min)  # ceil(8 / 0.5) = 16
     assert t_big == 16
-    r1 = end_to_end(g, tables, 1, runs=4000, seed=902)
-    r16 = end_to_end(g, tables, t_big, runs=4000, seed=902)
+    r1, r16 = end_to_end(g, tables, [1, t_big], runs=4000, seed=902)
     band = 3 * (r1.ratio_std_err() + r16.ratio_std_err())
     assert r16.ratio >= r1.ratio - band
     for a, b in zip(r1.runs, r16.runs):  # paired seeds: surely monotone

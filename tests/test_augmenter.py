@@ -14,9 +14,10 @@ from stochmatch.augmenter import (
     round_fractional,
     run_pipeline_once,
 )
+from stochmatch import augmenter
 from stochmatch.estimator import ProbEstimate
 from stochmatch.exact import EnumerationTooLarge, ExactConditional
-from stochmatch.gadgets import benchmark_6v8e, relaxed_suite_8v, star
+from stochmatch.gadgets import benchmark_6v8e, relaxed_suite_8v, star, verification_gadgets
 from stochmatch.graph_core import (
     Edge,
     FractionalMatching,
@@ -25,10 +26,13 @@ from stochmatch.graph_core import (
     StochasticGraph,
     gen_random_graph,
     make_matching,
+    sample_mask,
     weight_of,
 )
-from stochmatch.sparsifier import QueryPlan, classify_edges
-from stochmatch.vb_matching import VBOutput
+from stochmatch.mwm import GraphView, max_weight_matching
+from stochmatch.parallel import BLOCK_LEN, iter_blocks, rng_from
+from stochmatch.sparsifier import QueryPlan, classify_edges, draw_plan
+from stochmatch.vb_matching import VBOutput, run_vb
 
 
 def graph(n, edges):
@@ -240,7 +244,7 @@ def test_end_to_end_full_plan_control_ratio_one():
     g = gadget.graph
     params = params_for(g)
     tables = build_tables_exact(g, params, gadget.t, tau=gadget.tau)
-    res = end_to_end(g, tables, gadget.t, runs=200, seed=4, force_full_plan=True)
+    [res] = end_to_end(g, tables, [None], runs=200, seed=4)
     assert res.ratio == 1.0
     for r in res.runs:
         assert r.ratio == 1.0
@@ -251,14 +255,14 @@ def test_end_to_end_single_edge_expected_weight():
     params = params_for(g)
     tables = build_tables_exact(g, params, 4, tau=0.5)
     # sampled plan: E[ALG] = w * p * Pr[edge in plan]
-    res = end_to_end(g, tables, 4, runs=20_000, seed=6)
+    [res] = end_to_end(g, tables, [4], runs=20_000, seed=6)
     mean_alg = float(np.mean([r.alg_weight for r in res.runs]))
     keep = 0.6 * (1 - 0.4**4)
     target = 2.0 * keep
     se = 2.0 * math.sqrt(keep * (1 - keep) / len(res.runs))
     assert abs(mean_alg - target) <= 3 * se
     # querying everything: E[ALG] = w * p exactly
-    full = end_to_end(g, tables, 4, runs=20_000, seed=6, force_full_plan=True)
+    [full] = end_to_end(g, tables, [None], runs=20_000, seed=6)
     mean_full = float(np.mean([r.alg_weight for r in full.runs]))
     se_full = 2.0 * math.sqrt(0.6 * 0.4 / len(full.runs))
     assert abs(mean_full - 2.0 * 0.6) <= 3 * se_full
@@ -268,8 +272,7 @@ def test_end_to_end_paired_sweep_monotone():
     gadget = benchmark_6v8e()
     g = gadget.graph
     tables = build_tables_exact(g, params_for(g), gadget.t, tau=gadget.tau)
-    r1 = end_to_end(g, tables, 1, runs=800, seed=7)
-    r16 = end_to_end(g, tables, 16, runs=800, seed=7)
+    r1, r16 = end_to_end(g, tables, [1, 16], runs=800, seed=7)
     for a, b in zip(r1.runs, r16.runs):
         assert b.mmq_weight >= a.mmq_weight - 1e-12
     assert r16.ratio >= r1.ratio - 3 * (r1.ratio_std_err() + r16.ratio_std_err())
@@ -279,7 +282,7 @@ def test_end_to_end_structural_invariants():
     gadget = benchmark_6v8e()
     g = gadget.graph
     tables = build_tables_exact(g, params_for(g), gadget.t, tau=gadget.tau)
-    res = end_to_end(g, tables, 4, runs=600, seed=9)
+    [res] = end_to_end(g, tables, [4], runs=600, seed=9)
     for r in res.runs:
         assert r.max_post_degree <= 1.0 + 1e-9
         assert r.alg_weight <= r.mmq_weight + 1e-9  # ALG lives inside the plan
@@ -305,8 +308,8 @@ def test_end_to_end_worker_independence():
     gadget = benchmark_6v8e()
     g = gadget.graph
     tables = build_tables_exact(g, params_for(g), gadget.t, tau=gadget.tau)
-    a = end_to_end(g, tables, 4, runs=300, seed=12, workers=1)
-    b = end_to_end(g, tables, 4, runs=300, seed=12, workers=2)
+    [a] = end_to_end(g, tables, [4], runs=300, seed=12, workers=1)
+    [b] = end_to_end(g, tables, [4], runs=300, seed=12, workers=2)
     assert [r.alg_weight for r in a.runs] == [r.alg_weight for r in b.runs]
     assert a.ratio == b.ratio
 
@@ -324,7 +327,7 @@ def test_monte_carlo_tables_agree_with_exact():
     for e in mc.classes.noncrucial():
         rel = abs(mc.g_table.get(e) - exact.g_table.get(e)) / exact.g_table.get(e)
         assert rel < 0.15, (e, mc.g_table.get(e), exact.g_table.get(e))
-    res = end_to_end(g, mc, 4, runs=400, seed=32)
+    [res] = end_to_end(g, mc, [4], runs=400, seed=32)
     assert 0.5 <= res.ratio <= 1.0
 
 
@@ -337,7 +340,7 @@ def test_monte_carlo_tables_with_sampled_conditionals():
                                   x_trials=8000, q_trials=2000,
                                   pair_trials=2000, cond_trials=300,
                                   exact_conditionals=False)
-    res = end_to_end(g, mc, 4, runs=200, seed=34)
+    [res] = end_to_end(g, mc, [4], runs=200, seed=34)
     assert all(r.max_post_degree <= 1.0 + 1e-9 for r in res.runs)
     assert 0.5 <= res.ratio <= 1.0
 
@@ -347,7 +350,7 @@ def test_mean_f_tracks_gamma_x_on_relaxed_suite():
     g = gadget.graph
     params = Params(epsilon=gadget.epsilon, delta=1 / 576.0, p_min=g.p_min)
     tables = build_tables_exact(g, params, gadget.t, tau=gadget.tau)
-    res = end_to_end(g, tables, gadget.t, runs=6000, seed=13)
+    [res] = end_to_end(g, tables, [gadget.t], runs=6000, seed=13)
     mean_f = res.mean_f()
     se = res.mean_f_std_err()
     for e in tables.classes.noncrucial():
@@ -363,3 +366,147 @@ def test_build_tables_exact_propagates_activation_breach(monkeypatch):
     with pytest.raises(ValueError, match="exceed one") as info:
         build_tables_exact(g, params_for(g), 4, tau=0.05)
     assert not isinstance(info.value, EnumerationTooLarge)
+
+
+# ---------------------------------------------------------------------------
+# The sweep against one point at a time
+
+
+SWEEP = [1, 2, 4, 8, None]
+
+
+def reference_run(g, tables, t, seed, run_index):
+    """One pipeline run drawn on its own, as a one-point call once did."""
+    if t is None:
+        plan = QueryPlan(t=0, q_mask=g.full_mask, rounds=(), parent=g.token)
+    else:
+        plan = draw_plan(g, t, rng_from(seed, augmenter._TAG_E2E_PLAN, run_index))
+    realization = Realization(
+        mask=sample_mask(g, rng_from(seed, augmenter._TAG_E2E_REAL, run_index)),
+        parent=g.token)
+    vb_out = run_vb(tables.sampler.view, tables.sampler.y, tables.sampler.cond,
+                    rng_from(seed, augmenter._TAG_E2E_VB, run_index),
+                    realization_mask=realization.mask)
+    f, survival = build_fractional(g, tables.classes, plan, realization, vb_out,
+                                   tables.g_table, tables.params)
+    m_n = round_fractional(g, f)
+    alg, scheme = combine(g, plan, realization, vb_out, m_n, tables.classes)
+    mmq = weight_of(max_weight_matching(GraphView(g, plan.q_mask & realization.mask)), g)
+    mmg = weight_of(max_weight_matching(GraphView(g, realization.mask)), g)
+    f_vec = np.zeros(g.m)
+    for e, value in f.values.items():
+        f_vec[e] = value
+    record = augmenter.RunRecord(
+        run=run_index, alg_weight=weight_of(alg, g), mmq_weight=mmq, mmg_weight=mmg,
+        scheme=scheme, clip_events=vb_out.clip_events,
+        zeroed_vertices=sum(survival.overloaded), f_weight=f.dot_weights(g),
+        f_max=f.max_value(), round_weight=weight_of(m_n, g),
+        max_post_degree=max([f.vertex_load(g, v) for v in range(g.n)] or [0.0]),
+    )
+    return record, f_vec
+
+
+def reference_point(g, tables, t, runs, seed):
+    """Records and bitwise block-ordered f sums of ``runs`` reference runs."""
+    records = []
+    f_sums = np.zeros(g.m)
+    f_sumsq = np.zeros(g.m)
+    for block, count in iter_blocks(runs):
+        sums = np.zeros(g.m)
+        sumsq = np.zeros(g.m)
+        for j in range(count):
+            record, f_vec = reference_run(g, tables, t, seed, block * BLOCK_LEN + j)
+            records.append(record)
+            sums += f_vec
+            sumsq += f_vec**2
+        f_sums += sums
+        f_sumsq += sumsq
+    return records, f_sums, f_sumsq
+
+
+def assert_same_point(a, b):
+    assert a.t == b.t
+    assert a.runs == b.runs  # every RunRecord field
+    assert a.f_sums.tobytes() == b.f_sums.tobytes()
+    assert a.f_sumsq.tobytes() == b.f_sumsq.tobytes()
+
+
+def assert_sweep_equals_single_points(g, tables, runs, seed, workers=None):
+    sweep = end_to_end(g, tables, SWEEP, runs, seed, workers=workers)
+    assert [res.t for res in sweep] == SWEEP
+    assert [res.force_full_plan for res in sweep] == [False] * 4 + [True]
+    for res in sweep:
+        [single] = end_to_end(g, tables, [res.t], runs, seed, workers=workers)
+        assert_same_point(res, single)
+    return sweep
+
+
+def exact_tables(gadget):
+    g = gadget.graph
+    params = Params(epsilon=gadget.epsilon, delta=1 / 576.0, p_min=g.p_min)
+    return build_tables_exact(g, params, gadget.t, tau=gadget.tau)
+
+
+def assert_matches_reference(g, tables, sweep, runs, seed):
+    for res in sweep:
+        records, f_sums, f_sumsq = reference_point(g, tables, res.t, runs, seed)
+        assert res.runs == records
+        assert res.f_sums.tobytes() == f_sums.tobytes()
+        assert res.f_sumsq.tobytes() == f_sumsq.tobytes()
+
+
+def test_sweep_equals_single_points_across_blocks_and_workers():
+    gadget = relaxed_suite_8v()
+    g = gadget.graph
+    tables = exact_tables(gadget)
+    runs = BLOCK_LEN + 17
+    one = assert_sweep_equals_single_points(g, tables, runs, seed=41, workers=1)
+    two = assert_sweep_equals_single_points(g, tables, runs, seed=41, workers=2)
+    for a, b in zip(one, two):
+        assert_same_point(a, b)
+    assert_matches_reference(g, tables, one, runs, seed=41)
+
+
+@pytest.mark.parametrize("gadget", [gd for gd in verification_gadgets()
+                                    if gd.name != "relaxed_suite_8v"],
+                         ids=lambda gd: gd.name)
+def test_sweep_equals_single_points_on_gadgets(gadget):
+    g = gadget.graph
+    tables = exact_tables(gadget)
+    sweep = assert_sweep_equals_single_points(g, tables, 50, seed=42)
+    assert_matches_reference(g, tables, sweep, 50, seed=42)
+
+
+def test_sweep_equals_single_points_with_sampled_conditionals():
+    gadget = benchmark_6v8e()
+    g = gadget.graph
+    tables = build_tables_monte_carlo(g, params_for(g), 8, seed=43, tau=gadget.tau,
+                                      x_trials=2000, q_trials=500, pair_trials=500,
+                                      cond_trials=50, exact_conditionals=False)
+    sweep = assert_sweep_equals_single_points(g, tables, 50, seed=44)
+    assert_matches_reference(g, tables, sweep, 50, seed=44)
+
+
+def test_run_pipeline_once_is_one_point_of_the_sweep():
+    gadget = benchmark_6v8e()
+    g = gadget.graph
+    tables = exact_tables(gadget)
+    sweep = end_to_end(g, tables, SWEEP, 30, seed=45)
+    for res in sweep:
+        for r, record in enumerate(res.runs):
+            once, f_vec, _out = run_pipeline_once(g, tables, res.t, 45, r)
+            ref, ref_vec = reference_run(g, tables, res.t, 45, r)
+            assert once == record == ref
+            assert f_vec.tobytes() == ref_vec.tobytes()
+
+
+def test_end_to_end_rejects_empty_and_negative_sweeps():
+    gadget = benchmark_6v8e()
+    g = gadget.graph
+    tables = exact_tables(gadget)
+    with pytest.raises(ValueError):
+        end_to_end(g, tables, [], 10, seed=1)
+    with pytest.raises(ValueError):
+        end_to_end(g, tables, [2, -1], 10, seed=1)
+    with pytest.raises(ValueError):
+        end_to_end(g, tables, [2], 0, seed=1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from stochmatch import augmenter, cli
 from stochmatch.cli import ExperimentConfig, cmd_generate, cmd_run, cmd_verify, load_config, main
 from stochmatch.graph_core import read_graph
 
@@ -68,6 +70,49 @@ def test_cmd_run_byte_identical_across_reruns_and_workers(tmp_path):
         a = (out1 / name).read_bytes()
         assert a == (out2 / name).read_bytes()
         assert a == (out3 / name).read_bytes()
+
+
+def test_cmd_run_makes_one_end_to_end_call(tmp_path, monkeypatch):
+    # the whole sweep, control included, shares each run's draws in one call
+    calls = []
+    sweep = augmenter.end_to_end
+
+    def counting(*args, **kwargs):
+        calls.append(list(args[2]))
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(augmenter, "end_to_end", counting)
+    monkeypatch.setattr(cli, "end_to_end", counting)
+    cmd_run(tiny_run_config(tmp_path / "a", trials=20))
+    assert calls == [[1, 2, 4, 8, None]]
+    calls.clear()
+    cmd_run(tiny_run_config(tmp_path / "b", trials=20, t=[4, 1], control_full_plan=False))
+    assert calls == [[1, 4]]
+
+
+# SHA-256 of the four `run` files for a Monte Carlo table configuration: a
+# generated 12-vertex, 21-edge graph, so y' comes from MonteCarloConditional,
+# and tau = 0.3, so the augmented scheme wins 5% to 50% of the runs and the
+# variance-bounding run reaches the outputs.  A change that moves these
+# numbers says why in CHANGES.md and updates them.
+MONTE_CARLO_RUN_DIGESTS = {
+    "runs.jsonl": "d48bb79125374ad553512ee1651d1705bf21891e1947a51aa7698ecd6869c7fc",
+    "aggregate.csv": "8be6067ff63eda8f6a42005d22e80c3e8ae5ccbf6ddb9655998407b888b13e95",
+    "ratio_vs_t.txt": "fbdce25422968f8cdd07c309ceec4870c887dc022bcd55a5e3e1862790775144",
+    "summary.json": "efc714c69e998acc09a84b2e7fa8b756d29427e9f8ec0bdbdb09e1634e478b78",
+}
+
+
+def test_cmd_run_monte_carlo_tables_golden_digests(tmp_path):
+    config = ExperimentConfig(
+        graph={"generator": {"n": 12, "density": 0.3, "seed": 4}},
+        seed=5, trials=60, t=[1, 2, 4], tau=0.3, tables="monte_carlo",
+        budgets={"x_trials": 1000, "q_trials": 200, "pair_trials": 80, "cond_trials": 40},
+        out=str(tmp_path / "mc"))
+    out = cmd_run(config)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in MONTE_CARLO_RUN_DIGESTS}
+    assert digests == MONTE_CARLO_RUN_DIGESTS
 
 
 def test_cmd_run_ratio_grows_with_t(tmp_path):

@@ -161,6 +161,30 @@ def test_monte_carlo_conditional_cached_and_deterministic():
     assert v1 == b.y_prime(0, 0b11, 0b11)  # seed-derived stream
 
 
+def test_monte_carlo_conditional_cache_is_bounded(monkeypatch):
+    g = benchmark_6v8e().graph
+    keys = []
+    for v in range(g.n):
+        batch = 0
+        for e in g.incident[v]:
+            batch |= 1 << e
+        for e in g.incident[v]:
+            keys.append((e, batch, batch))
+            keys.append((e, 1 << e, 1 << e))
+    keys = list(dict.fromkeys(keys))
+    assert len(keys) > 8
+    free = MonteCarloConditional(g, g.full_mask, trials=60, seed=9)
+    expected = [free.y_prime(*key) for key in keys]
+    assert len(free._cache) == len(keys)
+
+    monkeypatch.setattr(estimator, "COND_CACHE_MAX", 4)
+    capped = MonteCarloConditional(g, g.full_mask, trials=60, seed=9)
+    for _ in range(2):  # the second pass re-estimates keys the clears dropped
+        for key, value in zip(keys, expected):
+            assert capped.y_prime(*key) == value
+            assert len(capped._cache) <= 4
+
+
 def test_tower_property_monte_carlo():
     # resampling reveals and averaging the conditional reproduces y
     gadget = two_path()
