@@ -21,16 +21,13 @@ import numpy as np
 from .exact import EnumerationTooLarge, ExactConditional, MatchingLaw, exact_x, prob_in_plan
 from .graph_core import (
     FractionalMatching,
-    Matching,
     Params,
-    Realization,
     StochasticGraph,
     mask_edges,
+    mask_weight,
     sample_mask,
-    weight_of,
 )
 from .estimator import (
-    EstimateTable,
     MonteCarloConditional,
     ProbEstimate,
     VBSampler,
@@ -39,9 +36,9 @@ from .estimator import (
     estimate_x,
     estimate_y,
 )
-from .mwm import GraphView, max_weight_matching
+from .mwm import GraphView, mm_edge_mask
 from .parallel import BLOCK_LEN, rng_from, run_blocks
-from .sparsifier import EdgeClasses, QueryPlan, classify_edges, plan_round_masks
+from .sparsifier import EdgeClasses, classify_edges, plan_round_masks
 from .vb_matching import VBOutput, exact_vb_enumeration, run_vb
 
 _TAG_E2E_PLAN = 0x11
@@ -127,10 +124,6 @@ class SurvivalRecord:
         return tuple(bool((mask >> v) & 1) for v in range(self.graph.n))
 
     @property
-    def in_alive(self) -> tuple[bool, ...]:
-        return self._flags(self.alive_mask)
-
-    @property
     def overloaded(self) -> tuple[bool, ...]:
         return self._flags(self.overloaded_mask)
 
@@ -148,25 +141,27 @@ class SurvivalRecord:
 def build_fractional(
     g: StochasticGraph,
     classes: EdgeClasses,
-    plan: QueryPlan,
-    realization: Realization,
+    q_mask: int,
+    real_mask: int,
     vb_out: VBOutput,
     g_table: GTable,
     params: Params,
 ) -> tuple[FractionalMatching, SurvivalRecord]:
     """Assign gamma*g_e to eligible non-crucial edges, then zero overloads.
 
-    Zeroing is simultaneous: degrees are computed once on the pre-zeroing
-    vector and every vertex over the cap has all incident values dropped.
+    ``q_mask`` is the query plan's edge mask and ``real_mask`` the true
+    realization's.  Zeroing is simultaneous: degrees are computed once on the
+    pre-zeroing vector and every vertex over the cap has all incident values
+    dropped.
     """
     gamma = params.gamma
-    alive = vb_out.alive
+    alive = vb_out.alive_mask
     edges = g.edges
     pre: dict[int, float] = {}
     degree = [0.0] * g.n
-    for e in mask_edges(classes.noncrucial_mask & plan.q_mask & realization.mask):
+    for e in mask_edges(classes.noncrucial_mask & q_mask & real_mask):
         u, v, _w, _p = edges[e]
-        if u not in alive or v not in alive:
+        if not (alive >> u) & 1 or not (alive >> v) & 1:
             continue
         value = gamma * g_table.get(e)
         if value > 0.0:
@@ -185,58 +180,51 @@ def build_fractional(
         if not (overloaded >> u) & 1 and not (overloaded >> v) & 1:
             final[e] = min(value, 1.0)
 
-    alive_mask = 0
-    for v in alive:
-        alive_mask |= 1 << v
     f = FractionalMatching(values=final, parent=g.token)
-    return f, SurvivalRecord(graph=g, alive_mask=alive_mask, overloaded_mask=overloaded)
+    return f, SurvivalRecord(graph=g, alive_mask=alive, overloaded_mask=overloaded)
 
 
-def round_fractional(g: StochasticGraph, f: FractionalMatching) -> Matching:
-    """Exact maximum-weight matching on the support of the fractional vector.
+def round_fractional(g: StochasticGraph, f: FractionalMatching) -> int:
+    """Edge mask of the exact maximum-weight matching on the support of the
+    fractional vector.
 
     In the small-values regime (every value at most eps^3) an integral
     matching of weight (1 - eps/2) * f.w exists inside the support, and the
     exact matching dominates it, so callers can gate that bound per run.
     """
-    support = f.support_mask()
-    return max_weight_matching(GraphView(g, support))
+    return mm_edge_mask(g, f.support_mask())
 
 
 def combine(
     g: StochasticGraph,
-    plan: QueryPlan,
-    realization: Realization,
+    q_mask: int,
+    real_mask: int,
     vb_out: VBOutput,
-    m_n: Matching,
+    m_n: int,
     classes: EdgeClasses,
-) -> tuple[Matching, str]:
-    """Best of crucial-only and augmented schemes.
+) -> tuple[int, str]:
+    """Best of crucial-only and augmented schemes, as an edge mask and the
+    winning scheme's name.
 
-    Scheme "crucial": maximum-weight matching over realized crucial plan
-    edges.  Scheme "augmented": the variance-bounding matching restricted to
-    the plan, together with the rounded non-crucial matching.  The union in
-    the augmented scheme is disjoint by construction (the non-crucial side
-    only touches alive vertices, which the crucial matching left unmatched);
-    a conflict would mean a broken invariant and raises.
+    ``q_mask``, ``real_mask`` and ``m_n`` are the edge masks of the query
+    plan, the true realization and the rounded non-crucial matching.  Scheme
+    "crucial": maximum-weight matching over realized crucial plan edges.
+    Scheme "augmented": the variance-bounding matching restricted to the
+    plan, together with the rounded non-crucial matching.  The union in the
+    augmented scheme is disjoint by construction (the non-crucial side only
+    touches alive vertices, which the crucial matching left unmatched); a
+    conflict would mean a broken invariant and raises.
     """
-    q_mask = plan.q_mask
-    scheme_a = max_weight_matching(GraphView(g, classes.crucial_mask & q_mask & realization.mask))
-
-    union = (vb_out.matching.as_mask() & q_mask) | m_n.as_mask()
-    union_edges = mask_edges(union)
+    scheme_a = mm_edge_mask(g, classes.crucial_mask & q_mask & real_mask)
+    scheme_b = (vb_out.matching_mask & q_mask) | m_n
     used = 0
-    for e in union_edges:
+    for e in mask_edges(scheme_b):
         u, v, _w, _p = g.edges[e]
         ends = (1 << u) | (1 << v)
         if used & ends:
             raise RuntimeError(f"combiner invariant breach: overlap at edge {e}")
         used |= ends
-    scheme_b = Matching(edges=frozenset(union_edges), parent=g.token)
-
-    w_a = weight_of(scheme_a, g)
-    w_b = weight_of(scheme_b, g)
-    if w_b > w_a:
+    if mask_weight(g, scheme_b) > mask_weight(g, scheme_a):
         return scheme_b, "augmented"
     return scheme_a, "crucial"
 
@@ -254,8 +242,6 @@ class PipelineTables:
     x: np.ndarray
     g_table: GTable
     sampler: VBSampler
-    estimates: EstimateTable | None = None
-    exact: bool = False
 
 
 def _pair_estimates_for_edges(g, classes, pair_alive_by_pair):
@@ -309,7 +295,7 @@ def build_tables_exact(
 
     g_table = build_g_table(g, classes, x, q_est, pair_est, params)
     return PipelineTables(params=params, classes=classes, x=x, g_table=g_table,
-                          sampler=sampler, exact=True)
+                          sampler=sampler)
 
 
 def build_tables_monte_carlo(
@@ -358,10 +344,8 @@ def build_tables_monte_carlo(
         pair_est = _pair_estimates_for_edges(g, classes, by_pair)
 
     g_table = build_g_table(g, classes, x, q_est, pair_est, params)
-    y_map = {e: ProbEstimate(float(y[e]), 0, 0.0) for e in classes.crucial()}
-    table = EstimateTable(graph_token=g.token, x_hat=x_hat, y_hat=y_map, q_hat=q_hat)
     return PipelineTables(params=params, classes=classes, x=x, g_table=g_table,
-                          sampler=sampler, estimates=table, exact=False)
+                          sampler=sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +381,6 @@ class E2EResult:
     runs: list[RunRecord]
     f_sums: np.ndarray
     f_sumsq: np.ndarray
-
-    @property
-    def force_full_plan(self) -> bool:
-        """True for the query-everything control, whose plan is every edge."""
-        return self.t is None
 
     @property
     def ratio(self) -> float:
@@ -459,11 +438,10 @@ def _pipeline_run(
     query-everything control.
     """
     real_mask = sample_mask(g, rng_from(seed, _TAG_E2E_REAL, run_index))
-    realization = Realization(mask=real_mask, parent=g.token)
     sampler = tables.sampler
     vb_out = run_vb(sampler.view, sampler.y, sampler.cond,
                     rng_from(seed, _TAG_E2E_VB, run_index), realization_mask=real_mask)
-    mmg = weight_of(max_weight_matching(GraphView(g, real_mask)), g)
+    mmg = mask_weight(g, mm_edge_mask(g, real_mask))
 
     t_max = max((t for t in ts if t is not None), default=0)
     rounds = plan_round_masks(g, t_max, rng_from(seed, _TAG_E2E_PLAN, run_index)) if t_max else []
@@ -473,17 +451,13 @@ def _pipeline_run(
 
     points = []
     for t in ts:
-        if t is None:
-            plan = QueryPlan(t=0, q_mask=g.full_mask, rounds=(), parent=g.token)
-        else:
-            plan = QueryPlan(t=t, q_mask=unions[t], rounds=tuple(rounds[:t]),
-                             parent=g.token)
+        q_mask = g.full_mask if t is None else unions[t]
         f, survival = build_fractional(
-            g, tables.classes, plan, realization, vb_out, tables.g_table, tables.params,
+            g, tables.classes, q_mask, real_mask, vb_out, tables.g_table, tables.params,
         )
         m_n = round_fractional(g, f)
-        alg, scheme = combine(g, plan, realization, vb_out, m_n, tables.classes)
-        mmq = weight_of(max_weight_matching(GraphView(g, plan.q_mask & real_mask)), g)
+        alg, scheme = combine(g, q_mask, real_mask, vb_out, m_n, tables.classes)
+        mmq = mask_weight(g, mm_edge_mask(g, q_mask & real_mask))
 
         # Same sums as FractionalMatching.vertex_load: ascending edge order.
         loads = [0.0] * g.n
@@ -494,7 +468,7 @@ def _pipeline_run(
 
         record = RunRecord(
             run=run_index,
-            alg_weight=weight_of(alg, g),
+            alg_weight=mask_weight(g, alg),
             mmq_weight=mmq,
             mmg_weight=mmg,
             scheme=scheme,
@@ -502,7 +476,7 @@ def _pipeline_run(
             zeroed_vertices=survival.overloaded_mask.bit_count(),
             f_weight=f.dot_weights(g),
             f_max=f.max_value(),
-            round_weight=weight_of(m_n, g),
+            round_weight=mask_weight(g, m_n),
             max_post_degree=max(loads, default=0.0),
         )
         points.append((record, f))

@@ -140,7 +140,7 @@ def cmd_generate(config: ExperimentConfig) -> Path:
 
 def _t_label(result: E2EResult) -> int:
     """The sweep point as written to the outputs; -1 is the control."""
-    return -1 if result.force_full_plan else result.t
+    return -1 if result.t is None else result.t
 
 
 def cmd_run(config: ExperimentConfig) -> Path:

@@ -209,11 +209,12 @@ def _pair_alive_block(sampler: VBSampler, pairs: tuple, seed: int, block: int,
                       count: int) -> np.ndarray:
     rng = rng_from(seed, _TAG_PAIR, block)
     counts = np.zeros(len(pairs), dtype=np.int64)
-    runs = Counter(run_vb(sampler.view, sampler.y, sampler.cond, rng).alive
+    runs = Counter(run_vb(sampler.view, sampler.y, sampler.cond, rng).alive_mask
                    for _ in range(count))
+    pair_masks = [(1 << u) | (1 << v) for u, v in pairs]
     for alive, k in runs.items():
-        for j, (u, v) in enumerate(pairs):
-            if u in alive and v in alive:
+        for j, both in enumerate(pair_masks):
+            if alive & both == both:
                 counts[j] += k
     return counts
 

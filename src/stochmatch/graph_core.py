@@ -123,9 +123,6 @@ class StochasticGraph:
         edge = self.edges[e]
         return edge.v if edge.u == v else edge.u
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.pair_index
-
 
 @dataclass(frozen=True)
 class Realization:
@@ -133,9 +130,6 @@ class Realization:
 
     mask: int
     parent: str
-
-    def includes(self, e: int) -> bool:
-        return bool((self.mask >> e) & 1)
 
     def to_hex(self, m: int) -> str:
         width = max(1, (m + 3) // 4)
@@ -200,11 +194,17 @@ def make_matching(g: StochasticGraph, edge_indices: Iterable[int]) -> Matching:
 def weight_of(matching: Matching, g: StochasticGraph) -> float:
     """Total weight of a matching; foreign edges are an error."""
     check_parent(matching.parent, g, "matching")
+    for e in matching.edges:
+        if not 0 <= e < g.m:
+            raise ValueError(f"edge index {e} is not an edge of the graph")
+    return mask_weight(g, matching.as_mask())
+
+
+def mask_weight(g: StochasticGraph, mask: int) -> float:
+    """Total weight of the edges in ``mask``, summed in ascending edge order."""
     edges = g.edges
     total = 0.0
-    for e in sorted(matching.edges):
-        if not 0 <= e < len(edges):
-            raise ValueError(f"edge index {e} is not an edge of the graph")
+    for e in mask_edges(mask):
         total += edges[e].w
     return total
 
@@ -264,14 +264,14 @@ class Params:
 
     ``tau``, ``eta``, ``beta``, ``gamma`` and ``c`` follow the fixed formulas
     in terms of ``epsilon``, ``delta`` and the graph's minimum edge
-    probability.  ``t`` is user-supplied; the theory value ``t_theory`` is
-    reported but intentionally never substituted for it.
+    probability.  The plan size ``t`` is user-supplied where it is used; the
+    theory value ``t_theory`` is reported but intentionally never substituted
+    for it.
     """
 
     epsilon: float
     delta: float
     p_min: float
-    t: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
@@ -280,8 +280,6 @@ class Params:
             raise ValueError("delta must be in (0, 1)")
         if not (0.0 < self.p_min <= 1.0):
             raise ValueError("p_min must be in (0, 1]")
-        if self.t is not None and self.t < 1:
-            raise ValueError("t must be a positive integer")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma fell outside (0, 1)")
         if self.tau <= 0.0:
@@ -312,9 +310,8 @@ class Params:
         return math.ceil(1.0 / (self.tau * self.epsilon))
 
     @classmethod
-    def for_graph(cls, g: StochasticGraph, epsilon: float, delta: float,
-                  t: int | None = None) -> "Params":
-        return cls(epsilon=epsilon, delta=delta, p_min=g.p_min, t=t)
+    def for_graph(cls, g: StochasticGraph, epsilon: float, delta: float) -> "Params":
+        return cls(epsilon=epsilon, delta=delta, p_min=g.p_min)
 
 
 def sample_realization(g: StochasticGraph, rng: np.random.Generator) -> Realization:

@@ -2,10 +2,11 @@
 
 ``max_weight_matching`` (and its mask form ``mm_edge_mask``) is the
 deterministic oracle the whole pipeline leans on.  Answers are memoized per
-(graph, edge mask) in ``g._caches["mm"]``, since the Monte Carlo loops
-revisit the same realized subgraphs constantly; the memo is cleared when it
-reaches ``MM_CACHE_MAX`` entries, so graphs whose masks rarely repeat do not
-grow it without bound.
+(graph, edge mask) in ``g._caches["mm"]``, as the optimum's edge mask,
+since the Monte Carlo loops revisit the same realized subgraphs constantly;
+``max_weight_matching`` builds its :class:`Matching` from that mask on each
+call.  The memo is cleared when it reaches ``MM_CACHE_MAX`` entries, so
+graphs whose masks rarely repeat do not grow it without bound.
 
 A memo miss is answered from a *matching table*: every matching of the
 graph, as an int64 edge mask, stably sorted by weight, heaviest first.  The
@@ -64,32 +65,30 @@ class GraphView:
 
 
 def max_weight_matching(view: GraphView) -> Matching:
-    """Maximum-weight matching of the view; deterministic, memoized."""
+    """Maximum-weight matching of the view; deterministic, memoized as a mask."""
     g = view.graph
-    mask = view.effective_mask
-    hit = g._caches.setdefault("mm", {}).get(mask)
-    if hit is None:
-        hit = _remember(g, mask)
-    return hit[0]
+    return Matching(edges=frozenset(mask_edges(_memo_mask(g, view.effective_mask))),
+                    parent=g.token)
 
 
 def mm_edge_mask(g: StochasticGraph, mask: int) -> int:
     """Bitmask of MM(view) edges; same memo as :func:`max_weight_matching`."""
-    hit = g._caches.setdefault("mm", {}).get(mask)
+    return _memo_mask(g, mask)
+
+
+def _memo_mask(g: StochasticGraph, mask: int) -> int:
+    """The memo behind both public entry points; neither calls the other, so
+    every oracle query is exactly one call of one of them."""
+    cache = g._caches.setdefault("mm", {})
+    hit = cache.get(mask)
     if hit is None:
-        hit = _remember(g, mask)
-    return hit[1]
-
-
-def _remember(g: StochasticGraph, mask: int) -> tuple[Matching, int]:
-    cache = g._caches["mm"]
-    if len(cache) >= MM_CACHE_MAX:
-        cache.clear()
-    hit = cache[mask] = _solve(g, mask)
+        if len(cache) >= MM_CACHE_MAX:
+            cache.clear()
+        hit = cache[mask] = _solve(g, mask)
     return hit
 
 
-def _solve(g: StochasticGraph, mask: int) -> tuple[Matching, int]:
+def _solve(g: StochasticGraph, mask: int) -> int:
     """Table lookup, or networkx when there is no table or the optimum ties."""
     table = matching_table(g)
     if table is None:
@@ -102,11 +101,10 @@ def _solve(g: StochasticGraph, mask: int) -> tuple[Matching, int]:
         second = first + 1 + int(rest.argmax())
         if inside[second] and weights[first] - weights[second] <= WEIGHT_TIE_TOL:
             return _solve_networkx(g, mask)
-    best = int(rows[first])
-    return Matching(edges=frozenset(mask_edges(best)), parent=g.token), best
+    return int(rows[first])
 
 
-def _solve_networkx(g: StochasticGraph, mask: int) -> tuple[Matching, int]:
+def _solve_networkx(g: StochasticGraph, mask: int) -> int:
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
     for e in range(g.m):
@@ -115,9 +113,7 @@ def _solve_networkx(g: StochasticGraph, mask: int) -> tuple[Matching, int]:
             nxg.add_edge(u, v, weight=w)
     pairs = nx.max_weight_matching(nxg, maxcardinality=False)
     index = g.pair_index
-    edges = [index[(min(u, v), max(u, v))] for u, v in pairs]
-    matching = make_matching(g, edges)
-    return matching, matching.as_mask()
+    return make_matching(g, [index[(min(u, v), max(u, v))] for u, v in pairs]).as_mask()
 
 
 def matching_table(g: StochasticGraph) -> tuple[np.ndarray, np.ndarray] | None:
@@ -173,15 +169,16 @@ def brute_force_mwm(view: GraphView) -> Matching:
         elif weight >= best_weight - WEIGHT_TIE_TOL and chosen < best_edges:
             best_weight, best_edges = max(weight, best_weight), chosen
 
-    def recurse(i: int, used: frozenset[int], weight: float, chosen: tuple[int, ...]):
+    def recurse(i: int, used: int, weight: float, chosen: tuple[int, ...]):
         if i == len(edge_list):
             consider(weight, chosen)
             return
         e = edge_list[i]
         u, v = g.endpoints(e)
         recurse(i + 1, used, weight, chosen)
-        if u not in used and v not in used:
-            recurse(i + 1, used | {u, v}, weight + g.edges[e].w, chosen + (e,))
+        ends = (1 << u) | (1 << v)
+        if not used & ends:
+            recurse(i + 1, used | ends, weight + g.edges[e].w, chosen + (e,))
 
-    recurse(0, frozenset(), 0.0, ())
+    recurse(0, 0, 0.0, ())
     return make_matching(g, best_edges)

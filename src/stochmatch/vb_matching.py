@@ -49,15 +49,25 @@ def attenuation_g(y: float) -> float:
 
 @dataclass(frozen=True)
 class VBOutput:
-    """One run's matching, alive set and activation history."""
+    """One run's matching (edge mask), alive set (vertex mask) and activation
+    history; ``parent`` is the graph's token, as in :class:`Matching`."""
 
-    matching: Matching
-    alive: frozenset[int]
+    matching_mask: int
+    alive_mask: int
+    parent: str
     activation_log: tuple[tuple[int, int | None, int | None], ...]
     permutation: tuple[int, ...]
     clip_events: int
     revealed_mask: int
     revealed_bits: int
+
+    @property
+    def matching(self) -> Matching:
+        return Matching(edges=frozenset(mask_edges(self.matching_mask)), parent=self.parent)
+
+    @property
+    def alive(self) -> frozenset[int]:
+        return frozenset(mask_edges(self.alive_mask))
 
     def to_json_dict(self) -> dict:
         return {
@@ -65,8 +75,8 @@ class VBOutput:
             "activation_log": [
                 [v, partner, edge] for v, partner, edge in self.activation_log
             ],
-            "matching": self.matching.sorted_edges(),
-            "alive": sorted(self.alive),
+            "matching": mask_edges(self.matching_mask),
+            "alive": mask_edges(self.alive_mask),
             "clip_events": self.clip_events,
         }
 
@@ -142,7 +152,7 @@ def run_vb(
     on: ``rng.permutation(n)`` (unless ``permutation`` is given), then per
     arrival one ``rng.random()`` per batch edge (unless ``realization_mask``
     is given), then one :func:`activate_batch` draw if the batch has a
-    realized edge.  Vertex sets are int masks until the output is built.
+    realized edge.  Vertex and edge sets are int masks throughout.
     """
     g = view.graph
     crucial_mask = view.effective_mask
@@ -219,8 +229,9 @@ def run_vb(
     assert not mc_mask & ~(crucial_mask & revealed_bits)
 
     return VBOutput(
-        matching=Matching(edges=frozenset(mask_edges(mc_mask)), parent=g.token),
-        alive=frozenset(mask_edges(alive_mask)),
+        matching_mask=mc_mask,
+        alive_mask=alive_mask,
+        parent=g.token,
         activation_log=tuple(log),
         permutation=tuple(order),
         clip_events=clip_events,
@@ -239,14 +250,15 @@ class ComponentLaw:
 
     vertices: tuple[int, ...]
     edges: tuple[int, ...]
-    joint: dict  # (mc_mask, alive frozenset) -> prob
+    joint: dict  # (mc_mask, alive vertex mask) -> prob
     per_order: dict  # arrival order tuple -> {"active": {e: prob}, "log": {log: prob}}
     alive_single: dict  # vertex -> prob
     active: dict  # edge -> prob
     selected: dict  # edge -> prob
 
     def pair_alive(self, u: int, v: int) -> float:
-        return sum(p for (_mc, alive), p in self.joint.items() if u in alive and v in alive)
+        both = (1 << u) | (1 << v)
+        return sum(p for (_mc, alive), p in self.joint.items() if alive & both == both)
 
 
 @dataclass
@@ -362,7 +374,7 @@ def _enumerate_component(g, verts, edges, y, cond):
         # isolated vertices never see an active edge
         for v in verts:
             alive_single[v] = 1.0
-        joint[(0, frozenset(verts))] = 1.0
+        joint[(0, sum(1 << v for v in verts))] = 1.0
         per_order[tuple(verts)] = {"active": {}, "log": {tuple((v, None) for v in verts): 1.0}}
         return ComponentLaw(verts, edges, joint, per_order, alive_single, active, selected)
 
@@ -397,13 +409,14 @@ def _enumerate_component(g, verts, edges, y, cond):
             while stack:
                 i, prob, active_local, matched_local, mc_mask, log = stack.pop()
                 if i == k:
-                    alive = frozenset(v for j, v in enumerate(verts)
-                                      if not (active_local >> j) & 1)
+                    alive = 0
+                    for j, v in enumerate(verts):
+                        if not (active_local >> j) & 1:
+                            alive |= 1 << v
+                            alive_single[v] += prob
                     key = (mc_mask, alive)
                     joint[key] = joint.get(key, 0.0) + prob
                     order_data["log"][log] = order_data["log"].get(log, 0.0) + prob
-                    for v in alive:
-                        alive_single[v] += prob
                     for e in edges:
                         if (mc_mask >> e) & 1:
                             selected[e] += prob

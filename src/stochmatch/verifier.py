@@ -94,21 +94,25 @@ def _vb_stats_block(sampler: VBSampler, pairs: tuple, perm, seed: int,
     alive = np.zeros(g.n, dtype=np.int64)
     pair_counts = np.zeros(len(pairs), dtype=np.int64)
     clip = 0
-    outcomes: Counter = Counter()
+    outcomes: Counter = Counter()  # (active, matched edges, alive vertices) masks
     for _ in range(count):
         out = run_vb(sampler.view, sampler.y, sampler.cond, rng, permutation=perm)
         clip += out.clip_events
-        outcomes[frozenset(out.activation_log), out.matching.edges, out.alive] += 1
-    for (log, matched, alive_set), k in outcomes.items():
-        for _v, partner, e in log:
+        activated = 0
+        for _v, partner, e in out.activation_log:
             if partner is not None:
-                active[e] += k
-        for e in matched:
+                activated |= 1 << e
+        outcomes[activated, out.matching_mask, out.alive_mask] += 1
+    pair_masks = [(1 << u) | (1 << v) for u, v in pairs]
+    for (activated, matched, alive_mask), k in outcomes.items():
+        for e in mask_edges(activated):
+            active[e] += k
+        for e in mask_edges(matched):
             selected[e] += k
-        for v in alive_set:
+        for v in mask_edges(alive_mask):
             alive[v] += k
-        for j, (u, v) in enumerate(pairs):
-            if u in alive_set and v in alive_set:
+        for j, both in enumerate(pair_masks):
+            if alive_mask & both == both:
                 pair_counts[j] += k
     return active, selected, alive, pair_counts, clip
 
@@ -376,16 +380,16 @@ def check_negative_association(gadget: Gadget, trials: int, seed: int,
 def _z_block(sampler: VBSampler, support: tuple, h_values: tuple, n: int,
              seed: int, block: int, count: int):
     rng = rng_from(seed, _TAG_Z, block)
-    outcomes: dict = {}  # alive set -> row of `rows`
-    runs = [outcomes.setdefault(run_vb(sampler.view, sampler.y, sampler.cond, rng).alive,
-                                len(outcomes))
+    outcomes: dict = {}  # alive vertex mask -> row of `rows`
+    runs = [outcomes.setdefault(
+                run_vb(sampler.view, sampler.y, sampler.cond, rng).alive_mask, len(outcomes))
             for _ in range(count)]
     rows = np.zeros((len(outcomes), n))
     for alive, i in outcomes.items():
         for (u, v), h in zip(support, h_values):
-            if u in alive:
+            if (alive >> u) & 1:
                 rows[i, v] += h
-            if v in alive:
+            if (alive >> v) & 1:
                 rows[i, u] += h
     # add.accumulate sums the runs one by one in run order, so the float
     # sums are those of adding each run's vector in turn
@@ -437,23 +441,23 @@ def _y_block(g: StochasticGraph, tables: PipelineTables, t: int, seed: int,
     rng = rng_from(seed, _TAG_Y, block)
     noncrucial = tables.classes.noncrucial_mask
     sampler = tables.sampler
-    outcomes: dict = {}  # (queried non-crucial edges, alive set) -> row of `rows`
+    outcomes: dict = {}  # (queried non-crucial edges, alive vertices) masks -> row of `rows`
     runs = []
     for _ in range(count):
         q_mask = draw_plan(g, t, rng).q_mask
         real_mask = sample_mask(g, rng)
         out = run_vb(sampler.view, sampler.y, sampler.cond, rng,
                      realization_mask=real_mask)
-        runs.append(outcomes.setdefault((q_mask & real_mask & noncrucial, out.alive),
+        runs.append(outcomes.setdefault((q_mask & real_mask & noncrucial, out.alive_mask),
                                         len(outcomes)))
     rows = np.zeros((len(outcomes), g.n))
     for (queried, alive), i in outcomes.items():
         for e in mask_edges(queried):
             u, v = g.endpoints(e)
             g_e = tables.g_table.get(e)
-            if u in alive:
+            if (alive >> u) & 1:
                 rows[i, v] += g_e
-            if v in alive:
+            if (alive >> v) & 1:
                 rows[i, u] += g_e
     return rows[runs]
 

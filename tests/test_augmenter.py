@@ -22,16 +22,17 @@ from stochmatch.graph_core import (
     Edge,
     FractionalMatching,
     Params,
-    Realization,
     StochasticGraph,
     gen_random_graph,
     make_matching,
+    mask_edges,
+    mask_weight,
     sample_mask,
     weight_of,
 )
 from stochmatch.mwm import GraphView, max_weight_matching
 from stochmatch.parallel import BLOCK_LEN, iter_blocks, rng_from
-from stochmatch.sparsifier import QueryPlan, classify_edges, draw_plan
+from stochmatch.sparsifier import classify_edges, draw_plan
 from stochmatch.vb_matching import VBOutput, run_vb
 
 
@@ -46,13 +47,10 @@ def exact_estimate(value):
 def fake_vb(g, alive, mc_edges=()):
     matching = make_matching(g, mc_edges)
     log = tuple((v, None, None) for v in range(g.n))
-    return VBOutput(matching=matching, alive=frozenset(alive), activation_log=log,
+    return VBOutput(matching_mask=matching.as_mask(), alive_mask=sum(1 << v for v in alive),
+                    parent=g.token, activation_log=log,
                     permutation=tuple(range(g.n)), clip_events=0,
                     revealed_mask=0, revealed_bits=0)
-
-
-def full_plan(g, t=1):
-    return QueryPlan(t=t, q_mask=g.full_mask, rounds=(), parent=g.token)
 
 
 def params_for(g, eps=0.2):
@@ -90,7 +88,7 @@ def test_build_fractional_empty_alive_set():
     table = build_g_table(g, classes, np.array([0.8, 0.004]),
                           {1: exact_estimate(0.4)}, {1: exact_estimate(0.2)}, params)
     f, record = build_fractional(
-        g, classes, full_plan(g), Realization(g.full_mask, g.token),
+        g, classes, g.full_mask, g.full_mask,
         fake_vb(g, alive=[]), table, params)
     assert f.values == {}
     assert not any(record.vertex_survived)
@@ -103,7 +101,7 @@ def test_build_fractional_direct_rule():
     table = GTable(values={1: 0.001}, q_in_plan={}, pair_alive={},
                    eps3_flags=(), eps2_flags=(), zero_denominator=())
     f, record = build_fractional(
-        g, classes, full_plan(g), Realization(g.full_mask, g.token),
+        g, classes, g.full_mask, g.full_mask,
         fake_vb(g, alive=[0, 1, 2]), table, params)
     assert f.get(1) == pytest.approx(params.gamma * 0.001)
     assert f.get(0) == 0.0
@@ -117,13 +115,12 @@ def test_build_fractional_requires_queried_and_realized():
     params = params_for(g)
     table = GTable(values={1: 0.001}, q_in_plan={}, pair_alive={},
                    eps3_flags=(), eps2_flags=(), zero_denominator=())
-    not_queried = QueryPlan(t=1, q_mask=0b01, rounds=(), parent=g.token)
-    f, _ = build_fractional(g, classes, not_queried,
-                            Realization(g.full_mask, g.token),
+    not_queried = 0b01
+    f, _ = build_fractional(g, classes, not_queried, g.full_mask,
                             fake_vb(g, alive=[0, 1, 2]), table, params)
     assert f.values == {}
-    unrealized = Realization(0b01, g.token)
-    f2, _ = build_fractional(g, classes, full_plan(g), unrealized,
+    unrealized = 0b01
+    f2, _ = build_fractional(g, classes, g.full_mask, unrealized,
                              fake_vb(g, alive=[0, 1, 2]), table, params)
     assert f2.values == {}
 
@@ -138,7 +135,7 @@ def test_build_fractional_star_overload_zeroes_all():
     table = GTable(values={e: target for e in range(g.m)}, q_in_plan={},
                    pair_alive={}, eps3_flags=(), eps2_flags=(), zero_denominator=())
     f, record = build_fractional(
-        g, classes, full_plan(g), Realization(g.full_mask, g.token),
+        g, classes, g.full_mask, g.full_mask,
         fake_vb(g, alive=range(g.n)), table, params)
     assert f.values == {}
     assert record.overloaded[0]
@@ -151,10 +148,10 @@ def test_build_fractional_star_overload_zeroes_all():
 def test_round_fractional_trivial_cases():
     g = graph(3, [(0, 1, 2.0, 0.8), (1, 2, 1.0, 0.5)])
     empty = FractionalMatching(values={}, parent=g.token)
-    assert len(round_fractional(g, empty)) == 0
+    assert round_fractional(g, empty) == 0
     single = FractionalMatching(values={1: 0.2}, parent=g.token)
     m = round_fractional(g, single)
-    assert m.sorted_edges() == [1]
+    assert mask_edges(m) == [1]
 
 
 def test_round_fractional_triangle_bound():
@@ -162,8 +159,8 @@ def test_round_fractional_triangle_bound():
     f = FractionalMatching(values={0: 0.3, 1: 0.3, 2: 0.3}, parent=g.token)
     m = round_fractional(g, f)
     eps = 0.2
-    assert weight_of(m, g) == 1.0
-    assert weight_of(m, g) >= (1 - eps / 2) * f.dot_weights(g)
+    assert mask_weight(g, m) == 1.0
+    assert mask_weight(g, m) >= (1 - eps / 2) * f.dot_weights(g)
 
 
 def test_round_fractional_small_value_regime_bound():
@@ -190,25 +187,25 @@ def test_round_fractional_small_value_regime_bound():
                     load[v] += val
         f = FractionalMatching(values=values, parent=g.token)
         m = round_fractional(g, f)
-        assert weight_of(m, g) >= (1 - eps / 2) * f.dot_weights(g) - 1e-12
+        assert mask_weight(g, m) >= (1 - eps / 2) * f.dot_weights(g) - 1e-12
 
 
 def test_combine_trivial_sides():
     g = graph(4, [(0, 1, 2.0, 0.9), (2, 3, 1.0, 0.9)])
     classes = classify_edges(np.array([0.9, 0.004]), tau=0.05)
-    plan = full_plan(g)
-    realization = Realization(g.full_mask, g.token)
+    plan = g.full_mask
+    realization = g.full_mask
     # no non-crucial matching: crucial side returned
     vb = fake_vb(g, alive=[2, 3], mc_edges=[0])
-    m, scheme = combine(g, plan, realization, vb, make_matching(g, []), classes)
-    assert m.sorted_edges() == [0]
+    m, scheme = combine(g, plan, realization, vb, make_matching(g, []).as_mask(), classes)
+    assert mask_edges(m) == [0]
     assert scheme == "crucial"
     # no crucial edges at all: the rounded matching is returned
     classes_none = classify_edges(np.array([0.004, 0.004]), tau=0.05)
     vb_empty = fake_vb(g, alive=[0, 1, 2, 3])
     m2, scheme2 = combine(g, plan, realization, vb_empty,
-                          make_matching(g, [1]), classes_none)
-    assert m2.sorted_edges() == [1]
+                          make_matching(g, [1]).as_mask(), classes_none)
+    assert mask_edges(m2) == [1]
     assert scheme2 == "augmented"
 
 
@@ -216,27 +213,26 @@ def test_combine_prefers_heavier_scheme():
     # crucial-only beats the augmented union when the run matched nothing
     g = graph(4, [(0, 1, 5.0, 0.9), (1, 2, 1.0, 0.9), (2, 3, 0.5, 0.9)])
     classes = classify_edges(np.array([0.9, 0.9, 0.004]), tau=0.05)
-    plan = full_plan(g)
-    realization = Realization(g.full_mask, g.token)
+    plan = g.full_mask
+    realization = g.full_mask
     vb = fake_vb(g, alive=[0, 1, 2, 3], mc_edges=[])
-    m_n = make_matching(g, [2])
+    m_n = make_matching(g, [2]).as_mask()
     m, scheme = combine(g, plan, realization, vb, m_n, classes)
     # scheme a = MM{edges 0,1} = edge 0 (5.0) vs scheme b = {2} (0.5)
     assert scheme == "crucial"
-    assert weight_of(m, g) == 5.0
+    assert mask_weight(g, m) == 5.0
     both = (weight_of(make_matching(g, [0]), g),
             weight_of(make_matching(g, [2]), g))
-    assert weight_of(m, g) >= max(both)
+    assert mask_weight(g, m) >= max(both)
 
 
 def test_combine_detects_invariant_breach():
     g = graph(3, [(0, 1, 2.0, 0.9), (1, 2, 1.0, 0.9)])
     classes = classify_edges(np.array([0.9, 0.004]), tau=0.05)
     vb = fake_vb(g, alive=[2], mc_edges=[0])
-    bogus_m_n = make_matching(g, [1])  # touches matched vertex 1
+    bogus_m_n = make_matching(g, [1]).as_mask()  # touches matched vertex 1
     with pytest.raises(RuntimeError):
-        combine(g, full_plan(g), Realization(g.full_mask, g.token), vb,
-                bogus_m_n, classes)
+        combine(g, g.full_mask, g.full_mask, vb, bogus_m_n, classes)
 
 
 def test_end_to_end_full_plan_control_ratio_one():
@@ -323,7 +319,6 @@ def test_monte_carlo_tables_agree_with_exact():
                                   x_trials=40_000, q_trials=8000,
                                   pair_trials=20_000)
     assert mc.classes.crucial_mask == exact.classes.crucial_mask
-    assert mc.estimates is not None
     for e in mc.classes.noncrucial():
         rel = abs(mc.g_table.get(e) - exact.g_table.get(e)) / exact.g_table.get(e)
         assert rel < 0.15, (e, mc.g_table.get(e), exact.g_table.get(e))
@@ -378,29 +373,27 @@ SWEEP = [1, 2, 4, 8, None]
 def reference_run(g, tables, t, seed, run_index):
     """One pipeline run drawn on its own, as a one-point call once did."""
     if t is None:
-        plan = QueryPlan(t=0, q_mask=g.full_mask, rounds=(), parent=g.token)
+        q_mask = g.full_mask
     else:
-        plan = draw_plan(g, t, rng_from(seed, augmenter._TAG_E2E_PLAN, run_index))
-    realization = Realization(
-        mask=sample_mask(g, rng_from(seed, augmenter._TAG_E2E_REAL, run_index)),
-        parent=g.token)
+        q_mask = draw_plan(g, t, rng_from(seed, augmenter._TAG_E2E_PLAN, run_index)).q_mask
+    real_mask = sample_mask(g, rng_from(seed, augmenter._TAG_E2E_REAL, run_index))
     vb_out = run_vb(tables.sampler.view, tables.sampler.y, tables.sampler.cond,
                     rng_from(seed, augmenter._TAG_E2E_VB, run_index),
-                    realization_mask=realization.mask)
-    f, survival = build_fractional(g, tables.classes, plan, realization, vb_out,
+                    realization_mask=real_mask)
+    f, survival = build_fractional(g, tables.classes, q_mask, real_mask, vb_out,
                                    tables.g_table, tables.params)
     m_n = round_fractional(g, f)
-    alg, scheme = combine(g, plan, realization, vb_out, m_n, tables.classes)
-    mmq = weight_of(max_weight_matching(GraphView(g, plan.q_mask & realization.mask)), g)
-    mmg = weight_of(max_weight_matching(GraphView(g, realization.mask)), g)
+    alg, scheme = combine(g, q_mask, real_mask, vb_out, m_n, tables.classes)
+    mmq = weight_of(max_weight_matching(GraphView(g, q_mask & real_mask)), g)
+    mmg = weight_of(max_weight_matching(GraphView(g, real_mask)), g)
     f_vec = np.zeros(g.m)
     for e, value in f.values.items():
         f_vec[e] = value
     record = augmenter.RunRecord(
-        run=run_index, alg_weight=weight_of(alg, g), mmq_weight=mmq, mmg_weight=mmg,
+        run=run_index, alg_weight=mask_weight(g, alg), mmq_weight=mmq, mmg_weight=mmg,
         scheme=scheme, clip_events=vb_out.clip_events,
         zeroed_vertices=sum(survival.overloaded), f_weight=f.dot_weights(g),
-        f_max=f.max_value(), round_weight=weight_of(m_n, g),
+        f_max=f.max_value(), round_weight=mask_weight(g, m_n),
         max_post_degree=max([f.vertex_load(g, v) for v in range(g.n)] or [0.0]),
     )
     return record, f_vec
@@ -434,7 +427,7 @@ def assert_same_point(a, b):
 def assert_sweep_equals_single_points(g, tables, runs, seed, workers=None):
     sweep = end_to_end(g, tables, SWEEP, runs, seed, workers=workers)
     assert [res.t for res in sweep] == SWEEP
-    assert [res.force_full_plan for res in sweep] == [False] * 4 + [True]
+    assert [res.t is None for res in sweep] == [False] * 4 + [True]
     for res in sweep:
         [single] = end_to_end(g, tables, [res.t], runs, seed, workers=workers)
         assert_same_point(res, single)

@@ -115,6 +115,16 @@ def test_cmd_run_monte_carlo_tables_golden_digests(tmp_path):
     assert digests == MONTE_CARLO_RUN_DIGESTS
 
 
+VERIFY_REPORTS_DIGEST = "59ddceda36888621d48ab5e95c352499d61bc6fba9024d33976dd99ba47e855d"
+
+
+def test_cmd_verify_golden_digest(tmp_path):
+    config = ExperimentConfig(out=str(tmp_path / "v"), seed=2024, verify_trials=256)
+    assert cmd_verify(config) == 0
+    data = (tmp_path / "v" / "verify_reports.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == VERIFY_REPORTS_DIGEST
+
+
 def test_cmd_run_ratio_grows_with_t(tmp_path):
     out = cmd_run(tiny_run_config(tmp_path, trials=400))
     summary = json.loads((out / "summary.json").read_text())

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochmatch import mwm
+from stochmatch.gadgets import benchmark_6v8e
 from stochmatch.graph_core import (
     Edge,
     FractionalMatching,
+    Matching,
     Params,
     Realization,
     StochasticGraph,
@@ -16,6 +19,8 @@ from stochmatch.graph_core import (
     is_valid_fractional,
     loads_graph,
     make_matching,
+    mask_edges,
+    mask_weight,
     sample_mask,
     sample_masks,
     sample_realization,
@@ -135,6 +140,20 @@ def test_weight_of():
     assert weight_of(make_matching(g, [0, 1]), g) == pytest.approx(6.5, abs=1e-12)
     two = make_matching(graph(4, [(0, 1, 1.5, 1.0), (2, 3, 2.25, 1.0)]), [0, 1])
     assert weight_of(two, graph(4, [(0, 1, 1.5, 1.0), (2, 3, 2.25, 1.0)])) == 3.75
+    # mask_weight is weight_of's ascending-edge-order sum, bit for bit: on
+    # every row of the benchmark's matching table and on random masks of the
+    # 66-edge complete graph
+    bench = benchmark_6v8e().graph
+    complete = sampler_graphs()[0]
+    cases = [(bench, [int(row) for row in mwm.matching_table(bench)[0]]),
+             (complete, sample_masks(complete, rng_from(3), 200))]
+    for h, masks in cases:
+        for mask in masks:
+            total = 0.0
+            for e in mask_edges(mask):
+                total += h.edges[e].w
+            assert mask_weight(h, mask) == total
+            assert weight_of(Matching(frozenset(mask_edges(mask)), h.token), h) == total
 
 
 def test_weight_of_foreign_matching_rejected():
@@ -181,8 +200,6 @@ def test_params_validation():
         Params(epsilon=0.2, delta=1.5, p_min=0.5)
     with pytest.raises(ValueError):
         Params(epsilon=0.2, delta=0.1, p_min=0.0)
-    with pytest.raises(ValueError):
-        Params(epsilon=0.2, delta=0.1, p_min=0.5, t=0)
 
 
 def test_graph_text_roundtrip():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from stochmatch import mwm
 from stochmatch.gadgets import benchmark_6v8e
-from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph, weight_of
+from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph, mask_weight, weight_of
 from stochmatch.mwm import GraphView, brute_force_mwm, max_weight_matching, mm_edge_mask
 
 
@@ -174,7 +174,7 @@ def test_tie_and_zero_weight_fall_back_to_networkx(monkeypatch):
     assert mwm._solve(g, 0b0011) == solve_nx(g, 0b0011)  # two weight-1 optima
     assert mwm._solve(g, 0b0101) == solve_nx(g, 0b0101)  # optional zero-weight edge
     assert calls == [0b0011, 0b0101]
-    assert mwm._solve(g, 0b1010)[1] == 0b1010  # unique optimum: answered by the table
+    assert mwm._solve(g, 0b1010) == 0b1010  # unique optimum: answered by the table
     assert mwm._solve(g, 0) == solve_nx(g, 0)
     assert calls == [0b0011, 0b0101]
 
@@ -200,9 +200,9 @@ def test_table_equals_networkx_and_brute_force(case):
     g, masks = case
     assert mwm.matching_table(g) is not None
     for mask in masks:
-        matching, bits = mwm._solve(g, mask)
-        assert (matching, bits) == mwm._solve_networkx(g, mask)
-        assert weight_of(matching, g) == pytest.approx(
+        bits = mwm._solve(g, mask)
+        assert bits == mwm._solve_networkx(g, mask)
+        assert mask_weight(g, bits) == pytest.approx(
             weight_of(brute_force_mwm(GraphView(g, mask)), g), abs=1e-9)
 
 
@@ -237,5 +237,6 @@ def test_memo_is_cleared_at_its_cap(monkeypatch):
     for mask in masks:
         bits = mm_edge_mask(g, mask)
         assert len(g._caches["mm"]) <= 8
-        assert bits == mwm._solve_networkx(g, mask)[1]
+        assert bits == mwm._solve_networkx(g, mask)
         assert max_weight_matching(GraphView(g, mask)).as_mask() == bits
+        assert all(type(k) is int and type(v) is int for k, v in g._caches["mm"].items())

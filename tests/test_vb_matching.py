@@ -20,6 +20,7 @@ from stochmatch.graph_core import (
     StochasticGraph,
     gen_random_graph,
     make_matching,
+    mask_edges,
     sample_mask,
 )
 from stochmatch.mwm import GraphView
@@ -353,8 +354,9 @@ def reference_run_vb(view, y, cond, rng, realization_mask=None, permutation=None
     alive = frozenset(v for v in range(g.n) if not had_active[v])
     matching = make_matching(g, mc_edges)
     return VBOutput(
-        matching=matching,
-        alive=alive,
+        matching_mask=matching.as_mask(),
+        alive_mask=sum(1 << v for v in alive),
+        parent=g.token,
         activation_log=tuple(log),
         permutation=tuple(order),
         clip_events=clip_events,
@@ -376,9 +378,12 @@ def assert_same_runs(view, y, cond, seed, runs, realization=None, permutation=No
                      permutation=permutation)
         ref = reference_run_vb(view, y, cond if ref_cond is None else ref_cond,
                                rng_ref, realization_mask=mask, permutation=permutation)
-        for name in ("matching", "alive", "activation_log", "permutation",
-                     "clip_events", "revealed_mask", "revealed_bits"):
+        for name in ("matching_mask", "alive_mask", "parent", "matching", "alive",
+                     "activation_log", "permutation", "clip_events", "revealed_mask",
+                     "revealed_bits"):
             assert getattr(new, name) == getattr(ref, name), name
+        assert new.matching.as_mask() == new.matching_mask
+        assert new.alive == frozenset(mask_edges(new.alive_mask))
         assert list(new.alive) == list(ref.alive)
         assert list(new.matching.edges) == list(ref.matching.edges)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
