@@ -25,7 +25,6 @@ from .augmenter import (
 )
 from .exact import (
     EnumerationTooLarge,
-    ExactConditional,
     MatchingLaw,
     exact_expected_mm_weight,
     exact_x,

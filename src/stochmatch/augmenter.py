@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .exact import EnumerationTooLarge, ExactConditional, MatchingLaw, exact_x, prob_in_plan
+from .exact import EnumerationTooLarge, MatchingLaw, exact_x, prob_in_plan
 from .graph_core import (
     FractionalMatching,
     Params,
@@ -260,7 +260,6 @@ def build_tables_exact(
     tau: float | None = None,
     pair_trials: int = 200_000,
     seed: int = 0,
-    workers: int | None = None,
 ) -> PipelineTables:
     """Enumeration-exact tables for small instances.
 
@@ -276,8 +275,7 @@ def build_tables_exact(
     law = MatchingLaw.from_pipeline(g, classes.crucial_mask)
     law.validate_realization_marginals()
     y = law.y_values()
-    sampler = VBSampler(view=GraphView(g, classes.crucial_mask), y=y,
-                        cond=ExactConditional(law))
+    sampler = VBSampler(view=GraphView(g, classes.crucial_mask), y=y, cond=law)
 
     q_prob = prob_in_plan(x, t)
     q_est = {e: ProbEstimate(float(q_prob[e]), 0, 0.0) for e in range(g.m)}
@@ -290,7 +288,7 @@ def build_tables_exact(
             pair_est[e] = ProbEstimate(dist.pair_alive_prob(u, v), 0, 0.0)
     except EnumerationTooLarge:
         pairs = [g.endpoints(e) for e in classes.noncrucial()]
-        by_pair = estimate_pair_alive(sampler, pairs, pair_trials, seed, workers)
+        by_pair = estimate_pair_alive(sampler, pairs, pair_trials, seed)
         pair_est = _pair_estimates_for_edges(g, classes, by_pair)
 
     g_table = build_g_table(g, classes, x, q_est, pair_est, params)
@@ -308,7 +306,6 @@ def build_tables_monte_carlo(
     q_trials: int = 4000,
     pair_trials: int = 20_000,
     cond_trials: int = 400,
-    workers: int | None = None,
     exact_conditionals: bool | None = None,
 ) -> PipelineTables:
     """Estimate every pipeline input by Monte Carlo.
@@ -317,7 +314,7 @@ def build_tables_monte_carlo(
     enumeration law when the instance is small enough (default), otherwise
     per-batch conditional resampling with ``cond_trials`` trials.
     """
-    x_hat = estimate_x(g, x_trials, seed, workers)
+    x_hat = estimate_x(g, x_trials, seed)
     x = np.array([e.value for e in x_hat])
     tau_eff = params.tau if tau is None else tau
     classes = classify_edges(x, tau_eff)
@@ -327,20 +324,20 @@ def build_tables_monte_carlo(
     if exact_conditionals:
         law = MatchingLaw.from_pipeline(g, classes.crucial_mask)
         y = law.y_values()
-        cond = ExactConditional(law)
+        cond = law
     else:
-        y_hat = estimate_y(g, classes.crucial_mask, x_trials, seed + 1, workers)
+        y_hat = estimate_y(g, classes.crucial_mask, x_trials, seed + 1)
         y = np.array([e.value for e in y_hat])
         cond = MonteCarloConditional(g, classes.crucial_mask, cond_trials, seed + 2)
     sampler = VBSampler(view=GraphView(g, classes.crucial_mask), y=y, cond=cond)
 
-    q_hat = estimate_q(g, t, q_trials, seed + 3, workers)
+    q_hat = estimate_q(g, t, q_trials, seed + 3)
     q_est = {e: q_hat[e] for e in range(g.m)}
 
     pairs = [g.endpoints(e) for e in classes.noncrucial()]
     pair_est: dict[int, ProbEstimate] = {}
     if pairs:
-        by_pair = estimate_pair_alive(sampler, pairs, pair_trials, seed + 4, workers)
+        by_pair = estimate_pair_alive(sampler, pairs, pair_trials, seed + 4)
         pair_est = _pair_estimates_for_edges(g, classes, by_pair)
 
     g_table = build_g_table(g, classes, x, q_est, pair_est, params)
@@ -520,7 +517,6 @@ def end_to_end(
     ts: Iterable[int | None],
     runs: int,
     seed: int,
-    workers: int | None = None,
 ) -> list[E2EResult]:
     """Sample the full pipeline ``runs`` times at every sweep point of ``ts``.
 
@@ -539,7 +535,7 @@ def end_to_end(
     for t in ts:
         if t is not None and t < 0:
             raise ValueError(f"plan round count must be >= 0, got {t}")
-    parts = run_blocks(_e2e_block, (g, tables, ts, seed), runs, workers)
+    parts = run_blocks(_e2e_block, (g, tables, ts, seed), runs)
     results = []
     for i, t in enumerate(ts):
         records: list[RunRecord] = []

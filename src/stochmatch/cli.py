@@ -24,7 +24,7 @@ from .augmenter import (
 )
 from .gadgets import benchmark_6v8e
 from .graph_core import Params, StochasticGraph, gen_random_graph, read_graph, write_graph
-from .parallel import resolve_workers
+from .parallel import worker_pool
 from .verifier import default_suite, format_report_table, gated_failures, reports_to_json
 
 DEFAULT_BUDGETS = {
@@ -57,8 +57,14 @@ class ExperimentConfig:
             raise ValueError("trial budget must be >= 1")
         if self.verify_trials < 1:
             raise ValueError("verify trial budget must be >= 1")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"worker count must be >= 1, got {self.workers}")
         if isinstance(self.t, int):
             self.t = [self.t]
+        if not self.t:
+            raise ValueError("t must hold at least one plan size")
+        if min(self.t) < 0:
+            raise ValueError(f"plan sizes must be >= 0, got {min(self.t)}")
 
     def to_canonical_dict(self) -> dict:
         return {
@@ -118,13 +124,11 @@ def build_tables(g: StochasticGraph, config: ExperimentConfig, t_max: int) -> Pi
         return build_tables_exact(
             g, params, t_max, tau=config.tau,
             pair_trials=budgets["pair_trials"], seed=config.seed,
-            workers=config.workers,
         )
     return build_tables_monte_carlo(
         g, params, t_max, config.seed, tau=config.tau,
         x_trials=budgets["x_trials"], q_trials=budgets["q_trials"],
         pair_trials=budgets["pair_trials"], cond_trials=budgets["cond_trials"],
-        workers=config.workers,
     )
 
 
@@ -151,13 +155,12 @@ def cmd_run(config: ExperimentConfig) -> Path:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = config.config_hash()
-    workers = resolve_workers(config.workers)
 
     t_values = sorted(set(int(t) for t in config.t))
-    tables = build_tables(g, config, max(t_values))
-
     points = t_values + ([None] if config.control_full_plan else [])
-    results = end_to_end(g, tables, points, config.trials, config.seed, workers=workers)
+    with worker_pool(config.workers):
+        tables = build_tables(g, config, max(t_values))
+        results = end_to_end(g, tables, points, config.trials, config.seed)
 
     runs_path = out_dir / "runs.jsonl"
     with open(runs_path, "w") as fh:
@@ -226,12 +229,12 @@ def cmd_verify(config: ExperimentConfig) -> int:
     """Run the statistical suite; returns a nonzero code on gated failure."""
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = default_suite(
-        trials=config.verify_trials,
-        seed=config.seed,
-        include_negative_control=config.negative_control,
-        workers=resolve_workers(config.workers),
-    )
+    with worker_pool(config.workers):
+        reports = default_suite(
+            trials=config.verify_trials,
+            seed=config.seed,
+            include_negative_control=config.negative_control,
+        )
     payload = {
         "config_hash": config.config_hash(),
         "reports": json.loads(reports_to_json(reports)),

@@ -79,18 +79,18 @@ def _mm_counts_block(g: StochasticGraph, keep_mask: int, seed: int, tag: int,
     return counts
 
 
-def estimate_x(g: StochasticGraph, trials: int = DEFAULT_TRIALS, seed: int = 0,
-               workers: int | None = None) -> list[ProbEstimate]:
+def estimate_x(g: StochasticGraph, trials: int = DEFAULT_TRIALS,
+               seed: int = 0) -> list[ProbEstimate]:
     """Per-edge frequency of membership in MM(realization)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    parts = run_blocks(_mm_counts_block, (g, g.full_mask, seed, _TAG_X), trials, workers)
+    parts = run_blocks(_mm_counts_block, (g, g.full_mask, seed, _TAG_X), trials)
     counts = sum(parts)
     return [ProbEstimate.from_count(int(c), trials) for c in counts]
 
 
 def estimate_y(g: StochasticGraph, crucial_mask: int, trials: int = DEFAULT_TRIALS,
-               seed: int = 0, workers: int | None = None) -> list[ProbEstimate]:
+               seed: int = 0) -> list[ProbEstimate]:
     """Per-edge frequency of membership in the oracle matching.
 
     Each trial samples the crucial realization jointly with a hallucinated
@@ -100,7 +100,7 @@ def estimate_y(g: StochasticGraph, crucial_mask: int, trials: int = DEFAULT_TRIA
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    parts = run_blocks(_mm_counts_block, (g, crucial_mask, seed, _TAG_Y), trials, workers)
+    parts = run_blocks(_mm_counts_block, (g, crucial_mask, seed, _TAG_Y), trials)
     counts = sum(parts)
     return [ProbEstimate.from_count(int(c), trials) for c in counts]
 
@@ -186,12 +186,11 @@ def _q_counts_block(g: StochasticGraph, t: int, seed: int, block: int,
     return counts
 
 
-def estimate_q(g: StochasticGraph, t: int, trials: int, seed: int,
-               workers: int | None = None) -> list[ProbEstimate]:
+def estimate_q(g: StochasticGraph, t: int, trials: int, seed: int) -> list[ProbEstimate]:
     """Per-edge frequency of plan membership across independent plan draws."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    parts = run_blocks(_q_counts_block, (g, t, seed), trials, workers)
+    parts = run_blocks(_q_counts_block, (g, t, seed), trials)
     counts = sum(parts)
     return [ProbEstimate.from_count(int(c), trials) for c in counts]
 
@@ -231,13 +230,12 @@ def estimate_pair_alive(
     pairs: list[tuple[int, int]],
     trials: int,
     seed: int,
-    workers: int | None = None,
 ) -> dict[tuple[int, int], PairAliveEstimate]:
     """Joint alive frequency of vertex pairs across independent runs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     norm_pairs = tuple((min(u, v), max(u, v)) for u, v in pairs)
-    parts = run_blocks(_pair_alive_block, (sampler, norm_pairs, seed), trials, workers)
+    parts = run_blocks(_pair_alive_block, (sampler, norm_pairs, seed), trials)
     counts = sum(parts)
     g = sampler.view.graph
     crucial_mask = sampler.view.effective_mask

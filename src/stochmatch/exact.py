@@ -87,7 +87,8 @@ class MatchingLaw:
 
     Entries are parallel arrays: ``real[k]`` is a bitmask over the graph's
     edge indices restricted to the crucial edges, ``mo[k]`` the matching drawn
-    together with that realization, ``prob[k]`` its probability.
+    together with that realization, ``prob[k]`` its probability.  Through
+    :meth:`y_prime` the law is itself a zero-noise ``CondEstimator``.
     """
 
     graph: StochasticGraph
@@ -210,12 +211,3 @@ class MatchingLaw:
                 out[v] += y[e]
         return out
 
-
-class ExactConditional:
-    """Conditional estimator backed by a :class:`MatchingLaw` (zero noise)."""
-
-    def __init__(self, law: MatchingLaw):
-        self.law = law
-
-    def y_prime(self, e: int, batch_mask: int, batch_bits: int) -> float:
-        return self.law.y_prime(e, batch_mask, batch_bits)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import ExactConditional, MatchingLaw
+from .exact import MatchingLaw
 from .estimator import VBSampler
 from .graph_core import Edge, StochasticGraph
 from .mwm import GraphView
@@ -33,7 +33,7 @@ class Gadget:
         return VBSampler(
             view=GraphView(self.graph, self.crucial_mask),
             y=self.law.y_values(),
-            cond=ExactConditional(self.law),
+            cond=self.law,
         )
 
 

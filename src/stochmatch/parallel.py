@@ -5,12 +5,17 @@ from ``(master_seed, *path)`` via :class:`numpy.random.SeedSequence`, and
 long Monte Carlo loops are chopped into fixed-size blocks whose streams
 depend only on the block index.  Aggregation happens in block order, so the
 result of a run is byte-identical for any worker count.
+
+The worker count belongs to a command, not to an estimator: the CLI opens
+one :func:`worker_pool` around a whole command, and every :func:`run_blocks`
+call inside it submits its blocks to that pool.  Outside a pool, blocks run
+inline.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from typing import Any, Callable
 
 import numpy as np
@@ -19,7 +24,8 @@ import numpy as np
 # count, or the per-block streams would change with it.
 BLOCK_LEN = 2048
 
-_WORKERS_ENV = "STOCHMATCH_WORKERS"
+# The executor of the open worker_pool, if any.
+_pool: ProcessPoolExecutor | None = None
 
 
 def rng_from(master_seed: int, *path: int) -> np.random.Generator:
@@ -28,14 +34,24 @@ def rng_from(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument, else the STOCHMATCH_WORKERS env var, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(_WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return 1
+@contextmanager
+def worker_pool(workers: int | None):
+    """Hold one process pool of ``workers`` processes for the body.
+
+    ``None`` or 1 opens no pool.  Inside an open pool a nested call reuses
+    it.  On exit, also by an exception, the pool is shut down and its
+    worker processes are gone.
+    """
+    global _pool
+    if _pool is not None or workers is None or workers == 1:
+        yield
+        return
+    _pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield
+    finally:
+        pool, _pool = _pool, None
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def iter_blocks(total: int):
@@ -48,21 +64,16 @@ def iter_blocks(total: int):
         yield index, min(BLOCK_LEN, total - start)
 
 
-def run_blocks(
-    fn: Callable[..., Any],
-    args: tuple,
-    total: int,
-    workers: int | None = None,
-) -> list:
+def run_blocks(fn: Callable[..., Any], args: tuple, total: int) -> list:
     """Run ``fn(*args, block_index, count)`` over all blocks of ``total`` trials.
 
-    Results are returned in block order.  ``fn`` must be picklable (a
-    module-level function) when more than one worker is used.
+    Results are returned in block order.  Inside a :func:`worker_pool` with
+    more than one block, the blocks go to its processes, so ``fn`` and
+    ``args`` must be picklable (``fn`` a module-level function), and ``fn``
+    must not call ``run_blocks``: a forked worker still sees the pool.
     """
-    workers = resolve_workers(workers)
     blocks = list(iter_blocks(total))
-    if workers == 1 or len(blocks) == 1:
+    if _pool is None or len(blocks) == 1:
         return [fn(*args, index, count) for index, count in blocks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args, index, count) for index, count in blocks]
-        return [f.result() for f in futures]
+    futures = [_pool.submit(fn, *args, index, count) for index, count in blocks]
+    return [f.result() for f in futures]

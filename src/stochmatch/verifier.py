@@ -117,10 +117,9 @@ def _vb_stats_block(sampler: VBSampler, pairs: tuple, perm, seed: int,
     return active, selected, alive, pair_counts, clip
 
 
-def sample_vb_statistics(sampler: VBSampler, pairs, trials: int, seed: int,
-                         perm=None, workers=None):
+def sample_vb_statistics(sampler: VBSampler, pairs, trials: int, seed: int, perm=None):
     pairs = tuple(pairs)
-    parts = run_blocks(_vb_stats_block, (sampler, pairs, perm, seed), trials, workers)
+    parts = run_blocks(_vb_stats_block, (sampler, pairs, perm, seed), trials)
     active = sum(p[0] for p in parts)
     selected = sum(p[1] for p in parts)
     alive = sum(p[2] for p in parts)
@@ -155,13 +154,11 @@ def _noncrucial_pairs(g: StochasticGraph, crucial_mask: int):
 # Checks
 
 
-def check_activation(gadget: Gadget, trials: int, seed: int,
-                     workers=None) -> CheckReport:
+def check_activation(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     """Activation frequency of every crucial edge vs g(y) and the oracle."""
     sampler = gadget.sampler()
     g = gadget.graph
-    active, _sel, _alive, _pairs, clip = sample_vb_statistics(
-        sampler, (), trials, seed, workers=workers)
+    active, _sel, _alive, _pairs, clip = sample_vb_statistics(sampler, (), trials, seed)
     dist = _try_enumeration(gadget)
     y = sampler.y
     details = {}
@@ -194,13 +191,11 @@ def check_activation(gadget: Gadget, trials: int, seed: int,
     )
 
 
-def check_selectability(gadget: Gadget, trials: int, seed: int,
-                        workers=None) -> CheckReport:
+def check_selectability(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     """Matching membership vs the enumeration oracle, and the 8/15 line."""
     sampler = gadget.sampler()
     g = gadget.graph
-    _act, selected, _alive, _pairs, _clip = sample_vb_statistics(
-        sampler, (), trials, seed, workers=workers)
+    _act, selected, _alive, _pairs, _clip = sample_vb_statistics(sampler, (), trials, seed)
     dist = _try_enumeration(gadget)
     y = sampler.y
     details = {}
@@ -238,14 +233,13 @@ def check_selectability(gadget: Gadget, trials: int, seed: int,
     )
 
 
-def check_pair_alive(gadget: Gadget, trials: int, seed: int,
-                     workers=None) -> CheckReport:
+def check_pair_alive(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     """Joint alive frequency of non-adjacent pairs vs floor and oracle."""
     sampler = gadget.sampler()
     g = gadget.graph
     pairs, adjacent = _noncrucial_pairs(g, gadget.crucial_mask)
     _act, _sel, alive, pair_counts, _clip = sample_vb_statistics(
-        sampler, tuple(pairs + adjacent), trials, seed, workers=workers)
+        sampler, tuple(pairs + adjacent), trials, seed)
     dist = _try_enumeration(gadget)
     details = {}
     verdict = "pass"
@@ -334,8 +328,7 @@ def incident_edge_pairs(g: StochasticGraph) -> list[tuple[int, int]]:
     return sorted(set(out))
 
 
-def check_negative_association(gadget: Gadget, trials: int, seed: int,
-                               workers=None) -> CheckReport:
+def check_negative_association(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     """Plan-membership covariance of incident edge pairs is <= +3*SE.
 
     Declared pairs of the gadget are gated as well (that is how the negative
@@ -350,8 +343,7 @@ def check_negative_association(gadget: Gadget, trials: int, seed: int,
                            verdict="pass", gated=True, estimate=0.0,
                            std_err=0.0, threshold=0.0, trials=0,
                            details={"pairs": {}})
-    parts = run_blocks(_plan_pair_block, (g, gadget.t, tuple(pairs), seed),
-                       trials, workers)
+    parts = run_blocks(_plan_pair_block, (g, gadget.t, tuple(pairs), seed), trials)
     cells = sum(parts)
     details = {}
     verdict = "pass"
@@ -398,8 +390,7 @@ def _z_block(sampler: VBSampler, support: tuple, h_values: tuple, n: int,
 
 
 def check_var_z(gadget: Gadget, synthetic_x: dict[tuple[int, int], float],
-                tau: float, trials: int, seed: int, slack: float = 0.2,
-                workers=None) -> CheckReport:
+                tau: float, trials: int, seed: int, slack: float = 0.2) -> CheckReport:
     """Sample variance of the alive-weighted neighborhood sums vs 10*tau/delta^2.
 
     ``synthetic_x`` must be a fractional matching on the complement of the
@@ -411,14 +402,14 @@ def check_var_z(gadget: Gadget, synthetic_x: dict[tuple[int, int], float],
     sampler = gadget.sampler()
     g = gadget.graph
     support = tuple(sorted((min(u, v), max(u, v)) for u, v in synthetic_x))
-    pair_est = estimate_pair_alive(sampler, list(support), trials, seed + 1, workers)
+    pair_est = estimate_pair_alive(sampler, list(support), trials, seed + 1)
     delta_hat = min(est.estimate.value for est in pair_est.values()) if support else 1.0
     if delta_hat <= 0.0:
         raise ValueError("measured pair-alive floor is zero; cannot form h values")
     h_values = tuple(
         synthetic_x[pair] / pair_est[pair].estimate.value for pair in support
     )
-    parts = run_blocks(_z_block, (sampler, support, h_values, g.n, seed), trials, workers)
+    parts = run_blocks(_z_block, (sampler, support, h_values, g.n, seed), trials)
     sums = sum(p[0] for p in parts)
     sumsq = sum(p[1] for p in parts)
     mean = sums / trials
@@ -463,7 +454,7 @@ def _y_block(g: StochasticGraph, tables: PipelineTables, t: int, seed: int,
 
 
 def check_concentration_y(gadget: Gadget, tables: PipelineTables, trials: int,
-                          seed: int, workers=None) -> CheckReport:
+                          seed: int) -> CheckReport:
     """Concentration of the fractional-degree precursor.
 
     The (eta, beta) tail bound needs the theory-scale plan size, which desk
@@ -475,7 +466,7 @@ def check_concentration_y(gadget: Gadget, tables: PipelineTables, trials: int,
     """
     g = gadget.graph
     params = tables.params
-    parts = run_blocks(_y_block, (g, tables, gadget.t, seed), trials, workers)
+    parts = run_blocks(_y_block, (g, tables, gadget.t, seed), trials)
     rows = np.vstack(parts)
     eta, beta = params.eta, params.beta
     means = rows.mean(axis=0)
@@ -543,8 +534,7 @@ def _log_joint_block(sampler: VBSampler, perm: tuple, u: int, w: int, seed: int,
 
 
 def check_influence_independence(gadget: Gadget, u: int, w: int, perm,
-                                 trials: int, seed: int, alpha: float = 1e-3,
-                                 workers=None) -> CheckReport:
+                                 trials: int, seed: int, alpha: float = 1e-3) -> CheckReport:
     """Chi-square test of pairwise independence of two activation records.
 
     Runs with a fixed arrival order (the independence statement is per
@@ -568,8 +558,7 @@ def check_influence_independence(gadget: Gadget, u: int, w: int, perm,
         xw = next(p for v, p in log if v == w)
         pu[xu] = pu.get(xu, 0.0) + prob
         pw[xw] = pw.get(xw, 0.0) + prob
-    parts = run_blocks(_log_joint_block, (sampler, tuple(perm), u, w, seed),
-                       trials, workers)
+    parts = run_blocks(_log_joint_block, (sampler, tuple(perm), u, w, seed), trials)
     counts: dict[tuple, int] = {}
     for part in parts:
         for key, k in part.items():
@@ -601,16 +590,15 @@ def check_influence_independence(gadget: Gadget, u: int, w: int, perm,
 
 
 def default_suite(trials: int = 20_000, seed: int = 2024,
-                  include_negative_control: bool = False,
-                  workers=None) -> list[CheckReport]:
+                  include_negative_control: bool = False) -> list[CheckReport]:
     """The bundled verification suite over the shipped gadget instances."""
     reports: list[CheckReport] = []
     for gadget in verification_gadgets():
-        reports.append(check_activation(gadget, trials, seed, workers))
-        reports.append(check_selectability(gadget, trials, seed + 1, workers))
-        reports.append(check_pair_alive(gadget, trials, seed + 2, workers))
+        reports.append(check_activation(gadget, trials, seed))
+        reports.append(check_selectability(gadget, trials, seed + 1))
+        reports.append(check_pair_alive(gadget, trials, seed + 2))
         if gadget.graph.m >= 2:
-            reports.append(check_negative_association(gadget, trials, seed + 3, workers))
+            reports.append(check_negative_association(gadget, trials, seed + 3))
 
     tie = shared_tie_fixture()
     oracle = two_point_covariance(0.5)
@@ -620,19 +608,19 @@ def default_suite(trials: int = 20_000, seed: int = 2024,
         gated=True, estimate=oracle, std_err=0.0, threshold=-0.25, trials=0,
         details={"note": "covariance of the symmetric exactly-one-of-two law"},
     ))
-    reports.append(check_negative_association(tie, trials, seed + 4, workers))
+    reports.append(check_negative_association(tie, trials, seed + 4))
 
     relaxed = relaxed_suite_8v()
     params = Params(epsilon=relaxed.epsilon, delta=PAIR_ALIVE_FLOOR,
                     p_min=relaxed.graph.p_min)
     tables = build_tables_exact(relaxed.graph, params, relaxed.t, tau=relaxed.tau)
     reports.append(check_var_z(relaxed, var_z_synthetic_x(relaxed, relaxed.tau),
-                               relaxed.tau, trials, seed + 5, workers=workers))
-    reports.append(check_concentration_y(relaxed, tables, trials, seed + 6, workers))
+                               relaxed.tau, trials, seed + 5))
+    reports.append(check_concentration_y(relaxed, tables, trials, seed + 6))
 
     if include_negative_control:
         reports.append(check_negative_association(
-            positive_covariance_control(), trials, seed + 7, workers))
+            positive_covariance_control(), trials, seed + 7))
     return reports
 
 

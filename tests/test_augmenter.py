@@ -16,7 +16,7 @@ from stochmatch.augmenter import (
 )
 from stochmatch import augmenter
 from stochmatch.estimator import ProbEstimate
-from stochmatch.exact import EnumerationTooLarge, ExactConditional
+from stochmatch.exact import EnumerationTooLarge, MatchingLaw
 from stochmatch.gadgets import benchmark_6v8e, relaxed_suite_8v, star, verification_gadgets
 from stochmatch.graph_core import (
     Edge,
@@ -31,7 +31,7 @@ from stochmatch.graph_core import (
     weight_of,
 )
 from stochmatch.mwm import GraphView, max_weight_matching
-from stochmatch.parallel import BLOCK_LEN, iter_blocks, rng_from
+from stochmatch.parallel import BLOCK_LEN, iter_blocks, rng_from, worker_pool
 from stochmatch.sparsifier import classify_edges, draw_plan
 from stochmatch.vb_matching import VBOutput, run_vb
 
@@ -304,8 +304,9 @@ def test_end_to_end_worker_independence():
     gadget = benchmark_6v8e()
     g = gadget.graph
     tables = build_tables_exact(g, params_for(g), gadget.t, tau=gadget.tau)
-    [a] = end_to_end(g, tables, [4], runs=300, seed=12, workers=1)
-    [b] = end_to_end(g, tables, [4], runs=300, seed=12, workers=2)
+    [a] = end_to_end(g, tables, [4], runs=300, seed=12)
+    with worker_pool(2):
+        [b] = end_to_end(g, tables, [4], runs=300, seed=12)
     assert [r.alg_weight for r in a.runs] == [r.alg_weight for r in b.runs]
     assert a.ratio == b.ratio
 
@@ -357,7 +358,7 @@ def test_build_tables_exact_propagates_activation_breach(monkeypatch):
     # exact conditionals that overfill a batch are a broken invariant, not a
     # size limit: they must not fall back to Monte Carlo pair-alive estimates
     g = graph(3, [(0, 1, 1.0, 0.9), (1, 2, 1.3, 0.9)])
-    monkeypatch.setattr(ExactConditional, "y_prime", lambda self, e, mask, bits: 1.0)
+    monkeypatch.setattr(MatchingLaw, "y_prime", lambda self, e, mask, bits: 1.0)
     with pytest.raises(ValueError, match="exceed one") as info:
         build_tables_exact(g, params_for(g), 4, tau=0.05)
     assert not isinstance(info.value, EnumerationTooLarge)
@@ -425,12 +426,13 @@ def assert_same_point(a, b):
 
 
 def assert_sweep_equals_single_points(g, tables, runs, seed, workers=None):
-    sweep = end_to_end(g, tables, SWEEP, runs, seed, workers=workers)
-    assert [res.t for res in sweep] == SWEEP
-    assert [res.t is None for res in sweep] == [False] * 4 + [True]
-    for res in sweep:
-        [single] = end_to_end(g, tables, [res.t], runs, seed, workers=workers)
-        assert_same_point(res, single)
+    with worker_pool(workers):
+        sweep = end_to_end(g, tables, SWEEP, runs, seed)
+        assert [res.t for res in sweep] == SWEEP
+        assert [res.t is None for res in sweep] == [False] * 4 + [True]
+        for res in sweep:
+            [single] = end_to_end(g, tables, [res.t], runs, seed)
+            assert_same_point(res, single)
     return sweep
 
 

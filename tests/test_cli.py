@@ -9,6 +9,7 @@ import pytest
 from stochmatch import augmenter, cli
 from stochmatch.cli import ExperimentConfig, cmd_generate, cmd_run, cmd_verify, load_config, main
 from stochmatch.graph_core import read_graph
+from stochmatch.parallel import BLOCK_LEN
 
 
 def tiny_run_config(tmp_path, **kw):
@@ -125,6 +126,18 @@ def test_cmd_verify_golden_digest(tmp_path):
     assert hashlib.sha256(data).hexdigest() == VERIFY_REPORTS_DIGEST
 
 
+def test_cmd_verify_byte_identical_across_workers(tmp_path):
+    # the pool spans the whole suite: no state may leak from one check to the next
+    blobs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        config = ExperimentConfig(out=str(out), seed=2024, verify_trials=BLOCK_LEN + 1,
+                                  workers=workers)
+        assert cmd_verify(config) == 0
+        blobs.append((out / "verify_reports.json").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_cmd_run_ratio_grows_with_t(tmp_path):
     out = cmd_run(tiny_run_config(tmp_path, trials=400))
     summary = json.loads((out / "summary.json").read_text())
@@ -175,6 +188,28 @@ def test_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(verify_trials=0)
+
+
+def test_config_rejects_worker_count_below_one(tmp_path):
+    with pytest.raises(ValueError, match="worker count must be >= 1"):
+        ExperimentConfig(workers=0)
+    with pytest.raises(ValueError, match="worker count must be >= 1, got -2"):
+        main(["--workers", "-2", "--out", str(tmp_path / "out"), "verify"])
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_rejects_empty_t(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"t": [], "out": str(tmp_path / "out")}))
+    with pytest.raises(ValueError, match="at least one plan size"):
+        main(["--config", str(cfg_path), "run"])
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_rejects_negative_t(tmp_path):
+    with pytest.raises(ValueError, match="plan sizes must be >= 0, got -1"):
+        main(["--t", "-1", "--out", str(tmp_path / "out"), "run"])
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_hash_stable_under_key_order():

@@ -18,7 +18,7 @@ from stochmatch.estimator import (
 from stochmatch.exact import exact_x
 from stochmatch.gadgets import benchmark_6v8e, four_cycle, isolated_pair, two_path
 from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph
-from stochmatch.parallel import rng_from
+from stochmatch.parallel import rng_from, worker_pool
 from stochmatch.sparsifier import draw_plan
 from stochmatch.vb_matching import exact_vb_enumeration, run_vb
 
@@ -72,8 +72,9 @@ def test_estimate_x_matches_enumeration():
 
 def test_estimate_x_deterministic_across_workers():
     g = four_cycle().graph
-    a = estimate_x(g, trials=5000, seed=9, workers=1)
-    b = estimate_x(g, trials=5000, seed=9, workers=3)
+    a = estimate_x(g, trials=5000, seed=9)
+    with worker_pool(3):
+        b = estimate_x(g, trials=5000, seed=9)
     assert [e.value for e in a] == [e.value for e in b]
 
 
@@ -261,8 +262,9 @@ def test_estimate_pair_alive_matches_enumeration_four_cycle():
 def test_estimate_pair_alive_worker_independence():
     gadget = two_path()
     sampler = gadget.sampler()
-    a = estimate_pair_alive(sampler, [(0, 2)], trials=4000, seed=5, workers=1)
-    b = estimate_pair_alive(sampler, [(0, 2)], trials=4000, seed=5, workers=2)
+    a = estimate_pair_alive(sampler, [(0, 2)], trials=4000, seed=5)
+    with worker_pool(2):
+        b = estimate_pair_alive(sampler, [(0, 2)], trials=4000, seed=5)
     assert a[(0, 2)].estimate.value == b[(0, 2)].estimate.value
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from stochmatch.exact import (
     EnumerationTooLarge,
-    ExactConditional,
     MatchingLaw,
     exact_expected_mm_weight,
     exact_x,
@@ -97,11 +96,12 @@ def test_law_rejects_inconsistent_entries():
         MatchingLaw.from_entries(g, 1, [(1.0, 0, 1)])  # matched but unrealized
 
 
-def test_exact_conditional_wraps_law():
-    gadget = two_path()
-    cond = ExactConditional(gadget.law)
-    val = cond.y_prime(0, 0b11, 0b11)
-    assert val == gadget.law.y_prime(0, 0b11, 0b11)
+def test_law_is_its_own_conditional_estimator():
+    gadget = two_path()  # edge 1 (w=1.3) beats edge 0 (w=1.0) at vertex 1
+    assert gadget.sampler().cond is gadget.law
+    assert gadget.law.y_prime(0, 0b11, 0b11) == 0.0
+    assert gadget.law.y_prime(1, 0b11, 0b11) == 1.0
+    assert gadget.law.y_prime(1, 0b01, 0b00) == pytest.approx(0.9)
 
 
 def test_noncrucial_marginalized_out():

@@ -225,9 +225,7 @@ def test_exact_enumeration_factorizes_across_components():
     # two disjoint single-edge components: joint pair-alive is the product
     g = graph(4, [(0, 1, 1.0, 0.8), (2, 3, 1.0, 0.6)])
     law = MatchingLaw.from_pipeline(g, g.full_mask)
-    from stochmatch.exact import ExactConditional
-
-    dist = exact_vb_enumeration(GraphView(g), law.y_values(), ExactConditional(law))
+    dist = exact_vb_enumeration(GraphView(g), law.y_values(), law)
     p0 = dist.vertex_alive_prob(0)
     p2 = dist.vertex_alive_prob(2)
     assert dist.pair_alive_prob(0, 2) == pytest.approx(p0 * p2, abs=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stochmatch.augmenter import build_tables_exact
-from stochmatch.exact import EnumerationTooLarge, ExactConditional
+from stochmatch.exact import EnumerationTooLarge, MatchingLaw
 from stochmatch.gadgets import (
     benchmark_6v8e,
     isolated_pair,
@@ -18,7 +18,7 @@ from stochmatch.gadgets import (
 )
 from stochmatch import sparsifier, verifier
 from stochmatch.graph_core import Params, sample_mask
-from stochmatch.parallel import BLOCK_LEN, rng_from
+from stochmatch.parallel import BLOCK_LEN, rng_from, worker_pool
 from stochmatch.sparsifier import draw_plan
 from stochmatch.vb_matching import run_vb
 from stochmatch.verifier import (
@@ -220,7 +220,7 @@ def test_report_table_and_failures():
 
 def test_try_enumeration_skips_only_oversized_instances(monkeypatch):
     assert _try_enumeration(star(5)) is None
-    monkeypatch.setattr(ExactConditional, "y_prime", lambda self, e, mask, bits: 1.0)
+    monkeypatch.setattr(MatchingLaw, "y_prime", lambda self, e, mask, bits: 1.0)
     with pytest.raises(ValueError, match="exceed one") as info:
         _try_enumeration(two_path())
     assert not isinstance(info.value, EnumerationTooLarge)
@@ -238,8 +238,9 @@ CHUNK_TRIALS = BLOCK_LEN + 17  # a full block and a partial one
                          ids=lambda fn: fn.__name__)
 def test_relaxed_checks_identical_with_one_and_two_workers(check):
     gadget = relaxed_suite_8v()
-    one = check(gadget, CHUNK_TRIALS, 31, workers=1).to_json_dict()
-    two = check(gadget, CHUNK_TRIALS, 31, workers=2).to_json_dict()
+    one = check(gadget, CHUNK_TRIALS, 31).to_json_dict()
+    with worker_pool(2):
+        two = check(gadget, CHUNK_TRIALS, 31).to_json_dict()
     assert one == two
     assert one["trials"] == CHUNK_TRIALS
 
@@ -254,7 +255,7 @@ def test_draw_plans_asks_for_at_most_block_len_rows(monkeypatch):
         return real(g, rng, count, scope)
 
     monkeypatch.setattr(sparsifier, "sample_masks", recording)
-    check_negative_association(gadget, CHUNK_TRIALS, 32, workers=1)
+    check_negative_association(gadget, CHUNK_TRIALS, 32)
     assert sum(rows) == CHUNK_TRIALS * gadget.t
     assert 1 < len(rows) and max(rows) <= BLOCK_LEN
 
