@@ -15,10 +15,10 @@ from stochmatch import (
     build_query_plan,
     gen_random_graph,
     max_weight_matching,
-    sample_realization,
     weight_of,
 )
 from stochmatch.exact import exact_x, prob_in_plan
+from stochmatch.graph_core import sample_mask
 from stochmatch.parallel import rng_from
 
 g = gen_random_graph(
@@ -30,10 +30,10 @@ g = gen_random_graph(
 print(f"graph: {g.n} vertices, {g.m} edges, p_min = {g.p_min:.3f}")
 
 rng = rng_from(7)
-realization = sample_realization(g, rng)
-print(f"one realization keeps {bin(realization.mask).count('1')}/{g.m} edges")
+realization = sample_mask(g, rng)
+print(f"one realization keeps {bin(realization).count('1')}/{g.m} edges")
 
-opt = max_weight_matching(GraphView(g, realization.mask))
+opt = max_weight_matching(GraphView(g, realization))
 print(f"optimum of that realization: edges {opt.sorted_edges()}, "
       f"weight {weight_of(opt, g):.3f}")
 

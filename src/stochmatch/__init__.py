@@ -31,7 +31,6 @@ from .exact import (
     prob_in_plan,
 )
 from .estimator import (
-    EstimateTable,
     MonteCarloConditional,
     ProbEstimate,
     VBSampler,
@@ -46,13 +45,11 @@ from .graph_core import (
     FractionalMatching,
     Matching,
     Params,
-    Realization,
     StochasticGraph,
     gen_random_graph,
     is_valid_fractional,
     make_matching,
     read_graph,
-    sample_realization,
     weight_of,
     write_graph,
 )

@@ -249,7 +249,7 @@ def _pair_estimates_for_edges(g, classes, pair_alive_by_pair):
     for e in classes.noncrucial():
         u, v = g.endpoints(e)
         key = (min(u, v), max(u, v))
-        out[e] = pair_alive_by_pair[key].estimate
+        out[e] = pair_alive_by_pair[key]
     return out
 
 

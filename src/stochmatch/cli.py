@@ -33,6 +33,7 @@ DEFAULT_BUDGETS = {
     "pair_trials": 20_000,
     "cond_trials": 400,
 }
+TABLE_MODES = ("auto", "exact", "monte_carlo")
 
 
 @dataclass
@@ -47,7 +48,7 @@ class ExperimentConfig:
     tau: float | None = 0.05
     out: str = "results"
     budgets: dict = field(default_factory=dict)
-    tables: str = "auto"  # "auto" | "exact" | "monte_carlo"
+    tables: str = "auto"  # one of TABLE_MODES
     control_full_plan: bool = True
     verify_trials: int = 20_000
     negative_control: bool = False
@@ -65,6 +66,13 @@ class ExperimentConfig:
             raise ValueError("t must hold at least one plan size")
         if min(self.t) < 0:
             raise ValueError(f"plan sizes must be >= 0, got {min(self.t)}")
+        if self.tables not in TABLE_MODES:
+            raise ValueError(f"tables must be one of {', '.join(TABLE_MODES)}, got {self.tables!r}")
+        for key, value in self.budgets.items():
+            if key not in DEFAULT_BUDGETS:
+                raise ValueError(f"unknown budget {key!r}; known: {', '.join(DEFAULT_BUDGETS)}")
+            if type(value) is not int or value < 1:
+                raise ValueError(f"budget {key} must be an int >= 1, got {value!r}")
 
     def to_canonical_dict(self) -> dict:
         return {
@@ -102,6 +110,9 @@ def load_graph(config: ExperimentConfig) -> StochasticGraph:
         return read_graph(source["file"])
     if "generator" in source:
         gen = source["generator"]
+        for key in ("n", "density"):
+            if key not in gen:
+                raise ValueError(f"generator graph source is missing {key!r}: {gen!r}")
         return gen_random_graph(
             n=int(gen["n"]),
             density=float(gen["density"]),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,7 @@ def z_distance(a: ProbEstimate, b: ProbEstimate) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Realization sampling helpers
+# Oracle-membership counts over sampled realizations
 
 
 def _mm_counts_block(g: StochasticGraph, keep_mask: int, seed: int, tag: int,
@@ -218,73 +218,19 @@ def _pair_alive_block(sampler: VBSampler, pairs: tuple, seed: int, block: int,
     return counts
 
 
-@dataclass(frozen=True)
-class PairAliveEstimate:
-    pair: tuple[int, int]
-    estimate: ProbEstimate
-    adjacent: bool  # pairs joined by a crucial edge are outside the guarantee
-
-
 def estimate_pair_alive(
     sampler: VBSampler,
     pairs: list[tuple[int, int]],
     trials: int,
     seed: int,
-) -> dict[tuple[int, int], PairAliveEstimate]:
-    """Joint alive frequency of vertex pairs across independent runs."""
+) -> dict[tuple[int, int], ProbEstimate]:
+    """Joint alive frequency of vertex pairs across independent runs, keyed
+    by the pair as ``(min, max)``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     norm_pairs = tuple((min(u, v), max(u, v)) for u, v in pairs)
     parts = run_blocks(_pair_alive_block, (sampler, norm_pairs, seed), trials)
     counts = sum(parts)
-    g = sampler.view.graph
-    crucial_mask = sampler.view.effective_mask
-    out = {}
-    for j, pair in enumerate(norm_pairs):
-        idx = g.pair_index.get(pair)
-        adjacent = idx is not None and bool((crucial_mask >> idx) & 1)
-        out[pair] = PairAliveEstimate(
-            pair=pair,
-            estimate=ProbEstimate.from_count(int(counts[j]), trials),
-            adjacent=adjacent,
-        )
-    return out
+    return {pair: ProbEstimate.from_count(int(counts[j]), trials)
+            for j, pair in enumerate(norm_pairs)}
 
-
-# ---------------------------------------------------------------------------
-# Estimate table
-
-
-@dataclass
-class EstimateTable:
-    """Everything the augmenting stage needs, with standard errors."""
-
-    graph_token: str
-    x_hat: list[ProbEstimate]
-    y_hat: dict[int, ProbEstimate]
-    q_hat: list[ProbEstimate]
-    pair_alive: dict[tuple[int, int], PairAliveEstimate] = field(default_factory=dict)
-
-    def x_values(self) -> np.ndarray:
-        return np.array([e.value for e in self.x_hat])
-
-    def q_values(self) -> np.ndarray:
-        return np.array([e.value for e in self.q_hat])
-
-    def to_csv(self, g: StochasticGraph, header_comment: str | None = None) -> str:
-        lines = []
-        if header_comment:
-            lines.append(f"# {header_comment}")
-        lines.append("edge_id,u,v,x_hat,x_se,y_hat,y_se,q_hat,q_se")
-        for e in range(g.m):
-            u, v, _w, _p = g.edges[e]
-            x = self.x_hat[e]
-            q = self.q_hat[e]
-            y = self.y_hat.get(e)
-            y_val = f"{y.value!r}" if y is not None else ""
-            y_se = f"{y.std_err!r}" if y is not None else ""
-            lines.append(
-                f"{e},{u},{v},{x.value!r},{x.std_err!r},{y_val},{y_se},"
-                f"{q.value!r},{q.std_err!r}"
-            )
-        return "\n".join(lines) + "\n"

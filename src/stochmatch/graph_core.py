@@ -1,10 +1,11 @@
-"""Core data model: stochastic graphs, realizations, matchings, parameters.
+"""Core data model: stochastic graphs, realization masks, matchings, parameters.
 
 A :class:`StochasticGraph` is an immutable weighted graph in which every edge
-carries a survival probability ``p``; a :class:`Realization` is one sample of
-the induced random subgraph, stored as an integer bitmask over edge indices.
-Edge identity is positional (the index into the edge list), which keeps every
-downstream set, table and file format stable under serialization.
+carries a survival probability ``p``; one sample of the induced random
+subgraph (a realization) is an integer bitmask over edge indices, drawn by
+:func:`sample_mask` or in batches by :func:`sample_masks`.  Edge identity is
+positional (the index into the edge list), which keeps every downstream set,
+table and the graph text format stable.
 """
 
 from __future__ import annotations
@@ -124,25 +125,6 @@ class StochasticGraph:
         return edge.v if edge.u == v else edge.u
 
 
-@dataclass(frozen=True)
-class Realization:
-    """One sample of the random subgraph, as a bitmask over edge indices."""
-
-    mask: int
-    parent: str
-
-    def to_hex(self, m: int) -> str:
-        width = max(1, (m + 3) // 4)
-        return format(self.mask, f"0{width}x")
-
-    @classmethod
-    def from_hex(cls, text: str, g: StochasticGraph) -> "Realization":
-        mask = int(text, 16)
-        if mask >> g.m:
-            raise ValueError("realization bitset has bits beyond the parent edge list")
-        return cls(mask=mask, parent=g.token)
-
-
 def check_parent(obj_parent: str, g: StochasticGraph, what: str) -> None:
     if obj_parent != g.token:
         raise ValueError(f"{what} belongs to a different graph")
@@ -233,9 +215,6 @@ class FractionalMatching:
     def get(self, e: int) -> float:
         return self.values.get(e, 0.0)
 
-    def support(self) -> list[int]:
-        return sorted(self.values)
-
     def support_mask(self) -> int:
         mask = 0
         for e in self.values:
@@ -314,17 +293,11 @@ class Params:
         return cls(epsilon=epsilon, delta=delta, p_min=g.p_min)
 
 
-def sample_realization(g: StochasticGraph, rng: np.random.Generator) -> Realization:
-    """Draw each edge independently with its probability ``p``.
-
-    Pure function of (graph, generator state): equal seeds give equal
-    realizations.
-    """
-    return Realization(mask=sample_mask(g, rng), parent=g.token)
-
-
 def sample_mask(g: StochasticGraph, rng: np.random.Generator) -> int:
-    """Bitmask form of :func:`sample_realization`."""
+    """One realization mask: each edge drawn independently with its ``p``.
+
+    Pure function of (graph, generator state): equal seeds give equal masks.
+    """
     return sample_masks(g, rng, 1)[0]
 
 

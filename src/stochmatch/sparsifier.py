@@ -2,24 +2,25 @@
 
 The plan is the union of maximum-weight matchings of ``t`` independently
 sampled realizations, so its max-degree is at most ``t`` by construction.
-Round ``i`` of a plan draws from the stream ``(seed, PLAN, i)``: plans with
-the same seed are nested across ``t`` (smaller plans are prefixes of larger
-ones), which is what makes paired ``t``-sweeps comparable run by run.
+Every plan is drawn by :func:`draw_plan` / :func:`draw_plans` from one
+generator, which reads its stream row by row: plans drawn from the same
+stream are nested across ``t`` (smaller plans are prefixes of larger ones),
+which is what makes paired ``t``-sweeps comparable run by run.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .graph_core import StochasticGraph, mask_edges, sample_mask, sample_masks
+from .graph_core import StochasticGraph, mask_edges, sample_masks
 from .mwm import mm_edge_mask
 from .parallel import BLOCK_LEN, rng_from
 
 _TAG_PLAN_ROUND = 0x51
+_TAG_COVERAGE = 0x5152
 
 
 @dataclass(frozen=True)
@@ -45,48 +46,12 @@ class QueryPlan:
             deg[v] += 1
         return max(deg, default=0)
 
-    def to_json(self) -> str:
-        rounds = [mask_edges(mask) for mask in self.rounds]
-        return json.dumps({"t": self.t, "edges": self.edges(), "matchings": rounds})
-
-    @classmethod
-    def from_json(cls, text: str, g: StochasticGraph) -> "QueryPlan":
-        """Parse a plan of ``g``; edge indices must lie in ``0..m-1`` and
-        ``edges`` must be exactly the union of ``matchings``."""
-        data = json.loads(text)
-
-        def to_mask(edges) -> int:
-            mask = 0
-            for e in edges:
-                e = int(e)
-                if not 0 <= e < g.m:
-                    raise ValueError(f"plan edge index {e} is outside 0..{g.m - 1}")
-                mask |= 1 << e
-            return mask
-
-        rounds = tuple(to_mask(edges) for edges in data["matchings"])
-        q_mask = to_mask(data["edges"])
-        union = 0
-        for mask in rounds:
-            union |= mask
-        if q_mask != union:
-            raise ValueError("plan edges are not the union of its matchings")
-        return cls(t=int(data["t"]), q_mask=q_mask, rounds=rounds, parent=g.token)
-
 
 def build_query_plan(g: StochasticGraph, t: int, seed: int) -> QueryPlan:
-    """Union of MM over ``t`` independent seeded realizations."""
+    """Union of MM over ``t`` independent realizations of one seeded stream."""
     if t < 1:
         raise ValueError("t must be at least 1")
-    rounds = []
-    q_mask = 0
-    for i in range(t):
-        rng = rng_from(seed, _TAG_PLAN_ROUND, i)
-        mask = sample_mask(g, rng)
-        round_mask = mm_edge_mask(g, mask)
-        rounds.append(round_mask)
-        q_mask |= round_mask
-    return QueryPlan(t=t, q_mask=q_mask, rounds=tuple(rounds), parent=g.token)
+    return draw_plan(g, t, rng_from(seed, _TAG_PLAN_ROUND))
 
 
 def plan_round_masks(g: StochasticGraph, t: int, rng: np.random.Generator) -> list[int]:
@@ -200,8 +165,7 @@ def check_crucial_coverage(
     """
     counts = np.zeros(g.m, dtype=np.int64)
     max_degree_seen = 0
-    for i in range(trials):
-        plan = draw_plan(g, t, rng_from(seed, 0x5152, i))
+    for plan in draw_plans(g, t, rng_from(seed, _TAG_COVERAGE), trials):
         for e in plan.edges():
             counts[e] += 1
         max_degree_seen = max(max_degree_seen, plan.max_degree(g))

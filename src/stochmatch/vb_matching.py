@@ -69,17 +69,6 @@ class VBOutput:
     def alive(self) -> frozenset[int]:
         return frozenset(mask_edges(self.alive_mask))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "permutation": list(self.permutation),
-            "activation_log": [
-                [v, partner, edge] for v, partner, edge in self.activation_log
-            ],
-            "matching": mask_edges(self.matching_mask),
-            "alive": mask_edges(self.alive_mask),
-            "clip_events": self.clip_events,
-        }
-
 
 def activate_batch(
     candidates: Sequence[tuple[int, float, float, bool]],

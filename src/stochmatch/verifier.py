@@ -403,12 +403,10 @@ def check_var_z(gadget: Gadget, synthetic_x: dict[tuple[int, int], float],
     g = gadget.graph
     support = tuple(sorted((min(u, v), max(u, v)) for u, v in synthetic_x))
     pair_est = estimate_pair_alive(sampler, list(support), trials, seed + 1)
-    delta_hat = min(est.estimate.value for est in pair_est.values()) if support else 1.0
+    delta_hat = min(est.value for est in pair_est.values()) if support else 1.0
     if delta_hat <= 0.0:
         raise ValueError("measured pair-alive floor is zero; cannot form h values")
-    h_values = tuple(
-        synthetic_x[pair] / pair_est[pair].estimate.value for pair in support
-    )
+    h_values = tuple(synthetic_x[pair] / pair_est[pair].value for pair in support)
     parts = run_blocks(_z_block, (sampler, support, h_values, g.n, seed), trials)
     sums = sum(p[0] for p in parts)
     sumsq = sum(p[1] for p in parts)
@@ -422,7 +420,7 @@ def check_var_z(gadget: Gadget, synthetic_x: dict[tuple[int, int], float],
         estimate=worst, std_err=0.0, threshold=bound, trials=trials,
         details={"delta_hat": delta_hat, "tau": tau,
                  "variance_per_vertex": [float(v) for v in var],
-                 "pair_alive": {f"{u}-{v}": pair_est[(u, v)].estimate.value
+                 "pair_alive": {f"{u}-{v}": pair_est[(u, v)].value
                                 for u, v in support}},
     )
 

@@ -212,6 +212,35 @@ def test_config_rejects_negative_t(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("tables", "exactt", "tables must be one of auto, exact, monte_carlo, got 'exactt'"),
+    ("tables", "Exact", "tables must be one of .*, got 'Exact'"),
+    ("tables", "montecarlo", "tables must be one of .*, got 'montecarlo'"),
+    ("budgets", {"x_trial": 5}, "unknown budget 'x_trial'"),
+    ("budgets", {"cond_trials": 0}, "budget cond_trials must be an int >= 1, got 0"),
+    ("budgets", {"pair_trials": -3}, "budget pair_trials must be an int >= 1, got -3"),
+    ("budgets", {"q_trials": 2.5}, "budget q_trials must be an int >= 1, got 2.5"),
+])
+def test_config_rejects_bad_tables_and_budgets(tmp_path, field, value, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: value, "out": str(tmp_path / "out")}))
+    with pytest.raises(ValueError, match=message):
+        main(["--config", str(cfg_path), "run"])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("missing", ["n", "density"])
+def test_load_graph_names_missing_generator_key(tmp_path, missing):
+    generator = {"n": 6, "density": 0.5}
+    del generator[missing]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"graph": {"generator": generator},
+                                    "out": str(tmp_path / "out")}))
+    with pytest.raises(ValueError, match=f"missing '{missing}'"):
+        main(["--config", str(cfg_path), "run"])
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_hash_stable_under_key_order():
     a = ExperimentConfig(seed=1, trials=10).config_hash()
     b = ExperimentConfig(trials=10, seed=1).config_hash()

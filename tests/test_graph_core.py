@@ -12,7 +12,6 @@ from stochmatch.graph_core import (
     FractionalMatching,
     Matching,
     Params,
-    Realization,
     StochasticGraph,
     dumps_graph,
     gen_random_graph,
@@ -23,7 +22,6 @@ from stochmatch.graph_core import (
     mask_weight,
     sample_mask,
     sample_masks,
-    sample_realization,
     weight_of,
 )
 from stochmatch.parallel import rng_from
@@ -57,13 +55,12 @@ def test_p_min_cached():
 
 def test_sample_realization_p1_full():
     g = graph(3, [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0)])
-    r = sample_realization(g, rng_from(0))
-    assert r.mask == g.full_mask
+    assert sample_mask(g, rng_from(0)) == g.full_mask
 
 
 def test_sample_realization_empty_graph():
     g = graph(4, [])
-    assert sample_realization(g, rng_from(0)).mask == 0
+    assert sample_mask(g, rng_from(0)) == 0
 
 
 def test_sample_realization_frequency():
@@ -72,15 +69,15 @@ def test_sample_realization_frequency():
     hits = 0
     rng = rng_from(42)
     for _ in range(10_000):
-        hits += sample_realization(g, rng).mask & 1
+        hits += sample_mask(g, rng) & 1
     assert abs(hits / 10_000 - 0.5) <= 3 * 0.005
 
 
 def test_sample_realization_pure_function_of_seed():
     g = gen_random_graph(6, 0.5, {"name": "uniform", "low": 0.1, "high": 2.0},
                          {"name": "uniform", "low": 0.3, "high": 0.9}, seed=7)
-    a = sample_realization(g, rng_from(123)).mask
-    b = sample_realization(g, rng_from(123)).mask
+    a = sample_mask(g, rng_from(123))
+    b = sample_mask(g, rng_from(123))
     assert a == b
 
 
@@ -91,7 +88,7 @@ def test_inclusion_frequency_band_all_edges():
     counts = np.zeros(g.m)
     rng = rng_from(11)
     for _ in range(trials):
-        mask = sample_realization(g, rng).mask
+        mask = sample_mask(g, rng)
         for e in range(g.m):
             counts[e] += (mask >> e) & 1
     freq = counts / trials
@@ -210,15 +207,6 @@ def test_graph_text_roundtrip():
     assert back.n == g.n
     assert back.edges == g.edges  # bit-exact floats via repr
     assert back.token == g.token
-
-
-def test_realization_hex_roundtrip():
-    g = gen_random_graph(6, 0.8, {"name": "constant", "value": 1.0},
-                         {"name": "constant", "value": 0.5}, seed=1)
-    r = sample_realization(g, rng_from(4))
-    text = r.to_hex(g.m)
-    back = Realization.from_hex(text, g)
-    assert back.mask == r.mask
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from stochmatch import cli, parallel
+from stochmatch import augmenter, cli, estimator, parallel, sparsifier, verifier
 from stochmatch.cli import ExperimentConfig, cmd_run, cmd_verify
 from stochmatch.parallel import BLOCK_LEN, run_blocks, worker_pool
 
@@ -95,3 +95,12 @@ def test_cmd_run_leaves_no_pool_when_it_raises(tmp_path, executors, monkeypatch)
         cmd_run(config)
     assert len(executors) == 1
     assert_no_pool_left()
+
+
+def test_stream_tags_are_pairwise_distinct():
+    """A tag used by two streams would correlate their draws silently."""
+    tags = {f"{module.__name__}.{name}": value
+            for module in (estimator, augmenter, verifier, sparsifier)
+            for name, value in vars(module).items() if name.startswith("_TAG_")}
+    assert len(tags) >= 15
+    assert len(set(tags.values())) == len(tags), tags

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -18,7 +16,8 @@ from stochmatch.graph_core import (
 from stochmatch.mwm import mm_edge_mask
 from stochmatch.parallel import rng_from
 from stochmatch.sparsifier import (
-    QueryPlan,
+    _TAG_COVERAGE,
+    _TAG_PLAN_ROUND,
     build_query_plan,
     check_crucial_coverage,
     classify_edges,
@@ -116,6 +115,9 @@ def test_draw_plan_prefix_stream(make):
         assert plan.parent == g.token
     assert (small.t, large.t) == (3, 7)
     assert small.q_mask & ~large.q_mask == 0
+    # the seeded helper is one draw_plan on one stream
+    for t in (3, 7):
+        assert build_query_plan(g, t, seed=5) == draw_plan(g, t, rng_from(5, _TAG_PLAN_ROUND))
 
 
 def test_plan_round_masks_without_matching_table():
@@ -175,6 +177,19 @@ def test_coverage_report_floors():
     assert all(ok for _f, _fl, ok in report.claim_floor.values())
     assert report.degree_bound_ok
     assert report.all_passed
+    # the counts are those of draw_plans on the coverage stream, here and on
+    # a graph whose plans vary more from draw to draw
+    wide = benchmark_6v8e().graph
+    wide_x = exact_x(wide)
+    wide_report = check_crucial_coverage(wide, classify_edges(wide_x, tau=0.05), wide_x,
+                                         epsilon=0.5, t=2, trials=500, seed=3)
+    for h, rep in ((g, report), (wide, wide_report)):
+        plans = list(draw_plans(h, rep.t, rng_from(3, _TAG_COVERAGE), rep.trials))
+        counts = np.zeros(h.m, dtype=np.int64)
+        for plan in plans:
+            counts[plan.edges()] += 1
+        assert [rep.claim_floor[e][0] for e in range(h.m)] == list(counts / rep.trials)
+        assert rep.max_degree_seen == max(plan.max_degree(h) for plan in plans)
 
 
 def test_coverage_informational_when_precondition_unmet():
@@ -186,34 +201,6 @@ def test_coverage_informational_when_precondition_unmet():
     assert not report.theory_precondition_met
     # crucial coverage entries are then never gated failures
     assert all(ok for _f, _fl, ok in report.coverage.values())
-
-
-def test_plan_json_roundtrip():
-    g = benchmark_6v8e().graph
-    plan = build_query_plan(g, 5, seed=2)
-    back = QueryPlan.from_json(plan.to_json(), g)
-    assert back.q_mask == plan.q_mask
-    assert back.rounds == plan.rounds
-    assert back.t == plan.t
-
-
-def test_plan_json_rejects_out_of_range_edges():
-    g = benchmark_6v8e().graph
-    for bad in (-1, g.m, 64):
-        text = json.dumps({"t": 1, "edges": [bad], "matchings": [[bad]]})
-        with pytest.raises(ValueError, match="outside"):
-            QueryPlan.from_json(text, g)
-
-
-def test_plan_json_rejects_edges_that_are_not_the_union():
-    g = benchmark_6v8e().graph
-    data = json.loads(build_query_plan(g, 3, seed=2).to_json())
-    missing = dict(data, edges=data["edges"][1:])
-    extra_edge = next(e for e in range(g.m) if e not in data["edges"])
-    extra = dict(data, edges=sorted(data["edges"] + [extra_edge]))
-    for bad in (missing, extra):
-        with pytest.raises(ValueError, match="union"):
-            QueryPlan.from_json(json.dumps(bad), g)
 
 
 @pytest.mark.parametrize("t,count", [(1, 5), (3, 40), (120, 40), (0, 3)])

@@ -253,16 +253,6 @@ def test_influential_variables_independent_per_order_exact():
             assert prob == pytest.approx(pu[xu] * pw[xw], abs=1e-9), (u, w, xu, xw)
 
 
-def test_vb_output_json_dict():
-    gadget = two_path()
-    s = gadget.sampler()
-    out = run_vb(s.view, s.y, s.cond, rng_from(1))
-    payload = out.to_json_dict()
-    assert set(payload) == {"permutation", "activation_log", "matching", "alive",
-                            "clip_events"}
-    assert sorted(payload["permutation"]) == [0, 1, 2]
-
-
 def test_exact_enumeration_caps_raise_typed_error():
     big = star(5)
     sampler = big.sampler()
