@@ -10,16 +10,11 @@ near-optimal matchings with high probability.
 
 import numpy as np
 
-from stochmatch import (
-    GraphView,
-    build_query_plan,
-    gen_random_graph,
-    max_weight_matching,
-    weight_of,
-)
+from stochmatch import GraphView, gen_random_graph, max_weight_matching, weight_of
 from stochmatch.exact import exact_x, prob_in_plan
-from stochmatch.graph_core import sample_mask
+from stochmatch.graph_core import mask_edges, sample_mask
 from stochmatch.parallel import rng_from
+from stochmatch.sparsifier import draw_plan, draw_plans, max_degree
 
 g = gen_random_graph(
     n=8, density=0.5,
@@ -37,21 +32,19 @@ opt = max_weight_matching(GraphView(g, realization))
 print(f"optimum of that realization: edges {opt.sorted_edges()}, "
       f"weight {weight_of(opt, g):.3f}")
 
-print("\nquery plans (union of t sampled optima):")
+print("\nquery plans (union of t sampled optima; one stream, so the plans nest):")
 print(f"{'t':>3} {'edges':>6} {'max degree':>11}")
 for t in (1, 2, 4, 8, 16):
-    plan = build_query_plan(g, t, seed=3)
-    print(f"{t:>3} {len(plan.edges()):>6} {plan.max_degree(g):>11}")
+    q_mask = draw_plan(g, t, rng_from(3))
+    print(f"{t:>3} {q_mask.bit_count():>6} {max_degree(g, q_mask):>11}")
 
 x = exact_x(g)
 t = 8
 print("\nper-edge plan membership matches the closed form 1-(1-x)^t:")
 draws = 4000
 hits = np.zeros(g.m)
-for i in range(draws):
-    plan = build_query_plan(g, t, seed=100 + i)
-    for e in plan.edges():
-        hits[e] += 1
+for q_mask in draw_plans(g, t, rng_from(100), draws):
+    hits[mask_edges(q_mask)] += 1
 closed = prob_in_plan(x, t)
 for e in range(min(g.m, 6)):
     print(f"  edge {e}: measured {hits[e] / draws:.3f}  closed form {closed[e]:.3f}")

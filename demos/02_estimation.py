@@ -29,7 +29,7 @@ print(f"\nthreshold 0.02 splits edges into crucial {classes.crucial()} "
 
 y_hat = estimate_y(g, classes.crucial_mask, trials=40_000, seed=2)
 law = MatchingLaw.from_pipeline(g, classes.crucial_mask)
-y_exact = law.y_values()
+y_exact = law.y
 print("\ncrucial-edge oracle-matching marginals:")
 for e in classes.crucial():
     print(f"  edge {e}: y_hat {y_hat[e].value:.4f}  exact {y_exact[e]:.4f}")

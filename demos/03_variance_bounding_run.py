@@ -16,10 +16,10 @@ from stochmatch.gadgets import three_path
 from stochmatch.parallel import rng_from
 
 gadget = three_path()
-sampler = gadget.sampler()
+law = gadget.law  # the oracle-matching law supplies y and y'
 g = gadget.graph
 
-out = run_vb(sampler.view, sampler.y, sampler.cond, rng_from(5))
+out = run_vb(law, rng_from(5))
 print("one run:")
 print(f"  arrival order: {out.permutation}")
 for v, partner, edge in out.activation_log:
@@ -27,13 +27,13 @@ for v, partner, edge in out.activation_log:
     print(f"  vertex {v}: {what}")
 print(f"  matching: {out.matching.sorted_edges()}, alive: {sorted(out.alive)}")
 
-dist = exact_vb_enumeration(sampler.view, sampler.y, sampler.cond)
+dist = exact_vb_enumeration(law)
 trials = 50_000
 rng = rng_from(6)
 active = np.zeros(g.m)
 selected = np.zeros(g.m)
 for _ in range(trials):
-    out = run_vb(sampler.view, sampler.y, sampler.cond, rng)
+    out = run_vb(law, rng)
     for _v, partner, e in out.activation_log:
         if partner is not None:
             active[e] += 1
@@ -43,7 +43,7 @@ for _ in range(trials):
 print(f"\n{trials} runs vs the enumeration oracle:")
 print("edge   active(mc)  active(exact)  g(y)     matched(mc)  matched(exact)  (8/15)y")
 for e in range(g.m):
-    y = float(sampler.y[e])
+    y = float(law.y[e])
     print(f"{e:>4}   {active[e] / trials:.4f}      {dist.edge_active_prob(e):.4f}"
           f"         {attenuation_g(y):.4f}   {selected[e] / trials:.4f}"
           f"       {dist.edge_selected_prob(e):.4f}          {8 * y / 15:.4f}")

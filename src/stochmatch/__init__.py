@@ -10,7 +10,6 @@ enumeration oracles.
 """
 
 from .augmenter import (
-    GTable,
     PipelineTables,
     RunRecord,
     SurvivalRecord,
@@ -33,7 +32,6 @@ from .exact import (
 from .estimator import (
     MonteCarloConditional,
     ProbEstimate,
-    VBSampler,
     estimate_pair_alive,
     estimate_q,
     estimate_x,
@@ -56,10 +54,10 @@ from .graph_core import (
 from .mwm import GraphView, brute_force_mwm, max_weight_matching
 from .sparsifier import (
     EdgeClasses,
-    QueryPlan,
-    build_query_plan,
     check_crucial_coverage,
     classify_edges,
+    draw_plan,
+    max_degree,
 )
 from .vb_matching import (
     VBOutput,

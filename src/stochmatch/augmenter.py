@@ -14,7 +14,7 @@ matching of the realized crucial plan edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,17 +29,15 @@ from .graph_core import (
 )
 from .estimator import (
     MonteCarloConditional,
-    ProbEstimate,
-    VBSampler,
     estimate_pair_alive,
     estimate_q,
     estimate_x,
     estimate_y,
 )
-from .mwm import GraphView, mm_edge_mask
+from .mwm import mm_edge_mask
 from .parallel import BLOCK_LEN, rng_from, run_blocks
 from .sparsifier import EdgeClasses, classify_edges, plan_round_masks
-from .vb_matching import VBOutput, exact_vb_enumeration, run_vb
+from .vb_matching import ActivationLaw, VBOutput, exact_vb_enumeration, run_vb
 
 _TAG_E2E_PLAN = 0x11
 _TAG_E2E_REAL = 0x12
@@ -48,63 +46,31 @@ _TAG_E2E_VB = 0x13
 _DEGREE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GTable:
-    """Per non-crucial edge: the fractional target and its denominators."""
-
-    values: dict[int, float]
-    q_in_plan: dict[int, ProbEstimate]
-    pair_alive: dict[int, ProbEstimate]
-    eps3_flags: tuple[int, ...]
-    eps2_flags: tuple[int, ...]
-    zero_denominator: tuple[int, ...]
-
-    def get(self, e: int) -> float:
-        return self.values.get(e, 0.0)
-
-
 def build_g_table(
     g: StochasticGraph,
     classes: EdgeClasses,
-    x_values: np.ndarray,
-    q_in_plan: dict[int, ProbEstimate],
-    pair_alive: dict[int, ProbEstimate],
-    params: Params,
-) -> GTable:
-    """g_e = x_e / (p_e * Pr[e in plan] * Pr[both endpoints alive]).
+    x: Sequence[float],
+    q: Sequence[float],
+    alive: dict[int, float],
+) -> dict[int, float]:
+    """g_e = x_e / (p_e * q_e * alive_e) for every non-crucial edge ``e``.
 
-    Queried-and-realized factors as ``p_e * Pr[e in plan]`` because the true
+    ``q_e`` is Pr[e in plan] and ``alive_e`` Pr[both endpoints alive].
+    Queried-and-realized factors as ``p_e * q_e`` because the true
     realization is independent of the plan draw.  Edges whose denominator was
-    never observed positive get 0 and are flagged rather than guessed.
+    never observed positive get 0 rather than a guess.
     """
     values: dict[int, float] = {}
-    zero_denom = []
-    eps3 = []
-    eps2 = []
     for e in classes.noncrucial():
-        q = q_in_plan[e].value
-        alive = pair_alive[e].value
-        denom = g.edges[e].p * q * alive
+        denom = g.edges[e].p * float(q[e]) * float(alive[e])
         if denom <= 0.0:
             values[e] = 0.0
-            zero_denom.append(e)
             continue
-        g_e = float(x_values[e]) / denom
+        g_e = float(x[e]) / denom
         if g_e < 0.0:
             raise ValueError(f"negative g value for edge {e}")
         values[e] = g_e
-        if g_e > params.epsilon**3:
-            eps3.append(e)
-        if g_e > params.epsilon**2:
-            eps2.append(e)
-    return GTable(
-        values=values,
-        q_in_plan=dict(q_in_plan),
-        pair_alive=dict(pair_alive),
-        eps3_flags=tuple(eps3),
-        eps2_flags=tuple(eps2),
-        zero_denominator=tuple(zero_denom),
-    )
+    return values
 
 
 @dataclass(frozen=True)
@@ -144,7 +110,7 @@ def build_fractional(
     q_mask: int,
     real_mask: int,
     vb_out: VBOutput,
-    g_table: GTable,
+    g_table: dict[int, float],
     params: Params,
 ) -> tuple[FractionalMatching, SurvivalRecord]:
     """Assign gamma*g_e to eligible non-crucial edges, then zero overloads.
@@ -163,7 +129,7 @@ def build_fractional(
         u, v, _w, _p = edges[e]
         if not (alive >> u) & 1 or not (alive >> v) & 1:
             continue
-        value = gamma * g_table.get(e)
+        value = gamma * g_table[e]
         if value > 0.0:
             pre[e] = value
             degree[u] += value
@@ -240,17 +206,18 @@ class PipelineTables:
     params: Params
     classes: EdgeClasses
     x: np.ndarray
-    g_table: GTable
-    sampler: VBSampler
+    g_table: dict[int, float]
+    law: ActivationLaw
 
 
-def _pair_estimates_for_edges(g, classes, pair_alive_by_pair):
-    out = {}
-    for e in classes.noncrucial():
-        u, v = g.endpoints(e)
-        key = (min(u, v), max(u, v))
-        out[e] = pair_alive_by_pair[key]
-    return out
+def _pair_alive_by_edge(g, classes, law, trials, seed) -> dict[int, float]:
+    """Monte Carlo Pr[both endpoints alive] of every non-crucial edge."""
+    pairs = [g.endpoints(e) for e in classes.noncrucial()]
+    if not pairs:
+        return {}
+    by_pair = estimate_pair_alive(law, pairs, trials, seed)
+    return {e: by_pair[min(u, v), max(u, v)].value
+            for e, (u, v) in zip(classes.noncrucial(), pairs)}
 
 
 def build_tables_exact(
@@ -274,26 +241,15 @@ def build_tables_exact(
     classes = classify_edges(x, tau_eff)
     law = MatchingLaw.from_pipeline(g, classes.crucial_mask)
     law.validate_realization_marginals()
-    y = law.y_values()
-    sampler = VBSampler(view=GraphView(g, classes.crucial_mask), y=y, cond=law)
 
-    q_prob = prob_in_plan(x, t)
-    q_est = {e: ProbEstimate(float(q_prob[e]), 0, 0.0) for e in range(g.m)}
-
-    pair_est: dict[int, ProbEstimate] = {}
     try:
-        dist = exact_vb_enumeration(sampler.view, y, sampler.cond)
-        for e in classes.noncrucial():
-            u, v = g.endpoints(e)
-            pair_est[e] = ProbEstimate(dist.pair_alive_prob(u, v), 0, 0.0)
+        dist = exact_vb_enumeration(law)
+        alive = {e: dist.pair_alive_prob(*g.endpoints(e)) for e in classes.noncrucial()}
     except EnumerationTooLarge:
-        pairs = [g.endpoints(e) for e in classes.noncrucial()]
-        by_pair = estimate_pair_alive(sampler, pairs, pair_trials, seed)
-        pair_est = _pair_estimates_for_edges(g, classes, by_pair)
+        alive = _pair_alive_by_edge(g, classes, law, pair_trials, seed)
 
-    g_table = build_g_table(g, classes, x, q_est, pair_est, params)
-    return PipelineTables(params=params, classes=classes, x=x, g_table=g_table,
-                          sampler=sampler)
+    g_table = build_g_table(g, classes, x, prob_in_plan(x, t), alive)
+    return PipelineTables(params=params, classes=classes, x=x, g_table=g_table, law=law)
 
 
 def build_tables_monte_carlo(
@@ -323,26 +279,15 @@ def build_tables_monte_carlo(
         exact_conditionals = g.m <= 16
     if exact_conditionals:
         law = MatchingLaw.from_pipeline(g, classes.crucial_mask)
-        y = law.y_values()
-        cond = law
     else:
         y_hat = estimate_y(g, classes.crucial_mask, x_trials, seed + 1)
         y = np.array([e.value for e in y_hat])
-        cond = MonteCarloConditional(g, classes.crucial_mask, cond_trials, seed + 2)
-    sampler = VBSampler(view=GraphView(g, classes.crucial_mask), y=y, cond=cond)
+        law = MonteCarloConditional(g, classes.crucial_mask, y, cond_trials, seed + 2)
 
-    q_hat = estimate_q(g, t, q_trials, seed + 3)
-    q_est = {e: q_hat[e] for e in range(g.m)}
-
-    pairs = [g.endpoints(e) for e in classes.noncrucial()]
-    pair_est: dict[int, ProbEstimate] = {}
-    if pairs:
-        by_pair = estimate_pair_alive(sampler, pairs, pair_trials, seed + 4)
-        pair_est = _pair_estimates_for_edges(g, classes, by_pair)
-
-    g_table = build_g_table(g, classes, x, q_est, pair_est, params)
-    return PipelineTables(params=params, classes=classes, x=x, g_table=g_table,
-                          sampler=sampler)
+    q = [est.value for est in estimate_q(g, t, q_trials, seed + 3)]
+    alive = _pair_alive_by_edge(g, classes, law, pair_trials, seed + 4)
+    g_table = build_g_table(g, classes, x, q, alive)
+    return PipelineTables(params=params, classes=classes, x=x, g_table=g_table, law=law)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +380,8 @@ def _pipeline_run(
     query-everything control.
     """
     real_mask = sample_mask(g, rng_from(seed, _TAG_E2E_REAL, run_index))
-    sampler = tables.sampler
-    vb_out = run_vb(sampler.view, sampler.y, sampler.cond,
-                    rng_from(seed, _TAG_E2E_VB, run_index), realization_mask=real_mask)
+    vb_out = run_vb(tables.law, rng_from(seed, _TAG_E2E_VB, run_index),
+                    realization_mask=real_mask)
     mmg = mask_weight(g, mm_edge_mask(g, real_mask))
 
     t_max = max((t for t in ts if t is not None), default=0)

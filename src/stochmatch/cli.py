@@ -54,10 +54,12 @@ class ExperimentConfig:
     negative_control: bool = False
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trial budget must be >= 1")
-        if self.verify_trials < 1:
-            raise ValueError("verify trial budget must be >= 1")
+        if type(self.trials) is not int or self.trials < 1:
+            raise ValueError(f"trial budget must be an int >= 1, got {self.trials!r}")
+        if type(self.verify_trials) is not int or self.verify_trials < 1:
+            raise ValueError(f"verify trial budget must be an int >= 1, got {self.verify_trials!r}")
+        if self.tau is not None and not self.tau > 0:
+            raise ValueError(f"tau must be > 0, got {self.tau!r}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"worker count must be >= 1, got {self.workers}")
         if isinstance(self.t, int):
@@ -163,15 +165,15 @@ def cmd_run(config: ExperimentConfig) -> Path:
     g = load_graph(config)
     if g.m == 0:
         raise ValueError("cannot run the pipeline on an edgeless graph")
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    chash = config.config_hash()
-
     t_values = sorted(set(int(t) for t in config.t))
     points = t_values + ([None] if config.control_full_plan else [])
     with worker_pool(config.workers):
         tables = build_tables(g, config, max(t_values))
         results = end_to_end(g, tables, points, config.trials, config.seed)
+
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    chash = config.config_hash()
 
     runs_path = out_dir / "runs.jsonl"
     with open(runs_path, "w") as fh:
@@ -238,8 +240,6 @@ def cmd_run(config: ExperimentConfig) -> Path:
 
 def cmd_verify(config: ExperimentConfig) -> int:
     """Run the statistical suite; returns a nonzero code on gated failure."""
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with worker_pool(config.workers):
         reports = default_suite(
             trials=config.verify_trials,
@@ -250,6 +250,8 @@ def cmd_verify(config: ExperimentConfig) -> int:
         "config_hash": config.config_hash(),
         "reports": json.loads(reports_to_json(reports)),
     }
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "verify_reports.json", "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(format_report_table(reports))

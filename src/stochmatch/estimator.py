@@ -11,7 +11,9 @@ Every realization is drawn through :func:`graph_core.sample_masks` and every
 plan through :func:`sparsifier.draw_plans`.  For x and y a block's
 realizations are drawn as one batch and reduced to distinct masks, so the
 matching oracle runs once per distinct mask; y' draws only the edges its
-batch reveal leaves hidden.
+batch reveal leaves hidden.  :class:`MonteCarloConditional` carries estimated
+``y`` and ``y'`` as the variance-bounding run's activation law, and
+:func:`estimate_pair_alive` reruns that run on any such law.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import StochasticGraph, mask_edges, sample_masks
-from .mwm import GraphView, mm_edge_mask
+from .mwm import mm_edge_mask
 from .parallel import rng_from, run_blocks
 from .sparsifier import draw_plans
-from .vb_matching import CondEstimator, run_vb
+from .vb_matching import ActivationLaw, run_vb
 
 _TAG_X = 0x01
 _TAG_Y = 0x02
@@ -139,7 +141,8 @@ def estimate_y_conditional(
 
 
 class MonteCarloConditional:
-    """CondEstimator that estimates y' by conditional resampling.
+    """Activation law with given marginals ``y`` (usually from
+    :func:`estimate_y`) that estimates y' by conditional resampling.
 
     Each distinct (edge, batch) query gets its own stream derived from the
     master seed and the query key, and the result is cached, so estimates are
@@ -149,9 +152,11 @@ class MonteCarloConditional:
     from its own stream, to the same value.
     """
 
-    def __init__(self, g: StochasticGraph, crucial_mask: int, trials: int, seed: int):
-        self.g = g
+    def __init__(self, g: StochasticGraph, crucial_mask: int, y: np.ndarray,
+                 trials: int, seed: int):
+        self.graph = g
         self.crucial_mask = crucial_mask
+        self.y = y
         self.trials = trials
         self.seed = seed
         self._cache: dict[tuple[int, int, int], float] = {}
@@ -162,7 +167,7 @@ class MonteCarloConditional:
         if hit is None:
             rng = rng_from(self.seed, _TAG_COND, e, batch_mask, batch_bits)
             est = estimate_y_conditional(
-                self.g, self.crucial_mask, e, batch_mask, batch_bits,
+                self.graph, self.crucial_mask, e, batch_mask, batch_bits,
                 self.trials, rng,
             )
             hit = est.value
@@ -180,7 +185,7 @@ def _q_counts_block(g: StochasticGraph, t: int, seed: int, block: int,
                     count: int) -> np.ndarray:
     rng = rng_from(seed, _TAG_Q, block)
     counts = np.zeros(g.m, dtype=np.int64)
-    for q_mask, k in Counter(plan.q_mask for plan in draw_plans(g, t, rng, count)).items():
+    for q_mask, k in Counter(draw_plans(g, t, rng, count)).items():
         for e in mask_edges(q_mask):
             counts[e] += k
     return counts
@@ -195,21 +200,11 @@ def estimate_q(g: StochasticGraph, t: int, trials: int, seed: int) -> list[ProbE
     return [ProbEstimate.from_count(int(c), trials) for c in counts]
 
 
-@dataclass(frozen=True)
-class VBSampler:
-    """Bundle of inputs needed to rerun the variance-bounding matching."""
-
-    view: GraphView
-    y: np.ndarray
-    cond: CondEstimator
-
-
-def _pair_alive_block(sampler: VBSampler, pairs: tuple, seed: int, block: int,
+def _pair_alive_block(law: ActivationLaw, pairs: tuple, seed: int, block: int,
                       count: int) -> np.ndarray:
     rng = rng_from(seed, _TAG_PAIR, block)
     counts = np.zeros(len(pairs), dtype=np.int64)
-    runs = Counter(run_vb(sampler.view, sampler.y, sampler.cond, rng).alive_mask
-                   for _ in range(count))
+    runs = Counter(run_vb(law, rng).alive_mask for _ in range(count))
     pair_masks = [(1 << u) | (1 << v) for u, v in pairs]
     for alive, k in runs.items():
         for j, both in enumerate(pair_masks):
@@ -219,7 +214,7 @@ def _pair_alive_block(sampler: VBSampler, pairs: tuple, seed: int, block: int,
 
 
 def estimate_pair_alive(
-    sampler: VBSampler,
+    law: ActivationLaw,
     pairs: list[tuple[int, int]],
     trials: int,
     seed: int,
@@ -229,7 +224,7 @@ def estimate_pair_alive(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     norm_pairs = tuple((min(u, v), max(u, v)) for u, v in pairs)
-    parts = run_blocks(_pair_alive_block, (sampler, norm_pairs, seed), trials)
+    parts = run_blocks(_pair_alive_block, (law, norm_pairs, seed), trials)
     counts = sum(parts)
     return {pair: ProbEstimate.from_count(int(counts[j]), trials)
             for j, pair in enumerate(norm_pairs)}

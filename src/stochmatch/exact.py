@@ -17,6 +17,7 @@ are also supported so gadget tests can pin ``y`` exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -88,7 +89,8 @@ class MatchingLaw:
     Entries are parallel arrays: ``real[k]`` is a bitmask over the graph's
     edge indices restricted to the crucial edges, ``mo[k]`` the matching drawn
     together with that realization, ``prob[k]`` its probability.  Through
-    :meth:`y_prime` the law is itself a zero-noise ``CondEstimator``.
+    :attr:`y` and :meth:`y_prime` the law is itself the zero-noise
+    ``ActivationLaw`` of the variance-bounding run.
     """
 
     graph: StochasticGraph
@@ -99,6 +101,8 @@ class MatchingLaw:
     _cond_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if self.crucial_mask < 0 or self.crucial_mask >> self.graph.m:
+            raise ValueError("crucial mask indexes edges outside the graph")
         if abs(float(self.prob.sum()) - 1.0) > 1e-9:
             raise ValueError("law probabilities must sum to 1")
         if np.any((self.mo & ~self.real) != 0):
@@ -166,12 +170,14 @@ class MatchingLaw:
 
     # -- queries ------------------------------------------------------------
 
-    def y_values(self) -> np.ndarray:
+    @cached_property
+    def y(self) -> np.ndarray:
         """Per-edge marginal of the oracle matching (zero off the crucial set)."""
         y = np.zeros(self.graph.m)
         for e in range(self.graph.m):
             if (self.crucial_mask >> e) & 1:
                 y[e] = float(self.prob[(self.mo >> e) & 1 == 1].sum())
+        y.setflags(write=False)
         return y
 
     def y_prime(self, e: int, cond_mask: int, cond_bits: int) -> float:
@@ -202,7 +208,7 @@ class MatchingLaw:
 
     def vertex_marginals(self) -> np.ndarray:
         """Per-vertex probability of being matched by the oracle matching."""
-        y = self.y_values()
+        y = self.y
         out = np.zeros(self.graph.n)
         for e in range(self.graph.m):
             if y[e] > 0.0:

@@ -10,18 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import MatchingLaw
-from .estimator import VBSampler
 from .graph_core import Edge, StochasticGraph
-from .mwm import GraphView
 
 
 @dataclass(frozen=True)
 class Gadget:
-    """A graph plus the fixed verification inputs that go with it."""
+    """An oracle-matching law (which holds the graph and its crucial edges)
+    plus the fixed verification inputs that go with it."""
 
     name: str
-    graph: StochasticGraph
-    crucial_mask: int
     law: MatchingLaw
     t: int = 4
     epsilon: float = 0.2
@@ -29,12 +26,13 @@ class Gadget:
     # pairs whose plan-membership covariance the association check gates
     declared_pairs: tuple[tuple[int, int], ...] = ()
 
-    def sampler(self) -> VBSampler:
-        return VBSampler(
-            view=GraphView(self.graph, self.crucial_mask),
-            y=self.law.y_values(),
-            cond=self.law,
-        )
+    @property
+    def graph(self) -> StochasticGraph:
+        return self.law.graph
+
+    @property
+    def crucial_mask(self) -> int:
+        return self.law.crucial_mask
 
 
 def _graph(n, edges):
@@ -42,9 +40,7 @@ def _graph(n, edges):
 
 
 def _all_crucial(name, graph, **kw) -> Gadget:
-    mask = graph.full_mask
-    law = MatchingLaw.from_pipeline(graph, mask)
-    return Gadget(name=name, graph=graph, crucial_mask=mask, law=law, **kw)
+    return Gadget(name=name, law=MatchingLaw.from_pipeline(graph, graph.full_mask), **kw)
 
 
 def single_edge(p: float = 1.0, w: float = 1.0, y: float | None = None) -> Gadget:
@@ -52,8 +48,7 @@ def single_edge(p: float = 1.0, w: float = 1.0, y: float | None = None) -> Gadge
     graph = _graph(2, [(0, 1, w, p)])
     if y is None:
         return _all_crucial("single_edge", graph)
-    law = MatchingLaw.single_edge(graph, 0, y)
-    return Gadget(name=f"single_edge_y{y}", graph=graph, crucial_mask=1, law=law)
+    return Gadget(name=f"single_edge_y{y}", law=MatchingLaw.single_edge(graph, 0, y))
 
 
 def two_path(p: float = 0.9) -> Gadget:
@@ -110,12 +105,8 @@ def positive_covariance_control() -> Gadget:
     the gate demonstrably fails.
     """
     graph = _graph(4, [(0, 1, 1.0, 0.5), (1, 2, 1.5, 0.5), (2, 3, 1.0, 0.5)])
-    gadget = _all_crucial("positive_covariance_control", graph, t=1)
-    return Gadget(
-        name=gadget.name, graph=gadget.graph, crucial_mask=gadget.crucial_mask,
-        law=gadget.law, t=1, epsilon=gadget.epsilon, tau=gadget.tau,
-        declared_pairs=((0, 2),),
-    )
+    return _all_crucial("positive_covariance_control", graph, t=1,
+                        declared_pairs=((0, 2),))
 
 
 def benchmark_6v8e() -> Gadget:
@@ -130,10 +121,7 @@ def benchmark_6v8e() -> Gadget:
         (3, 5, 2.0, 0.9),
         (4, 5, 1.2, 0.6),
     ])
-    mask = graph.full_mask
-    law = MatchingLaw.from_pipeline(graph, mask)
-    return Gadget(name="benchmark_6v8e", graph=graph, crucial_mask=mask, law=law,
-                  t=16, epsilon=0.2, tau=0.02)
+    return _all_crucial("benchmark_6v8e", graph, t=16, epsilon=0.2, tau=0.02)
 
 
 def relaxed_suite_8v() -> Gadget:
@@ -150,8 +138,7 @@ def relaxed_suite_8v() -> Gadget:
     graph = _graph(8, edges)
     crucial_mask = (1 << len(heavy)) - 1
     law = MatchingLaw.from_pipeline(graph, crucial_mask)
-    return Gadget(name="relaxed_suite_8v", graph=graph, crucial_mask=crucial_mask,
-                  law=law, t=120, epsilon=0.1, tau=0.05)
+    return Gadget(name="relaxed_suite_8v", law=law, t=120, epsilon=0.1, tau=0.05)
 
 
 def var_z_synthetic_x(gadget: Gadget, value: float = 0.05) -> dict[tuple[int, int], float]:

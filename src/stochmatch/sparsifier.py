@@ -1,11 +1,11 @@
 """Query-plan construction and crucial/non-crucial classification.
 
-The plan is the union of maximum-weight matchings of ``t`` independently
-sampled realizations, so its max-degree is at most ``t`` by construction.
-Every plan is drawn by :func:`draw_plan` / :func:`draw_plans` from one
-generator, which reads its stream row by row: plans drawn from the same
-stream are nested across ``t`` (smaller plans are prefixes of larger ones),
-which is what makes paired ``t``-sweeps comparable run by run.
+A plan is the edge mask of the union of maximum-weight matchings of ``t``
+independently sampled realizations, so its max-degree is at most ``t`` by
+construction.  Every plan is drawn by :func:`draw_plan` / :func:`draw_plans`
+from one generator, which reads its stream row by row: plans drawn from the
+same stream are nested across ``t`` (smaller plans are prefixes of larger
+ones), which is what makes paired ``t``-sweeps comparable run by run.
 """
 
 from __future__ import annotations
@@ -19,39 +19,17 @@ from .graph_core import StochasticGraph, mask_edges, sample_masks
 from .mwm import mm_edge_mask
 from .parallel import BLOCK_LEN, rng_from
 
-_TAG_PLAN_ROUND = 0x51
 _TAG_COVERAGE = 0x5152
 
 
-@dataclass(frozen=True)
-class QueryPlan:
-    """Sparse subgraph to query: union of per-round matchings, with provenance."""
-
-    t: int
-    q_mask: int
-    rounds: tuple[int, ...]
-    parent: str
-
-    def edges(self) -> list[int]:
-        return mask_edges(self.q_mask)
-
-    def contains(self, e: int) -> bool:
-        return bool((self.q_mask >> e) & 1)
-
-    def max_degree(self, g: StochasticGraph) -> int:
-        deg = [0] * g.n
-        for e in self.edges():
-            u, v = g.endpoints(e)
-            deg[u] += 1
-            deg[v] += 1
-        return max(deg, default=0)
-
-
-def build_query_plan(g: StochasticGraph, t: int, seed: int) -> QueryPlan:
-    """Union of MM over ``t`` independent realizations of one seeded stream."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    return draw_plan(g, t, rng_from(seed, _TAG_PLAN_ROUND))
+def max_degree(g: StochasticGraph, mask: int) -> int:
+    """Largest number of edges of ``mask`` at one vertex."""
+    deg = [0] * g.n
+    for e in mask_edges(mask):
+        u, v = g.endpoints(e)
+        deg[u] += 1
+        deg[v] += 1
+    return max(deg, default=0)
 
 
 def plan_round_masks(g: StochasticGraph, t: int, rng: np.random.Generator) -> list[int]:
@@ -64,16 +42,16 @@ def plan_round_masks(g: StochasticGraph, t: int, rng: np.random.Generator) -> li
     return [mm_edge_mask(g, mask) for mask in sample_masks(g, rng, t)]
 
 
-def draw_plan(g: StochasticGraph, t: int, rng: np.random.Generator) -> QueryPlan:
-    """The plan of ``t`` rounds from :func:`plan_round_masks` and their union."""
+def draw_plan(g: StochasticGraph, t: int, rng: np.random.Generator) -> int:
+    """Edge mask of the plan: the union of ``t`` rounds of :func:`plan_round_masks`."""
     return next(draw_plans(g, t, rng, 1))
 
 
 def draw_plans(g: StochasticGraph, t: int, rng: np.random.Generator,
-               count: int) -> Iterator[QueryPlan]:
-    """``count`` plans of ``t`` rounds each, the same as ``count`` successive
-    :func:`draw_plan` calls on ``rng``, provided nothing else reads ``rng``
-    until the iteration ends.
+               count: int) -> Iterator[int]:
+    """Edge masks of ``count`` plans of ``t`` rounds each, the same as
+    ``count`` successive :func:`draw_plan` calls on ``rng``, provided nothing
+    else reads ``rng`` until the iteration ends.
 
     By the prefix-stream property of :func:`plan_round_masks`, ``k`` plans
     can take their rounds from one call for ``k * t`` rounds.  Each call asks
@@ -86,11 +64,10 @@ def draw_plans(g: StochasticGraph, t: int, rng: np.random.Generator,
         k = min(per_call, count - start)
         rounds = plan_round_masks(g, k * t, rng)
         for i in range(k):
-            plan_rounds = tuple(rounds[i * t:(i + 1) * t])
             q_mask = 0
-            for mask in plan_rounds:
+            for mask in rounds[i * t:(i + 1) * t]:
                 q_mask |= mask
-            yield QueryPlan(t=t, q_mask=q_mask, rounds=plan_rounds, parent=g.token)
+            yield q_mask
 
 
 @dataclass(frozen=True)
@@ -165,10 +142,10 @@ def check_crucial_coverage(
     """
     counts = np.zeros(g.m, dtype=np.int64)
     max_degree_seen = 0
-    for plan in draw_plans(g, t, rng_from(seed, _TAG_COVERAGE), trials):
-        for e in plan.edges():
+    for q_mask in draw_plans(g, t, rng_from(seed, _TAG_COVERAGE), trials):
+        for e in mask_edges(q_mask):
             counts[e] += 1
-        max_degree_seen = max(max_degree_seen, plan.max_degree(g))
+        max_degree_seen = max(max_degree_seen, max_degree(g, q_mask))
 
     freq = counts / trials
     se = np.sqrt(np.maximum(freq * (1.0 - freq), 0.0) / trials)

@@ -5,10 +5,11 @@ realization of its edges to earlier vertices (its *batch*) is revealed, each
 edge's coin being flipped exactly once across the whole run.  At most one
 realized batch edge becomes *active*, edge ``e`` with probability
 ``3*y'_e / (3 + 2*y_e)`` where ``y_e`` is the oracle-matching marginal and
-``y'_e`` its conditional given the batch reveal.  An active edge joins the
-matching greedily iff its earlier endpoint is still unmatched.  Vertices that
-never touch an active edge form the alive set, which the augmenting stage
-builds on.
+``y'_e`` its conditional given the batch reveal; both come from one
+:class:`ActivationLaw`, which also names the graph and its crucial edges.
+An active edge joins the matching greedily iff its earlier endpoint is still
+unmatched.  Vertices that never touch an active edge form the alive set,
+which the augmenting stage builds on.
 
 ``exact_vb_enumeration`` is an independent oracle: it enumerates arrival
 orders, reveals and activation outcomes per connected component of the
@@ -28,14 +29,22 @@ import numpy as np
 
 from .exact import EnumerationTooLarge
 from .graph_core import Matching, StochasticGraph, mask_edges
-from .mwm import GraphView
 
 _CLIP_TOL = 1e-12
 _SUM_TOL = 1e-9
+# Largest crucial component (vertices, edges) exact_vb_enumeration enumerates.
+MAX_COMPONENT_VERTICES = 4
+MAX_COMPONENT_EDGES = 6
 
 
-class CondEstimator(Protocol):
-    """Supplier of conditional oracle-matching marginals for batch reveals."""
+class ActivationLaw(Protocol):
+    """The oracle-matching law as the run reads it: the graph, its crucial
+    edges, the marginals ``y`` (indexed by edge) and the batch conditionals
+    ``y'``."""
+
+    graph: StochasticGraph
+    crucial_mask: int
+    y: np.ndarray
 
     def y_prime(self, e: int, batch_mask: int, batch_bits: int) -> float: ...
 
@@ -123,17 +132,14 @@ def _crucial_adjacency(g: StochasticGraph, mask: int):
 
 
 def run_vb(
-    view: GraphView,
-    y: np.ndarray,
-    cond: CondEstimator,
+    law: ActivationLaw,
     rng: np.random.Generator,
     realization_mask: int | None = None,
     permutation: Sequence[int] | None = None,
 ) -> VBOutput:
-    """One run of the variance-bounding matching on the crucial view.
+    """One run of the variance-bounding matching on the law's crucial edges.
 
-    ``y`` is indexed by the parent graph's edge indices.  When
-    ``realization_mask`` is given its bits are revealed instead of drawing
+    When ``realization_mask`` is given its bits are revealed instead of drawing
     fresh coins (the pipeline feeds the true realization through here); when
     ``permutation`` is given the arrival order is fixed instead of uniform.
 
@@ -143,8 +149,9 @@ def run_vb(
     is given), then one :func:`activate_batch` draw if the batch has a
     realized edge.  Vertex and edge sets are int masks throughout.
     """
-    g = view.graph
-    crucial_mask = view.effective_mask
+    g = law.graph
+    crucial_mask = law.crucial_mask
+    y = law.y
     adj = _crucial_adjacency(g, crucial_mask)
 
     if permutation is None:
@@ -186,7 +193,7 @@ def run_vb(
             log.append((v, None, None))
             continue
         candidates = [
-            (e, float(y[e]), cond.y_prime(e, batch_mask, batch_bits), True)
+            (e, float(y[e]), law.y_prime(e, batch_mask, batch_bits), True)
             for e in realized
         ]
         choice, clipped = activate_batch(candidates, rng)
@@ -322,35 +329,31 @@ def _crucial_components(g: StochasticGraph, mask: int):
     return comps
 
 
-def exact_vb_enumeration(
-    view: GraphView,
-    y: np.ndarray,
-    cond: CondEstimator,
-    max_component_vertices: int = 4,
-    max_component_edges: int = 6,
-) -> ExactVBDistribution:
+def exact_vb_enumeration(law: ActivationLaw) -> ExactVBDistribution:
     """Exact output distribution of the run, per crucial component.
 
     Enumerates arrival orders x edge reveals x activation outcomes with the
-    activation probabilities computed from the exact conditionals, so the
+    activation probabilities computed from the law's conditionals, so the
     Monte Carlo run can be checked against it to any statistical precision.
+    Components past ``MAX_COMPONENT_VERTICES`` / ``MAX_COMPONENT_EDGES``
+    raise :class:`EnumerationTooLarge`.
     """
-    g = view.graph
-    crucial_mask = view.effective_mask
+    g = law.graph
     comps = []
-    for verts, edges in _crucial_components(g, crucial_mask):
-        if len(edges) > 0 and len(verts) > max_component_vertices:
+    for verts, edges in _crucial_components(g, law.crucial_mask):
+        if len(edges) > 0 and len(verts) > MAX_COMPONENT_VERTICES:
             raise EnumerationTooLarge(
                 f"component {verts} has {len(verts)} vertices; enumeration cap is "
-                f"{max_component_vertices}"
+                f"{MAX_COMPONENT_VERTICES}"
             )
-        if len(edges) > max_component_edges:
+        if len(edges) > MAX_COMPONENT_EDGES:
             raise EnumerationTooLarge(f"component {verts} has too many edges ({len(edges)})")
-        comps.append(_enumerate_component(g, verts, edges, y, cond))
-    return ExactVBDistribution(graph=g, crucial_mask=crucial_mask, components=tuple(comps))
+        comps.append(_enumerate_component(g, verts, edges, law))
+    return ExactVBDistribution(graph=g, crucial_mask=law.crucial_mask, components=tuple(comps))
 
 
-def _enumerate_component(g, verts, edges, y, cond):
+def _enumerate_component(g, verts, edges, law):
+    y = law.y
     k = len(verts)
     vidx = {v: j for j, v in enumerate(verts)}
     joint: dict = {}
@@ -420,7 +423,7 @@ def _enumerate_component(g, verts, edges, y, cond):
                 for e in batches[i]:
                     if not (bits >> e) & 1:
                         continue
-                    q = 3.0 * cond.y_prime(e, batch_mask, batch_bits) / (3.0 + 2.0 * float(y[e]))
+                    q = 3.0 * law.y_prime(e, batch_mask, batch_bits) / (3.0 + 2.0 * float(y[e]))
                     qs.append((e, q))
                     total += q
                 if total > 1.0 + _SUM_TOL:

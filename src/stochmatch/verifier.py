@@ -19,7 +19,7 @@ import numpy as np
 
 from .augmenter import PipelineTables, build_tables_exact
 from .exact import EnumerationTooLarge
-from .estimator import VBSampler, estimate_pair_alive
+from .estimator import estimate_pair_alive
 from .gadgets import (
     Gadget,
     positive_covariance_control,
@@ -31,7 +31,7 @@ from .gadgets import (
 from .graph_core import Params, StochasticGraph, mask_edges, sample_mask
 from .parallel import rng_from, run_blocks
 from .sparsifier import draw_plan, draw_plans
-from .vb_matching import attenuation_g, exact_vb_enumeration, run_vb
+from .vb_matching import ActivationLaw, attenuation_g, exact_vb_enumeration, run_vb
 
 _TAG_VB = 0x21
 _TAG_NA = 0x22
@@ -85,10 +85,10 @@ def _se(freq: float, trials: int) -> float:
 # Shared VB sampling
 
 
-def _vb_stats_block(sampler: VBSampler, pairs: tuple, perm, seed: int,
+def _vb_stats_block(law: ActivationLaw, pairs: tuple, perm, seed: int,
                     block: int, count: int):
     rng = rng_from(seed, _TAG_VB, block)
-    g = sampler.view.graph
+    g = law.graph
     active = np.zeros(g.m, dtype=np.int64)
     selected = np.zeros(g.m, dtype=np.int64)
     alive = np.zeros(g.n, dtype=np.int64)
@@ -96,7 +96,7 @@ def _vb_stats_block(sampler: VBSampler, pairs: tuple, perm, seed: int,
     clip = 0
     outcomes: Counter = Counter()  # (active, matched edges, alive vertices) masks
     for _ in range(count):
-        out = run_vb(sampler.view, sampler.y, sampler.cond, rng, permutation=perm)
+        out = run_vb(law, rng, permutation=perm)
         clip += out.clip_events
         activated = 0
         for _v, partner, e in out.activation_log:
@@ -117,9 +117,9 @@ def _vb_stats_block(sampler: VBSampler, pairs: tuple, perm, seed: int,
     return active, selected, alive, pair_counts, clip
 
 
-def sample_vb_statistics(sampler: VBSampler, pairs, trials: int, seed: int, perm=None):
+def sample_vb_statistics(law: ActivationLaw, pairs, trials: int, seed: int, perm=None):
     pairs = tuple(pairs)
-    parts = run_blocks(_vb_stats_block, (sampler, pairs, perm, seed), trials)
+    parts = run_blocks(_vb_stats_block, (law, pairs, perm, seed), trials)
     active = sum(p[0] for p in parts)
     selected = sum(p[1] for p in parts)
     alive = sum(p[2] for p in parts)
@@ -129,9 +129,8 @@ def sample_vb_statistics(sampler: VBSampler, pairs, trials: int, seed: int, perm
 
 
 def _try_enumeration(gadget: Gadget):
-    sampler = gadget.sampler()
     try:
-        return exact_vb_enumeration(sampler.view, sampler.y, sampler.cond)
+        return exact_vb_enumeration(gadget.law)
     except EnumerationTooLarge:
         return None
 
@@ -156,11 +155,10 @@ def _noncrucial_pairs(g: StochasticGraph, crucial_mask: int):
 
 def check_activation(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     """Activation frequency of every crucial edge vs g(y) and the oracle."""
-    sampler = gadget.sampler()
     g = gadget.graph
-    active, _sel, _alive, _pairs, clip = sample_vb_statistics(sampler, (), trials, seed)
+    active, _sel, _alive, _pairs, clip = sample_vb_statistics(gadget.law, (), trials, seed)
     dist = _try_enumeration(gadget)
-    y = sampler.y
+    y = gadget.law.y
     details = {}
     z_max = 0.0
     oracle_gap = 0.0
@@ -193,11 +191,10 @@ def check_activation(gadget: Gadget, trials: int, seed: int) -> CheckReport:
 
 def check_selectability(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     """Matching membership vs the enumeration oracle, and the 8/15 line."""
-    sampler = gadget.sampler()
     g = gadget.graph
-    _act, selected, _alive, _pairs, _clip = sample_vb_statistics(sampler, (), trials, seed)
+    _act, selected, _alive, _pairs, _clip = sample_vb_statistics(gadget.law, (), trials, seed)
     dist = _try_enumeration(gadget)
-    y = sampler.y
+    y = gadget.law.y
     details = {}
     z_max = 0.0
     ratio_floor_ok = True
@@ -235,11 +232,10 @@ def check_selectability(gadget: Gadget, trials: int, seed: int) -> CheckReport:
 
 def check_pair_alive(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     """Joint alive frequency of non-adjacent pairs vs floor and oracle."""
-    sampler = gadget.sampler()
     g = gadget.graph
     pairs, adjacent = _noncrucial_pairs(g, gadget.crucial_mask)
     _act, _sel, alive, pair_counts, _clip = sample_vb_statistics(
-        sampler, tuple(pairs + adjacent), trials, seed)
+        gadget.law, tuple(pairs + adjacent), trials, seed)
     dist = _try_enumeration(gadget)
     details = {}
     verdict = "pass"
@@ -267,7 +263,7 @@ def check_pair_alive(gadget: Gadget, trials: int, seed: int) -> CheckReport:
         freq = pair_counts[(u, v)] / trials
         details[f"{u}-{v}"] = {"freq": freq, "adjacent": True}
     # marginal floor: Pr[v alive] >= 1 - y_v within the band
-    y = sampler.y
+    y = gadget.law.y
     singles = {}
     for v in range(g.n):
         freq = alive[v] / trials
@@ -293,7 +289,7 @@ def _plan_pair_block(g: StochasticGraph, t: int, pairs: tuple, seed: int,
                      block: int, count: int) -> np.ndarray:
     rng = rng_from(seed, _TAG_NA, block)
     cells = np.zeros((len(pairs), 4), dtype=np.int64)  # n00 n01 n10 n11
-    for q_mask, k in Counter(plan.q_mask for plan in draw_plans(g, t, rng, count)).items():
+    for q_mask, k in Counter(draw_plans(g, t, rng, count)).items():
         for j, (e1, e2) in enumerate(pairs):
             a = (q_mask >> e1) & 1
             b = (q_mask >> e2) & 1
@@ -369,12 +365,11 @@ def check_negative_association(gadget: Gadget, trials: int, seed: int) -> CheckR
 # Var(Z_v) and Y_v concentration
 
 
-def _z_block(sampler: VBSampler, support: tuple, h_values: tuple, n: int,
+def _z_block(law: ActivationLaw, support: tuple, h_values: tuple, n: int,
              seed: int, block: int, count: int):
     rng = rng_from(seed, _TAG_Z, block)
     outcomes: dict = {}  # alive vertex mask -> row of `rows`
-    runs = [outcomes.setdefault(
-                run_vb(sampler.view, sampler.y, sampler.cond, rng).alive_mask, len(outcomes))
+    runs = [outcomes.setdefault(run_vb(law, rng).alive_mask, len(outcomes))
             for _ in range(count)]
     rows = np.zeros((len(outcomes), n))
     for alive, i in outcomes.items():
@@ -399,15 +394,14 @@ def check_var_z(gadget: Gadget, synthetic_x: dict[tuple[int, int], float],
     """
     if any(x > tau + 1e-12 for x in synthetic_x.values()):
         raise ValueError("synthetic fractional matching exceeds tau")
-    sampler = gadget.sampler()
     g = gadget.graph
     support = tuple(sorted((min(u, v), max(u, v)) for u, v in synthetic_x))
-    pair_est = estimate_pair_alive(sampler, list(support), trials, seed + 1)
+    pair_est = estimate_pair_alive(gadget.law, list(support), trials, seed + 1)
     delta_hat = min(est.value for est in pair_est.values()) if support else 1.0
     if delta_hat <= 0.0:
         raise ValueError("measured pair-alive floor is zero; cannot form h values")
     h_values = tuple(synthetic_x[pair] / pair_est[pair].value for pair in support)
-    parts = run_blocks(_z_block, (sampler, support, h_values, g.n, seed), trials)
+    parts = run_blocks(_z_block, (gadget.law, support, h_values, g.n, seed), trials)
     sums = sum(p[0] for p in parts)
     sumsq = sum(p[1] for p in parts)
     mean = sums / trials
@@ -429,21 +423,19 @@ def _y_block(g: StochasticGraph, tables: PipelineTables, t: int, seed: int,
              block: int, count: int) -> np.ndarray:
     rng = rng_from(seed, _TAG_Y, block)
     noncrucial = tables.classes.noncrucial_mask
-    sampler = tables.sampler
     outcomes: dict = {}  # (queried non-crucial edges, alive vertices) masks -> row of `rows`
     runs = []
     for _ in range(count):
-        q_mask = draw_plan(g, t, rng).q_mask
+        q_mask = draw_plan(g, t, rng)
         real_mask = sample_mask(g, rng)
-        out = run_vb(sampler.view, sampler.y, sampler.cond, rng,
-                     realization_mask=real_mask)
+        out = run_vb(tables.law, rng, realization_mask=real_mask)
         runs.append(outcomes.setdefault((q_mask & real_mask & noncrucial, out.alive_mask),
                                         len(outcomes)))
     rows = np.zeros((len(outcomes), g.n))
     for (queried, alive), i in outcomes.items():
         for e in mask_edges(queried):
             u, v = g.endpoints(e)
-            g_e = tables.g_table.get(e)
+            g_e = tables.g_table[e]
             if (alive >> u) & 1:
                 rows[i, v] += g_e
             if (alive >> v) & 1:
@@ -515,13 +507,10 @@ def check_concentration_y(gadget: Gadget, tables: PipelineTables, trials: int,
 # Influential-variable independence
 
 
-def _log_joint_block(sampler: VBSampler, perm: tuple, u: int, w: int, seed: int,
+def _log_joint_block(law: ActivationLaw, perm: tuple, u: int, w: int, seed: int,
                      block: int, count: int) -> dict:
     rng = rng_from(seed, _TAG_IND, block)
-    logs = Counter(
-        run_vb(sampler.view, sampler.y, sampler.cond, rng, permutation=perm).activation_log
-        for _ in range(count)
-    )
+    logs = Counter(run_vb(law, rng, permutation=perm).activation_log for _ in range(count))
     counts: dict[tuple, int] = {}
     for log, k in logs.items():
         xu = next(p for v, p, _e in log if v == u)
@@ -542,8 +531,7 @@ def check_influence_independence(gadget: Gadget, u: int, w: int, perm,
     # no other check or CLI command needs it.
     from scipy import stats as sps
 
-    sampler = gadget.sampler()
-    dist = exact_vb_enumeration(sampler.view, sampler.y, sampler.cond)
+    dist = exact_vb_enumeration(gadget.law)
     comp = dist.component_of(u)
     if w not in comp.vertices:
         raise ValueError("both vertices must be in one crucial component")
@@ -556,7 +544,7 @@ def check_influence_independence(gadget: Gadget, u: int, w: int, perm,
         xw = next(p for v, p in log if v == w)
         pu[xu] = pu.get(xu, 0.0) + prob
         pw[xw] = pw.get(xw, 0.0) + prob
-    parts = run_blocks(_log_joint_block, (sampler, tuple(perm), u, w, seed), trials)
+    parts = run_blocks(_log_joint_block, (gadget.law, tuple(perm), u, w, seed), trials)
     counts: dict[tuple, int] = {}
     for part in parts:
         for key, k in part.items():

@@ -36,7 +36,8 @@ from stochmatch.graph_core import (
     weight_of,
 )
 from stochmatch.mwm import GraphView, brute_force_mwm, max_weight_matching
-from stochmatch.sparsifier import build_query_plan, check_crucial_coverage, classify_edges
+from stochmatch.parallel import rng_from
+from stochmatch.sparsifier import check_crucial_coverage, classify_edges, draw_plan, max_degree
 from stochmatch.verifier import (
     check_activation,
     check_negative_association,
@@ -150,8 +151,8 @@ def test_criterion_6_query_plan_laws():
     # structural degree bound on every sampled plan
     bench = benchmark_6v8e()
     for i in range(2000):
-        plan = build_query_plan(bench.graph, t=4, seed=10_000 + i)
-        assert plan.max_degree(bench.graph) <= 4
+        q_mask = draw_plan(bench.graph, 4, rng_from(10_000 + i))
+        assert max_degree(bench.graph, q_mask) <= 4
     # unconditional membership floor on all bundled instances
     for gadget in (bench, two_path(), four_cycle(), relaxed_suite_8v()):
         x = exact_x(gadget.graph)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stochmatch.augmenter import (
-    GTable,
     build_fractional,
     build_g_table,
     build_tables_exact,
@@ -15,7 +14,6 @@ from stochmatch.augmenter import (
     run_pipeline_once,
 )
 from stochmatch import augmenter
-from stochmatch.estimator import ProbEstimate
 from stochmatch.exact import EnumerationTooLarge, MatchingLaw
 from stochmatch.gadgets import benchmark_6v8e, relaxed_suite_8v, star, verification_gadgets
 from stochmatch.graph_core import (
@@ -40,10 +38,6 @@ def graph(n, edges):
     return StochasticGraph(n=n, edges=tuple(Edge(*e) for e in edges))
 
 
-def exact_estimate(value):
-    return ProbEstimate(value, 0, 0.0)
-
-
 def fake_vb(g, alive, mc_edges=()):
     matching = make_matching(g, mc_edges)
     log = tuple((v, None, None) for v in range(g.n))
@@ -60,33 +54,24 @@ def params_for(g, eps=0.2):
 def test_build_g_table_values_and_flags():
     g = graph(3, [(0, 1, 2.0, 0.8), (1, 2, 1.0, 0.5)])
     classes = classify_edges(np.array([0.8, 0.004]), tau=0.05)
-    params = params_for(g)
-    table = build_g_table(
-        g, classes, np.array([0.8, 0.004]),
-        {1: exact_estimate(0.4)}, {1: exact_estimate(0.2)}, params)
+    table = build_g_table(g, classes, np.array([0.8, 0.004]), [1.0, 0.4], {1: 0.2})
     # g = 0.004 / (0.5 * 0.4 * 0.2) = 0.1
-    assert table.get(1) == pytest.approx(0.1)
-    assert table.get(0) == 0.0  # crucial edges are not in the table
-    assert 1 in table.eps3_flags  # 0.1 > 0.2^3
-    assert 1 in table.eps2_flags
+    assert table[1] == pytest.approx(0.1)
+    assert 0 not in table  # crucial edges are not in the table
 
 
 def test_build_g_table_zero_denominator_flagged():
     g = graph(3, [(0, 1, 2.0, 0.8), (1, 2, 1.0, 0.5)])
     classes = classify_edges(np.array([0.8, 0.004]), tau=0.05)
-    table = build_g_table(
-        g, classes, np.array([0.8, 0.004]),
-        {1: exact_estimate(0.0)}, {1: exact_estimate(0.2)}, params_for(g))
-    assert table.get(1) == 0.0
-    assert table.zero_denominator == (1,)
+    table = build_g_table(g, classes, np.array([0.8, 0.004]), [1.0, 0.0], {1: 0.2})
+    assert table[1] == 0.0
 
 
 def test_build_fractional_empty_alive_set():
     g = graph(3, [(0, 1, 2.0, 0.8), (1, 2, 1.0, 0.5)])
     classes = classify_edges(np.array([0.8, 0.004]), tau=0.05)
     params = params_for(g)
-    table = build_g_table(g, classes, np.array([0.8, 0.004]),
-                          {1: exact_estimate(0.4)}, {1: exact_estimate(0.2)}, params)
+    table = build_g_table(g, classes, np.array([0.8, 0.004]), [1.0, 0.4], {1: 0.2})
     f, record = build_fractional(
         g, classes, g.full_mask, g.full_mask,
         fake_vb(g, alive=[]), table, params)
@@ -98,8 +83,7 @@ def test_build_fractional_direct_rule():
     g = graph(3, [(0, 1, 2.0, 0.8), (1, 2, 1.0, 0.5)])
     classes = classify_edges(np.array([0.8, 0.004]), tau=0.05)
     params = params_for(g)
-    table = GTable(values={1: 0.001}, q_in_plan={}, pair_alive={},
-                   eps3_flags=(), eps2_flags=(), zero_denominator=())
+    table = {1: 0.001}
     f, record = build_fractional(
         g, classes, g.full_mask, g.full_mask,
         fake_vb(g, alive=[0, 1, 2]), table, params)
@@ -113,8 +97,7 @@ def test_build_fractional_requires_queried_and_realized():
     g = graph(3, [(0, 1, 2.0, 0.8), (1, 2, 1.0, 0.5)])
     classes = classify_edges(np.array([0.8, 0.004]), tau=0.05)
     params = params_for(g)
-    table = GTable(values={1: 0.001}, q_in_plan={}, pair_alive={},
-                   eps3_flags=(), eps2_flags=(), zero_denominator=())
+    table = {1: 0.001}
     not_queried = 0b01
     f, _ = build_fractional(g, classes, not_queried, g.full_mask,
                             fake_vb(g, alive=[0, 1, 2]), table, params)
@@ -132,8 +115,7 @@ def test_build_fractional_star_overload_zeroes_all():
     # force gamma*g = 0.3 per spoke: center degree 1.2 > 1, all four zeroed
     target = 0.3 / params.gamma
     classes = classify_edges(np.zeros(g.m), tau=0.5)  # everything non-crucial
-    table = GTable(values={e: target for e in range(g.m)}, q_in_plan={},
-                   pair_alive={}, eps3_flags=(), eps2_flags=(), zero_denominator=())
+    table = {e: target for e in range(g.m)}
     f, record = build_fractional(
         g, classes, g.full_mask, g.full_mask,
         fake_vb(g, alive=range(g.n)), table, params)
@@ -321,8 +303,8 @@ def test_monte_carlo_tables_agree_with_exact():
                                   pair_trials=20_000)
     assert mc.classes.crucial_mask == exact.classes.crucial_mask
     for e in mc.classes.noncrucial():
-        rel = abs(mc.g_table.get(e) - exact.g_table.get(e)) / exact.g_table.get(e)
-        assert rel < 0.15, (e, mc.g_table.get(e), exact.g_table.get(e))
+        rel = abs(mc.g_table[e] - exact.g_table[e]) / exact.g_table[e]
+        assert rel < 0.15, (e, mc.g_table[e], exact.g_table[e])
     [res] = end_to_end(g, mc, [4], runs=400, seed=32)
     assert 0.5 <= res.ratio <= 1.0
 
@@ -376,10 +358,9 @@ def reference_run(g, tables, t, seed, run_index):
     if t is None:
         q_mask = g.full_mask
     else:
-        q_mask = draw_plan(g, t, rng_from(seed, augmenter._TAG_E2E_PLAN, run_index)).q_mask
+        q_mask = draw_plan(g, t, rng_from(seed, augmenter._TAG_E2E_PLAN, run_index))
     real_mask = sample_mask(g, rng_from(seed, augmenter._TAG_E2E_REAL, run_index))
-    vb_out = run_vb(tables.sampler.view, tables.sampler.y, tables.sampler.cond,
-                    rng_from(seed, augmenter._TAG_E2E_VB, run_index),
+    vb_out = run_vb(tables.law, rng_from(seed, augmenter._TAG_E2E_VB, run_index),
                     realization_mask=real_mask)
     f, survival = build_fractional(g, tables.classes, q_mask, real_mask, vb_out,
                                    tables.g_table, tables.params)

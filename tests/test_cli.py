@@ -229,6 +229,24 @@ def test_config_rejects_bad_tables_and_budgets(tmp_path, field, value, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,field,value,message", [
+    ("run", "tau", -1.0, "tau must be > 0, got -1.0"),
+    ("run", "tau", 0.0, "tau must be > 0, got 0.0"),
+    ("run", "epsilon", 2.0, r"epsilon must be in \(0, 1\)"),
+    ("run", "delta", 0.0, r"delta must be in \(0, 1\)"),
+    ("run", "trials", 2.5, "trial budget must be an int >= 1, got 2.5"),
+    ("run", "trials", True, "trial budget must be an int >= 1, got True"),
+    ("verify", "verify_trials", 2.5, "verify trial budget must be an int >= 1, got 2.5"),
+])
+def test_bad_config_fails_before_any_output(tmp_path, command, field, value, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": 5, "t": [1], field: value,
+                                    "out": str(tmp_path / "out")}))
+    with pytest.raises(ValueError, match=message):
+        main(["--config", str(cfg_path), command])
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("missing", ["n", "density"])
 def test_load_graph_names_missing_generator_key(tmp_path, missing):
     generator = {"n": 6, "density": 0.5}

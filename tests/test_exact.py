@@ -43,7 +43,7 @@ def test_pipeline_law_marginals_match_x_when_all_crucial():
     g = gadget.graph
     law = MatchingLaw.from_pipeline(g, g.full_mask)
     law.validate_realization_marginals()
-    np.testing.assert_allclose(law.y_values(), exact_x(g), atol=1e-12)
+    np.testing.assert_allclose(law.y, exact_x(g), atol=1e-12)
 
 
 def test_pipeline_law_vertex_loads_below_one():
@@ -57,7 +57,7 @@ def test_law_tower_property_exact():
     gadget = three_path()
     g = gadget.graph
     law = gadget.law
-    y = law.y_values()
+    y = law.y
     for e in range(g.m):
         batch_mask = 1 << e  # condition on just this edge's bit
         p = g.edges[e].p
@@ -82,7 +82,7 @@ def test_law_conditioning_on_null_event_raises():
 def test_single_edge_law_pins_marginal():
     g = graph(2, [(0, 1, 1.0, 1.0)])
     law = MatchingLaw.single_edge(g, 0, 0.37)
-    assert law.y_values()[0] == pytest.approx(0.37)
+    assert law.y[0] == pytest.approx(0.37)
     assert law.y_prime(0, 1, 1) == pytest.approx(0.37)
     with pytest.raises(ValueError):
         MatchingLaw.single_edge(graph(2, [(0, 1, 1.0, 0.5)]), 0, 0.9)
@@ -98,10 +98,17 @@ def test_law_rejects_inconsistent_entries():
 
 def test_law_is_its_own_conditional_estimator():
     gadget = two_path()  # edge 1 (w=1.3) beats edge 0 (w=1.0) at vertex 1
-    assert gadget.sampler().cond is gadget.law
+    assert gadget.law.y is gadget.law.y  # the marginals are computed once
     assert gadget.law.y_prime(0, 0b11, 0b11) == 0.0
     assert gadget.law.y_prime(1, 0b11, 0b11) == 1.0
     assert gadget.law.y_prime(1, 0b01, 0b00) == pytest.approx(0.9)
+
+
+def test_law_rejects_crucial_mask_outside_graph():
+    g = graph(2, [(0, 1, 1.0, 1.0)])
+    for mask in (0b10, 0b11, -1):
+        with pytest.raises(ValueError, match="outside the graph"):
+            MatchingLaw.from_entries(g, mask, [(1.0, 0, 0)])
 
 
 def test_noncrucial_marginalized_out():
@@ -112,7 +119,7 @@ def test_noncrucial_marginalized_out():
     assert np.all((law.real & ~np.int64(0b01)) == 0)
     law.validate_realization_marginals()
     # crucial edge beats the light one whenever realized
-    assert law.y_values()[0] == pytest.approx(0.8, abs=1e-12)
+    assert law.y[0] == pytest.approx(0.8, abs=1e-12)
 
 
 def test_enumeration_cap_raises_typed_error():

@@ -1,0 +1,70 @@
+"""The benchmark's tracer and stopwatch still find every name they patch.
+
+``perfbench/tracer.py`` wraps package functions by name from outside the
+package, so renaming or deleting one of them breaks only a traced benchmark
+run.  These tests load that file from the checkout, install each recorder,
+run a small command under the tracer, and check that uninstalling puts the
+package back as it was.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import networkx
+
+from stochmatch import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def package_bindings():
+    """Every attribute of every loaded package module and of the classes it
+    defines, and networkx's solver."""
+    out = {("networkx", "max_weight_matching"): networkx.max_weight_matching}
+    for name, module in list(sys.modules.items()):
+        if name == "stochmatch" or name.startswith("stochmatch."):
+            for attr, value in vars(module).items():
+                out[name, attr] = value
+                if isinstance(value, type) and value.__module__ == name:
+                    for key, member in vars(value).items():
+                        out[name, f"{attr}.{key}"] = member
+    return out
+
+
+def test_tracer_installs_records_a_run_and_uninstalls(tmp_path):
+    tracer_mod = load_tracer()
+    before = package_bindings()
+    tracer = tracer_mod.Tracer()
+    tracer_mod.install_tracer(tracer)
+    try:
+        assert package_bindings() != before
+        cli.main(["--trials", "5", "--t", "2", "--out", str(tmp_path / "run"), "run"])
+    finally:
+        tracer.uninstall()
+    assert package_bindings() == before
+    metrics = tracer_mod.layer_metrics(tracer.self_times(), tracer.counts, 1)
+    assert metrics["vb_matching.runs"][0] > 0
+    assert metrics["sparsifier.plan_rounds"][0] > 0
+    assert metrics["exact.cond_queries"][0] > 0
+
+
+def test_stopwatch_installs_and_uninstalls_for_run_and_verify():
+    tracer_mod = load_tracer()
+    before = package_bindings()
+    for command in ("run", "verify"):
+        watch = tracer_mod.Stopwatch()
+        tracer_mod.install_stopwatch(watch, command)
+        try:
+            assert package_bindings() != before
+        finally:
+            watch.uninstall()
+        assert package_bindings() == before

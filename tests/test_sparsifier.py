@@ -17,12 +17,11 @@ from stochmatch.mwm import mm_edge_mask
 from stochmatch.parallel import rng_from
 from stochmatch.sparsifier import (
     _TAG_COVERAGE,
-    _TAG_PLAN_ROUND,
-    build_query_plan,
     check_crucial_coverage,
     classify_edges,
     draw_plan,
     draw_plans,
+    max_degree,
     plan_round_masks,
 )
 
@@ -33,23 +32,23 @@ def graph(n, edges):
 
 def test_plan_t1_is_single_matching():
     g = benchmark_6v8e().graph
-    plan = build_query_plan(g, t=1, seed=0)
-    assert plan.max_degree(g) <= 1
-    assert len(plan.rounds) == 1
-    assert plan.q_mask == plan.rounds[0]
+    q_mask = draw_plan(g, 1, rng_from(0))
+    rounds = plan_round_masks(g, 1, rng_from(0))
+    assert max_degree(g, q_mask) <= 1
+    assert len(rounds) == 1
+    assert q_mask == rounds[0]
 
 
 def test_plan_deterministic_p1_graph():
     g = graph(4, [(0, 1, 2.0, 1.0), (1, 2, 3.0, 1.0), (2, 3, 2.0, 1.0)])
-    plan = build_query_plan(g, t=7, seed=3)
     fixed = mm_edge_mask(g, g.full_mask)
-    assert plan.q_mask == fixed
-    assert all(r == fixed for r in plan.rounds)
+    assert draw_plan(g, 7, rng_from(3)) == fixed
+    assert all(r == fixed for r in plan_round_masks(g, 7, rng_from(3)))
 
 
 def test_plan_determinism_per_seed():
     g = benchmark_6v8e().graph
-    assert build_query_plan(g, 4, seed=9).q_mask == build_query_plan(g, 4, seed=9).q_mask
+    assert draw_plan(g, 4, rng_from(9)) == draw_plan(g, 4, rng_from(9))
 
 
 def test_plan_max_degree_bound_random_family():
@@ -61,18 +60,15 @@ def test_plan_max_degree_bound_random_family():
         if g.m == 0:
             continue
         t = int(rng.integers(1, 6))
-        plan = build_query_plan(g, t, seed=int(rng.integers(0, 2**31)))
-        assert plan.max_degree(g) <= t
+        q_mask = draw_plan(g, t, rng_from(int(rng.integers(0, 2**31))))
+        assert max_degree(g, q_mask) <= t
 
 
 def test_single_edge_membership_closed_form():
     # Pr[e in Q] = 1 - (1-p)^t for a lone edge, where x_e = p_e
     g = graph(2, [(0, 1, 1.0, 0.4)])
     t, draws = 5, 30_000
-    hits = 0
-    for i in range(draws):
-        if build_query_plan(g, t, seed=i).contains(0):
-            hits += 1
+    hits = sum(q_mask & 1 for q_mask in draw_plans(g, t, rng_from(0), draws))
     freq = hits / draws
     target = 1 - 0.6**5
     se = np.sqrt(target * (1 - target) / draws)
@@ -82,9 +78,9 @@ def test_single_edge_membership_closed_form():
 
 def test_nested_prefix_rounds():
     g = benchmark_6v8e().graph
-    small = build_query_plan(g, 3, seed=77)
-    large = build_query_plan(g, 9, seed=77)
-    assert large.rounds[:3] == small.rounds
+    small = draw_plan(g, 3, rng_from(77))
+    large = draw_plan(g, 9, rng_from(77))
+    assert small & ~large == 0
 
 
 def test_plan_round_masks_prefix_stream():
@@ -105,19 +101,15 @@ def test_draw_plan_prefix_stream(make):
     g = make()
     small = draw_plan(g, 3, rng_from(5))
     large = draw_plan(g, 7, rng_from(5))
-    assert small.rounds == tuple(plan_round_masks(g, 3, rng_from(5)))
-    assert large.rounds[:3] == small.rounds
-    for plan in (small, large):
+    small_rounds = plan_round_masks(g, 3, rng_from(5))
+    large_rounds = plan_round_masks(g, 7, rng_from(5))
+    assert large_rounds[:3] == small_rounds
+    for q_mask, rounds in ((small, small_rounds), (large, large_rounds)):
         union = 0
-        for mask in plan.rounds:
+        for mask in rounds:
             union |= mask
-        assert plan.q_mask == union
-        assert plan.parent == g.token
-    assert (small.t, large.t) == (3, 7)
-    assert small.q_mask & ~large.q_mask == 0
-    # the seeded helper is one draw_plan on one stream
-    for t in (3, 7):
-        assert build_query_plan(g, t, seed=5) == draw_plan(g, t, rng_from(5, _TAG_PLAN_ROUND))
+        assert q_mask == union
+    assert small & ~large == 0
 
 
 def test_plan_round_masks_without_matching_table():
@@ -186,10 +178,10 @@ def test_coverage_report_floors():
     for h, rep in ((g, report), (wide, wide_report)):
         plans = list(draw_plans(h, rep.t, rng_from(3, _TAG_COVERAGE), rep.trials))
         counts = np.zeros(h.m, dtype=np.int64)
-        for plan in plans:
-            counts[plan.edges()] += 1
+        for q_mask in plans:
+            counts[mask_edges(q_mask)] += 1
         assert [rep.claim_floor[e][0] for e in range(h.m)] == list(counts / rep.trials)
-        assert rep.max_degree_seen == max(plan.max_degree(h) for plan in plans)
+        assert rep.max_degree_seen == max(max_degree(h, q_mask) for q_mask in plans)
 
 
 def test_coverage_informational_when_precondition_unmet():
@@ -209,12 +201,11 @@ def test_draw_plans_equals_sequential_draw_plan(t, count):
     rng_batch, rng_seq, rng_rounds = rng_from(9), rng_from(9), rng_from(9)
     plans = list(draw_plans(g, t, rng_batch, count))
     assert plans == [draw_plan(g, t, rng_seq) for _ in range(count)]
-    for plan in plans:  # each plan is the next t rounds of one stream, and their OR
-        assert plan.rounds == tuple(plan_round_masks(g, t, rng_rounds))
+    for q_mask in plans:  # each plan is the OR of the next t rounds of one stream
         union = 0
-        for mask in plan.rounds:
+        for mask in plan_round_masks(g, t, rng_rounds):
             union |= mask
-        assert (plan.t, plan.q_mask, plan.parent) == (t, union, g.token)
+        assert q_mask == union
     assert rng_batch.bit_generator.state == rng_seq.bit_generator.state
     assert rng_batch.bit_generator.state == rng_rounds.bit_generator.state
     assert list(draw_plans(g, t, rng_from(9), 0)) == []

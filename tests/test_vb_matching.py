@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from stochmatch.graph_core import (
     mask_edges,
     sample_mask,
 )
-from stochmatch.mwm import GraphView
+from stochmatch import vb_matching
 from stochmatch.parallel import rng_from
 from stochmatch.vb_matching import (
     VBOutput,
@@ -36,6 +37,19 @@ from stochmatch.vb_matching import (
 
 def graph(n, edges):
     return StochasticGraph(n=n, edges=tuple(Edge(*e) for e in edges))
+
+
+@dataclass
+class StubLaw:
+    """An activation law with given marginals and one fixed conditional."""
+
+    graph: StochasticGraph
+    crucial_mask: int
+    y: np.ndarray
+    value: float = 0.5
+
+    def y_prime(self, e, batch_mask, batch_bits):
+        return self.value
 
 
 def test_attenuation_values():
@@ -95,7 +109,7 @@ def test_activate_batch_clips_oversubscribed():
 
 def test_run_vb_no_crucial_edges():
     g = graph(3, [(0, 1, 1.0, 0.5)])
-    out = run_vb(GraphView(g, 0), np.zeros(1), None, rng_from(0))
+    out = run_vb(StubLaw(g, 0, np.zeros(1)), rng_from(0))
     assert len(out.matching) == 0
     assert out.alive == frozenset(range(3))
 
@@ -103,13 +117,12 @@ def test_run_vb_no_crucial_edges():
 def test_run_vb_single_edge_selection_matches_g_of_y():
     for y in (1.0, 0.5):
         gadget = single_edge(y=y)
-        s = gadget.sampler()
         rng = rng_from(17)
         trials = 60_000
         selected = 0
         both_alive = 0
         for _ in range(trials):
-            out = run_vb(s.view, s.y, s.cond, rng)
+            out = run_vb(gadget.law, rng)
             selected += len(out.matching)
             both_alive += out.alive == frozenset({0, 1})
         target = attenuation_g(y)
@@ -120,21 +133,19 @@ def test_run_vb_single_edge_selection_matches_g_of_y():
 
 
 def test_run_vb_respects_fixed_permutation():
-    gadget = two_path()
-    s = gadget.sampler()
-    out = run_vb(s.view, s.y, s.cond, rng_from(3), permutation=(2, 0, 1))
+    law = two_path().law
+    out = run_vb(law, rng_from(3), permutation=(2, 0, 1))
     assert out.permutation == (2, 0, 1)
     with pytest.raises(ValueError):
-        run_vb(s.view, s.y, s.cond, rng_from(3), permutation=(0, 0, 1))
+        run_vb(law, rng_from(3), permutation=(0, 0, 1))
 
 
 def test_run_vb_structural_invariants_random():
     gadget = four_cycle()
-    s = gadget.sampler()
     g = gadget.graph
     rng = rng_from(8)
     for _ in range(300):
-        out = run_vb(s.view, s.y, s.cond, rng)
+        out = run_vb(gadget.law, rng)
         matched = out.matching.vertices(g)
         assert not (out.alive & matched)
         touched = set()
@@ -146,60 +157,49 @@ def test_run_vb_structural_invariants_random():
 
 
 def test_run_vb_uses_supplied_realization():
-    gadget = two_path()
-    s = gadget.sampler()
-    out = run_vb(s.view, s.y, s.cond, rng_from(0), realization_mask=0)
+    law = two_path().law
+    out = run_vb(law, rng_from(0), realization_mask=0)
     assert len(out.matching) == 0
     assert out.alive == frozenset({0, 1, 2})
-    out2 = run_vb(s.view, s.y, s.cond, rng_from(0), realization_mask=0b11)
+    out2 = run_vb(law, rng_from(0), realization_mask=0b11)
     assert out2.revealed_bits == out2.revealed_mask
 
 
 def test_run_vb_clip_logging_with_noisy_conditionals():
-    class Oversubscribed:
-        def y_prime(self, e, batch_mask, batch_bits):
-            return 1.0
-
     g = graph(3, [(0, 1, 1.0, 1.0), (0, 2, 1.0, 1.0)])
-    y = np.zeros(2)  # denominators 3+0: q = 1 each, so a 2-edge batch clips
+    # y = 0, y' = 1: denominators 3+0, q = 1 each, so a 2-edge batch clips
+    oversubscribed = StubLaw(g, g.full_mask, np.zeros(2), value=1.0)
     clipped_runs = 0
     rng = rng_from(5)
     for _ in range(200):
-        out = run_vb(GraphView(g), y, Oversubscribed(), rng)
+        out = run_vb(oversubscribed, rng)
         clipped_runs += out.clip_events > 0
     assert clipped_runs > 0
 
 
 def test_exact_enumeration_single_edge_reproduces_attenuation():
     for y in (0.25, 0.5, 1.0):
-        gadget = single_edge(y=y)
-        s = gadget.sampler()
-        dist = exact_vb_enumeration(s.view, s.y, s.cond)
+        dist = exact_vb_enumeration(single_edge(y=y).law)
         assert dist.edge_active_prob(0) == pytest.approx(attenuation_g(y), abs=1e-12)
         assert dist.edge_selected_prob(0) == pytest.approx(attenuation_g(y), abs=1e-12)
 
 
 def test_exact_enumeration_isolated_vertices_alive():
-    gadget = isolated_pair()
-    s = gadget.sampler()
-    dist = exact_vb_enumeration(s.view, s.y, s.cond)
+    dist = exact_vb_enumeration(isolated_pair().law)
     assert dist.pair_alive_prob(0, 1) == 1.0
 
 
 def test_exact_enumeration_two_path_pair_floor():
-    gadget = two_path()
-    s = gadget.sampler()
-    dist = exact_vb_enumeration(s.view, s.y, s.cond)
+    dist = exact_vb_enumeration(two_path().law)
     assert dist.pair_alive_prob(0, 2) >= 1.0 / 576.0
 
 
 def test_exact_enumeration_activation_is_g_for_every_order():
     # the activation marginal holds conditionally on each arrival order
     gadget = three_path()
-    s = gadget.sampler()
-    dist = exact_vb_enumeration(s.view, s.y, s.cond)
+    dist = exact_vb_enumeration(gadget.law)
     for e in range(gadget.graph.m):
-        target = attenuation_g(float(s.y[e]))
+        target = attenuation_g(float(gadget.law.y[e]))
         by_order = dist.edge_active_prob_by_order(e)
         assert len(by_order) == math.factorial(4)
         for order, prob in by_order.items():
@@ -207,9 +207,7 @@ def test_exact_enumeration_activation_is_g_for_every_order():
 
 
 def test_exact_enumeration_mass_adds_to_one():
-    gadget = four_cycle()
-    s = gadget.sampler()
-    dist = exact_vb_enumeration(s.view, s.y, s.cond)
+    dist = exact_vb_enumeration(four_cycle().law)
     for comp in dist.components:
         assert sum(comp.joint.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -218,14 +216,14 @@ def test_exact_enumeration_component_caps():
     g = graph(6, [(i, i + 1, 1.0, 0.5) for i in range(5)])  # 6-vertex path
     law = MatchingLaw.from_pipeline(g, g.full_mask)
     with pytest.raises(ValueError):
-        exact_vb_enumeration(GraphView(g), law.y_values(), law)
+        exact_vb_enumeration(law)
 
 
 def test_exact_enumeration_factorizes_across_components():
     # two disjoint single-edge components: joint pair-alive is the product
     g = graph(4, [(0, 1, 1.0, 0.8), (2, 3, 1.0, 0.6)])
     law = MatchingLaw.from_pipeline(g, g.full_mask)
-    dist = exact_vb_enumeration(GraphView(g), law.y_values(), law)
+    dist = exact_vb_enumeration(law)
     p0 = dist.vertex_alive_prob(0)
     p2 = dist.vertex_alive_prob(2)
     assert dist.pair_alive_prob(0, 2) == pytest.approx(p0 * p2, abs=1e-12)
@@ -233,9 +231,7 @@ def test_exact_enumeration_factorizes_across_components():
 
 def test_influential_variables_independent_per_order_exact():
     # joint law of two activation records factorizes for a fixed order
-    gadget = three_path()
-    s = gadget.sampler()
-    dist = exact_vb_enumeration(s.view, s.y, s.cond)
+    dist = exact_vb_enumeration(three_path().law)
     comp = dist.components[0]
     order = tuple(sorted(comp.vertices))
     log_law = comp.per_order[order]["log"]
@@ -253,26 +249,26 @@ def test_influential_variables_independent_per_order_exact():
             assert prob == pytest.approx(pu[xu] * pw[xw], abs=1e-9), (u, w, xu, xw)
 
 
-def test_exact_enumeration_caps_raise_typed_error():
-    big = star(5)
-    sampler = big.sampler()
+def test_exact_enumeration_caps_raise_typed_error(monkeypatch):
     with pytest.raises(EnumerationTooLarge, match="vertices"):
-        exact_vb_enumeration(sampler.view, sampler.y, sampler.cond)
-    cycle = four_cycle().sampler()
+        exact_vb_enumeration(star(5).law)
+    monkeypatch.setattr(vb_matching, "MAX_COMPONENT_EDGES", 3)
     with pytest.raises(EnumerationTooLarge, match="too many edges"):
-        exact_vb_enumeration(cycle.view, cycle.y, cycle.cond, max_component_edges=3)
+        exact_vb_enumeration(four_cycle().law)
 
 
 # ---------------------------------------------------------------------------
 # The mask implementation of run_vb against the list-and-set one it replaced
 
 
-def reference_run_vb(view, y, cond, rng, realization_mask=None, permutation=None):
+def reference_run_vb(law, rng, realization_mask=None, permutation=None):
     """``run_vb`` as written with per-vertex lists and sets, kept verbatim
-    (apart from building its adjacency inline) as the reference the mask
-    implementation must reproduce output for output and draw for draw."""
-    g = view.graph
-    crucial_mask = view.effective_mask
+    (apart from building its adjacency inline and reading its inputs from
+    the law) as the reference the mask implementation must reproduce output
+    for output and draw for draw."""
+    g = law.graph
+    crucial_mask = law.crucial_mask
+    y, cond = law.y, law
     adj = [[] for _ in range(g.n)]
     for e in range(g.m):
         if (crucial_mask >> e) & 1:
@@ -353,8 +349,7 @@ def reference_run_vb(view, y, cond, rng, realization_mask=None, permutation=None
     )
 
 
-def assert_same_runs(view, y, cond, seed, runs, realization=None, permutation=None,
-                     ref_cond=None):
+def assert_same_runs(law, seed, runs, realization=None, permutation=None, ref_law=None):
     """``runs`` successive runs of both implementations on equal generators
     give equal outputs and leave the generators in equal states."""
     rng_new, rng_ref = rng_from(seed), rng_from(seed)
@@ -362,9 +357,8 @@ def assert_same_runs(view, y, cond, seed, runs, realization=None, permutation=No
     outs = []
     for _ in range(runs):
         mask = None if realization is None else realization(mask_rng)
-        new = run_vb(view, y, cond, rng_new, realization_mask=mask,
-                     permutation=permutation)
-        ref = reference_run_vb(view, y, cond if ref_cond is None else ref_cond,
+        new = run_vb(law, rng_new, realization_mask=mask, permutation=permutation)
+        ref = reference_run_vb(law if ref_law is None else ref_law,
                                rng_ref, realization_mask=mask, permutation=permutation)
         for name in ("matching_mask", "alive_mask", "parent", "matching", "alive",
                      "activation_log", "permutation", "clip_events", "revealed_mask",
@@ -381,59 +375,52 @@ def assert_same_runs(view, y, cond, seed, runs, realization=None, permutation=No
 
 @pytest.mark.parametrize("gadget", verification_gadgets(), ids=lambda gd: gd.name)
 def test_run_vb_equals_reference_on_every_gadget(gadget):
-    s = gadget.sampler()
+    law = gadget.law
     g = gadget.graph
     perm = tuple(reversed(range(g.n)))
     draw = lambda rng: sample_mask(g, rng)  # noqa: E731
-    assert_same_runs(s.view, s.y, s.cond, 11, 150)
-    assert_same_runs(s.view, s.y, s.cond, 12, 150, permutation=perm)
-    assert_same_runs(s.view, s.y, s.cond, 13, 150, realization=draw)
-    assert_same_runs(s.view, s.y, s.cond, 14, 150, realization=draw, permutation=perm)
+    assert_same_runs(law, 11, 150)
+    assert_same_runs(law, 12, 150, permutation=perm)
+    assert_same_runs(law, 13, 150, realization=draw)
+    assert_same_runs(law, 14, 150, realization=draw, permutation=perm)
 
 
 def test_run_vb_equals_reference_with_clipping_monte_carlo_conditionals():
     g = gen_random_graph(7, 0.6, {"name": "uniform", "low": 0.1, "high": 2.0},
                          {"name": "uniform", "low": 0.3, "high": 0.9}, seed=5)
     y = np.full(g.m, 0.1)  # small denominators: 2-trial estimates of y' clip
-    view = GraphView(g)
-    outs = assert_same_runs(view, y, MonteCarloConditional(g, g.full_mask, 2, 3), 21, 200,
-                            ref_cond=MonteCarloConditional(g, g.full_mask, 2, 3))
+    outs = assert_same_runs(MonteCarloConditional(g, g.full_mask, y, 2, 3), 21, 200,
+                            ref_law=MonteCarloConditional(g, g.full_mask, y, 2, 3))
     assert sum(out.clip_events for out in outs) > 0
-    assert_same_runs(view, y, MonteCarloConditional(g, g.full_mask, 2, 3), 22, 100,
+    assert_same_runs(MonteCarloConditional(g, g.full_mask, y, 2, 3), 22, 100,
                      realization=lambda rng: sample_mask(g, rng))
 
 
 def test_run_vb_equals_reference_without_crucial_edges():
     g = graph(3, [(0, 1, 1.0, 0.5)])
-    outs = assert_same_runs(GraphView(g, 0), np.zeros(1), None, 0, 5)
+    law = StubLaw(g, 0, np.zeros(1))
+    outs = assert_same_runs(law, 0, 5)
     assert outs[0].alive == frozenset(range(3))
-    assert_same_runs(GraphView(g, 0), np.zeros(1), None, 1, 5, permutation=(2, 1, 0))
+    assert_same_runs(law, 1, 5, permutation=(2, 1, 0))
 
 
 def test_run_vb_error_paths_still_raise():
-    class Negative:
-        def y_prime(self, e, batch_mask, batch_bits):
-            return -0.1
-
     g = graph(2, [(0, 1, 1.0, 1.0)])
-    view = GraphView(g)
-    cond = single_edge().sampler().cond
     with pytest.raises(ValueError, match="negative conditional"):
-        run_vb(view, np.full(1, 0.5), Negative(), rng_from(0))
+        run_vb(StubLaw(g, 1, np.full(1, 0.5), value=-0.1), rng_from(0))
     for bad_y in (-0.5, 1.5):
         with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
-            run_vb(view, np.full(1, bad_y), cond, rng_from(0))
+            run_vb(StubLaw(g, 1, np.full(1, bad_y)), rng_from(0))
     for bad_perm in ((0, 0), (0,), (0, 2), (1, 0, 2)):
         with pytest.raises(ValueError, match="permutation"):
-            run_vb(view, np.full(1, 0.5), cond, rng_from(0), permutation=bad_perm)
+            run_vb(StubLaw(g, 1, np.full(1, 0.5)), rng_from(0), permutation=bad_perm)
 
 
 def test_vb_adjacency_cache_keeps_only_latest_mask():
     g = graph(4, [(0, 1, 1.0, 0.5), (1, 2, 1.0, 0.5), (2, 3, 1.0, 0.5)])
     y = np.full(3, 0.5)
-    cond = type("Half", (), {"y_prime": lambda self, e, m, b: 0.5})()
-    run_vb(GraphView(g, 0b011), y, cond, rng_from(0))
-    run_vb(GraphView(g, 0b110), y, cond, rng_from(0))
+    run_vb(StubLaw(g, 0b011, y), rng_from(0))
+    run_vb(StubLaw(g, 0b110, y), rng_from(0))
     keys = [k for k in g._caches
             if k == "vb_adj" or (isinstance(k, tuple) and k and k[0] == "vb_adj")]
     assert keys == ["vb_adj"]

@@ -265,15 +265,15 @@ def test_draw_plans_asks_for_at_most_block_len_rows(monkeypatch):
 
 
 def test_vb_stats_block_equals_per_run_loop():
-    sampler = benchmark_6v8e().sampler()
+    law = benchmark_6v8e().law
     pairs = ((0, 3), (1, 4), (2, 5))
     for perm in (None, (5, 3, 1, 0, 2, 4)):
         rng = rng_from(41, verifier._TAG_VB, 2)
-        g = sampler.view.graph
+        g = law.graph
         active, selected = np.zeros(g.m, np.int64), np.zeros(g.m, np.int64)
         alive, pair_counts, clip = np.zeros(g.n, np.int64), np.zeros(3, np.int64), 0
         for _ in range(400):
-            out = run_vb(sampler.view, sampler.y, sampler.cond, rng, permutation=perm)
+            out = run_vb(law, rng, permutation=perm)
             clip += out.clip_events
             for _v, partner, e in out.activation_log:
                 if partner is not None:
@@ -285,14 +285,13 @@ def test_vb_stats_block_equals_per_run_loop():
             for j, (u, v) in enumerate(pairs):
                 if u in out.alive and v in out.alive:
                     pair_counts[j] += 1
-        got = verifier._vb_stats_block(sampler, pairs, perm, 41, 2, 400)
+        got = verifier._vb_stats_block(law, pairs, perm, 41, 2, 400)
         for a, b in zip(got, (active, selected, alive, pair_counts, clip)):
             assert np.array_equal(a, b)
 
 
 def test_z_block_sums_equal_per_run_loop_bit_for_bit():
     gadget = relaxed_suite_8v()
-    sampler = gadget.sampler()
     x = var_z_synthetic_x(gadget, gadget.tau)
     support = tuple(sorted(x))
     h_values = tuple(x[pair] / 0.37 for pair in support)
@@ -300,7 +299,7 @@ def test_z_block_sums_equal_per_run_loop_bit_for_bit():
     rng = rng_from(42, verifier._TAG_Z, 1)
     sums, sumsq = np.zeros(n), np.zeros(n)
     for _ in range(500):
-        out = run_vb(sampler.view, sampler.y, sampler.cond, rng)
+        out = run_vb(gadget.law, rng)
         z = np.zeros(n)
         for (u, v), h in zip(support, h_values):
             if u in out.alive:
@@ -309,7 +308,7 @@ def test_z_block_sums_equal_per_run_loop_bit_for_bit():
                 z[u] += h
         sums += z
         sumsq += z * z
-    got_sums, got_sumsq = verifier._z_block(sampler, support, h_values, n, 42, 1, 500)
+    got_sums, got_sumsq = verifier._z_block(gadget.law, support, h_values, n, 42, 1, 500)
     assert got_sums.tobytes() == sums.tobytes()
     assert got_sumsq.tobytes() == sumsq.tobytes()
 
@@ -321,20 +320,19 @@ def test_y_block_rows_equal_per_run_loop():
     tables = build_tables_exact(g, params, gadget.t, tau=gadget.tau)
     rng = rng_from(43, verifier._TAG_Y, 0)
     rows = np.zeros((200, g.n))
-    sampler = tables.sampler
     for i in range(200):
-        q_mask = draw_plan(g, 30, rng).q_mask
+        q_mask = draw_plan(g, 30, rng)
         real_mask = sample_mask(g, rng)
-        out = run_vb(sampler.view, sampler.y, sampler.cond, rng, realization_mask=real_mask)
+        out = run_vb(tables.law, rng, realization_mask=real_mask)
         queried = q_mask & real_mask
         for e in tables.classes.noncrucial():
             if not (queried >> e) & 1:
                 continue
             u, v = g.endpoints(e)
             if u in out.alive:
-                rows[i, v] += tables.g_table.get(e)
+                rows[i, v] += tables.g_table[e]
             if v in out.alive:
-                rows[i, u] += tables.g_table.get(e)
+                rows[i, u] += tables.g_table[e]
     got = verifier._y_block(g, tables, 30, 43, 0, 200)
     assert got.shape == rows.shape and got.tobytes() == rows.tobytes()
     assert np.count_nonzero(rows) > 10
@@ -346,19 +344,19 @@ def test_plan_pair_and_log_joint_blocks_equal_per_run_loops():
     rng = rng_from(44, verifier._TAG_NA, 3)
     cells = np.zeros((len(pairs), 4), dtype=np.int64)
     for _ in range(300):
-        q_mask = draw_plan(g, 3, rng).q_mask
+        q_mask = draw_plan(g, 3, rng)
         for j, (e1, e2) in enumerate(pairs):
             cells[j, 2 * ((q_mask >> e1) & 1) + ((q_mask >> e2) & 1)] += 1
     assert np.array_equal(verifier._plan_pair_block(g, 3, pairs, 44, 3, 300), cells)
 
-    sampler = three_path().sampler()
+    law = three_path().law
     perm = (0, 1, 2, 3)
     rng = rng_from(45, verifier._TAG_IND, 0)
     counts = {}
     for _ in range(300):
-        out = run_vb(sampler.view, sampler.y, sampler.cond, rng, permutation=perm)
+        out = run_vb(law, rng, permutation=perm)
         xu = next(p for v, p, _e in out.activation_log if v == 1)
         xw = next(p for v, p, _e in out.activation_log if v == 3)
         counts[(xu, xw)] = counts.get((xu, xw), 0) + 1
-    got = verifier._log_joint_block(sampler, perm, 1, 3, 45, 0, 300)
+    got = verifier._log_joint_block(law, perm, 1, 3, 45, 0, 300)
     assert list(got.items()) == list(counts.items())
