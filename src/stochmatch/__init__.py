@@ -20,12 +20,10 @@ from .augmenter import (
     combine,
     end_to_end,
     round_fractional,
-    run_pipeline_once,
 )
 from .exact import (
     EnumerationTooLarge,
     MatchingLaw,
-    exact_expected_mm_weight,
     exact_x,
     prob_in_plan,
 )
@@ -45,7 +43,6 @@ from .graph_core import (
     Params,
     StochasticGraph,
     gen_random_graph,
-    is_valid_fractional,
     make_matching,
     read_graph,
     weight_of,

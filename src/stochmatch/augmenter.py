@@ -75,33 +75,15 @@ def build_g_table(
 
 @dataclass(frozen=True)
 class SurvivalRecord:
-    """Who made it through the fractional stage, as vertex masks.
-
-    A vertex survives iff it is alive and its pre-zeroing fractional degree
-    did not exceed one; an edge survives iff both endpoints do, whether or
-    not it was queried.
-    """
+    """The vertices the fractional stage zeroed, as a vertex mask: those
+    whose pre-zeroing fractional degree exceeded one."""
 
     graph: StochasticGraph = field(repr=False)
-    alive_mask: int
     overloaded_mask: int
-
-    def _flags(self, mask: int) -> tuple[bool, ...]:
-        return tuple(bool((mask >> v) & 1) for v in range(self.graph.n))
 
     @property
     def overloaded(self) -> tuple[bool, ...]:
-        return self._flags(self.overloaded_mask)
-
-    @property
-    def vertex_survived(self) -> tuple[bool, ...]:
-        return self._flags(self.alive_mask & ~self.overloaded_mask)
-
-    @property
-    def edge_survived(self) -> tuple[bool, ...]:
-        survived = self.alive_mask & ~self.overloaded_mask
-        return tuple(bool((survived >> u) & 1 and (survived >> v) & 1)
-                     for u, v, _w, _p in self.graph.edges)
+        return tuple(bool((self.overloaded_mask >> v) & 1) for v in range(self.graph.n))
 
 
 def build_fractional(
@@ -147,7 +129,7 @@ def build_fractional(
             final[e] = min(value, 1.0)
 
     f = FractionalMatching(values=final, parent=g.token)
-    return f, SurvivalRecord(graph=g, alive_mask=alive, overloaded_mask=overloaded)
+    return f, SurvivalRecord(graph=g, overloaded_mask=overloaded)
 
 
 def round_fractional(g: StochasticGraph, f: FractionalMatching) -> int:
@@ -301,12 +283,6 @@ class RunRecord:
     mmq_weight: float
     mmg_weight: float
     scheme: str
-    clip_events: int
-    zeroed_vertices: int
-    f_weight: float
-    f_max: float
-    round_weight: float
-    max_post_degree: float
 
     @property
     def ratio(self) -> float:
@@ -321,8 +297,6 @@ class E2EResult:
 
     t: int | None
     runs: list[RunRecord]
-    f_sums: np.ndarray
-    f_sumsq: np.ndarray
 
     @property
     def ratio(self) -> float:
@@ -351,17 +325,6 @@ class E2EResult:
         resid = np.array([r.mmq_weight - ratio * r.mmg_weight for r in self.runs])
         return float(np.sqrt(np.mean(resid**2) / n) / b_mean)
 
-    def mean_f(self) -> np.ndarray:
-        return self.f_sums / max(1, len(self.runs))
-
-    def mean_f_std_err(self) -> np.ndarray:
-        n = len(self.runs)
-        if n < 2:
-            return np.zeros_like(self.f_sums)
-        mean = self.f_sums / n
-        var = np.maximum(self.f_sumsq / n - mean**2, 0.0)
-        return np.sqrt(var / n)
-
 
 def _pipeline_run(
     g: StochasticGraph,
@@ -369,15 +332,16 @@ def _pipeline_run(
     ts: tuple[int | None, ...],
     seed: int,
     run_index: int,
-) -> tuple[VBOutput, list[tuple[RunRecord, FractionalMatching]]]:
+) -> tuple[VBOutput, list[tuple[RunRecord, FractionalMatching, int]]]:
     """Run ``run_index`` at every sweep point in ``ts``.
 
-    The realization, the variance-bounding run, MM_G and the plan rounds
-    come from per-run streams that do not depend on ``t``, so they are drawn
-    once: the plan for ``t`` is the union of the first ``t`` of ``max(ts)``
-    rounds, which by the prefix-stream property of :func:`plan_round_masks`
-    is the plan ``t`` rounds alone would draw.  ``None`` is the
-    query-everything control.
+    Per point it returns the record, the fractional vector and the edge mask
+    of its rounding.  The realization, the variance-bounding run, MM_G and
+    the plan rounds come from per-run streams that do not depend on ``t``,
+    so they are drawn once: the plan for ``t`` is the union of the first
+    ``t`` of ``max(ts)`` rounds, which by the prefix-stream property of
+    :func:`plan_round_masks` is the plan ``t`` rounds alone would draw.
+    ``None`` is the query-everything control.
     """
     real_mask = sample_mask(g, rng_from(seed, _TAG_E2E_REAL, run_index))
     vb_out = run_vb(tables.law, rng_from(seed, _TAG_E2E_VB, run_index),
@@ -393,66 +357,30 @@ def _pipeline_run(
     points = []
     for t in ts:
         q_mask = g.full_mask if t is None else unions[t]
-        f, survival = build_fractional(
+        f, _survival = build_fractional(
             g, tables.classes, q_mask, real_mask, vb_out, tables.g_table, tables.params,
         )
         m_n = round_fractional(g, f)
         alg, scheme = combine(g, q_mask, real_mask, vb_out, m_n, tables.classes)
-        mmq = mask_weight(g, mm_edge_mask(g, q_mask & real_mask))
-
-        # Same sums as FractionalMatching.vertex_load: ascending edge order.
-        loads = [0.0] * g.n
-        for e, value in sorted(f.values.items()):
-            u, v = g.endpoints(e)
-            loads[u] += value
-            loads[v] += value
-
         record = RunRecord(
             run=run_index,
             alg_weight=mask_weight(g, alg),
-            mmq_weight=mmq,
+            mmq_weight=mask_weight(g, mm_edge_mask(g, q_mask & real_mask)),
             mmg_weight=mmg,
             scheme=scheme,
-            clip_events=vb_out.clip_events,
-            zeroed_vertices=survival.overloaded_mask.bit_count(),
-            f_weight=f.dot_weights(g),
-            f_max=f.max_value(),
-            round_weight=mask_weight(g, m_n),
-            max_post_degree=max(loads, default=0.0),
         )
-        points.append((record, f))
+        points.append((record, f, m_n))
     return vb_out, points
-
-
-def run_pipeline_once(
-    g: StochasticGraph,
-    tables: PipelineTables,
-    t: int | None,
-    seed: int,
-    run_index: int,
-) -> tuple[RunRecord, np.ndarray, VBOutput]:
-    """One pipeline sample at one sweep point (``t=None``: query everything)."""
-    vb_out, [(record, f)] = _pipeline_run(g, tables, (t,), seed, run_index)
-    f_vec = np.zeros(g.m)
-    for e, value in f.values.items():
-        f_vec[e] = value
-    return record, f_vec, vb_out
 
 
 def _e2e_block(g, tables, ts, seed, block, count):
     records = [[] for _ in ts]
-    sums = [[0.0] * g.m for _ in ts]
-    sumsq = [[0.0] * g.m for _ in ts]
     start = block * BLOCK_LEN
     for j in range(count):
         _vb_out, points = _pipeline_run(g, tables, ts, seed, start + j)
-        for i, (record, f) in enumerate(points):
-            records[i].append(record)
-            s, sq = sums[i], sumsq[i]
-            for e, value in f.values.items():
-                s[e] += value
-                sq[e] += value * value
-    return [(records[i], np.array(sums[i]), np.array(sumsq[i])) for i in range(len(ts))]
+        for recs, (record, _f, _m_n) in zip(records, points):
+            recs.append(record)
+    return records
 
 
 def end_to_end(
@@ -469,7 +397,8 @@ def end_to_end(
     from the streams ``(seed, REAL, r)``, ``(seed, VB, r)`` and
     ``(seed, PLAN, r)``, none of which depend on ``t``, so every point sees
     the same realizations and runs, and plans are nested across ``t``, run
-    by run.  One result per point, in the order of ``ts``.
+    by run.  One result per point, in the order of ``ts``, holding each
+    run's weights and winning scheme.
     """
     ts = tuple(ts)
     if runs < 1:
@@ -480,15 +409,5 @@ def end_to_end(
         if t is not None and t < 0:
             raise ValueError(f"plan round count must be >= 0, got {t}")
     parts = run_blocks(_e2e_block, (g, tables, ts, seed), runs)
-    results = []
-    for i, t in enumerate(ts):
-        records: list[RunRecord] = []
-        f_sums = np.zeros(g.m)
-        f_sumsq = np.zeros(g.m)
-        for block in parts:
-            recs, sums, sumsq = block[i]
-            records.extend(recs)
-            f_sums += sums
-            f_sumsq += sumsq
-        results.append(E2EResult(t=t, runs=records, f_sums=f_sums, f_sumsq=f_sumsq))
-    return results
+    return [E2EResult(t=t, runs=[record for block in parts for record in block[i]])
+            for i, t in enumerate(ts)]

@@ -54,6 +54,26 @@ class ExperimentConfig:
     negative_control: bool = False
 
     def __post_init__(self):
+        if isinstance(self.t, int):
+            self.t = [self.t]
+        if not isinstance(self.t, (list, tuple)):
+            raise ValueError(f"t must be an int or a list of ints, got {self.t!r}")
+        # JSON true/false are bools, which Python also counts as ints.
+        ints = [("seed", self.seed), *(("t", t) for t in self.t)]
+        if self.workers is not None:
+            ints.append(("workers", self.workers))
+        for name, value in ints:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        numbers = [("epsilon", self.epsilon), ("delta", self.delta)]
+        if self.tau is not None:
+            numbers.append(("tau", self.tau))
+        for name, value in numbers:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name in ("control_full_plan", "negative_control"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if type(self.trials) is not int or self.trials < 1:
             raise ValueError(f"trial budget must be an int >= 1, got {self.trials!r}")
         if type(self.verify_trials) is not int or self.verify_trials < 1:
@@ -62,8 +82,6 @@ class ExperimentConfig:
             raise ValueError(f"tau must be > 0, got {self.tau!r}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"worker count must be >= 1, got {self.workers}")
-        if isinstance(self.t, int):
-            self.t = [self.t]
         if not self.t:
             raise ValueError("t must hold at least one plan size")
         if min(self.t) < 0:

@@ -13,7 +13,8 @@ realizations are drawn as one batch and reduced to distinct masks, so the
 matching oracle runs once per distinct mask; y' draws only the edges its
 batch reveal leaves hidden.  :class:`MonteCarloConditional` carries estimated
 ``y`` and ``y'`` as the variance-bounding run's activation law, and
-:func:`estimate_pair_alive` reruns that run on any such law.
+:func:`sample_vb_statistics` reruns that run on any such law and counts its
+outcomes, for :func:`estimate_pair_alive` and the verifier's checks alike.
 """
 
 from __future__ import annotations
@@ -54,15 +55,6 @@ class ProbEstimate:
         value = count / trials
         return cls(value=value, trials=trials,
                    std_err=math.sqrt(max(value * (1.0 - value), 0.0) / trials))
-
-
-def z_distance(a: ProbEstimate, b: ProbEstimate) -> float:
-    """Two-sample z statistic; 0 when both estimates are degenerate and equal."""
-    spread = math.hypot(a.std_err, b.std_err)
-    diff = abs(a.value - b.value)
-    if spread == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
-    return diff / spread
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +192,55 @@ def estimate_q(g: StochasticGraph, t: int, trials: int, seed: int) -> list[ProbE
     return [ProbEstimate.from_count(int(c), trials) for c in counts]
 
 
-def _pair_alive_block(law: ActivationLaw, pairs: tuple, seed: int, block: int,
-                      count: int) -> np.ndarray:
-    rng = rng_from(seed, _TAG_PAIR, block)
-    counts = np.zeros(len(pairs), dtype=np.int64)
-    runs = Counter(run_vb(law, rng).alive_mask for _ in range(count))
+def _vb_stats_block(law: ActivationLaw, pairs: tuple, perm, seed: int, tag: int,
+                    block: int, count: int):
+    rng = rng_from(seed, tag, block)
+    g = law.graph
+    active = np.zeros(g.m, dtype=np.int64)
+    selected = np.zeros(g.m, dtype=np.int64)
+    alive = np.zeros(g.n, dtype=np.int64)
+    pair_counts = np.zeros(len(pairs), dtype=np.int64)
+    clip = 0
+    outcomes: Counter = Counter()  # (active, matched edges, alive vertices) masks
+    for _ in range(count):
+        out = run_vb(law, rng, permutation=perm)
+        clip += out.clip_events
+        activated = 0
+        for _v, partner, e in out.activation_log:
+            if partner is not None:
+                activated |= 1 << e
+        outcomes[activated, out.matching_mask, out.alive_mask] += 1
     pair_masks = [(1 << u) | (1 << v) for u, v in pairs]
-    for alive, k in runs.items():
+    for (activated, matched, alive_mask), k in outcomes.items():
+        for e in mask_edges(activated):
+            active[e] += k
+        for e in mask_edges(matched):
+            selected[e] += k
+        for v in mask_edges(alive_mask):
+            alive[v] += k
         for j, both in enumerate(pair_masks):
-            if alive & both == both:
-                counts[j] += k
-    return counts
+            if alive_mask & both == both:
+                pair_counts[j] += k
+    return active, selected, alive, pair_counts, clip
+
+
+def sample_vb_statistics(law: ActivationLaw, pairs, trials: int, seed: int, tag: int,
+                         perm=None):
+    """Outcome counts of ``trials`` variance-bounding runs on ``law``.
+
+    Block ``b`` draws its runs from the stream ``(seed, tag, b)``, with the
+    arrival order fixed to ``perm`` if given.  Returns the per-edge active
+    and matched counts, the per-vertex alive counts, the joint alive count of
+    each vertex pair (keyed as given) and the number of clipped batches.
+    """
+    pairs = tuple(pairs)
+    parts = run_blocks(_vb_stats_block, (law, pairs, perm, seed, tag), trials)
+    active = sum(p[0] for p in parts)
+    selected = sum(p[1] for p in parts)
+    alive = sum(p[2] for p in parts)
+    pair_counts = sum(p[3] for p in parts)
+    clip = sum(p[4] for p in parts)
+    return active, selected, alive, dict(zip(pairs, pair_counts)), clip
 
 
 def estimate_pair_alive(
@@ -224,8 +254,6 @@ def estimate_pair_alive(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     norm_pairs = tuple((min(u, v), max(u, v)) for u, v in pairs)
-    parts = run_blocks(_pair_alive_block, (law, norm_pairs, seed), trials)
-    counts = sum(parts)
-    return {pair: ProbEstimate.from_count(int(counts[j]), trials)
-            for j, pair in enumerate(norm_pairs)}
+    *_, counts, _clip = sample_vb_statistics(law, norm_pairs, trials, seed, _TAG_PAIR)
+    return {pair: ProbEstimate.from_count(int(counts[pair]), trials) for pair in norm_pairs}
 

@@ -63,20 +63,6 @@ def exact_x(g: StochasticGraph) -> np.ndarray:
     return x
 
 
-def exact_expected_mm_weight(g: StochasticGraph) -> float:
-    """Exact E[weight(MM(realization))]."""
-    _check_enum_size(g.m)
-    total = 0.0
-    w = g.weights
-    for mask in range(1 << g.m):
-        prob = mask_probability(g, mask)
-        if prob == 0.0:
-            continue
-        mm = mm_edge_mask(g, mask)
-        total += prob * sum(w[e] for e in range(g.m) if (mm >> e) & 1)
-    return total
-
-
 def prob_in_plan(x: np.ndarray | float, t: int):
     """Closed form Pr[edge joins the plan] = 1 - (1 - x)^t (iid rounds)."""
     return 1.0 - (1.0 - np.asarray(x, dtype=float)) ** t
@@ -205,15 +191,4 @@ class MatchingLaw:
                 raise ValueError(
                     f"edge {e}: realization marginal {marginal} != p={self.graph.edges[e].p}"
                 )
-
-    def vertex_marginals(self) -> np.ndarray:
-        """Per-vertex probability of being matched by the oracle matching."""
-        y = self.y
-        out = np.zeros(self.graph.n)
-        for e in range(self.graph.m):
-            if y[e] > 0.0:
-                u, v = self.graph.endpoints(e)
-                out[u] += y[e]
-                out[v] += y[e]
-        return out
 

@@ -149,14 +149,6 @@ class Matching:
             mask |= 1 << e
         return mask
 
-    def vertices(self, g: StochasticGraph) -> frozenset[int]:
-        out: set[int] = set()
-        for e in self.edges:
-            u, v = g.endpoints(e)
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
-
 
 def make_matching(g: StochasticGraph, edge_indices: Iterable[int]) -> Matching:
     """Validated matching constructor; rejects shared endpoints."""
@@ -196,8 +188,7 @@ class FractionalMatching:
     """Per-edge values in [0, 1].
 
     The per-vertex cap (sum over incident edges <= 1) is *not* enforced at
-    construction: the augmenting algorithm's intermediate vector may violate
-    it before its zeroing step, so validity is a separate predicate.
+    construction: the augmenting stage enforces it by its zeroing step.
     """
 
     values: Mapping[int, float]
@@ -212,36 +203,18 @@ class FractionalMatching:
                 clean[int(e)] = float(x)
         object.__setattr__(self, "values", dict(clean))
 
-    def get(self, e: int) -> float:
-        return self.values.get(e, 0.0)
-
     def support_mask(self) -> int:
         mask = 0
         for e in self.values:
             mask |= 1 << e
         return mask
 
-    def vertex_load(self, g: StochasticGraph, v: int) -> float:
-        return sum(self.get(e) for e in g.incident[v])
-
-    def dot_weights(self, g: StochasticGraph) -> float:
-        return sum(x * g.edges[e].w for e, x in sorted(self.values.items()))
-
-    def max_value(self) -> float:
-        return max(self.values.values(), default=0.0)
-
-
-def is_valid_fractional(f: FractionalMatching, g: StochasticGraph, tol: float = 1e-12) -> bool:
-    """Predicate for the per-vertex cap: sum of incident values <= 1."""
-    check_parent(f.parent, g, "fractional matching")
-    return all(f.vertex_load(g, v) <= 1.0 + tol for v in range(g.n))
-
 
 @dataclass(frozen=True)
 class Params:
     """Pipeline parameters and the derived constants used throughout.
 
-    ``tau``, ``eta``, ``beta``, ``gamma`` and ``c`` follow the fixed formulas
+    ``tau``, ``eta``, ``beta`` and ``gamma`` follow the fixed formulas
     in terms of ``epsilon``, ``delta`` and the graph's minimum edge
     probability.  The plan size ``t`` is user-supplied where it is used; the
     theory value ``t_theory`` is reported but intentionally never substituted
@@ -279,10 +252,6 @@ class Params:
     @property
     def gamma(self) -> float:
         return (1.0 - self.epsilon**2) / (1.0 + 3.0 * self.eta)
-
-    @property
-    def c(self) -> float:
-        return 10.0 / self.epsilon
 
     @property
     def t_theory(self) -> int:

@@ -82,9 +82,6 @@ class EdgeClasses:
     def noncrucial_mask(self) -> int:
         return ((1 << self.m) - 1) & ~self.crucial_mask
 
-    def is_crucial(self, e: int) -> bool:
-        return bool((self.crucial_mask >> e) & 1)
-
     def crucial(self) -> list[int]:
         return mask_edges(self.crucial_mask)
 
@@ -115,12 +112,6 @@ class CoverageReport:
     claim_floor: dict  # edge -> (freq, floor, passed) for all edges
     max_degree_seen: int
     degree_bound_ok: bool
-
-    @property
-    def all_passed(self) -> bool:
-        cov_ok = all(passed for _f, _fl, passed in self.coverage.values())
-        floor_ok = all(passed for _f, _fl, passed in self.claim_floor.values())
-        return cov_ok and floor_ok and self.degree_bound_ok
 
 
 def check_crucial_coverage(

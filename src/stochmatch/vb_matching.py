@@ -274,9 +274,6 @@ class ExactVBDistribution:
     def component_of(self, v: int) -> ComponentLaw:
         return self.components[self._vertex_comp[v]]
 
-    def vertex_alive_prob(self, v: int) -> float:
-        return self.component_of(v).alive_single[v]
-
     def pair_alive_prob(self, u: int, v: int) -> float:
         cu, cv = self._vertex_comp[u], self._vertex_comp[v]
         if cu == cv:
@@ -293,12 +290,6 @@ class ExactVBDistribution:
         for comp in self.components:
             if e in comp.selected:
                 return comp.selected[e]
-        raise KeyError(f"edge {e} is not a crucial edge")
-
-    def edge_active_prob_by_order(self, e: int) -> dict:
-        for comp in self.components:
-            if e in comp.active:
-                return {order: data["active"].get(e, 0.0) for order, data in comp.per_order.items()}
         raise KeyError(f"edge {e} is not a crucial edge")
 
 

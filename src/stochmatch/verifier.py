@@ -19,7 +19,7 @@ import numpy as np
 
 from .augmenter import PipelineTables, build_tables_exact
 from .exact import EnumerationTooLarge
-from .estimator import estimate_pair_alive
+from .estimator import estimate_pair_alive, sample_vb_statistics
 from .gadgets import (
     Gadget,
     positive_covariance_control,
@@ -81,53 +81,6 @@ def _se(freq: float, trials: int) -> float:
     return math.sqrt(max(freq * (1.0 - freq), 0.0) / trials)
 
 
-# ---------------------------------------------------------------------------
-# Shared VB sampling
-
-
-def _vb_stats_block(law: ActivationLaw, pairs: tuple, perm, seed: int,
-                    block: int, count: int):
-    rng = rng_from(seed, _TAG_VB, block)
-    g = law.graph
-    active = np.zeros(g.m, dtype=np.int64)
-    selected = np.zeros(g.m, dtype=np.int64)
-    alive = np.zeros(g.n, dtype=np.int64)
-    pair_counts = np.zeros(len(pairs), dtype=np.int64)
-    clip = 0
-    outcomes: Counter = Counter()  # (active, matched edges, alive vertices) masks
-    for _ in range(count):
-        out = run_vb(law, rng, permutation=perm)
-        clip += out.clip_events
-        activated = 0
-        for _v, partner, e in out.activation_log:
-            if partner is not None:
-                activated |= 1 << e
-        outcomes[activated, out.matching_mask, out.alive_mask] += 1
-    pair_masks = [(1 << u) | (1 << v) for u, v in pairs]
-    for (activated, matched, alive_mask), k in outcomes.items():
-        for e in mask_edges(activated):
-            active[e] += k
-        for e in mask_edges(matched):
-            selected[e] += k
-        for v in mask_edges(alive_mask):
-            alive[v] += k
-        for j, both in enumerate(pair_masks):
-            if alive_mask & both == both:
-                pair_counts[j] += k
-    return active, selected, alive, pair_counts, clip
-
-
-def sample_vb_statistics(law: ActivationLaw, pairs, trials: int, seed: int, perm=None):
-    pairs = tuple(pairs)
-    parts = run_blocks(_vb_stats_block, (law, pairs, perm, seed), trials)
-    active = sum(p[0] for p in parts)
-    selected = sum(p[1] for p in parts)
-    alive = sum(p[2] for p in parts)
-    pair_counts = sum(p[3] for p in parts)
-    clip = sum(p[4] for p in parts)
-    return active, selected, alive, dict(zip(pairs, pair_counts)), clip
-
-
 def _try_enumeration(gadget: Gadget):
     try:
         return exact_vb_enumeration(gadget.law)
@@ -156,7 +109,7 @@ def _noncrucial_pairs(g: StochasticGraph, crucial_mask: int):
 def check_activation(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     """Activation frequency of every crucial edge vs g(y) and the oracle."""
     g = gadget.graph
-    active, _sel, _alive, _pairs, clip = sample_vb_statistics(gadget.law, (), trials, seed)
+    active, _sel, _alive, _pairs, clip = sample_vb_statistics(gadget.law, (), trials, seed, _TAG_VB)
     dist = _try_enumeration(gadget)
     y = gadget.law.y
     details = {}
@@ -192,7 +145,7 @@ def check_activation(gadget: Gadget, trials: int, seed: int) -> CheckReport:
 def check_selectability(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     """Matching membership vs the enumeration oracle, and the 8/15 line."""
     g = gadget.graph
-    _act, selected, _alive, _pairs, _clip = sample_vb_statistics(gadget.law, (), trials, seed)
+    _act, selected, _alive, _pairs, _clip = sample_vb_statistics(gadget.law, (), trials, seed, _TAG_VB)
     dist = _try_enumeration(gadget)
     y = gadget.law.y
     details = {}
@@ -235,7 +188,7 @@ def check_pair_alive(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     g = gadget.graph
     pairs, adjacent = _noncrucial_pairs(g, gadget.crucial_mask)
     _act, _sel, alive, pair_counts, _clip = sample_vb_statistics(
-        gadget.law, tuple(pairs + adjacent), trials, seed)
+        gadget.law, tuple(pairs + adjacent), trials, seed, _TAG_VB)
     dist = _try_enumeration(gadget)
     details = {}
     verdict = "pass"

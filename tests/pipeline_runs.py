@@ -1,0 +1,48 @@
+"""Fractional-stage diagnostics of pipeline runs, for the tests that gate them.
+
+``end_to_end`` returns only each run's weights and winning scheme.  The
+degree cap, the rounding bound and the E[f_e] floor are properties of the
+fractional vector ``f`` and its rounding ``m_n``, which
+``augmenter._pipeline_run`` builds for every run from the same streams as
+the sweep's run with the same index.
+"""
+
+import numpy as np
+
+from stochmatch.augmenter import _pipeline_run
+
+
+def point_runs(g, tables, t, runs, seed):
+    """``(VBOutput, f, m_n)`` of runs ``0..runs-1`` at the sweep point ``t``."""
+    for r in range(runs):
+        vb_out, [(_record, f, m_n)] = _pipeline_run(g, tables, (t,), seed, r)
+        yield vb_out, f, m_n
+
+
+def f_weight(g, f):
+    """Weight of a fractional vector, summed in ascending edge order."""
+    return sum(x * g.edges[e].w for e, x in sorted(f.values.items()))
+
+
+def max_load(g, f):
+    """Largest fractional degree; each vertex sums its edges in ascending order."""
+    loads = [0.0] * g.n
+    for e, value in sorted(f.values.items()):
+        u, v = g.endpoints(e)
+        loads[u] += value
+        loads[v] += value
+    return max(loads, default=0.0)
+
+
+def mean_f(g, fs):
+    """Per-edge mean of the fractional vectors ``fs`` and its standard error."""
+    sums = np.zeros(g.m)
+    sumsq = np.zeros(g.m)
+    for f in fs:
+        for e, value in f.values.items():
+            sums[e] += value
+            sumsq[e] += value * value
+    n = len(fs)
+    mean = sums / n
+    var = np.maximum(sumsq / n - mean**2, 0.0)
+    return mean, np.sqrt(var / n)

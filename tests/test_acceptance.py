@@ -47,6 +47,8 @@ from stochmatch.verifier import (
     two_point_covariance,
 )
 
+from pipeline_runs import f_weight, max_load, mean_f, point_runs
+
 BIG = 100_000
 
 
@@ -171,14 +173,14 @@ def test_criterion_7_fractional_stage():
     g = relaxed.graph
     params = Params(epsilon=relaxed.epsilon, delta=1 / 576.0, p_min=g.p_min)
     tables = build_tables_exact(g, params, relaxed.t, tau=relaxed.tau)
-    [res] = end_to_end(g, tables, [relaxed.t], runs=30_000, seed=701)
-    assert all(r.max_post_degree <= 1.0 + 1e-9 for r in res.runs)
+    runs = [(f, m_n) for _vb_out, f, m_n in point_runs(g, tables, relaxed.t, 30_000, 701)]
+    assert all(max_load(g, f) <= 1.0 + 1e-9 for f, _m_n in runs)
     # rounding bound on every run in the small-values regime
     eps = params.epsilon
     checked = 0
-    for r in res.runs:
-        if 0 < r.f_max <= eps**3:
-            assert r.round_weight >= (1 - eps / 2) * r.f_weight - 1e-12
+    for f, m_n in runs:
+        if 0 < max(f.values.values(), default=0.0) <= eps**3:
+            assert mask_weight(g, m_n) >= (1 - eps / 2) * f_weight(g, f) - 1e-12
             checked += 1
     # the regime is exercised directly with constructed fractional vectors
     rng = np.random.default_rng(702)
@@ -200,13 +202,13 @@ def test_criterion_7_fractional_stage():
                 load[v] += val
         f = FractionalMatching(values=values, parent=h.token)
         m = round_fractional(h, f)
-        assert mask_weight(h, m) >= (1 - eps / 2) * f.dot_weights(h) - 1e-12
+        assert mask_weight(h, m) >= (1 - eps / 2) * f_weight(h, f) - 1e-12
         constructed += 1
     # expected fractional value per non-crucial edge
-    mean_f, se_f = res.mean_f(), res.mean_f_std_err()
+    mean, se_f = mean_f(g, [f for f, _m_n in runs])
     for e in tables.classes.noncrucial():
         floor = (1 - eps / 2) * tables.x[e]
-        assert mean_f[e] >= floor - 3 * se_f[e], (e, mean_f[e], floor, se_f[e])
+        assert mean[e] >= floor - 3 * se_f[e], (e, mean[e], floor, se_f[e])
     report(7, f"post-zero degree <= 1 on 30000/30000 runs; rounding bound held on "
               f"{checked} in-regime pipeline runs and {constructed} constructed vectors; "
               "E[f_e] floor held on the relaxed 8-vertex suite")

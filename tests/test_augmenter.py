@@ -11,7 +11,6 @@ from stochmatch.augmenter import (
     combine,
     end_to_end,
     round_fractional,
-    run_pipeline_once,
 )
 from stochmatch import augmenter
 from stochmatch.exact import EnumerationTooLarge, MatchingLaw
@@ -29,9 +28,11 @@ from stochmatch.graph_core import (
     weight_of,
 )
 from stochmatch.mwm import GraphView, max_weight_matching
-from stochmatch.parallel import BLOCK_LEN, iter_blocks, rng_from, worker_pool
+from stochmatch.parallel import BLOCK_LEN, rng_from, worker_pool
 from stochmatch.sparsifier import classify_edges, draw_plan
 from stochmatch.vb_matching import VBOutput, run_vb
+
+from pipeline_runs import f_weight, max_load, mean_f, point_runs
 
 
 def graph(n, edges):
@@ -49,6 +50,15 @@ def fake_vb(g, alive, mc_edges=()):
 
 def params_for(g, eps=0.2):
     return Params(epsilon=eps, delta=1 / 576.0, p_min=g.p_min)
+
+
+def survival_flags(g, vb, record):
+    """A vertex survives the fractional stage iff it is alive and was not
+    zeroed; an edge iff both its endpoints survive, queried or not."""
+    survived = vb.alive_mask & ~record.overloaded_mask
+    vertices = tuple(bool((survived >> v) & 1) for v in range(g.n))
+    edges = tuple(vertices[u] and vertices[v] for u, v, _w, _p in g.edges)
+    return vertices, edges
 
 
 def test_build_g_table_values_and_flags():
@@ -72,11 +82,10 @@ def test_build_fractional_empty_alive_set():
     classes = classify_edges(np.array([0.8, 0.004]), tau=0.05)
     params = params_for(g)
     table = build_g_table(g, classes, np.array([0.8, 0.004]), [1.0, 0.4], {1: 0.2})
-    f, record = build_fractional(
-        g, classes, g.full_mask, g.full_mask,
-        fake_vb(g, alive=[]), table, params)
+    vb = fake_vb(g, alive=[])
+    f, record = build_fractional(g, classes, g.full_mask, g.full_mask, vb, table, params)
     assert f.values == {}
-    assert not any(record.vertex_survived)
+    assert not any(survival_flags(g, vb, record)[0])
 
 
 def test_build_fractional_direct_rule():
@@ -84,13 +93,11 @@ def test_build_fractional_direct_rule():
     classes = classify_edges(np.array([0.8, 0.004]), tau=0.05)
     params = params_for(g)
     table = {1: 0.001}
-    f, record = build_fractional(
-        g, classes, g.full_mask, g.full_mask,
-        fake_vb(g, alive=[0, 1, 2]), table, params)
-    assert f.get(1) == pytest.approx(params.gamma * 0.001)
-    assert f.get(0) == 0.0
-    assert record.vertex_survived == (True, True, True)
-    assert record.edge_survived == (True, True)
+    vb = fake_vb(g, alive=[0, 1, 2])
+    f, record = build_fractional(g, classes, g.full_mask, g.full_mask, vb, table, params)
+    assert f.values[1] == pytest.approx(params.gamma * 0.001)
+    assert 0 not in f.values
+    assert survival_flags(g, vb, record) == ((True, True, True), (True, True))
 
 
 def test_build_fractional_requires_queried_and_realized():
@@ -116,15 +123,15 @@ def test_build_fractional_star_overload_zeroes_all():
     target = 0.3 / params.gamma
     classes = classify_edges(np.zeros(g.m), tau=0.5)  # everything non-crucial
     table = {e: target for e in range(g.m)}
-    f, record = build_fractional(
-        g, classes, g.full_mask, g.full_mask,
-        fake_vb(g, alive=range(g.n)), table, params)
+    vb = fake_vb(g, alive=range(g.n))
+    f, record = build_fractional(g, classes, g.full_mask, g.full_mask, vb, table, params)
     assert f.values == {}
     assert record.overloaded[0]
     assert not any(record.overloaded[1:])
     # leaves are alive and under the cap, yet their only edge died with the center
-    assert record.vertex_survived[1]
-    assert record.edge_survived == (False,) * g.m
+    vertex_survived, edge_survived = survival_flags(g, vb, record)
+    assert vertex_survived[1]
+    assert edge_survived == (False,) * g.m
 
 
 def test_round_fractional_trivial_cases():
@@ -142,7 +149,7 @@ def test_round_fractional_triangle_bound():
     m = round_fractional(g, f)
     eps = 0.2
     assert mask_weight(g, m) == 1.0
-    assert mask_weight(g, m) >= (1 - eps / 2) * f.dot_weights(g)
+    assert mask_weight(g, m) >= (1 - eps / 2) * f_weight(g, f)
 
 
 def test_round_fractional_small_value_regime_bound():
@@ -169,7 +176,7 @@ def test_round_fractional_small_value_regime_bound():
                     load[v] += val
         f = FractionalMatching(values=values, parent=g.token)
         m = round_fractional(g, f)
-        assert mask_weight(g, m) >= (1 - eps / 2) * f.dot_weights(g) - 1e-12
+        assert mask_weight(g, m) >= (1 - eps / 2) * f_weight(g, f) - 1e-12
 
 
 def test_combine_trivial_sides():
@@ -261,8 +268,9 @@ def test_end_to_end_structural_invariants():
     g = gadget.graph
     tables = build_tables_exact(g, params_for(g), gadget.t, tau=gadget.tau)
     [res] = end_to_end(g, tables, [4], runs=600, seed=9)
+    for _vb_out, f, _m_n in point_runs(g, tables, 4, 600, 9):
+        assert max_load(g, f) <= 1.0 + 1e-9
     for r in res.runs:
-        assert r.max_post_degree <= 1.0 + 1e-9
         assert r.alg_weight <= r.mmq_weight + 1e-9  # ALG lives inside the plan
         assert r.mmq_weight <= r.mmg_weight + 1e-9
 
@@ -273,13 +281,11 @@ def test_end_to_end_f_support_flags():
     g = gadget.graph
     params = Params(epsilon=gadget.epsilon, delta=1 / 576.0, p_min=g.p_min)
     tables = build_tables_exact(g, params, gadget.t, tau=gadget.tau)
-    for idx in range(50):
-        record, f_vec, out = run_pipeline_once(g, tables, gadget.t, 3, idx)
-        for e in range(g.m):
-            if f_vec[e] > 0:
-                assert not tables.classes.is_crucial(e)
-                u, v = g.endpoints(e)
-                assert u in out.alive and v in out.alive
+    for out, f, _m_n in point_runs(g, tables, gadget.t, 50, 3):
+        for e in f.values:
+            assert not (tables.classes.crucial_mask >> e) & 1
+            u, v = g.endpoints(e)
+            assert u in out.alive and v in out.alive
 
 
 def test_end_to_end_worker_independence():
@@ -319,7 +325,8 @@ def test_monte_carlo_tables_with_sampled_conditionals():
                                   pair_trials=2000, cond_trials=300,
                                   exact_conditionals=False)
     [res] = end_to_end(g, mc, [4], runs=200, seed=34)
-    assert all(r.max_post_degree <= 1.0 + 1e-9 for r in res.runs)
+    for _vb_out, f, _m_n in point_runs(g, mc, 4, 200, 34):
+        assert max_load(g, f) <= 1.0 + 1e-9
     assert 0.5 <= res.ratio <= 1.0
 
 
@@ -328,12 +335,10 @@ def test_mean_f_tracks_gamma_x_on_relaxed_suite():
     g = gadget.graph
     params = Params(epsilon=gadget.epsilon, delta=1 / 576.0, p_min=g.p_min)
     tables = build_tables_exact(g, params, gadget.t, tau=gadget.tau)
-    [res] = end_to_end(g, tables, [gadget.t], runs=6000, seed=13)
-    mean_f = res.mean_f()
-    se = res.mean_f_std_err()
+    mean, se = mean_f(g, [f for _vb_out, f, _m_n in point_runs(g, tables, gadget.t, 6000, 13)])
     for e in tables.classes.noncrucial():
         target = (1 - params.epsilon / 2) * tables.x[e]
-        assert mean_f[e] >= target - 3 * se[e]
+        assert mean[e] >= target - 3 * se[e]
 
 
 def test_build_tables_exact_propagates_activation_breach(monkeypatch):
@@ -354,7 +359,8 @@ SWEEP = [1, 2, 4, 8, None]
 
 
 def reference_run(g, tables, t, seed, run_index):
-    """One pipeline run drawn on its own, as a one-point call once did."""
+    """One pipeline run drawn on its own, as a one-point call once did: its
+    record, fractional vector and rounding."""
     if t is None:
         q_mask = g.full_mask
     else:
@@ -362,48 +368,22 @@ def reference_run(g, tables, t, seed, run_index):
     real_mask = sample_mask(g, rng_from(seed, augmenter._TAG_E2E_REAL, run_index))
     vb_out = run_vb(tables.law, rng_from(seed, augmenter._TAG_E2E_VB, run_index),
                     realization_mask=real_mask)
-    f, survival = build_fractional(g, tables.classes, q_mask, real_mask, vb_out,
-                                   tables.g_table, tables.params)
+    f, _survival = build_fractional(g, tables.classes, q_mask, real_mask, vb_out,
+                                    tables.g_table, tables.params)
     m_n = round_fractional(g, f)
     alg, scheme = combine(g, q_mask, real_mask, vb_out, m_n, tables.classes)
     mmq = weight_of(max_weight_matching(GraphView(g, q_mask & real_mask)), g)
     mmg = weight_of(max_weight_matching(GraphView(g, real_mask)), g)
-    f_vec = np.zeros(g.m)
-    for e, value in f.values.items():
-        f_vec[e] = value
     record = augmenter.RunRecord(
         run=run_index, alg_weight=mask_weight(g, alg), mmq_weight=mmq, mmg_weight=mmg,
-        scheme=scheme, clip_events=vb_out.clip_events,
-        zeroed_vertices=sum(survival.overloaded), f_weight=f.dot_weights(g),
-        f_max=f.max_value(), round_weight=mask_weight(g, m_n),
-        max_post_degree=max([f.vertex_load(g, v) for v in range(g.n)] or [0.0]),
+        scheme=scheme,
     )
-    return record, f_vec
-
-
-def reference_point(g, tables, t, runs, seed):
-    """Records and bitwise block-ordered f sums of ``runs`` reference runs."""
-    records = []
-    f_sums = np.zeros(g.m)
-    f_sumsq = np.zeros(g.m)
-    for block, count in iter_blocks(runs):
-        sums = np.zeros(g.m)
-        sumsq = np.zeros(g.m)
-        for j in range(count):
-            record, f_vec = reference_run(g, tables, t, seed, block * BLOCK_LEN + j)
-            records.append(record)
-            sums += f_vec
-            sumsq += f_vec**2
-        f_sums += sums
-        f_sumsq += sumsq
-    return records, f_sums, f_sumsq
+    return record, f, m_n
 
 
 def assert_same_point(a, b):
     assert a.t == b.t
     assert a.runs == b.runs  # every RunRecord field
-    assert a.f_sums.tobytes() == b.f_sums.tobytes()
-    assert a.f_sumsq.tobytes() == b.f_sumsq.tobytes()
 
 
 def assert_sweep_equals_single_points(g, tables, runs, seed, workers=None):
@@ -424,11 +404,17 @@ def exact_tables(gadget):
 
 
 def assert_matches_reference(g, tables, sweep, runs, seed):
-    for res in sweep:
-        records, f_sums, f_sumsq = reference_point(g, tables, res.t, runs, seed)
-        assert res.runs == records
-        assert res.f_sums.tobytes() == f_sums.tobytes()
-        assert res.f_sumsq.tobytes() == f_sumsq.tobytes()
+    """Every run of every point, with its fractional vector and rounding as
+    the sweep builds them, equals the reference run."""
+    ts = tuple(res.t for res in sweep)
+    assert [len(res.runs) for res in sweep] == [runs] * len(sweep)
+    for r in range(runs):
+        _vb_out, points = augmenter._pipeline_run(g, tables, ts, seed, r)
+        for res, (record, f, m_n) in zip(sweep, points):
+            ref, ref_f, ref_m_n = reference_run(g, tables, res.t, seed, r)
+            assert res.runs[r] == record == ref
+            assert f.values == ref_f.values  # exact float equality, edge by edge
+            assert m_n == ref_m_n
 
 
 def test_sweep_equals_single_points_across_blocks_and_workers():
@@ -461,19 +447,6 @@ def test_sweep_equals_single_points_with_sampled_conditionals():
                                       cond_trials=50, exact_conditionals=False)
     sweep = assert_sweep_equals_single_points(g, tables, 50, seed=44)
     assert_matches_reference(g, tables, sweep, 50, seed=44)
-
-
-def test_run_pipeline_once_is_one_point_of_the_sweep():
-    gadget = benchmark_6v8e()
-    g = gadget.graph
-    tables = exact_tables(gadget)
-    sweep = end_to_end(g, tables, SWEEP, 30, seed=45)
-    for res in sweep:
-        for r, record in enumerate(res.runs):
-            once, f_vec, _out = run_pipeline_once(g, tables, res.t, 45, r)
-            ref, ref_vec = reference_run(g, tables, res.t, 45, r)
-            assert once == record == ref
-            assert f_vec.tobytes() == ref_vec.tobytes()
 
 
 def test_end_to_end_rejects_empty_and_negative_sweeps():

@@ -237,6 +237,17 @@ def test_config_rejects_bad_tables_and_budgets(tmp_path, field, value, message):
     ("run", "trials", 2.5, "trial budget must be an int >= 1, got 2.5"),
     ("run", "trials", True, "trial budget must be an int >= 1, got True"),
     ("verify", "verify_trials", 2.5, "verify trial budget must be an int >= 1, got 2.5"),
+    ("run", "t", [1.5], "t must be an int, got 1.5"),
+    ("run", "t", [True], "t must be an int, got True"),
+    ("run", "t", ["2"], "t must be an int, got '2'"),
+    ("run", "seed", 1.5, "seed must be an int, got 1.5"),
+    ("run", "seed", "3", "seed must be an int, got '3'"),
+    ("run", "workers", True, "workers must be an int, got True"),
+    ("run", "workers", 1.5, "workers must be an int, got 1.5"),
+    ("run", "epsilon", "0.2", "epsilon must be a number, got '0.2'"),
+    ("run", "tau", "0.3", "tau must be a number, got '0.3'"),
+    ("run", "control_full_plan", "false", "control_full_plan must be true or false, got 'false'"),
+    ("run", "negative_control", 1, "negative_control must be true or false, got 1"),
 ])
 def test_bad_config_fails_before_any_output(tmp_path, command, field, value, message):
     cfg_path = tmp_path / "cfg.json"

@@ -12,7 +12,6 @@ from stochmatch.estimator import (
     estimate_x,
     estimate_y,
     estimate_y_conditional,
-    z_distance,
 )
 from stochmatch.exact import exact_x
 from stochmatch.gadgets import benchmark_6v8e, four_cycle, isolated_pair, two_path
@@ -111,7 +110,8 @@ def test_estimate_y_all_crucial_matches_x_distribution():
     xs = estimate_x(g, trials=40_000, seed=21)
     ys = estimate_y(g, g.full_mask, trials=40_000, seed=22)
     for e in range(g.m):
-        assert z_distance(xs[e], ys[e]) <= 3.5
+        gap = abs(xs[e].value - ys[e].value)
+        assert gap <= 3.5 * math.hypot(xs[e].std_err, ys[e].std_err)
 
 
 def test_estimate_y_conditional_single_edge():
@@ -273,5 +273,5 @@ def test_counted_q_and_pair_alive_blocks_equal_per_run_loops():
         for j, (u, v) in enumerate(pairs):
             if u in out.alive and v in out.alive:
                 pair_counts[j] += 1
-    got = estimator._pair_alive_block(gadget.law, pairs, 52, 0, 400)
-    assert np.array_equal(got, pair_counts)
+    got = estimator._vb_stats_block(gadget.law, pairs, None, 52, estimator._TAG_PAIR, 0, 400)
+    assert np.array_equal(got[3], pair_counts)

@@ -4,7 +4,6 @@ import pytest
 from stochmatch.exact import (
     EnumerationTooLarge,
     MatchingLaw,
-    exact_expected_mm_weight,
     exact_x,
     prob_in_plan,
 )
@@ -28,11 +27,6 @@ def test_exact_x_shared_vertex_sums_to_one():
     assert x.sum() == pytest.approx(1.0, abs=1e-15)
 
 
-def test_exact_expected_weight_single_edge():
-    g = graph(2, [(0, 1, 2.5, 0.4)])
-    assert exact_expected_mm_weight(g) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_prob_in_plan_closed_form():
     assert prob_in_plan(0.4, 5) == pytest.approx(1 - 0.6**5)
     np.testing.assert_allclose(prob_in_plan(np.array([0.0, 1.0]), 3), [0.0, 1.0])
@@ -47,8 +41,13 @@ def test_pipeline_law_marginals_match_x_when_all_crucial():
 
 
 def test_pipeline_law_vertex_loads_below_one():
+    # Pr[v matched by the oracle matching] = sum of y over v's edges
     gadget = three_path()
-    loads = gadget.law.vertex_marginals()
+    g = gadget.graph
+    loads = np.zeros(g.n)
+    for e, (u, v, _w, _p) in enumerate(g.edges):
+        loads[u] += gadget.law.y[e]
+        loads[v] += gadget.law.y[e]
     assert np.all(loads <= 1.0 + 1e-12)
 
 
@@ -126,6 +125,7 @@ def test_enumeration_cap_raises_typed_error():
     g = gen_random_graph(8, 0.8, {"name": "constant", "value": 1.0},
                          {"name": "constant", "value": 0.5}, seed=1)
     assert g.m > 20
-    for fn in (exact_x, exact_expected_mm_weight):
-        with pytest.raises(EnumerationTooLarge):
-            fn(g)
+    with pytest.raises(EnumerationTooLarge):
+        exact_x(g)
+    with pytest.raises(EnumerationTooLarge):
+        MatchingLaw.from_pipeline(g, g.full_mask)

@@ -15,7 +15,6 @@ from stochmatch.graph_core import (
     StochasticGraph,
     dumps_graph,
     gen_random_graph,
-    is_valid_fractional,
     loads_graph,
     make_matching,
     mask_edges,
@@ -169,12 +168,8 @@ def test_matching_rejects_shared_endpoint():
         make_matching(g, [5])
 
 
-def test_fractional_matching_predicate():
+def test_fractional_matching_rejects_values_outside_unit_interval():
     g = graph(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0)])
-    ok = FractionalMatching(values={0: 0.5, 1: 0.5}, parent=g.token)
-    assert is_valid_fractional(ok, g)
-    over = FractionalMatching(values={0: 0.7, 1: 0.7}, parent=g.token)
-    assert not is_valid_fractional(over, g)  # vertex 1 carries 1.4
     with pytest.raises(ValueError):
         FractionalMatching(values={0: 1.5}, parent=g.token)
 
@@ -185,7 +180,6 @@ def test_params_table_formulas():
     assert p.eta == 0.02
     assert p.beta == pytest.approx(0.0004)
     assert p.gamma == pytest.approx((1 - 0.04) / (1 + 0.06))
-    assert p.c == pytest.approx(50.0)
     assert 0 < p.gamma < 1
     assert p.t_theory == math.ceil(1.0 / (p.tau * 0.2))
 

@@ -168,7 +168,6 @@ def test_coverage_report_floors():
     # unconditional floor holds for every edge
     assert all(ok for _f, _fl, ok in report.claim_floor.values())
     assert report.degree_bound_ok
-    assert report.all_passed
     # the counts are those of draw_plans on the coverage stream, here and on
     # a graph whose plans vary more from draw to draw
     wide = benchmark_6v8e().graph

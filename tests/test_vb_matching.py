@@ -146,7 +146,7 @@ def test_run_vb_structural_invariants_random():
     rng = rng_from(8)
     for _ in range(300):
         out = run_vb(gadget.law, rng)
-        matched = out.matching.vertices(g)
+        matched = {v for e in out.matching.edges for v in g.endpoints(e)}
         assert not (out.alive & matched)
         touched = set()
         for v, partner, e in out.activation_log:
@@ -200,7 +200,8 @@ def test_exact_enumeration_activation_is_g_for_every_order():
     dist = exact_vb_enumeration(gadget.law)
     for e in range(gadget.graph.m):
         target = attenuation_g(float(gadget.law.y[e]))
-        by_order = dist.edge_active_prob_by_order(e)
+        comp = dist.component_of(gadget.graph.edges[e].u)
+        by_order = {order: data["active"][e] for order, data in comp.per_order.items()}
         assert len(by_order) == math.factorial(4)
         for order, prob in by_order.items():
             assert prob == pytest.approx(target, abs=1e-9), (e, order)
@@ -224,8 +225,8 @@ def test_exact_enumeration_factorizes_across_components():
     g = graph(4, [(0, 1, 1.0, 0.8), (2, 3, 1.0, 0.6)])
     law = MatchingLaw.from_pipeline(g, g.full_mask)
     dist = exact_vb_enumeration(law)
-    p0 = dist.vertex_alive_prob(0)
-    p2 = dist.vertex_alive_prob(2)
+    p0 = dist.component_of(0).alive_single[0]
+    p2 = dist.component_of(2).alive_single[2]
     assert dist.pair_alive_prob(0, 2) == pytest.approx(p0 * p2, abs=1e-12)
 
 

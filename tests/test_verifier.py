@@ -16,7 +16,7 @@ from stochmatch.gadgets import (
     two_path,
     var_z_synthetic_x,
 )
-from stochmatch import sparsifier, verifier
+from stochmatch import estimator, sparsifier, verifier
 from stochmatch.graph_core import Params, sample_mask
 from stochmatch.parallel import BLOCK_LEN, rng_from, worker_pool
 from stochmatch.sparsifier import draw_plan
@@ -285,7 +285,7 @@ def test_vb_stats_block_equals_per_run_loop():
             for j, (u, v) in enumerate(pairs):
                 if u in out.alive and v in out.alive:
                     pair_counts[j] += 1
-        got = verifier._vb_stats_block(law, pairs, perm, 41, 2, 400)
+        got = estimator._vb_stats_block(law, pairs, perm, 41, verifier._TAG_VB, 2, 400)
         for a, b in zip(got, (active, selected, alive, pair_counts, clip)):
             assert np.array_equal(a, b)
 
