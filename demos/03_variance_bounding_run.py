@@ -11,33 +11,43 @@ enumeration oracle certifies digit for digit.
 
 import numpy as np
 
-from stochmatch import attenuation_g, exact_vb_enumeration, run_vb
+from stochmatch import (
+    attenuation_g,
+    draw_run_inputs,
+    exact_vb_enumeration,
+    run_vb,
+    run_vb_block,
+)
 from stochmatch.gadgets import three_path
+from stochmatch.graph_core import mask_edges
 from stochmatch.parallel import rng_from
 
 gadget = three_path()
 law = gadget.law  # the oracle-matching law supplies y and y'
 g = gadget.graph
 
-out = run_vb(law, rng_from(5))
+# A run is a function of its inputs: an arrival order, a realization and
+# one uniform per vertex, read by the arrivals whose batch has a realized edge.
+perms, reals, uniforms = draw_run_inputs(law, rng_from(5), 1)
+out = run_vb(law, perms[0], reals[0], uniforms[0])
 print("one run:")
 print(f"  arrival order: {out.permutation}")
+print(f"  realized crucial edges: {mask_edges(reals[0])}")
 for v, partner, edge in out.activation_log:
     what = "no active edge" if partner is None else f"activated edge {edge} to {partner}"
     print(f"  vertex {v}: {what}")
 print(f"  matching: {out.matching.sorted_edges()}, alive: {sorted(out.alive)}")
 
+# Many runs at once: run_vb_block advances them one arrival step at a time.
 dist = exact_vb_enumeration(law)
 trials = 50_000
-rng = rng_from(6)
+block = run_vb_block(law, *draw_run_inputs(law, rng_from(6), trials))
 active = np.zeros(g.m)
 selected = np.zeros(g.m)
-for _ in range(trials):
-    out = run_vb(law, rng)
-    for _v, partner, e in out.activation_log:
-        if partner is not None:
-            active[e] += 1
-    for e in out.matching.edges:
+for activated, matched in zip(block.activated, block.matching):
+    for e in mask_edges(activated):
+        active[e] += 1
+    for e in mask_edges(matched):
         selected[e] += 1
 
 print(f"\n{trials} runs vs the enumeration oracle:")

@@ -344,8 +344,8 @@ def _pipeline_run(
     ``None`` is the query-everything control.
     """
     real_mask = sample_mask(g, rng_from(seed, _TAG_E2E_REAL, run_index))
-    vb_out = run_vb(tables.law, rng_from(seed, _TAG_E2E_VB, run_index),
-                    realization_mask=real_mask)
+    vb_rng = rng_from(seed, _TAG_E2E_VB, run_index)
+    vb_out = run_vb(tables.law, vb_rng.permutation(g.n), real_mask, vb_rng.random(g.n))
     mmg = mask_weight(g, mm_edge_mask(g, real_mask))
 
     t_max = max((t for t in ts if t is not None), default=0)

@@ -29,7 +29,7 @@ from .graph_core import StochasticGraph, mask_edges, sample_masks
 from .mwm import mm_edge_mask
 from .parallel import rng_from, run_blocks
 from .sparsifier import draw_plans
-from .vb_matching import ActivationLaw, run_vb
+from .vb_matching import ActivationLaw, draw_run_inputs, run_vb_block
 
 _TAG_X = 0x01
 _TAG_Y = 0x02
@@ -200,16 +200,9 @@ def _vb_stats_block(law: ActivationLaw, pairs: tuple, perm, seed: int, tag: int,
     selected = np.zeros(g.m, dtype=np.int64)
     alive = np.zeros(g.n, dtype=np.int64)
     pair_counts = np.zeros(len(pairs), dtype=np.int64)
-    clip = 0
-    outcomes: Counter = Counter()  # (active, matched edges, alive vertices) masks
-    for _ in range(count):
-        out = run_vb(law, rng, permutation=perm)
-        clip += out.clip_events
-        activated = 0
-        for _v, partner, e in out.activation_log:
-            if partner is not None:
-                activated |= 1 << e
-        outcomes[activated, out.matching_mask, out.alive_mask] += 1
+    out = run_vb_block(law, *draw_run_inputs(law, rng, count, perm))
+    # (active, matched edges, alive vertices) masks
+    outcomes = Counter(zip(out.activated, out.matching, out.alive))
     pair_masks = [(1 << u) | (1 << v) for u, v in pairs]
     for (activated, matched, alive_mask), k in outcomes.items():
         for e in mask_edges(activated):
@@ -221,15 +214,17 @@ def _vb_stats_block(law: ActivationLaw, pairs: tuple, perm, seed: int, tag: int,
         for j, both in enumerate(pair_masks):
             if alive_mask & both == both:
                 pair_counts[j] += k
-    return active, selected, alive, pair_counts, clip
+    return active, selected, alive, pair_counts, sum(out.clip_events)
 
 
 def sample_vb_statistics(law: ActivationLaw, pairs, trials: int, seed: int, tag: int,
                          perm=None):
     """Outcome counts of ``trials`` variance-bounding runs on ``law``.
 
-    Block ``b`` draws its runs from the stream ``(seed, tag, b)``, with the
-    arrival order fixed to ``perm`` if given.  Returns the per-edge active
+    Block ``b`` draws the inputs of its runs from the stream
+    ``(seed, tag, b)`` through :func:`vb_matching.draw_run_inputs`, with the
+    arrival order fixed to ``perm`` if given, and runs them as one
+    :func:`vb_matching.run_vb_block`.  Returns the per-edge active
     and matched counts, the per-vertex alive counts, the joint alive count of
     each vertex pair (keyed as given) and the number of clipped batches.
     """

@@ -11,6 +11,15 @@ An active edge joins the matching greedily iff its earlier endpoint is still
 unmatched.  Vertices that never touch an active edge form the alive set,
 which the augmenting stage builds on.
 
+A run is a pure function of its inputs: the arrival order, a realization
+mask (only its crucial bits are read) and one uniform per vertex, of which
+the ``j``-th arrival whose batch has a realized edge reads the ``j``-th.
+:func:`draw_run_inputs` draws the inputs of a block of runs in one go, in
+this order: the permutations, then the crucial realizations through
+:func:`graph_core.sample_masks`, then the uniforms.  :func:`run_vb` runs
+one set of inputs; :func:`run_vb_block` runs a block of them one arrival
+step at a time on int64 masks, row for row equal to :func:`run_vb`.
+
 ``exact_vb_enumeration`` is an independent oracle: it enumerates arrival
 orders, reveals and activation outcomes per connected component of the
 crucial graph (relative orders on disjoint components are independent under
@@ -23,18 +32,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
 from .exact import EnumerationTooLarge
-from .graph_core import Matching, StochasticGraph, mask_edges
+from .graph_core import Matching, StochasticGraph, mask_edges, sample_masks
 
 _CLIP_TOL = 1e-12
 _SUM_TOL = 1e-9
 # Largest crucial component (vertices, edges) exact_vb_enumeration enumerates.
 MAX_COMPONENT_VERTICES = 4
 MAX_COMPONENT_EDGES = 6
+# A law's activation table is cleared when it reaches this many entries.
+ACTIVATION_CACHE_MAX = 1 << 16
 
 
 class ActivationLaw(Protocol):
@@ -78,27 +89,48 @@ class VBOutput:
     def alive(self) -> frozenset[int]:
         return frozenset(mask_edges(self.alive_mask))
 
+    @property
+    def activated_mask(self) -> int:
+        """Edge mask of the edges that became active."""
+        out = 0
+        for _v, partner, e in self.activation_log:
+            if partner is not None:
+                out |= 1 << e
+        return out
 
-def activate_batch(
-    candidates: Sequence[tuple[int, float, float, bool]],
-    rng: np.random.Generator,
-) -> tuple[int | None, bool]:
-    """Pick at most one realized candidate edge.
 
-    Each candidate is ``(edge, y, y_prime, realized)``; a realized edge is
-    chosen with probability ``3*y'/(3+2*y)``.  If estimation noise pushes the
-    probabilities past total 1 the batch is renormalized and flagged.
+class VBBlock(NamedTuple):
+    """Per-run outcomes of a block of runs: matched, alive and activated
+    masks (Python ints) and clipped batch counts, one entry per run."""
+
+    matching: list[int]
+    alive: list[int]
+    activated: list[int]
+    clip_events: list[int]
+
+
+def activate_batch(law: ActivationLaw, batch_mask: int,
+                   batch_bits: int) -> tuple[tuple[int, ...], tuple[float, ...], bool]:
+    """The activation rule of one batch reveal.
+
+    Each realized edge ``e`` of the batch is chosen with probability
+    ``3*y'/(3+2*y)``.  Returns the realized edges in edge order, their
+    cumulative probabilities (a uniform ``u`` picks the first edge whose
+    cumulative probability exceeds it, none if there is none) and whether
+    the batch clipped: if estimation noise pushes the probabilities past
+    total 1 they are renormalized and the batch is flagged.
     """
+    y = law.y
     probs: list[tuple[int, float]] = []
     total = 0.0
-    for e, y, y_prime, realized in candidates:
+    for e in mask_edges(batch_bits):
+        y_prime = law.y_prime(e, batch_mask, batch_bits)
         if y_prime < 0.0:
             raise ValueError(f"negative conditional marginal for edge {e}")
-        if not (0.0 <= y <= 1.0):
+        y_e = float(y[e])
+        if not (0.0 <= y_e <= 1.0):
             raise ValueError(f"marginal of edge {e} must be in [0, 1]")
-        if not realized:
-            continue
-        q = 3.0 * y_prime / (3.0 + 2.0 * y)
+        q = 3.0 * y_prime / (3.0 + 2.0 * y_e)
         probs.append((e, q))
         total += q
     clipped = False
@@ -106,60 +138,82 @@ def activate_batch(
         clipped = total > 1.0 + _CLIP_TOL
         scale = 1.0 / total
         probs = [(e, q * scale) for e, q in probs]
-    if not probs:
-        return None, clipped
-    u = rng.random()
+    cumulative = []
     acc = 0.0
-    for e, q in probs:
+    for _e, q in probs:
         acc += q
-        if u < acc:
-            return e, clipped
-    return None, clipped
+        cumulative.append(acc)
+    return tuple(e for e, _q in probs), tuple(cumulative), clipped
+
+
+def _activation_entry(law: ActivationLaw, batch_mask: int, batch_bits: int):
+    """:func:`activate_batch` of the batch, from the law's activation table.
+
+    The table lives on the law object itself, so it goes with the law; it is
+    cleared when it reaches ``ACTIVATION_CACHE_MAX`` entries.
+    """
+    table = vars(law).setdefault("_activation_table", {})
+    key = (batch_mask, batch_bits)
+    entry = table.get(key)
+    if entry is None:
+        entry = activate_batch(law, batch_mask, batch_bits)
+        if len(table) >= ACTIVATION_CACHE_MAX:
+            table.clear()
+        table[key] = entry
+    return entry
 
 
 def _crucial_adjacency(g: StochasticGraph, mask: int):
-    """Per-vertex ``(neighbor, edge, 1 << edge, p)`` over the edges in
-    ``mask``, in edge order; only the latest mask's table is kept."""
+    """Per-vertex ``(neighbor, 1 << edge)`` over the edges in ``mask``, in
+    edge order; only the latest mask's table is kept."""
     hit = g._caches.get("vb_adj")
     if hit is None or hit[0] != mask:
-        adj: list[list[tuple[int, int, int, float]]] = [[] for _ in range(g.n)]
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         for e in mask_edges(mask):
-            u, v, _w, p = g.edges[e]
-            adj[u].append((v, e, 1 << e, p))
-            adj[v].append((u, e, 1 << e, p))
+            u, v, _w, _p = g.edges[e]
+            adj[u].append((v, 1 << e))
+            adj[v].append((u, 1 << e))
         hit = g._caches["vb_adj"] = (mask, tuple(tuple(x) for x in adj))
     return hit[1]
 
 
+def draw_run_inputs(law: ActivationLaw, rng: np.random.Generator, count: int,
+                    permutation: Sequence[int] | None = None):
+    """Inputs of ``count`` runs on ``law``, drawn from ``rng`` in this order:
+    ``count`` uniform arrival orders (none when ``permutation`` is given,
+    which every run then uses), the crucial edges' realizations as
+    ``sample_masks(g, rng, count, scope=crucial)``, and a ``(count, n)``
+    array of uniforms.  Returns ``(perms, reals, uniforms)`` for
+    :func:`run_vb_block`."""
+    g = law.graph
+    if permutation is None:
+        perms = rng.permuted(np.tile(np.arange(g.n), (count, 1)), axis=1)
+    else:
+        perms = np.tile(np.asarray(permutation, dtype=np.int64), (count, 1))
+    reals = sample_masks(g, rng, count, scope=mask_edges(law.crucial_mask))
+    return perms, reals, rng.random((count, g.n))
+
+
 def run_vb(
     law: ActivationLaw,
-    rng: np.random.Generator,
-    realization_mask: int | None = None,
-    permutation: Sequence[int] | None = None,
+    permutation: Sequence[int],
+    realization_mask: int,
+    uniforms: Sequence[float],
 ) -> VBOutput:
     """One run of the variance-bounding matching on the law's crucial edges.
 
-    When ``realization_mask`` is given its bits are revealed instead of drawing
-    fresh coins (the pipeline feeds the true realization through here); when
-    ``permutation`` is given the arrival order is fixed instead of uniform.
-
-    The generator is read in this order, which every caller's numbers rest
-    on: ``rng.permutation(n)`` (unless ``permutation`` is given), then per
-    arrival one ``rng.random()`` per batch edge (unless ``realization_mask``
-    is given), then one :func:`activate_batch` draw if the batch has a
-    realized edge.  Vertex and edge sets are int masks throughout.
+    Vertices arrive in the order ``permutation``; each arrival reveals the
+    crucial bits of ``realization_mask`` on its batch, and the ``j``-th
+    arrival whose batch has a realized edge activates on ``uniforms[j]``
+    through the law's activation table (:func:`activate_batch`).  Vertex and
+    edge sets are int masks throughout.
     """
     g = law.graph
     crucial_mask = law.crucial_mask
-    y = law.y
     adj = _crucial_adjacency(g, crucial_mask)
-
-    if permutation is None:
-        order = rng.permutation(g.n).tolist()
-    else:
-        order = [int(v) for v in permutation]
-        if sorted(order) != list(range(g.n)):
-            raise ValueError("permutation must cover every vertex exactly once")
+    order = [int(v) for v in permutation]
+    if sorted(order) != list(range(g.n)):
+        raise ValueError("permutation must cover every vertex exactly once")
 
     arrived = 0
     matched = 0
@@ -169,36 +223,25 @@ def run_vb(
     clip_events = 0
     revealed_mask = 0
     revealed_bits = 0
-    draw = rng.random
+    draws = 0
 
     for v in order:
         batch_mask = 0
-        batch_bits = 0
-        realized: list[int] = []
-        for u, e, bit, p in adj[v]:
-            if not (arrived >> u) & 1:
-                continue
-            batch_mask |= bit
-            if realization_mask is not None:
-                hit = realization_mask & bit
-            else:
-                hit = draw() < p
-            if hit:
-                batch_bits |= bit
-                realized.append(e)
+        for u, bit in adj[v]:
+            if (arrived >> u) & 1:
+                batch_mask |= bit
         arrived |= 1 << v
+        batch_bits = batch_mask & realization_mask
         revealed_mask |= batch_mask
         revealed_bits |= batch_bits
-        if not realized:
+        if not batch_bits:
             log.append((v, None, None))
             continue
-        candidates = [
-            (e, float(y[e]), law.y_prime(e, batch_mask, batch_bits), True)
-            for e in realized
-        ]
-        choice, clipped = activate_batch(candidates, rng)
-        if clipped:
-            clip_events += 1
+        edges, cumulative, clipped = _activation_entry(law, batch_mask, batch_bits)
+        u = uniforms[draws]
+        draws += 1
+        clip_events += clipped
+        choice = next((e for e, acc in zip(edges, cumulative) if u < acc), None)
         if choice is None:
             log.append((v, None, None))
             continue
@@ -234,6 +277,111 @@ def run_vb(
         revealed_mask=revealed_mask,
         revealed_bits=revealed_bits,
     )
+
+
+def _distinct_pairs(a: np.ndarray, b: np.ndarray):
+    """The distinct pairs ``(a[i], b[i])`` as two lists of ints, and for each
+    ``i`` the index of its pair (``np.unique(..., axis=0)`` does the same,
+    about ten times slower)."""
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return a[first].tolist(), b[first].tolist(), inverse
+
+
+def run_vb_block(law: ActivationLaw, perms, reals: Sequence[int], uniforms) -> VBBlock:
+    """Runs ``k`` of :func:`run_vb` on row ``k`` of each input, all at once.
+
+    The runs advance one arrival step at a time on numpy int64 vertex and
+    edge masks, and each step looks up the activation entry of every
+    distinct batch reveal once.  Row ``k`` of the result equals
+    ``run_vb(law, perms[k], reals[k], uniforms[k])``, whose structural
+    invariants are asserted row by row.  Past 63 vertices or edges the masks
+    do not fit an int64, and the rows run through :func:`run_vb` one by one.
+    """
+    g = law.graph
+    n, count = g.n, len(reals)
+    if n > 63 or g.m > 63:
+        outs = [run_vb(law, p, r, u) for p, r, u in zip(perms, reals, uniforms)]
+        return VBBlock([o.matching_mask for o in outs], [o.alive_mask for o in outs],
+                       [o.activated_mask for o in outs], [o.clip_events for o in outs])
+    perms = np.asarray(perms, dtype=np.int64).reshape(count, n)
+    if not np.array_equal(np.sort(perms, axis=1), np.broadcast_to(np.arange(n), perms.shape)):
+        raise ValueError("permutation must cover every vertex exactly once")
+    crucial_mask = law.crucial_mask
+    crucial = mask_edges(crucial_mask)
+    incident = np.zeros(n, dtype=np.int64)  # crucial edge mask per vertex
+    ends = np.zeros(g.m, dtype=np.int64)  # u + v, to find the partner
+    for e in crucial:
+        u, v = g.endpoints(e)
+        incident[u] |= 1 << e
+        incident[v] |= 1 << e
+        ends[e] = u + v
+    reals = np.asarray(reals, dtype=np.int64) & crucial_mask
+    uniforms = np.asarray(uniforms, dtype=float)
+    one = np.int64(1)
+
+    seen = np.zeros(count, dtype=np.int64)  # crucial edges with an arrived endpoint
+    matched = np.zeros(count, dtype=np.int64)
+    active = np.zeros(count, dtype=np.int64)  # vertices with an active edge
+    mc = np.zeros(count, dtype=np.int64)
+    activated = np.zeros(count, dtype=np.int64)
+    revealed_bits = np.zeros(count, dtype=np.int64)
+    draws = np.zeros(count, dtype=np.int64)
+    clips = np.zeros(count, dtype=np.int64)
+    for step in range(n):
+        v = perms[:, step]
+        incident_v = incident[v]
+        batch_mask = incident_v & seen
+        seen |= incident_v
+        batch_bits = batch_mask & reals
+        revealed_bits |= batch_bits
+        rows = np.flatnonzero(batch_bits)
+        if not rows.size:
+            continue
+        masks, bits, inverse = _distinct_pairs(batch_mask[rows], batch_bits[rows])
+        entries = [_activation_entry(law, bm, bb) for bm, bb in zip(masks, bits)]
+        width = max(len(edges) for edges, _c, _f in entries)
+        # Row k of `cumulative` holds entry k's cumulative probabilities,
+        # padded with inf; `choices[k, i]` is its i-th edge and -1 past the end.
+        cumulative = np.full((len(entries), width), np.inf)
+        choices = np.full((len(entries), width + 1), -1, dtype=np.int64)
+        for k, (edges, cum, _clipped) in enumerate(entries):
+            cumulative[k, :len(cum)] = cum
+            choices[k, :len(edges)] = edges
+        u = uniforms[rows, draws[rows]]
+        draws[rows] += 1
+        clips[rows] += np.array([clipped for _e, _c, clipped in entries], dtype=np.int64)[inverse]
+        picked = (cumulative[inverse] <= u[:, None]).sum(axis=1)
+        chosen = choices[inverse, picked]
+        hit = chosen >= 0
+        rows, chosen = rows[hit], chosen[hit]
+        arriving = v[rows]
+        partner = ends[chosen] - arriving
+        pair = (one << arriving) | (one << partner)
+        activated[rows] |= one << chosen
+        active[rows] |= pair
+        free = (matched[rows] >> partner) & 1 == 0
+        rows, pair, chosen = rows[free], pair[free], chosen[free]
+        assert not np.any(matched[rows] & pair)  # matched edges stay vertex-disjoint
+        matched[rows] |= pair
+        mc[rows] |= one << chosen
+
+    everyone = np.int64((1 << n) - 1)
+    alive = everyone & ~active
+    # The structural guarantees of run_vb, with the touched vertices rebuilt
+    # from the activated edges.
+    assert not np.any(alive & matched)
+    touched = np.zeros(count, dtype=np.int64)
+    for e in crucial:
+        u, v = g.endpoints(e)
+        touched |= np.where((activated >> e) & 1 == 1, (one << u) | (one << v), 0)
+    assert np.array_equal(alive, everyone & ~touched)
+    assert not np.any(mc & ~(crucial_mask & revealed_bits))
+    return VBBlock(mc.tolist(), alive.tolist(), activated.tolist(), clips.tolist())
 
 
 # ---------------------------------------------------------------------------

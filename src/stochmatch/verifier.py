@@ -28,10 +28,16 @@ from .gadgets import (
     var_z_synthetic_x,
     verification_gadgets,
 )
-from .graph_core import Params, StochasticGraph, mask_edges, sample_mask
+from .graph_core import Params, StochasticGraph, mask_edges, sample_masks
 from .parallel import rng_from, run_blocks
-from .sparsifier import draw_plan, draw_plans
-from .vb_matching import ActivationLaw, attenuation_g, exact_vb_enumeration, run_vb
+from .sparsifier import draw_plans
+from .vb_matching import (
+    ActivationLaw,
+    attenuation_g,
+    draw_run_inputs,
+    exact_vb_enumeration,
+    run_vb_block,
+)
 
 _TAG_VB = 0x21
 _TAG_NA = 0x22
@@ -322,8 +328,8 @@ def _z_block(law: ActivationLaw, support: tuple, h_values: tuple, n: int,
              seed: int, block: int, count: int):
     rng = rng_from(seed, _TAG_Z, block)
     outcomes: dict = {}  # alive vertex mask -> row of `rows`
-    runs = [outcomes.setdefault(run_vb(law, rng).alive_mask, len(outcomes))
-            for _ in range(count)]
+    runs = [outcomes.setdefault(alive, len(outcomes))
+            for alive in run_vb_block(law, *draw_run_inputs(law, rng, count)).alive]
     rows = np.zeros((len(outcomes), n))
     for alive, i in outcomes.items():
         for (u, v), h in zip(support, h_values):
@@ -376,14 +382,13 @@ def _y_block(g: StochasticGraph, tables: PipelineTables, t: int, seed: int,
              block: int, count: int) -> np.ndarray:
     rng = rng_from(seed, _TAG_Y, block)
     noncrucial = tables.classes.noncrucial_mask
+    alive = run_vb_block(tables.law, *draw_run_inputs(tables.law, rng, count)).alive
+    # the plans, then the non-crucial realizations, after the runs' inputs
+    q_masks = list(draw_plans(g, t, rng, count))
+    real_masks = sample_masks(g, rng, count, scope=mask_edges(noncrucial))
     outcomes: dict = {}  # (queried non-crucial edges, alive vertices) masks -> row of `rows`
-    runs = []
-    for _ in range(count):
-        q_mask = draw_plan(g, t, rng)
-        real_mask = sample_mask(g, rng)
-        out = run_vb(tables.law, rng, realization_mask=real_mask)
-        runs.append(outcomes.setdefault((q_mask & real_mask & noncrucial, out.alive_mask),
-                                        len(outcomes)))
+    runs = [outcomes.setdefault((q_mask & real_mask, alive_mask), len(outcomes))
+            for q_mask, real_mask, alive_mask in zip(q_masks, real_masks, alive)]
     rows = np.zeros((len(outcomes), g.n))
     for (queried, alive), i in outcomes.items():
         for e in mask_edges(queried):
@@ -463,12 +468,20 @@ def check_concentration_y(gadget: Gadget, tables: PipelineTables, trials: int,
 def _log_joint_block(law: ActivationLaw, perm: tuple, u: int, w: int, seed: int,
                      block: int, count: int) -> dict:
     rng = rng_from(seed, _TAG_IND, block)
-    logs = Counter(run_vb(law, rng, permutation=perm).activation_log for _ in range(count))
+    g = law.graph
+    activated = Counter(run_vb_block(law, *draw_run_inputs(law, rng, count, perm)).activated)
+    position = {v: i for i, v in enumerate(perm)}
+    # the edges of each vertex's batch: its crucial edges to earlier arrivals
+    batches = {x: [e for e in mask_edges(law.crucial_mask) if x in g.endpoints(e)
+                   and position[g.other_end(e, x)] < position[x]] for x in (u, w)}
+
+    def partner(x: int, active: int) -> int | None:
+        """The other end of the edge that activated when ``x`` arrived."""
+        return next((g.other_end(e, x) for e in batches[x] if (active >> e) & 1), None)
+
     counts: dict[tuple, int] = {}
-    for log, k in logs.items():
-        xu = next(p for v, p, _e in log if v == u)
-        xw = next(p for v, p, _e in log if v == w)
-        key = (xu, xw)
+    for active, k in activated.items():
+        key = (partner(u, active), partner(w, active))
         counts[key] = counts.get(key, 0) + k
     return counts
 

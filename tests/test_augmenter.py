@@ -366,8 +366,8 @@ def reference_run(g, tables, t, seed, run_index):
     else:
         q_mask = draw_plan(g, t, rng_from(seed, augmenter._TAG_E2E_PLAN, run_index))
     real_mask = sample_mask(g, rng_from(seed, augmenter._TAG_E2E_REAL, run_index))
-    vb_out = run_vb(tables.law, rng_from(seed, augmenter._TAG_E2E_VB, run_index),
-                    realization_mask=real_mask)
+    vb_rng = rng_from(seed, augmenter._TAG_E2E_VB, run_index)
+    vb_out = run_vb(tables.law, vb_rng.permutation(g.n), real_mask, vb_rng.random(g.n))
     f, _survival = build_fractional(g, tables.classes, q_mask, real_mask, vb_out,
                                     tables.g_table, tables.params)
     m_n = round_fractional(g, f)

@@ -18,7 +18,7 @@ from stochmatch.gadgets import benchmark_6v8e, four_cycle, isolated_pair, two_pa
 from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph, mask_edges
 from stochmatch.parallel import rng_from, worker_pool
 from stochmatch.sparsifier import draw_plan
-from stochmatch.vb_matching import exact_vb_enumeration, run_vb
+from stochmatch.vb_matching import draw_run_inputs, exact_vb_enumeration, run_vb
 
 
 def graph(n, edges):
@@ -266,10 +266,10 @@ def test_counted_q_and_pair_alive_blocks_equal_per_run_loops():
     assert np.array_equal(estimator._q_counts_block(g, 3, 51, 1, 300), q_counts)
 
     pairs = ((0, 3), (1, 4), (2, 5), (0, 1))
-    rng = rng_from(52, estimator._TAG_PAIR, 0)
+    inputs = draw_run_inputs(gadget.law, rng_from(52, estimator._TAG_PAIR, 0), 400)
     pair_counts = np.zeros(len(pairs), dtype=np.int64)
-    for _ in range(400):
-        out = run_vb(gadget.law, rng)
+    for row in zip(*inputs):
+        out = run_vb(gadget.law, *row)
         for j, (u, v) in enumerate(pairs):
             if u in out.alive and v in out.alive:
                 pair_counts[j] += 1
