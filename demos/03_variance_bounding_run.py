@@ -11,13 +11,7 @@ enumeration oracle certifies digit for digit.
 
 import numpy as np
 
-from stochmatch import (
-    attenuation_g,
-    draw_run_inputs,
-    exact_vb_enumeration,
-    run_vb,
-    run_vb_block,
-)
+from stochmatch import attenuation_g, draw_run_inputs, exact_vb_enumeration, run_vb
 from stochmatch.gadgets import three_path
 from stochmatch.graph_core import mask_edges
 from stochmatch.parallel import rng_from
@@ -27,21 +21,20 @@ law = gadget.law  # the oracle-matching law supplies y and y'
 g = gadget.graph
 
 # A run is a function of its inputs: an arrival order, a realization and
-# one uniform per vertex, read by the arrivals whose batch has a realized edge.
+# one uniform per vertex, read by the arrivals whose batch has a realized
+# edge.  run_vb runs a block of them, one run per row; here a block of one.
 perms, reals, uniforms = draw_run_inputs(law, rng_from(5), 1)
-out = run_vb(law, perms[0], reals[0], uniforms[0])
+out = run_vb(law, perms, reals, uniforms)
 print("one run:")
-print(f"  arrival order: {out.permutation}")
+print(f"  arrival order: {perms[0].tolist()}")
 print(f"  realized crucial edges: {mask_edges(reals[0])}")
-for v, partner, edge in out.activation_log:
-    what = "no active edge" if partner is None else f"activated edge {edge} to {partner}"
-    print(f"  vertex {v}: {what}")
-print(f"  matching: {out.matching.sorted_edges()}, alive: {sorted(out.alive)}")
+print(f"  activated edges: {mask_edges(out.activated[0])}")
+print(f"  matching: {mask_edges(out.matching[0])}, alive: {mask_edges(out.alive[0])}")
 
-# Many runs at once: run_vb_block advances them one arrival step at a time.
+# Many runs at once: the block advances them one arrival step at a time.
 dist = exact_vb_enumeration(law)
 trials = 50_000
-block = run_vb_block(law, *draw_run_inputs(law, rng_from(6), trials))
+block = run_vb(law, *draw_run_inputs(law, rng_from(6), trials))
 active = np.zeros(g.m)
 selected = np.zeros(g.m)
 for activated, matched in zip(block.activated, block.matching):

@@ -57,13 +57,11 @@ from .sparsifier import (
     max_degree,
 )
 from .vb_matching import (
-    VBOutput,
     activate_batch,
     attenuation_g,
     draw_run_inputs,
     exact_vb_enumeration,
     run_vb,
-    run_vb_block,
 )
 from .verifier import (
     CheckReport,

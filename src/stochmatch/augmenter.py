@@ -37,7 +37,7 @@ from .estimator import (
 from .mwm import mm_edge_mask
 from .parallel import BLOCK_LEN, rng_from, run_blocks
 from .sparsifier import EdgeClasses, classify_edges, plan_round_masks
-from .vb_matching import ActivationLaw, VBOutput, exact_vb_enumeration, run_vb
+from .vb_matching import ActivationLaw, exact_vb_enumeration, run_vb
 
 _TAG_E2E_PLAN = 0x11
 _TAG_E2E_REAL = 0x12
@@ -91,19 +91,19 @@ def build_fractional(
     classes: EdgeClasses,
     q_mask: int,
     real_mask: int,
-    vb_out: VBOutput,
+    alive: int,
     g_table: dict[int, float],
     params: Params,
 ) -> tuple[FractionalMatching, SurvivalRecord]:
     """Assign gamma*g_e to eligible non-crucial edges, then zero overloads.
 
-    ``q_mask`` is the query plan's edge mask and ``real_mask`` the true
-    realization's.  Zeroing is simultaneous: degrees are computed once on the
+    ``q_mask`` is the query plan's edge mask, ``real_mask`` the true
+    realization's and ``alive`` the vertex mask of the variance-bounding
+    run's alive set.  Zeroing is simultaneous: degrees are computed once on the
     pre-zeroing vector and every vertex over the cap has all incident values
     dropped.
     """
     gamma = params.gamma
-    alive = vb_out.alive_mask
     edges = g.edges
     pre: dict[int, float] = {}
     degree = [0.0] * g.n
@@ -147,15 +147,16 @@ def combine(
     g: StochasticGraph,
     q_mask: int,
     real_mask: int,
-    vb_out: VBOutput,
+    vb_matching: int,
     m_n: int,
     classes: EdgeClasses,
 ) -> tuple[int, str]:
     """Best of crucial-only and augmented schemes, as an edge mask and the
     winning scheme's name.
 
-    ``q_mask``, ``real_mask`` and ``m_n`` are the edge masks of the query
-    plan, the true realization and the rounded non-crucial matching.  Scheme
+    ``q_mask``, ``real_mask``, ``vb_matching`` and ``m_n`` are the edge
+    masks of the query plan, the true realization, the variance-bounding
+    run's matching and the rounded non-crucial matching.  Scheme
     "crucial": maximum-weight matching over realized crucial plan edges.
     Scheme "augmented": the variance-bounding matching restricted to the
     plan, together with the rounded non-crucial matching.  The union in the
@@ -164,7 +165,7 @@ def combine(
     conflict would mean a broken invariant and raises.
     """
     scheme_a = mm_edge_mask(g, classes.crucial_mask & q_mask & real_mask)
-    scheme_b = (vb_out.matching_mask & q_mask) | m_n
+    scheme_b = (vb_matching & q_mask) | m_n
     used = 0
     for e in mask_edges(scheme_b):
         u, v, _w, _p = g.edges[e]
@@ -332,52 +333,63 @@ def _pipeline_run(
     ts: tuple[int | None, ...],
     seed: int,
     run_index: int,
-) -> tuple[VBOutput, list[tuple[RunRecord, FractionalMatching, int]]]:
-    """Run ``run_index`` at every sweep point in ``ts``.
+    real_mask: int,
+    vb_matching: int,
+    alive: int,
+) -> list[tuple[RunRecord, FractionalMatching, int]]:
+    """Run ``run_index`` at every sweep point in ``ts``, given its
+    realization and its variance-bounding run's matching and alive masks.
 
     Per point it returns the record, the fractional vector and the edge mask
-    of its rounding.  The realization, the variance-bounding run, MM_G and
-    the plan rounds come from per-run streams that do not depend on ``t``,
-    so they are drawn once: the plan for ``t`` is the union of the first
-    ``t`` of ``max(ts)`` rounds, which by the prefix-stream property of
-    :func:`plan_round_masks` is the plan ``t`` rounds alone would draw.
-    ``None`` is the query-everything control.
+    of its rounding.  The plan rounds come from a per-run stream that does
+    not depend on ``t``, so they are drawn once: the plan for ``t`` is the
+    union of the first ``t`` of ``max(ts)`` rounds, which by the
+    prefix-stream property of :func:`plan_round_masks` is the plan ``t``
+    rounds alone would draw.  ``None`` is the query-everything control.
+    Points whose plans are equal share one result.
     """
-    real_mask = sample_mask(g, rng_from(seed, _TAG_E2E_REAL, run_index))
-    vb_rng = rng_from(seed, _TAG_E2E_VB, run_index)
-    vb_out = run_vb(tables.law, vb_rng.permutation(g.n), real_mask, vb_rng.random(g.n))
     mmg = mask_weight(g, mm_edge_mask(g, real_mask))
-
     t_max = max((t for t in ts if t is not None), default=0)
     rounds = plan_round_masks(g, t_max, rng_from(seed, _TAG_E2E_PLAN, run_index)) if t_max else []
     unions = [0]
     for mask in rounds:
         unions.append(unions[-1] | mask)
 
+    by_plan: dict[int, tuple[RunRecord, FractionalMatching, int]] = {}
     points = []
     for t in ts:
         q_mask = g.full_mask if t is None else unions[t]
-        f, _survival = build_fractional(
-            g, tables.classes, q_mask, real_mask, vb_out, tables.g_table, tables.params,
-        )
-        m_n = round_fractional(g, f)
-        alg, scheme = combine(g, q_mask, real_mask, vb_out, m_n, tables.classes)
-        record = RunRecord(
-            run=run_index,
-            alg_weight=mask_weight(g, alg),
-            mmq_weight=mask_weight(g, mm_edge_mask(g, q_mask & real_mask)),
-            mmg_weight=mmg,
-            scheme=scheme,
-        )
-        points.append((record, f, m_n))
-    return vb_out, points
+        point = by_plan.get(q_mask)
+        if point is None:
+            f, _survival = build_fractional(
+                g, tables.classes, q_mask, real_mask, alive, tables.g_table, tables.params,
+            )
+            m_n = round_fractional(g, f)
+            alg, scheme = combine(g, q_mask, real_mask, vb_matching, m_n, tables.classes)
+            record = RunRecord(
+                run=run_index,
+                alg_weight=mask_weight(g, alg),
+                mmq_weight=mask_weight(g, mm_edge_mask(g, q_mask & real_mask)),
+                mmg_weight=mmg,
+                scheme=scheme,
+            )
+            point = by_plan[q_mask] = (record, f, m_n)
+        points.append(point)
+    return points
 
 
 def _e2e_block(g, tables, ts, seed, block, count):
+    runs = range(block * BLOCK_LEN, block * BLOCK_LEN + count)
+    reals, perms, uniforms = [], [], []
+    for r in runs:
+        reals.append(sample_mask(g, rng_from(seed, _TAG_E2E_REAL, r)))
+        vb_rng = rng_from(seed, _TAG_E2E_VB, r)
+        perms.append(vb_rng.permutation(g.n))
+        uniforms.append(vb_rng.random(g.n))
+    vb = run_vb(tables.law, perms, reals, uniforms)
     records = [[] for _ in ts]
-    start = block * BLOCK_LEN
-    for j in range(count):
-        _vb_out, points = _pipeline_run(g, tables, ts, seed, start + j)
+    for r, real_mask, vb_matching, alive in zip(runs, reals, vb.matching, vb.alive):
+        points = _pipeline_run(g, tables, ts, seed, r, real_mask, vb_matching, alive)
         for recs, (record, _f, _m_n) in zip(records, points):
             recs.append(record)
     return records

@@ -29,7 +29,7 @@ from .graph_core import StochasticGraph, mask_edges, sample_masks
 from .mwm import mm_edge_mask
 from .parallel import rng_from, run_blocks
 from .sparsifier import draw_plans
-from .vb_matching import ActivationLaw, draw_run_inputs, run_vb_block
+from .vb_matching import ActivationLaw, draw_run_inputs, run_vb
 
 _TAG_X = 0x01
 _TAG_Y = 0x02
@@ -200,7 +200,7 @@ def _vb_stats_block(law: ActivationLaw, pairs: tuple, perm, seed: int, tag: int,
     selected = np.zeros(g.m, dtype=np.int64)
     alive = np.zeros(g.n, dtype=np.int64)
     pair_counts = np.zeros(len(pairs), dtype=np.int64)
-    out = run_vb_block(law, *draw_run_inputs(law, rng, count, perm))
+    out = run_vb(law, *draw_run_inputs(law, rng, count, perm))
     # (active, matched edges, alive vertices) masks
     outcomes = Counter(zip(out.activated, out.matching, out.alive))
     pair_masks = [(1 << u) | (1 << v) for u, v in pairs]
@@ -214,7 +214,7 @@ def _vb_stats_block(law: ActivationLaw, pairs: tuple, perm, seed: int, tag: int,
         for j, both in enumerate(pair_masks):
             if alive_mask & both == both:
                 pair_counts[j] += k
-    return active, selected, alive, pair_counts, sum(out.clip_events)
+    return active, selected, alive, pair_counts, out.clip_events
 
 
 def sample_vb_statistics(law: ActivationLaw, pairs, trials: int, seed: int, tag: int,
@@ -223,9 +223,9 @@ def sample_vb_statistics(law: ActivationLaw, pairs, trials: int, seed: int, tag:
 
     Block ``b`` draws the inputs of its runs from the stream
     ``(seed, tag, b)`` through :func:`vb_matching.draw_run_inputs`, with the
-    arrival order fixed to ``perm`` if given, and runs them as one
-    :func:`vb_matching.run_vb_block`.  Returns the per-edge active
-    and matched counts, the per-vertex alive counts, the joint alive count of
+    arrival order fixed to ``perm`` if given, and runs them in one
+    :func:`vb_matching.run_vb` call.  Returns the per-edge active and
+    matched counts, the per-vertex alive counts, the joint alive count of
     each vertex pair (keyed as given) and the number of clipped batches.
     """
     pairs = tuple(pairs)

@@ -8,9 +8,11 @@ the fixture.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .exact import MatchingLaw
+from .exact import EnumerationTooLarge, MatchingLaw
 from .graph_core import Edge, StochasticGraph
+from .vb_matching import ExactVBDistribution, exact_vb_enumeration
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,15 @@ class Gadget:
     @property
     def crucial_mask(self) -> int:
         return self.law.crucial_mask
+
+    @cached_property
+    def enumeration(self) -> ExactVBDistribution | None:
+        """The run's exact law on this gadget, enumerated on first use, or
+        ``None`` when a crucial component is too large to enumerate."""
+        try:
+            return exact_vb_enumeration(self.law)
+        except EnumerationTooLarge:
+            return None
 
 
 def _graph(n, edges):

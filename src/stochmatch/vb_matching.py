@@ -16,9 +16,9 @@ mask (only its crucial bits are read) and one uniform per vertex, of which
 the ``j``-th arrival whose batch has a realized edge reads the ``j``-th.
 :func:`draw_run_inputs` draws the inputs of a block of runs in one go, in
 this order: the permutations, then the crucial realizations through
-:func:`graph_core.sample_masks`, then the uniforms.  :func:`run_vb` runs
-one set of inputs; :func:`run_vb_block` runs a block of them one arrival
-step at a time on int64 masks, row for row equal to :func:`run_vb`.
+:func:`graph_core.sample_masks`, then the uniforms.  :func:`run_vb` runs a
+block of inputs, one run per row, one arrival step at a time on numpy
+arrays of masks; a single run is a block of one row.
 
 ``exact_vb_enumeration`` is an independent oracle: it enumerates arrival
 orders, reveals and activation outcomes per connected component of the
@@ -37,7 +37,7 @@ from typing import NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .exact import EnumerationTooLarge
-from .graph_core import Matching, StochasticGraph, mask_edges, sample_masks
+from .graph_core import StochasticGraph, mask_edges, sample_masks
 
 _CLIP_TOL = 1e-12
 _SUM_TOL = 1e-9
@@ -67,46 +67,15 @@ def attenuation_g(y: float) -> float:
     return 3.0 * y / (3.0 + 2.0 * y)
 
 
-@dataclass(frozen=True)
-class VBOutput:
-    """One run's matching (edge mask), alive set (vertex mask) and activation
-    history; ``parent`` is the graph's token, as in :class:`Matching`."""
-
-    matching_mask: int
-    alive_mask: int
-    parent: str
-    activation_log: tuple[tuple[int, int | None, int | None], ...]
-    permutation: tuple[int, ...]
-    clip_events: int
-    revealed_mask: int
-    revealed_bits: int
-
-    @property
-    def matching(self) -> Matching:
-        return Matching(edges=frozenset(mask_edges(self.matching_mask)), parent=self.parent)
-
-    @property
-    def alive(self) -> frozenset[int]:
-        return frozenset(mask_edges(self.alive_mask))
-
-    @property
-    def activated_mask(self) -> int:
-        """Edge mask of the edges that became active."""
-        out = 0
-        for _v, partner, e in self.activation_log:
-            if partner is not None:
-                out |= 1 << e
-        return out
-
-
 class VBBlock(NamedTuple):
-    """Per-run outcomes of a block of runs: matched, alive and activated
-    masks (Python ints) and clipped batch counts, one entry per run."""
+    """Outcomes of a block of runs: per run, the matched, alive and activated
+    masks (Python ints); for the whole block, the number of clipped
+    batches."""
 
     matching: list[int]
     alive: list[int]
     activated: list[int]
-    clip_events: list[int]
+    clip_events: int
 
 
 def activate_batch(law: ActivationLaw, batch_mask: int,
@@ -163,20 +132,6 @@ def _activation_entry(law: ActivationLaw, batch_mask: int, batch_bits: int):
     return entry
 
 
-def _crucial_adjacency(g: StochasticGraph, mask: int):
-    """Per-vertex ``(neighbor, 1 << edge)`` over the edges in ``mask``, in
-    edge order; only the latest mask's table is kept."""
-    hit = g._caches.get("vb_adj")
-    if hit is None or hit[0] != mask:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for e in mask_edges(mask):
-            u, v, _w, _p = g.edges[e]
-            adj[u].append((v, 1 << e))
-            adj[v].append((u, 1 << e))
-        hit = g._caches["vb_adj"] = (mask, tuple(tuple(x) for x in adj))
-    return hit[1]
-
-
 def draw_run_inputs(law: ActivationLaw, rng: np.random.Generator, count: int,
                     permutation: Sequence[int] | None = None):
     """Inputs of ``count`` runs on ``law``, drawn from ``rng`` in this order:
@@ -184,7 +139,7 @@ def draw_run_inputs(law: ActivationLaw, rng: np.random.Generator, count: int,
     which every run then uses), the crucial edges' realizations as
     ``sample_masks(g, rng, count, scope=crucial)``, and a ``(count, n)``
     array of uniforms.  Returns ``(perms, reals, uniforms)`` for
-    :func:`run_vb_block`."""
+    :func:`run_vb`."""
     g = law.graph
     if permutation is None:
         perms = rng.permuted(np.tile(np.arange(g.n), (count, 1)), axis=1)
@@ -192,91 +147,6 @@ def draw_run_inputs(law: ActivationLaw, rng: np.random.Generator, count: int,
         perms = np.tile(np.asarray(permutation, dtype=np.int64), (count, 1))
     reals = sample_masks(g, rng, count, scope=mask_edges(law.crucial_mask))
     return perms, reals, rng.random((count, g.n))
-
-
-def run_vb(
-    law: ActivationLaw,
-    permutation: Sequence[int],
-    realization_mask: int,
-    uniforms: Sequence[float],
-) -> VBOutput:
-    """One run of the variance-bounding matching on the law's crucial edges.
-
-    Vertices arrive in the order ``permutation``; each arrival reveals the
-    crucial bits of ``realization_mask`` on its batch, and the ``j``-th
-    arrival whose batch has a realized edge activates on ``uniforms[j]``
-    through the law's activation table (:func:`activate_batch`).  Vertex and
-    edge sets are int masks throughout.
-    """
-    g = law.graph
-    crucial_mask = law.crucial_mask
-    adj = _crucial_adjacency(g, crucial_mask)
-    order = [int(v) for v in permutation]
-    if sorted(order) != list(range(g.n)):
-        raise ValueError("permutation must cover every vertex exactly once")
-
-    arrived = 0
-    matched = 0
-    active = 0  # vertices with an active edge
-    mc_mask = 0
-    log: list[tuple[int, int | None, int | None]] = []
-    clip_events = 0
-    revealed_mask = 0
-    revealed_bits = 0
-    draws = 0
-
-    for v in order:
-        batch_mask = 0
-        for u, bit in adj[v]:
-            if (arrived >> u) & 1:
-                batch_mask |= bit
-        arrived |= 1 << v
-        batch_bits = batch_mask & realization_mask
-        revealed_mask |= batch_mask
-        revealed_bits |= batch_bits
-        if not batch_bits:
-            log.append((v, None, None))
-            continue
-        edges, cumulative, clipped = _activation_entry(law, batch_mask, batch_bits)
-        u = uniforms[draws]
-        draws += 1
-        clip_events += clipped
-        choice = next((e for e, acc in zip(edges, cumulative) if u < acc), None)
-        if choice is None:
-            log.append((v, None, None))
-            continue
-        partner = g.other_end(choice, v)
-        log.append((v, partner, choice))
-        pair = (1 << v) | (1 << partner)
-        active |= pair
-        if not (matched >> partner) & 1:
-            assert not matched & pair  # matched edges stay vertex-disjoint
-            matched |= pair
-            mc_mask |= 1 << choice
-
-    everyone = (1 << g.n) - 1
-    alive_mask = everyone & ~active
-
-    # Structural guarantees: alive vertices are unmatched, the log determines
-    # the alive set, and matched edges were revealed crucial edges.
-    assert not alive_mask & matched
-    touched = 0
-    for v, partner, _e in log:
-        if partner is not None:
-            touched |= (1 << v) | (1 << partner)
-    assert alive_mask == everyone & ~touched
-    assert not mc_mask & ~(crucial_mask & revealed_bits)
-
-    return VBOutput(
-        matching_mask=mc_mask,
-        alive_mask=alive_mask,
-        parent=g.token,
-        activation_log=tuple(log),
-        permutation=tuple(order),
-        clip_events=clip_events,
-        revealed_mask=revealed_mask,
-        revealed_bits=revealed_bits,
-    )
 
 
 def _distinct_pairs(a: np.ndarray, b: np.ndarray):
@@ -292,46 +162,50 @@ def _distinct_pairs(a: np.ndarray, b: np.ndarray):
     return a[first].tolist(), b[first].tolist(), inverse
 
 
-def run_vb_block(law: ActivationLaw, perms, reals: Sequence[int], uniforms) -> VBBlock:
-    """Runs ``k`` of :func:`run_vb` on row ``k`` of each input, all at once.
+def run_vb(law: ActivationLaw, perms, reals: Sequence[int], uniforms) -> VBBlock:
+    """Runs ``k`` of the variance-bounding matching, one per row ``k`` of the
+    inputs, all at once.
 
-    The runs advance one arrival step at a time on numpy int64 vertex and
-    edge masks, and each step looks up the activation entry of every
-    distinct batch reveal once.  Row ``k`` of the result equals
-    ``run_vb(law, perms[k], reals[k], uniforms[k])``, whose structural
-    invariants are asserted row by row.  Past 63 vertices or edges the masks
-    do not fit an int64, and the rows run through :func:`run_vb` one by one.
+    Run ``k``'s vertices arrive in the order ``perms[k]``; each arrival
+    reveals the crucial bits of ``reals[k]`` on its batch, and the ``j``-th
+    arrival whose batch has a realized edge activates on ``uniforms[k][j]``
+    through the law's activation table (:func:`activate_batch`).  The runs
+    advance one arrival step at a time on numpy arrays of vertex and edge
+    masks, and each step looks up the activation entry of every distinct
+    batch reveal once.  The masks are int64 up to 63 vertices and edges and
+    Python ints in ``dtype=object`` arrays past that.  The structural
+    invariants are asserted row by row.
     """
     g = law.graph
-    n, count = g.n, len(reals)
-    if n > 63 or g.m > 63:
-        outs = [run_vb(law, p, r, u) for p, r, u in zip(perms, reals, uniforms)]
-        return VBBlock([o.matching_mask for o in outs], [o.alive_mask for o in outs],
-                       [o.activated_mask for o in outs], [o.clip_events for o in outs])
-    perms = np.asarray(perms, dtype=np.int64).reshape(count, n)
-    if not np.array_equal(np.sort(perms, axis=1), np.broadcast_to(np.arange(n), perms.shape)):
+    n, m, count = g.n, g.m, len(reals)
+    perms = np.asarray(perms, dtype=np.int64)
+    if perms.size != count * n or not np.array_equal(
+            np.sort(perms.reshape(count, n), axis=1), np.broadcast_to(np.arange(n), (count, n))):
         raise ValueError("permutation must cover every vertex exactly once")
+    perms = perms.reshape(count, n)
+    dtype = object if n > 63 or m > 63 else np.int64
+    vertex_bit = np.array([1 << v for v in range(n)], dtype=dtype)
+    edge_bit = np.array([1 << e for e in range(m)], dtype=dtype)
     crucial_mask = law.crucial_mask
     crucial = mask_edges(crucial_mask)
-    incident = np.zeros(n, dtype=np.int64)  # crucial edge mask per vertex
-    ends = np.zeros(g.m, dtype=np.int64)  # u + v, to find the partner
+    incident = np.zeros(n, dtype=dtype)  # crucial edge mask per vertex
+    ends = np.zeros(m, dtype=np.int64)  # u + v, to find the partner
     for e in crucial:
         u, v = g.endpoints(e)
         incident[u] |= 1 << e
         incident[v] |= 1 << e
         ends[e] = u + v
-    reals = np.asarray(reals, dtype=np.int64) & crucial_mask
+    reals = np.asarray(reals, dtype=dtype) & crucial_mask
     uniforms = np.asarray(uniforms, dtype=float)
-    one = np.int64(1)
 
-    seen = np.zeros(count, dtype=np.int64)  # crucial edges with an arrived endpoint
-    matched = np.zeros(count, dtype=np.int64)
-    active = np.zeros(count, dtype=np.int64)  # vertices with an active edge
-    mc = np.zeros(count, dtype=np.int64)
-    activated = np.zeros(count, dtype=np.int64)
-    revealed_bits = np.zeros(count, dtype=np.int64)
+    seen = np.zeros(count, dtype=dtype)  # crucial edges with an arrived endpoint
+    matched = np.zeros(count, dtype=dtype)
+    active = np.zeros(count, dtype=dtype)  # vertices with an active edge
+    mc = np.zeros(count, dtype=dtype)
+    activated = np.zeros(count, dtype=dtype)
+    revealed_bits = np.zeros(count, dtype=dtype)
     draws = np.zeros(count, dtype=np.int64)
-    clips = np.zeros(count, dtype=np.int64)
+    clip_events = 0
     for step in range(n):
         v = perms[:, step]
         incident_v = incident[v]
@@ -354,34 +228,36 @@ def run_vb_block(law: ActivationLaw, perms, reals: Sequence[int], uniforms) -> V
             choices[k, :len(edges)] = edges
         u = uniforms[rows, draws[rows]]
         draws[rows] += 1
-        clips[rows] += np.array([clipped for _e, _c, clipped in entries], dtype=np.int64)[inverse]
+        clipped = np.array([flag for _e, _c, flag in entries], dtype=bool)
+        clip_events += int(np.count_nonzero(clipped[inverse]))
         picked = (cumulative[inverse] <= u[:, None]).sum(axis=1)
         chosen = choices[inverse, picked]
         hit = chosen >= 0
         rows, chosen = rows[hit], chosen[hit]
         arriving = v[rows]
         partner = ends[chosen] - arriving
-        pair = (one << arriving) | (one << partner)
-        activated[rows] |= one << chosen
+        pair = vertex_bit[arriving] | vertex_bit[partner]
+        activated[rows] |= edge_bit[chosen]
         active[rows] |= pair
-        free = (matched[rows] >> partner) & 1 == 0
+        free = matched[rows] & vertex_bit[partner] == 0
         rows, pair, chosen = rows[free], pair[free], chosen[free]
         assert not np.any(matched[rows] & pair)  # matched edges stay vertex-disjoint
         matched[rows] |= pair
-        mc[rows] |= one << chosen
+        mc[rows] |= edge_bit[chosen]
 
-    everyone = np.int64((1 << n) - 1)
+    everyone = (1 << n) - 1
     alive = everyone & ~active
-    # The structural guarantees of run_vb, with the touched vertices rebuilt
-    # from the activated edges.
+    # Structural guarantees: alive vertices are unmatched, the activated
+    # edges determine the alive set, and matched edges were revealed crucial
+    # edges.
     assert not np.any(alive & matched)
-    touched = np.zeros(count, dtype=np.int64)
+    touched = np.zeros(count, dtype=dtype)
     for e in crucial:
         u, v = g.endpoints(e)
-        touched |= np.where((activated >> e) & 1 == 1, (one << u) | (one << v), 0)
+        touched[activated & edge_bit[e] != 0] |= vertex_bit[u] | vertex_bit[v]
     assert np.array_equal(alive, everyone & ~touched)
     assert not np.any(mc & ~(crucial_mask & revealed_bits))
-    return VBBlock(mc.tolist(), alive.tolist(), activated.tolist(), clips.tolist())
+    return VBBlock(mc.tolist(), alive.tolist(), activated.tolist(), clip_events)
 
 
 # ---------------------------------------------------------------------------

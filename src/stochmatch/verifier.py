@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augmenter import PipelineTables, build_tables_exact
-from .exact import EnumerationTooLarge
 from .estimator import estimate_pair_alive, sample_vb_statistics
 from .gadgets import (
     Gadget,
@@ -36,7 +35,7 @@ from .vb_matching import (
     attenuation_g,
     draw_run_inputs,
     exact_vb_enumeration,
-    run_vb_block,
+    run_vb,
 )
 
 _TAG_VB = 0x21
@@ -87,13 +86,6 @@ def _se(freq: float, trials: int) -> float:
     return math.sqrt(max(freq * (1.0 - freq), 0.0) / trials)
 
 
-def _try_enumeration(gadget: Gadget):
-    try:
-        return exact_vb_enumeration(gadget.law)
-    except EnumerationTooLarge:
-        return None
-
-
 def _noncrucial_pairs(g: StochasticGraph, crucial_mask: int):
     """Vertex pairs with no crucial edge between them (guarantee scope)."""
     out = []
@@ -116,7 +108,7 @@ def check_activation(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     """Activation frequency of every crucial edge vs g(y) and the oracle."""
     g = gadget.graph
     active, _sel, _alive, _pairs, clip = sample_vb_statistics(gadget.law, (), trials, seed, _TAG_VB)
-    dist = _try_enumeration(gadget)
+    dist = gadget.enumeration
     y = gadget.law.y
     details = {}
     z_max = 0.0
@@ -152,7 +144,7 @@ def check_selectability(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     """Matching membership vs the enumeration oracle, and the 8/15 line."""
     g = gadget.graph
     _act, selected, _alive, _pairs, _clip = sample_vb_statistics(gadget.law, (), trials, seed, _TAG_VB)
-    dist = _try_enumeration(gadget)
+    dist = gadget.enumeration
     y = gadget.law.y
     details = {}
     z_max = 0.0
@@ -195,7 +187,7 @@ def check_pair_alive(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     pairs, adjacent = _noncrucial_pairs(g, gadget.crucial_mask)
     _act, _sel, alive, pair_counts, _clip = sample_vb_statistics(
         gadget.law, tuple(pairs + adjacent), trials, seed, _TAG_VB)
-    dist = _try_enumeration(gadget)
+    dist = gadget.enumeration
     details = {}
     verdict = "pass"
     worst = 1.0
@@ -329,7 +321,7 @@ def _z_block(law: ActivationLaw, support: tuple, h_values: tuple, n: int,
     rng = rng_from(seed, _TAG_Z, block)
     outcomes: dict = {}  # alive vertex mask -> row of `rows`
     runs = [outcomes.setdefault(alive, len(outcomes))
-            for alive in run_vb_block(law, *draw_run_inputs(law, rng, count)).alive]
+            for alive in run_vb(law, *draw_run_inputs(law, rng, count)).alive]
     rows = np.zeros((len(outcomes), n))
     for alive, i in outcomes.items():
         for (u, v), h in zip(support, h_values):
@@ -382,7 +374,7 @@ def _y_block(g: StochasticGraph, tables: PipelineTables, t: int, seed: int,
              block: int, count: int) -> np.ndarray:
     rng = rng_from(seed, _TAG_Y, block)
     noncrucial = tables.classes.noncrucial_mask
-    alive = run_vb_block(tables.law, *draw_run_inputs(tables.law, rng, count)).alive
+    alive = run_vb(tables.law, *draw_run_inputs(tables.law, rng, count)).alive
     # the plans, then the non-crucial realizations, after the runs' inputs
     q_masks = list(draw_plans(g, t, rng, count))
     real_masks = sample_masks(g, rng, count, scope=mask_edges(noncrucial))
@@ -469,7 +461,7 @@ def _log_joint_block(law: ActivationLaw, perm: tuple, u: int, w: int, seed: int,
                      block: int, count: int) -> dict:
     rng = rng_from(seed, _TAG_IND, block)
     g = law.graph
-    activated = Counter(run_vb_block(law, *draw_run_inputs(law, rng, count, perm)).activated)
+    activated = Counter(run_vb(law, *draw_run_inputs(law, rng, count, perm)).activated)
     position = {v: i for i, v in enumerate(perm)}
     # the edges of each vertex's batch: its crucial edges to earlier arrivals
     batches = {x: [e for e in mask_edges(law.crucial_mask) if x in g.endpoints(e)

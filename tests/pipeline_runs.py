@@ -3,20 +3,36 @@
 ``end_to_end`` returns only each run's weights and winning scheme.  The
 degree cap, the rounding bound and the E[f_e] floor are properties of the
 fractional vector ``f`` and its rounding ``m_n``, which
-``augmenter._pipeline_run`` builds for every run from the same streams as
-the sweep's run with the same index.
+``augmenter._pipeline_run`` builds for every run from its realization and
+variance-bounding run.  Here those come from the sweep's streams for the run
+with the same index, and the run from the reference implementation.
 """
 
 import numpy as np
 
-from stochmatch.augmenter import _pipeline_run
+from stochmatch import augmenter
+from stochmatch.graph_core import sample_mask
+from stochmatch.parallel import rng_from
+
+from vb_reference import reference_run_vb
+
+
+def reference_vb(g, tables, seed, run_index):
+    """Run ``run_index``'s realization mask and its variance-bounding run
+    (a ``ReferenceRun``), drawn from the sweep's streams."""
+    real_mask = sample_mask(g, rng_from(seed, augmenter._TAG_E2E_REAL, run_index))
+    vb_rng = rng_from(seed, augmenter._TAG_E2E_VB, run_index)
+    run = reference_run_vb(tables.law, vb_rng.permutation(g.n), real_mask, vb_rng.random(g.n))
+    return real_mask, run
 
 
 def point_runs(g, tables, t, runs, seed):
-    """``(VBOutput, f, m_n)`` of runs ``0..runs-1`` at the sweep point ``t``."""
+    """``(ReferenceRun, f, m_n)`` of runs ``0..runs-1`` at the sweep point ``t``."""
     for r in range(runs):
-        vb_out, [(_record, f, m_n)] = _pipeline_run(g, tables, (t,), seed, r)
-        yield vb_out, f, m_n
+        real_mask, vb = reference_vb(g, tables, seed, r)
+        [(_record, f, m_n)] = augmenter._pipeline_run(g, tables, (t,), seed, r, real_mask,
+                                                      vb.matching, vb.alive)
+        yield vb, f, m_n
 
 
 def f_weight(g, f):

@@ -24,38 +24,32 @@ from stochmatch.graph_core import (
     make_matching,
     mask_edges,
     mask_weight,
-    sample_mask,
     weight_of,
 )
 from stochmatch.mwm import GraphView, max_weight_matching
 from stochmatch.parallel import BLOCK_LEN, rng_from, worker_pool
 from stochmatch.sparsifier import classify_edges, draw_plan
-from stochmatch.vb_matching import VBOutput, run_vb
+from stochmatch.vb_matching import run_vb
 
-from pipeline_runs import f_weight, max_load, mean_f, point_runs
+from pipeline_runs import f_weight, max_load, mean_f, point_runs, reference_vb
 
 
 def graph(n, edges):
     return StochasticGraph(n=n, edges=tuple(Edge(*e) for e in edges))
 
 
-def fake_vb(g, alive, mc_edges=()):
-    matching = make_matching(g, mc_edges)
-    log = tuple((v, None, None) for v in range(g.n))
-    return VBOutput(matching_mask=matching.as_mask(), alive_mask=sum(1 << v for v in alive),
-                    parent=g.token, activation_log=log,
-                    permutation=tuple(range(g.n)), clip_events=0,
-                    revealed_mask=0, revealed_bits=0)
+def vertex_mask(vertices):
+    return sum(1 << v for v in vertices)
 
 
 def params_for(g, eps=0.2):
     return Params(epsilon=eps, delta=1 / 576.0, p_min=g.p_min)
 
 
-def survival_flags(g, vb, record):
+def survival_flags(g, alive, record):
     """A vertex survives the fractional stage iff it is alive and was not
     zeroed; an edge iff both its endpoints survive, queried or not."""
-    survived = vb.alive_mask & ~record.overloaded_mask
+    survived = alive & ~record.overloaded_mask
     vertices = tuple(bool((survived >> v) & 1) for v in range(g.n))
     edges = tuple(vertices[u] and vertices[v] for u, v, _w, _p in g.edges)
     return vertices, edges
@@ -82,10 +76,9 @@ def test_build_fractional_empty_alive_set():
     classes = classify_edges(np.array([0.8, 0.004]), tau=0.05)
     params = params_for(g)
     table = build_g_table(g, classes, np.array([0.8, 0.004]), [1.0, 0.4], {1: 0.2})
-    vb = fake_vb(g, alive=[])
-    f, record = build_fractional(g, classes, g.full_mask, g.full_mask, vb, table, params)
+    f, record = build_fractional(g, classes, g.full_mask, g.full_mask, 0, table, params)
     assert f.values == {}
-    assert not any(survival_flags(g, vb, record)[0])
+    assert not any(survival_flags(g, 0, record)[0])
 
 
 def test_build_fractional_direct_rule():
@@ -93,11 +86,11 @@ def test_build_fractional_direct_rule():
     classes = classify_edges(np.array([0.8, 0.004]), tau=0.05)
     params = params_for(g)
     table = {1: 0.001}
-    vb = fake_vb(g, alive=[0, 1, 2])
-    f, record = build_fractional(g, classes, g.full_mask, g.full_mask, vb, table, params)
+    alive = vertex_mask([0, 1, 2])
+    f, record = build_fractional(g, classes, g.full_mask, g.full_mask, alive, table, params)
     assert f.values[1] == pytest.approx(params.gamma * 0.001)
     assert 0 not in f.values
-    assert survival_flags(g, vb, record) == ((True, True, True), (True, True))
+    assert survival_flags(g, alive, record) == ((True, True, True), (True, True))
 
 
 def test_build_fractional_requires_queried_and_realized():
@@ -107,11 +100,11 @@ def test_build_fractional_requires_queried_and_realized():
     table = {1: 0.001}
     not_queried = 0b01
     f, _ = build_fractional(g, classes, not_queried, g.full_mask,
-                            fake_vb(g, alive=[0, 1, 2]), table, params)
+                            vertex_mask([0, 1, 2]), table, params)
     assert f.values == {}
     unrealized = 0b01
     f2, _ = build_fractional(g, classes, g.full_mask, unrealized,
-                             fake_vb(g, alive=[0, 1, 2]), table, params)
+                             vertex_mask([0, 1, 2]), table, params)
     assert f2.values == {}
 
 
@@ -123,13 +116,13 @@ def test_build_fractional_star_overload_zeroes_all():
     target = 0.3 / params.gamma
     classes = classify_edges(np.zeros(g.m), tau=0.5)  # everything non-crucial
     table = {e: target for e in range(g.m)}
-    vb = fake_vb(g, alive=range(g.n))
-    f, record = build_fractional(g, classes, g.full_mask, g.full_mask, vb, table, params)
+    alive = vertex_mask(range(g.n))
+    f, record = build_fractional(g, classes, g.full_mask, g.full_mask, alive, table, params)
     assert f.values == {}
     assert record.overloaded[0]
     assert not any(record.overloaded[1:])
     # leaves are alive and under the cap, yet their only edge died with the center
-    vertex_survived, edge_survived = survival_flags(g, vb, record)
+    vertex_survived, edge_survived = survival_flags(g, alive, record)
     assert vertex_survived[1]
     assert edge_survived == (False,) * g.m
 
@@ -185,15 +178,15 @@ def test_combine_trivial_sides():
     plan = g.full_mask
     realization = g.full_mask
     # no non-crucial matching: crucial side returned
-    vb = fake_vb(g, alive=[2, 3], mc_edges=[0])
-    m, scheme = combine(g, plan, realization, vb, make_matching(g, []).as_mask(), classes)
+    vb_matching = make_matching(g, [0]).as_mask()
+    m, scheme = combine(g, plan, realization, vb_matching, make_matching(g, []).as_mask(),
+                        classes)
     assert mask_edges(m) == [0]
     assert scheme == "crucial"
     # no crucial edges at all: the rounded matching is returned
     classes_none = classify_edges(np.array([0.004, 0.004]), tau=0.05)
-    vb_empty = fake_vb(g, alive=[0, 1, 2, 3])
-    m2, scheme2 = combine(g, plan, realization, vb_empty,
-                          make_matching(g, [1]).as_mask(), classes_none)
+    m2, scheme2 = combine(g, plan, realization, 0, make_matching(g, [1]).as_mask(),
+                          classes_none)
     assert mask_edges(m2) == [1]
     assert scheme2 == "augmented"
 
@@ -204,9 +197,8 @@ def test_combine_prefers_heavier_scheme():
     classes = classify_edges(np.array([0.9, 0.9, 0.004]), tau=0.05)
     plan = g.full_mask
     realization = g.full_mask
-    vb = fake_vb(g, alive=[0, 1, 2, 3], mc_edges=[])
     m_n = make_matching(g, [2]).as_mask()
-    m, scheme = combine(g, plan, realization, vb, m_n, classes)
+    m, scheme = combine(g, plan, realization, 0, m_n, classes)
     # scheme a = MM{edges 0,1} = edge 0 (5.0) vs scheme b = {2} (0.5)
     assert scheme == "crucial"
     assert mask_weight(g, m) == 5.0
@@ -218,10 +210,10 @@ def test_combine_prefers_heavier_scheme():
 def test_combine_detects_invariant_breach():
     g = graph(3, [(0, 1, 2.0, 0.9), (1, 2, 1.0, 0.9)])
     classes = classify_edges(np.array([0.9, 0.004]), tau=0.05)
-    vb = fake_vb(g, alive=[2], mc_edges=[0])
+    vb_matching = make_matching(g, [0]).as_mask()
     bogus_m_n = make_matching(g, [1]).as_mask()  # touches matched vertex 1
     with pytest.raises(RuntimeError):
-        combine(g, g.full_mask, g.full_mask, vb, bogus_m_n, classes)
+        combine(g, g.full_mask, g.full_mask, vb_matching, bogus_m_n, classes)
 
 
 def test_end_to_end_full_plan_control_ratio_one():
@@ -285,7 +277,7 @@ def test_end_to_end_f_support_flags():
         for e in f.values:
             assert not (tables.classes.crucial_mask >> e) & 1
             u, v = g.endpoints(e)
-            assert u in out.alive and v in out.alive
+            assert (out.alive >> u) & 1 and (out.alive >> v) & 1
 
 
 def test_end_to_end_worker_independence():
@@ -365,13 +357,11 @@ def reference_run(g, tables, t, seed, run_index):
         q_mask = g.full_mask
     else:
         q_mask = draw_plan(g, t, rng_from(seed, augmenter._TAG_E2E_PLAN, run_index))
-    real_mask = sample_mask(g, rng_from(seed, augmenter._TAG_E2E_REAL, run_index))
-    vb_rng = rng_from(seed, augmenter._TAG_E2E_VB, run_index)
-    vb_out = run_vb(tables.law, vb_rng.permutation(g.n), real_mask, vb_rng.random(g.n))
-    f, _survival = build_fractional(g, tables.classes, q_mask, real_mask, vb_out,
+    real_mask, vb = reference_vb(g, tables, seed, run_index)
+    f, _survival = build_fractional(g, tables.classes, q_mask, real_mask, vb.alive,
                                     tables.g_table, tables.params)
     m_n = round_fractional(g, f)
-    alg, scheme = combine(g, q_mask, real_mask, vb_out, m_n, tables.classes)
+    alg, scheme = combine(g, q_mask, real_mask, vb.matching, m_n, tables.classes)
     mmq = weight_of(max_weight_matching(GraphView(g, q_mask & real_mask)), g)
     mmg = weight_of(max_weight_matching(GraphView(g, real_mask)), g)
     record = augmenter.RunRecord(
@@ -409,7 +399,9 @@ def assert_matches_reference(g, tables, sweep, runs, seed):
     ts = tuple(res.t for res in sweep)
     assert [len(res.runs) for res in sweep] == [runs] * len(sweep)
     for r in range(runs):
-        _vb_out, points = augmenter._pipeline_run(g, tables, ts, seed, r)
+        real_mask, vb = reference_vb(g, tables, seed, r)
+        points = augmenter._pipeline_run(g, tables, ts, seed, r, real_mask, vb.matching,
+                                         vb.alive)
         for res, (record, f, m_n) in zip(sweep, points):
             ref, ref_f, ref_m_n = reference_run(g, tables, res.t, seed, r)
             assert res.runs[r] == record == ref
@@ -459,3 +451,23 @@ def test_end_to_end_rejects_empty_and_negative_sweeps():
         end_to_end(g, tables, [2, -1], 10, seed=1)
     with pytest.raises(ValueError):
         end_to_end(g, tables, [2], 0, seed=1)
+
+
+def test_sweep_runs_one_block_call_per_block_equal_to_reference_runs(monkeypatch):
+    gadget = benchmark_6v8e()
+    g = gadget.graph
+    tables = exact_tables(gadget)
+    calls = []
+
+    def recording(law, perms, reals, uniforms):
+        out = run_vb(law, perms, reals, uniforms)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(augmenter, "run_vb", recording)
+    end_to_end(g, tables, [2, None], BLOCK_LEN + 17, seed=43)
+    assert [len(out.alive) for out in calls] == [BLOCK_LEN, 17]
+    rows = [row for out in calls for row in zip(out.matching, out.alive)]
+    for r in range(0, BLOCK_LEN + 17, 7):
+        _real_mask, vb = reference_vb(g, tables, 43, r)
+        assert rows[r] == (vb.matching, vb.alive), r

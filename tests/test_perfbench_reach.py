@@ -57,6 +57,25 @@ def test_tracer_installs_records_a_run_and_uninstalls(tmp_path):
     assert metrics["exact.cond_queries"][0] > 0
 
 
+def test_tracer_records_the_verifier_runs(tmp_path):
+    tracer_mod = load_tracer()
+    before = package_bindings()
+    tracer = tracer_mod.Tracer()
+    tracer_mod.install_tracer(tracer)
+    config = tmp_path / "config.json"
+    config.write_text('{"verify_trials": 64}')
+    try:
+        cli.main(["--config", str(config), "--seed", "3", "--out", str(tmp_path / "v"),
+                  "verify"])
+    finally:
+        tracer.uninstall()
+    assert package_bindings() == before
+    metrics = tracer_mod.layer_metrics(tracer.self_times(), tracer.counts, 1)
+    assert metrics["vb_matching.runs"][0] > 0
+    clips = metrics["vb_matching.clip_events"][0]
+    assert isinstance(clips, (int, float)) and not isinstance(clips, bool)
+
+
 def test_stopwatch_installs_and_uninstalls_for_run_and_verify():
     tracer_mod = load_tracer()
     before = package_bindings()

@@ -21,7 +21,6 @@ from stochmatch.graph_core import (
     Edge,
     StochasticGraph,
     gen_random_graph,
-    make_matching,
     mask_edges,
     sample_mask,
     sample_masks,
@@ -29,14 +28,14 @@ from stochmatch.graph_core import (
 from stochmatch import vb_matching
 from stochmatch.parallel import rng_from
 from stochmatch.vb_matching import (
-    VBOutput,
     activate_batch,
     attenuation_g,
     draw_run_inputs,
     exact_vb_enumeration,
     run_vb,
-    run_vb_block,
 )
+
+from vb_reference import assert_rows_equal_reference
 
 
 def graph(n, edges):
@@ -71,7 +70,7 @@ def one_run(law, rng, realization_mask=None, permutation=None):
     the realization replaced by ``realization_mask`` if given."""
     perms, reals, uniforms = draw_run_inputs(law, rng, 1, permutation)
     real = reals[0] if realization_mask is None else realization_mask
-    return run_vb(law, perms[0], real, uniforms[0])
+    return run_vb(law, perms, [real], uniforms)
 
 
 def fan_law(y, value):
@@ -81,9 +80,9 @@ def fan_law(y, value):
 
 
 def fan_activations(law, trials, seed):
-    """Per-run activated edge masks and clip counts with vertex 0 last."""
+    """Per-run activated edge masks and the clip count with vertex 0 last."""
     uniforms = rng_from(seed).random((trials, 3))
-    out = run_vb_block(law, np.tile([1, 2, 0], (trials, 1)), [0b11] * trials, uniforms)
+    out = run_vb(law, np.tile([1, 2, 0], (trials, 1)), [0b11] * trials, uniforms)
     return out.activated, out.clip_events
 
 
@@ -109,7 +108,7 @@ def test_activate_batch_two_candidates_frequencies():
     trials = 100_000
     activated, clips = fan_activations(law, trials, 1)
     counts = Counter(activated)
-    assert set(counts) <= {0, 0b01, 0b10} and not any(clips)
+    assert set(counts) <= {0, 0b01, 0b10} and clips == 0
     se = math.sqrt(0.375 * 0.625 / trials)
     assert abs(counts[0b01] / trials - 0.375) <= 3 * se
     assert abs(counts[0b10] / trials - 0.375) <= 3 * se
@@ -124,7 +123,7 @@ def test_activate_batch_clips_oversubscribed():
     assert cumulative == pytest.approx((0.5, 1.0))
     trials = 40_000
     activated, clips = fan_activations(law, trials, 2)
-    assert all(c == 1 for c in clips)
+    assert clips == trials  # only vertex 0's batch reveals edges: one clip per run
     counts = Counter(activated)
     assert counts[0] == 0
     assert abs(counts[0b01] / trials - 0.5) <= 3 * math.sqrt(0.25 / trials)
@@ -133,21 +132,17 @@ def test_activate_batch_clips_oversubscribed():
 def test_run_vb_no_crucial_edges():
     g = graph(3, [(0, 1, 1.0, 0.5)])
     out = one_run(StubLaw(g, 0, np.zeros(1)), rng_from(0), realization_mask=1)
-    assert len(out.matching) == 0
-    assert out.alive == frozenset(range(3))
+    assert out.matching == [0] and out.activated == [0]
+    assert out.alive == [0b111]
 
 
 def test_run_vb_single_edge_selection_matches_g_of_y():
     for y in (1.0, 0.5):
         gadget = single_edge(y=y)
         trials = 60_000
-        inputs = draw_run_inputs(gadget.law, rng_from(17), trials)
-        selected = 0
-        both_alive = 0
-        for perm, real, uniforms in zip(*inputs):
-            out = run_vb(gadget.law, perm, real, uniforms)
-            selected += len(out.matching)
-            both_alive += out.alive == frozenset({0, 1})
+        out = run_vb(gadget.law, *draw_run_inputs(gadget.law, rng_from(17), trials))
+        selected = sum(out.matching)  # edge 0 is the only edge
+        both_alive = out.alive.count(0b11)
         target = attenuation_g(y)
         se = math.sqrt(target * (1 - target) / trials)
         assert abs(selected / trials - target) <= 3.5 * se
@@ -157,49 +152,63 @@ def test_run_vb_single_edge_selection_matches_g_of_y():
 
 def test_run_vb_respects_fixed_permutation():
     law = two_path().law
-    out = one_run(law, rng_from(3), permutation=(2, 0, 1))
-    assert out.permutation == (2, 0, 1)
+    perms, reals, uniforms = draw_run_inputs(law, rng_from(3), 300, (2, 0, 1))
+    assert perms.tolist() == [[2, 0, 1]] * 300
+    out, refs = assert_rows_equal_reference(law, perms, reals, uniforms)
+    # Vertex 1 arrives last and reveals both edges, so at most one activates
+    # and, with no earlier activation, it is matched.
+    assert all(ref.log[0][1] is None and ref.log[1][1] is None for ref in refs)
+    assert all(bin(a).count("1") <= 1 for a in out.activated)
+    assert out.matching == out.activated and any(out.activated)
     with pytest.raises(ValueError):
-        run_vb(law, (0, 0, 1), 0b11, np.zeros(3))
+        run_vb(law, [(0, 0, 1)], [0b11], np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        run_vb_block(law, [(2, 0, 1), (0, 0, 1)], [0b11] * 2, np.zeros((2, 3)))
+        run_vb(law, [(2, 0, 1), (0, 0, 1)], [0b11] * 2, np.zeros((2, 3)))
+
+
+def vertices_of(g, edge_mask):
+    """Vertex mask of the endpoints of the edges in ``edge_mask``."""
+    out = 0
+    for e in mask_edges(edge_mask):
+        u, v = g.endpoints(e)
+        out |= (1 << u) | (1 << v)
+    return out
 
 
 def test_run_vb_structural_invariants_random():
     gadget = four_cycle()
     g = gadget.graph
-    rng = rng_from(8)
-    for _ in range(300):
-        out = one_run(gadget.law, rng)
-        matched = {v for e in out.matching.edges for v in g.endpoints(e)}
-        assert not (out.alive & matched)
-        touched = set()
-        for v, partner, e in out.activation_log:
-            if partner is not None:
-                touched |= {v, partner}
-                assert (out.revealed_bits >> e) & 1
-        assert out.alive == frozenset(range(g.n)) - touched
+    perms, reals, uniforms = draw_run_inputs(gadget.law, rng_from(8), 300)
+    out = run_vb(gadget.law, perms, reals, uniforms)
+    for real, matched, alive, activated in zip(reals, out.matching, out.alive, out.activated):
+        # matched edges are activated, activated edges realized crucial ones
+        assert matched & ~activated == 0
+        assert activated & ~(real & gadget.crucial_mask) == 0
+        # the matching is vertex-disjoint and leaves the alive set untouched
+        assert 2 * bin(matched).count("1") == bin(vertices_of(g, matched)).count("1")
+        assert alive & vertices_of(g, matched) == 0
+        # alive = the vertices no activated edge touches
+        assert alive == (1 << g.n) - 1 & ~vertices_of(g, activated)
+    assert any(out.matching) and any(m != a for m, a in zip(out.matching, out.activated))
 
 
 def test_run_vb_uses_supplied_realization():
     law = two_path().law
-    out = one_run(law, rng_from(0), realization_mask=0)
-    assert len(out.matching) == 0
-    assert out.alive == frozenset({0, 1, 2})
-    out2 = one_run(law, rng_from(0), realization_mask=0b11)
-    assert out2.revealed_bits == out2.revealed_mask
+    perms, _reals, uniforms = draw_run_inputs(law, rng_from(0), 200)
+    for realization in (0, 0b01, 0b10, 0b11):
+        out = run_vb(law, perms, [realization] * 200, uniforms)
+        assert all(a & ~realization == 0 for a in out.activated)
+        assert any(out.activated) == (realization != 0)
+    out = run_vb(law, perms, [0] * 200, uniforms)
+    assert set(out.matching) == {0} and set(out.alive) == {0b111}
 
 
 def test_run_vb_clip_logging_with_noisy_conditionals():
     g = graph(3, [(0, 1, 1.0, 1.0), (0, 2, 1.0, 1.0)])
     # y = 0, y' = 1: denominators 3+0, q = 1 each, so a 2-edge batch clips
     oversubscribed = StubLaw(g, g.full_mask, np.zeros(2), value=1.0)
-    clipped_runs = 0
-    rng = rng_from(5)
-    for _ in range(200):
-        out = one_run(oversubscribed, rng)
-        clipped_runs += out.clip_events > 0
-    assert clipped_runs > 0
+    out = run_vb(oversubscribed, *draw_run_inputs(oversubscribed, rng_from(5), 200))
+    assert out.clip_events > 0
 
 
 def test_exact_enumeration_single_edge_reproduces_attenuation():
@@ -284,125 +293,19 @@ def test_exact_enumeration_caps_raise_typed_error(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The mask implementation of run_vb against the list-and-set one it replaced
-
-
-def reference_run_vb(law, permutation, realization_mask, uniforms):
-    """``run_vb`` as written with per-vertex lists and sets and the
-    activation rule inline, reading its inputs as ``run_vb`` does, as the
-    reference the mask implementation must reproduce output for output."""
-    g = law.graph
-    crucial_mask = law.crucial_mask
-    y, cond = law.y, law
-    adj = [[] for _ in range(g.n)]
-    for e in range(g.m):
-        if (crucial_mask >> e) & 1:
-            u, v, _w, _p = g.edges[e]
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-
-    order = [int(v) for v in permutation]
-    if sorted(order) != list(range(g.n)):
-        raise ValueError("permutation must cover every vertex exactly once")
-
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-
-    matched = [False] * g.n
-    had_active = [False] * g.n
-    log = []
-    mc_edges = []
-    clip_events = 0
-    revealed_mask = 0
-    revealed_bits = 0
-    draws = iter(uniforms)
-
-    for v in order:
-        batch_mask = 0
-        batch_bits = 0
-        realized = []
-        for u, e in adj[v]:
-            if pos[u] >= pos[v]:
-                continue
-            bit_e = 1 << e
-            batch_mask |= bit_e
-            if realization_mask & bit_e:
-                batch_bits |= bit_e
-                realized.append((u, e))
-        revealed_mask |= batch_mask
-        revealed_bits |= batch_bits
-        if not realized:
-            log.append((v, None, None))
-            continue
-        probs = []
-        total = 0.0
-        for _u, e in realized:
-            y_prime = cond.y_prime(e, batch_mask, batch_bits)
-            if y_prime < 0.0:
-                raise ValueError(f"negative conditional marginal for edge {e}")
-            if not (0.0 <= float(y[e]) <= 1.0):
-                raise ValueError(f"marginal of edge {e} must be in [0, 1]")
-            q = 3.0 * y_prime / (3.0 + 2.0 * float(y[e]))
-            probs.append((e, q))
-            total += q
-        if total > 1.0:
-            clip_events += total > 1.0 + 1e-12
-            probs = [(e, q / total) for e, q in probs]
-        u = next(draws)
-        choice = None
-        acc = 0.0
-        for e, q in probs:
-            acc += q
-            if u < acc:
-                choice = e
-                break
-        if choice is None:
-            log.append((v, None, None))
-            continue
-        partner = g.other_end(choice, v)
-        log.append((v, partner, choice))
-        had_active[v] = True
-        had_active[partner] = True
-        if not matched[partner]:
-            matched[partner] = True
-            matched[v] = True
-            mc_edges.append(choice)
-
-    alive = frozenset(v for v in range(g.n) if not had_active[v])
-    matching = make_matching(g, mc_edges)
-    return VBOutput(
-        matching_mask=matching.as_mask(),
-        alive_mask=sum(1 << v for v in alive),
-        parent=g.token,
-        activation_log=tuple(log),
-        permutation=tuple(order),
-        clip_events=clip_events,
-        revealed_mask=revealed_mask,
-        revealed_bits=revealed_bits,
-    )
+# run_vb against the list-and-set reference, row by row on the same inputs
 
 
 def assert_same_runs(law, seed, runs, realization=None, permutation=None, ref_law=None):
-    """``runs`` runs of both implementations on the same drawn inputs give
-    equal outputs; ``realization`` replaces the drawn crucial realizations."""
+    """``runs`` runs of ``run_vb`` and of the reference on the same drawn
+    inputs give equal outputs; ``realization`` replaces the drawn crucial
+    realizations."""
     perms, reals, uniforms = draw_run_inputs(law, rng_from(seed), runs, permutation)
-    mask_rng = rng_from(seed, 1)
-    outs = []
-    for perm, mask, row in zip(perms, reals, uniforms):
-        mask = mask if realization is None else realization(mask_rng)
-        new = run_vb(law, perm, mask, row)
-        ref = reference_run_vb(law if ref_law is None else ref_law, perm, mask, row)
-        for name in ("matching_mask", "alive_mask", "parent", "matching", "alive",
-                     "activation_log", "permutation", "clip_events", "revealed_mask",
-                     "revealed_bits"):
-            assert getattr(new, name) == getattr(ref, name), name
-        assert new.matching.as_mask() == new.matching_mask
-        assert new.alive == frozenset(mask_edges(new.alive_mask))
-        assert list(new.alive) == list(ref.alive)
-        assert list(new.matching.edges) == list(ref.matching.edges)
-        outs.append(new)
-    return outs
+    if realization is not None:
+        mask_rng = rng_from(seed, 1)
+        reals = [realization(mask_rng) for _ in range(runs)]
+    block, _refs = assert_rows_equal_reference(law, perms, reals, uniforms, ref_law)
+    return block
 
 
 @pytest.mark.parametrize("gadget", verification_gadgets(), ids=lambda gd: gd.name)
@@ -417,46 +320,42 @@ def test_run_vb_equals_reference_on_every_gadget(gadget):
     assert_same_runs(law, 14, 150, realization=draw, permutation=perm)
 
 
+def clipping_law(g):
+    """Monte Carlo conditionals whose 2-trial estimates of y' clip, as the
+    denominators are small."""
+    return MonteCarloConditional(g, g.full_mask, np.full(g.m, 0.1), 2, 3)
+
+
+def random_graph(n, density, seed):
+    return gen_random_graph(n, density, {"name": "uniform", "low": 0.1, "high": 2.0},
+                            {"name": "uniform", "low": 0.3, "high": 0.9}, seed=seed)
+
+
 def test_run_vb_equals_reference_with_clipping_monte_carlo_conditionals():
-    g = gen_random_graph(7, 0.6, {"name": "uniform", "low": 0.1, "high": 2.0},
-                         {"name": "uniform", "low": 0.3, "high": 0.9}, seed=5)
-    y = np.full(g.m, 0.1)  # small denominators: 2-trial estimates of y' clip
-    outs = assert_same_runs(MonteCarloConditional(g, g.full_mask, y, 2, 3), 21, 200,
-                            ref_law=MonteCarloConditional(g, g.full_mask, y, 2, 3))
-    assert sum(out.clip_events for out in outs) > 0
-    assert_same_runs(MonteCarloConditional(g, g.full_mask, y, 2, 3), 22, 100,
-                     realization=lambda rng: sample_mask(g, rng))
+    g = random_graph(7, 0.6, 5)
+    block = assert_same_runs(clipping_law(g), 21, 200, ref_law=clipping_law(g))
+    assert block.clip_events > 0
+    assert_same_runs(clipping_law(g), 22, 100, realization=lambda rng: sample_mask(g, rng))
 
 
 def test_run_vb_equals_reference_without_crucial_edges():
     g = graph(3, [(0, 1, 1.0, 0.5)])
     law = StubLaw(g, 0, np.zeros(1))
-    outs = assert_same_runs(law, 0, 5)
-    assert outs[0].alive == frozenset(range(3))
+    block = assert_same_runs(law, 0, 5)
+    assert block.alive[0] == 0b111
     assert_same_runs(law, 1, 5, permutation=(2, 1, 0))
 
 
 def test_run_vb_error_paths_still_raise():
     g = graph(2, [(0, 1, 1.0, 1.0)])
     with pytest.raises(ValueError, match="negative conditional"):
-        run_vb(StubLaw(g, 1, np.full(1, 0.5), value=-0.1), (0, 1), 1, np.zeros(2))
+        run_vb(StubLaw(g, 1, np.full(1, 0.5), value=-0.1), [(0, 1)], [1], np.zeros((1, 2)))
     for bad_y in (-0.5, 1.5):
         with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
-            run_vb(StubLaw(g, 1, np.full(1, bad_y)), (0, 1), 1, np.zeros(2))
+            run_vb(StubLaw(g, 1, np.full(1, bad_y)), [(0, 1)], [1], np.zeros((1, 2)))
     for bad_perm in ((0, 0), (0,), (0, 2), (1, 0, 2)):
         with pytest.raises(ValueError, match="permutation"):
-            run_vb(StubLaw(g, 1, np.full(1, 0.5)), bad_perm, 1, np.zeros(2))
-
-
-def test_vb_adjacency_cache_keeps_only_latest_mask():
-    g = graph(4, [(0, 1, 1.0, 0.5), (1, 2, 1.0, 0.5), (2, 3, 1.0, 0.5)])
-    y = np.full(3, 0.5)
-    one_run(StubLaw(g, 0b011, y), rng_from(0))
-    one_run(StubLaw(g, 0b110, y), rng_from(0))
-    keys = [k for k in g._caches
-            if k == "vb_adj" or (isinstance(k, tuple) and k and k[0] == "vb_adj")]
-    assert keys == ["vb_adj"]
-    assert g._caches["vb_adj"][0] == 0b110
+            run_vb(StubLaw(g, 1, np.full(1, 0.5)), [bad_perm], [1], np.zeros((1, 2)))
 
 
 def test_activation_table_lives_on_the_law_and_is_bounded(monkeypatch):
@@ -470,21 +369,6 @@ def test_activation_table_lives_on_the_law_and_is_bounded(monkeypatch):
     assert list(law._activation_table) == [(0b10, 0b10)]
 
 
-# ---------------------------------------------------------------------------
-# The block runner against run_vb, row by row on the same inputs
-
-
-def assert_block_equals_rows(law, perms, reals, uniforms):
-    block = run_vb_block(law, perms, reals, uniforms)
-    assert len(block.matching) == len(reals)
-    for k, (perm, real, row) in enumerate(zip(perms, reals, uniforms)):
-        out = run_vb(law, perm, real, row)
-        got = (block.matching[k], block.alive[k], block.activated[k], block.clip_events[k])
-        assert got == (out.matching_mask, out.alive_mask, out.activated_mask,
-                       out.clip_events), k
-    return block
-
-
 def full_inputs(law, seed, runs, permutation=None):
     """Drawn inputs whose realizations also carry non-crucial bits."""
     perms, _reals, uniforms = draw_run_inputs(law, rng_from(seed), runs, permutation)
@@ -495,41 +379,63 @@ def full_inputs(law, seed, runs, permutation=None):
 def test_run_vb_block_equals_rows_on_every_gadget(gadget):
     law = gadget.law
     reverse = tuple(reversed(range(gadget.graph.n)))
-    block = assert_block_equals_rows(law, *draw_run_inputs(law, rng_from(31), 300))
-    assert_block_equals_rows(law, *draw_run_inputs(law, rng_from(32), 300, reverse))
-    assert_block_equals_rows(law, *full_inputs(law, 33, 300))
+    block, _ = assert_rows_equal_reference(law, *draw_run_inputs(law, rng_from(31), 300))
+    assert_rows_equal_reference(law, *draw_run_inputs(law, rng_from(32), 300, reverse))
+    assert_rows_equal_reference(law, *full_inputs(law, 33, 300))
     if law.crucial_mask:
         assert any(block.activated)
 
 
 def test_run_vb_block_equals_rows_with_clipping_monte_carlo_conditionals():
-    g = gen_random_graph(7, 0.6, {"name": "uniform", "low": 0.1, "high": 2.0},
-                         {"name": "uniform", "low": 0.3, "high": 0.9}, seed=5)
-    law = MonteCarloConditional(g, g.full_mask, np.full(g.m, 0.1), 2, 3)
-    block = assert_block_equals_rows(law, *draw_run_inputs(law, rng_from(34), 400))
-    assert sum(block.clip_events) > 0
-    assert max(block.clip_events) > 1
+    law = clipping_law(random_graph(7, 0.6, 5))
+    perms, reals, uniforms = draw_run_inputs(law, rng_from(34), 400)
+    block, refs = assert_rows_equal_reference(law, perms, reals, uniforms)
+    assert block.clip_events > 0
+    # Per-run clip counts, through one-row blocks: some run clips twice.
+    for k, ref in enumerate(refs):
+        assert run_vb(law, perms[k:k + 1], reals[k:k + 1], uniforms[k:k + 1]).clip_events \
+            == ref.clip_events, k
+    assert max(ref.clip_events for ref in refs) > 1
 
 
 def test_run_vb_block_equals_rows_without_crucial_edges():
     g = graph(3, [(0, 1, 1.0, 0.5)])
     law = StubLaw(g, 0, np.zeros(1))
-    block = assert_block_equals_rows(law, *full_inputs(law, 35, 20))
+    block, _ = assert_rows_equal_reference(law, *full_inputs(law, 35, 20))
     assert set(block.alive) == {0b111} and not any(block.activated)
-    assert_block_equals_rows(law, *full_inputs(law, 36, 20, permutation=(2, 1, 0)))
+    assert_rows_equal_reference(law, *full_inputs(law, 36, 20, permutation=(2, 1, 0)))
 
 
-def test_run_vb_block_beyond_int64_masks_loops_rows():
-    uniform = {"name": "uniform", "low": 0.3, "high": 0.9}
-    weights = {"name": "uniform", "low": 0.1, "high": 2.0}
+def test_run_vb_beyond_int64_masks_equals_reference():
     for n, density in ((70, 0.04), (14, 0.8)):
-        g = gen_random_graph(n, density, weights, uniform, seed=6)
+        g = random_graph(n, density, 6)
         assert g.n > 63 or g.m > 63
         crucial = sum(1 << e for e in range(0, g.m, 2))
         law = StubLaw(g, crucial, np.full(g.m, 0.4), value=0.4)
-        block = assert_block_equals_rows(law, *full_inputs(law, 37, 60))
+        block, _ = assert_rows_equal_reference(law, *full_inputs(law, 37, 60))
         assert any(block.activated) and any(block.matching)
         assert any(alive >> 63 for alive in block.alive) == (g.n > 63)
+
+
+def graph_of_size(n, m, seed):
+    """A random graph on ``n`` vertices with exactly ``m`` edges."""
+    rng = rng_from(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = sorted(rng.choice(len(pairs), size=m, replace=False))
+    return graph(n, [(*pairs[i], float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.3, 0.9)))
+                     for i in chosen])
+
+
+@pytest.mark.parametrize("n, m", [(63, 62), (64, 63), (63, 63), (64, 64), (62, 63), (40, 64)])
+def test_run_vb_equals_reference_on_both_sides_of_int64_width(n, m):
+    # int64 masks up to 63 vertices and edges, Python ints from 64 on
+    g = graph_of_size(n, m, n * 1000 + m)
+    law = StubLaw(g, sum(1 << e for e in range(0, m, 3)) | 1 << (m - 1),
+                  np.full(m, 0.4), value=0.4)
+    block, _ = assert_rows_equal_reference(law, *full_inputs(law, 38, 200))
+    assert any(block.matching)
+    assert any(activated >> (m - 1) for activated in block.activated)
+    assert any(alive >> (n - 1) for alive in block.alive)
 
 
 def test_run_vb_block_asserts_structural_invariants(monkeypatch):
@@ -539,6 +445,10 @@ def test_run_vb_block_asserts_structural_invariants(monkeypatch):
     monkeypatch.setattr(vb_matching, "_activation_entry",
                         lambda _law, _mask, _bits: ((1,), (1.0,), False))
     with pytest.raises(AssertionError):
-        run_vb(law, (0, 1, 2), 0b01, np.zeros(3))
+        run_vb(law, [(0, 1, 2)], [0b01], np.zeros((1, 3)))
+    # the same breach on Python-int masks: 64 vertices, edges 0-1 and 1-2 crucial
+    g = graph(64, [(0, 1, 1.0, 0.5), (1, 2, 1.0, 0.5)]
+              + [(v, v + 1, 1.0, 0.5) for v in range(3, 63)])
+    wide = StubLaw(g, 0b11, np.full(g.m, 0.4))
     with pytest.raises(AssertionError):
-        run_vb_block(law, [(0, 1, 2)], [0b01], np.zeros((1, 3)))
+        run_vb(wide, [range(64)], [0b01], np.zeros((1, 64)))

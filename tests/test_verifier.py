@@ -16,11 +16,11 @@ from stochmatch.gadgets import (
     two_path,
     var_z_synthetic_x,
 )
-from stochmatch import estimator, sparsifier, verifier
-from stochmatch.graph_core import Params, sample_masks
+from stochmatch import estimator, gadgets, sparsifier, verifier
+from stochmatch.graph_core import Params, mask_edges, sample_masks
 from stochmatch.parallel import BLOCK_LEN, rng_from, worker_pool
 from stochmatch.sparsifier import draw_plan
-from stochmatch.vb_matching import draw_run_inputs, run_vb
+from stochmatch.vb_matching import draw_run_inputs
 from stochmatch.verifier import (
     PAIR_ALIVE_FLOOR,
     check_activation,
@@ -36,7 +36,8 @@ from stochmatch.verifier import (
     incident_edge_pairs,
     two_point_covariance,
 )
-from stochmatch.verifier import _try_enumeration
+
+from vb_reference import reference_run_vb
 
 
 def test_two_point_covariance_oracle():
@@ -222,11 +223,28 @@ def test_report_table_and_failures():
 
 
 def test_try_enumeration_skips_only_oversized_instances(monkeypatch):
-    assert _try_enumeration(star(5)) is None
+    assert star(5).enumeration is None
     monkeypatch.setattr(MatchingLaw, "y_prime", lambda self, e, mask, bits: 1.0)
     with pytest.raises(ValueError, match="exceed one") as info:
-        _try_enumeration(two_path())
+        two_path().enumeration
     assert not isinstance(info.value, EnumerationTooLarge)
+
+
+def test_each_gadget_is_enumerated_once_across_its_checks(monkeypatch):
+    calls = []
+    real = gadgets.exact_vb_enumeration
+
+    def counting(law):
+        calls.append(law)
+        return real(law)
+
+    monkeypatch.setattr(gadgets, "exact_vb_enumeration", counting)
+    for gadget in (three_path(), star(5)):
+        reports = [check(gadget, 200, 1) for check in
+                   (check_activation, check_selectability, check_pair_alive)]
+        assert len(calls) == 1 and calls[0] is gadget.law
+        assert [r.details["enumerated"] for r in reports] == [gadget.name != "star5"] * 3
+        calls.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +294,17 @@ def test_vb_stats_block_equals_per_run_loop():
         active, selected = np.zeros(g.m, np.int64), np.zeros(g.m, np.int64)
         alive, pair_counts, clip = np.zeros(g.n, np.int64), np.zeros(3, np.int64), 0
         for row in zip(*inputs):
-            out = run_vb(law, *row)
+            out = reference_run_vb(law, *row)
             clip += out.clip_events
-            for _v, partner, e in out.activation_log:
+            for _v, partner, e in out.log:
                 if partner is not None:
                     active[e] += 1
-            for e in out.matching.edges:
+            for e in mask_edges(out.matching):
                 selected[e] += 1
-            for v in out.alive:
+            for v in mask_edges(out.alive):
                 alive[v] += 1
             for j, (u, v) in enumerate(pairs):
-                if u in out.alive and v in out.alive:
+                if (out.alive >> u) & 1 and (out.alive >> v) & 1:
                     pair_counts[j] += 1
         got = estimator._vb_stats_block(law, pairs, perm, 41, verifier._TAG_VB, 2, 400)
         for a, b in zip(got, (active, selected, alive, pair_counts, clip)):
@@ -302,12 +320,12 @@ def test_z_block_sums_equal_per_run_loop_bit_for_bit():
     inputs = draw_run_inputs(gadget.law, rng_from(42, verifier._TAG_Z, 1), 500)
     sums, sumsq = np.zeros(n), np.zeros(n)
     for row in zip(*inputs):
-        out = run_vb(gadget.law, *row)
+        alive = reference_run_vb(gadget.law, *row).alive
         z = np.zeros(n)
         for (u, v), h in zip(support, h_values):
-            if u in out.alive:
+            if (alive >> u) & 1:
                 z[v] += h
-            if v in out.alive:
+            if (alive >> v) & 1:
                 z[u] += h
         sums += z
         sumsq += z * z
@@ -328,15 +346,15 @@ def test_y_block_rows_equal_per_run_loop():
     rows = np.zeros((200, g.n))
     for i in range(200):
         real_mask = reals[i] | sample_masks(g, rng, 1, scope=noncrucial)[0]
-        out = run_vb(tables.law, perms[i], real_mask, uniforms[i])
+        alive = reference_run_vb(tables.law, perms[i], real_mask, uniforms[i]).alive
         queried = q_masks[i] & real_mask
         for e in tables.classes.noncrucial():
             if not (queried >> e) & 1:
                 continue
             u, v = g.endpoints(e)
-            if u in out.alive:
+            if (alive >> u) & 1:
                 rows[i, v] += tables.g_table[e]
-            if v in out.alive:
+            if (alive >> v) & 1:
                 rows[i, u] += tables.g_table[e]
     got = verifier._y_block(g, tables, 30, 43, 0, 200)
     assert got.shape == rows.shape and got.tobytes() == rows.tobytes()
@@ -359,9 +377,9 @@ def test_plan_pair_and_log_joint_blocks_equal_per_run_loops():
     inputs = draw_run_inputs(law, rng_from(45, verifier._TAG_IND, 0), 300, perm)
     counts = {}
     for row in zip(*inputs):
-        out = run_vb(law, *row)
-        xu = next(p for v, p, _e in out.activation_log if v == 1)
-        xw = next(p for v, p, _e in out.activation_log if v == 3)
+        log = reference_run_vb(law, *row).log
+        xu = next(p for v, p, _e in log if v == 1)
+        xw = next(p for v, p, _e in log if v == 3)
         counts[(xu, xw)] = counts.get((xu, xw), 0) + 1
     got = verifier._log_joint_block(law, perm, 1, 3, 45, 0, 300)
     assert list(got.items()) == list(counts.items())
