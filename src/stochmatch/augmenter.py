@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exact import EnumerationTooLarge, MatchingLaw, exact_x, prob_in_plan
+from .exact import EnumerationTooLarge, MatchingLaw, enumerable, exact_x, prob_in_plan
 from .graph_core import (
     FractionalMatching,
     Params,
@@ -245,22 +245,19 @@ def build_tables_monte_carlo(
     q_trials: int = 4000,
     pair_trials: int = 20_000,
     cond_trials: int = 400,
-    exact_conditionals: bool | None = None,
 ) -> PipelineTables:
     """Estimate every pipeline input by Monte Carlo.
 
-    ``exact_conditionals`` picks the activation-conditional source: the
-    enumeration law when the instance is small enough (default), otherwise
-    per-batch conditional resampling with ``cond_trials`` trials.
+    The activation law is the enumerated :class:`MatchingLaw` when the
+    graph is :func:`exact.enumerable`, otherwise estimated ``y`` with
+    per-batch conditional resampling of ``y'`` at ``cond_trials`` trials.
     """
     x_hat = estimate_x(g, x_trials, seed)
     x = np.array([e.value for e in x_hat])
     tau_eff = params.tau if tau is None else tau
     classes = classify_edges(x, tau_eff)
 
-    if exact_conditionals is None:
-        exact_conditionals = g.m <= 16
-    if exact_conditionals:
+    if enumerable(g):
         law = MatchingLaw.from_pipeline(g, classes.crucial_mask)
     else:
         y_hat = estimate_y(g, classes.crucial_mask, x_trials, seed + 1)

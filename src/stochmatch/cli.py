@@ -22,6 +22,7 @@ from .augmenter import (
     build_tables_monte_carlo,
     end_to_end,
 )
+from .exact import enumerable
 from .gadgets import benchmark_6v8e
 from .graph_core import Params, StochasticGraph, gen_random_graph, read_graph, write_graph
 from .parallel import worker_pool
@@ -150,7 +151,7 @@ def build_tables(g: StochasticGraph, config: ExperimentConfig, t_max: int) -> Pi
     budgets = {**DEFAULT_BUDGETS, **config.budgets}
     mode = config.tables
     if mode == "auto":
-        mode = "exact" if g.m <= 14 else "monte_carlo"
+        mode = "exact" if enumerable(g) else "monte_carlo"
     if mode == "exact":
         return build_tables_exact(
             g, params, t_max, tau=config.tau,

@@ -38,8 +38,6 @@ _TAG_PAIR = 0x04
 _TAG_Q = 0x05
 
 DEFAULT_TRIALS = 4000  # std_err <= 0.008 for probabilities near 0.5
-# A MonteCarloConditional memo is cleared when it reaches this many entries.
-COND_CACHE_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -136,12 +134,12 @@ class MonteCarloConditional:
     """Activation law with given marginals ``y`` (usually from
     :func:`estimate_y`) that estimates y' by conditional resampling.
 
-    Each distinct (edge, batch) query gets its own stream derived from the
-    master seed and the query key, and the result is cached, so estimates are
-    deterministic regardless of query order; batch clipping downstream is
-    logged by the run itself.  The cache is cleared when it reaches
-    ``COND_CACHE_MAX`` entries; a key asked again after that is re-estimated
-    from its own stream, to the same value.
+    Each (edge, batch) query is estimated from its own stream, derived from
+    the master seed and the query key, so an estimate does not depend on
+    query order and a repeated query gives the same value.  The law keeps no
+    memo of its own: the run's activation table (``vb_matching``) asks each
+    batch reveal once.  Batch clipping downstream is logged by the run
+    itself.
     """
 
     def __init__(self, g: StochasticGraph, crucial_mask: int, y: np.ndarray,
@@ -151,22 +149,11 @@ class MonteCarloConditional:
         self.y = y
         self.trials = trials
         self.seed = seed
-        self._cache: dict[tuple[int, int, int], float] = {}
 
     def y_prime(self, e: int, batch_mask: int, batch_bits: int) -> float:
-        key = (e, batch_mask, batch_bits)
-        hit = self._cache.get(key)
-        if hit is None:
-            rng = rng_from(self.seed, _TAG_COND, e, batch_mask, batch_bits)
-            est = estimate_y_conditional(
-                self.graph, self.crucial_mask, e, batch_mask, batch_bits,
-                self.trials, rng,
-            )
-            hit = est.value
-            if len(self._cache) >= COND_CACHE_MAX:
-                self._cache.clear()
-            self._cache[key] = hit
-        return hit
+        rng = rng_from(self.seed, _TAG_COND, e, batch_mask, batch_bits)
+        return estimate_y_conditional(self.graph, self.crucial_mask, e, batch_mask,
+                                      batch_bits, self.trials, rng).value
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +179,15 @@ def estimate_q(g: StochasticGraph, t: int, trials: int, seed: int) -> list[ProbE
     return [ProbEstimate.from_count(int(c), trials) for c in counts]
 
 
-def _vb_stats_block(law: ActivationLaw, pairs: tuple, perm, seed: int, tag: int,
-                    block: int, count: int):
+def _vb_stats_block(law: ActivationLaw, pairs: tuple, seed: int, tag: int, block: int,
+                    count: int):
     rng = rng_from(seed, tag, block)
     g = law.graph
     active = np.zeros(g.m, dtype=np.int64)
     selected = np.zeros(g.m, dtype=np.int64)
     alive = np.zeros(g.n, dtype=np.int64)
     pair_counts = np.zeros(len(pairs), dtype=np.int64)
-    out = run_vb(law, *draw_run_inputs(law, rng, count, perm))
+    out = run_vb(law, *draw_run_inputs(law, rng, count))
     # (active, matched edges, alive vertices) masks
     outcomes = Counter(zip(out.activated, out.matching, out.alive))
     pair_masks = [(1 << u) | (1 << v) for u, v in pairs]
@@ -217,19 +204,18 @@ def _vb_stats_block(law: ActivationLaw, pairs: tuple, perm, seed: int, tag: int,
     return active, selected, alive, pair_counts, out.clip_events
 
 
-def sample_vb_statistics(law: ActivationLaw, pairs, trials: int, seed: int, tag: int,
-                         perm=None):
+def sample_vb_statistics(law: ActivationLaw, pairs, trials: int, seed: int, tag: int):
     """Outcome counts of ``trials`` variance-bounding runs on ``law``.
 
     Block ``b`` draws the inputs of its runs from the stream
-    ``(seed, tag, b)`` through :func:`vb_matching.draw_run_inputs`, with the
-    arrival order fixed to ``perm`` if given, and runs them in one
+    ``(seed, tag, b)`` through :func:`vb_matching.draw_run_inputs`, uniform
+    arrival orders included, and runs them in one
     :func:`vb_matching.run_vb` call.  Returns the per-edge active and
     matched counts, the per-vertex alive counts, the joint alive count of
     each vertex pair (keyed as given) and the number of clipped batches.
     """
     pairs = tuple(pairs)
-    parts = run_blocks(_vb_stats_block, (law, pairs, perm, seed, tag), trials)
+    parts = run_blocks(_vb_stats_block, (law, pairs, seed, tag), trials)
     active = sum(p[0] for p in parts)
     selected = sum(p[1] for p in parts)
     alive = sum(p[2] for p in parts)

@@ -2,7 +2,15 @@
 
 Everything here is exact (up to float arithmetic) and independent of the
 Monte Carlo paths it is used to check: realization space is enumerated
-outright, so these routines are capped at graphs with few edges.
+outright.  A graph is small enough to enumerate when :func:`enumerable`
+says so, i.e. it has at most ``ENUM_MAX_EDGES`` edges; the same rule picks
+exact or sampled inputs everywhere in the package, and past it the
+enumerators raise :class:`EnumerationTooLarge`.  A graph's realizations,
+with their probabilities and oracle matchings, are enumerated once
+(:func:`realizations`) and read by both :func:`exact_x` and
+:meth:`MatchingLaw.from_pipeline`.  The crucial-component caps of
+``vb_matching.exact_vb_enumeration`` bound a different enumeration, that of
+the variance-bounding run.
 
 The central object is :class:`MatchingLaw`, the joint distribution of
 (realization of the crucial edges, oracle matching on those realized edges).
@@ -16,7 +24,7 @@ are also supported so gadget tests can pin ``y`` exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,42 +32,54 @@ import numpy as np
 from .graph_core import StochasticGraph
 from .mwm import mm_edge_mask
 
-MAX_ENUM_EDGES = 20
+# Largest edge count that is enumerated; every realization mask of such a
+# graph fits in the oracle memo (``mwm.MM_CACHE_MAX`` = 2^16 entries).
+ENUM_MAX_EDGES = 16
 
 
 class EnumerationTooLarge(ValueError):
     """An instance is past an enumeration cap; callers may fall back to sampling."""
 
 
-def _check_enum_size(m: int, cap: int = MAX_ENUM_EDGES) -> None:
-    if m > cap:
-        raise EnumerationTooLarge(f"enumeration limited to {cap} edges, got {m}")
+def enumerable(g: StochasticGraph) -> bool:
+    """Whether ``g`` is small enough for the realization enumeration."""
+    return g.m <= ENUM_MAX_EDGES
 
 
-def mask_probability(g: StochasticGraph, mask: int, scope_mask: int | None = None) -> float:
-    """Probability that the edges of ``scope_mask`` realize exactly as ``mask``."""
-    scope = g.full_mask if scope_mask is None else scope_mask
-    prob = 1.0
-    for e in range(g.m):
-        if not (scope >> e) & 1:
-            continue
-        p = g.edges[e].p
-        prob *= p if (mask >> e) & 1 else 1.0 - p
-    return prob
+def realizations(g: StochasticGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(masks, probs, mm)`` of every realization of positive probability.
+
+    Rows come in mask order: the realization mask, its probability (the
+    product of ``p`` or ``1 - p`` over the edges, multiplied in edge order)
+    and the edge mask of its maximum-weight matching.  The oracle is asked
+    once per row and never about a zero-probability mask.  Computed once per
+    graph and cached; past ``ENUM_MAX_EDGES`` edges it raises
+    :class:`EnumerationTooLarge`.
+    """
+    if not enumerable(g):
+        raise EnumerationTooLarge(f"enumeration limited to {ENUM_MAX_EDGES} edges, got {g.m}")
+    if "realizations" not in g._caches:
+        masks = np.arange(1 << g.m, dtype=np.int64)
+        probs = np.ones(1 << g.m)
+        for e, edge in enumerate(g.edges):
+            probs *= np.where((masks >> e) & 1 == 1, edge.p, 1.0 - edge.p)
+        keep = probs != 0.0
+        masks, probs = masks[keep], probs[keep]
+        mm = np.array([mm_edge_mask(g, mask) for mask in masks.tolist()], dtype=np.int64)
+        for rows in (masks, probs, mm):
+            rows.setflags(write=False)
+        g._caches["realizations"] = (masks, probs, mm)
+    return g._caches["realizations"]
 
 
 def exact_x(g: StochasticGraph) -> np.ndarray:
     """Exact per-edge probability of appearing in MM(realization)."""
-    _check_enum_size(g.m)
+    _masks, probs, mm = realizations(g)
     x = np.zeros(g.m)
-    for mask in range(1 << g.m):
-        prob = mask_probability(g, mask)
-        if prob == 0.0:
-            continue
-        mm = mm_edge_mask(g, mask)
-        for e in range(g.m):
-            if (mm >> e) & 1:
-                x[e] += prob
+    for e in range(g.m):
+        hit = probs[(mm >> e) & 1 == 1]
+        if hit.size:
+            x[e] = np.add.accumulate(hit)[-1]  # in mask order, not pairwise
     return x
 
 
@@ -84,7 +104,6 @@ class MatchingLaw:
     real: np.ndarray
     mo: np.ndarray
     prob: np.ndarray
-    _cond_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.crucial_mask < 0 or self.crucial_mask >> self.graph.m:
@@ -105,16 +124,13 @@ class MatchingLaw:
         Every edge contributes one Bernoulli bit: crucial bits stand for the
         true realization, non-crucial bits for the hallucinated copy.  The
         oracle matching is MM over all sampled edges, cut down to the crucial
-        side, and non-crucial bits are marginalized out of the stored law.
+        side, and non-crucial bits are marginalized out of the stored law by
+        summing the rows of :func:`realizations` in mask order.
         """
-        _check_enum_size(g.m)
+        masks, probs, mm = realizations(g)
         acc: dict[tuple[int, int], float] = {}
-        for mask in range(1 << g.m):
-            prob = mask_probability(g, mask)
-            if prob == 0.0:
-                continue
-            mo = mm_edge_mask(g, mask) & crucial_mask
-            key = (mask & crucial_mask, mo)
+        for key, prob in zip(zip((masks & crucial_mask).tolist(), (mm & crucial_mask).tolist()),
+                             probs.tolist()):
             acc[key] = acc.get(key, 0.0) + prob
         items = sorted(acc.items())
         return cls(
@@ -168,18 +184,12 @@ class MatchingLaw:
 
     def y_prime(self, e: int, cond_mask: int, cond_bits: int) -> float:
         """Pr[edge in oracle matching | stated bits of the conditioning edges]."""
-        key = (e, cond_mask, cond_bits)
-        hit = self._cond_cache.get(key)
-        if hit is not None:
-            return hit
         sel = (self.real & np.int64(cond_mask)) == np.int64(cond_bits)
         denom = float(self.prob[sel].sum())
         if denom <= 0.0:
             raise ValueError("conditioning event has probability zero")
         num = float(self.prob[sel & ((self.mo >> e) & 1 == 1)].sum())
-        value = num / denom
-        self._cond_cache[key] = value
-        return value
+        return num / denom
 
     def validate_realization_marginals(self, tol: float = 1e-9) -> None:
         """Crucial bits must be independent Bernoulli(p) under the law."""

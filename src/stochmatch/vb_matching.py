@@ -376,6 +376,7 @@ def _enumerate_component(g, verts, edges, law):
     alive_single = {v: 0.0 for v in verts}
     active = {e: 0.0 for e in edges}
     selected = {e: 0.0 for e in edges}
+    y_prime: dict = {}  # (edge, batch mask, batch bits) -> the law's y'
 
     if not edges:
         # isolated vertices never see an active edge
@@ -438,7 +439,10 @@ def _enumerate_component(g, verts, edges, law):
                 for e in batches[i]:
                     if not (bits >> e) & 1:
                         continue
-                    q = 3.0 * law.y_prime(e, batch_mask, batch_bits) / (3.0 + 2.0 * float(y[e]))
+                    key = (e, batch_mask, batch_bits)
+                    if key not in y_prime:
+                        y_prime[key] = law.y_prime(*key)
+                    q = 3.0 * y_prime[key] / (3.0 + 2.0 * float(y[e]))
                     qs.append((e, q))
                     total += q
                 if total > 1.0 + _SUM_TOL:

@@ -13,6 +13,7 @@ from stochmatch.augmenter import (
     round_fractional,
 )
 from stochmatch import augmenter
+from stochmatch.estimator import MonteCarloConditional
 from stochmatch.exact import EnumerationTooLarge, MatchingLaw
 from stochmatch.gadgets import benchmark_6v8e, relaxed_suite_8v, star, verification_gadgets
 from stochmatch.graph_core import (
@@ -307,15 +308,23 @@ def test_monte_carlo_tables_agree_with_exact():
     assert 0.5 <= res.ratio <= 1.0
 
 
+def generated_mc_tables(t, seed):
+    """Monte Carlo tables at the ``generated_mc`` benchmark's graph and
+    budgets: 19 edges, past the enumeration cap, so y' is resampled per
+    batch."""
+    g = gen_random_graph(12, 0.3, {"name": "uniform", "low": 0.1, "high": 2.0},
+                         {"name": "uniform", "low": 0.3, "high": 0.9}, seed=3)
+    assert g.m == 19
+    tables = build_tables_monte_carlo(g, params_for(g), t, seed=seed, tau=0.05,
+                                      x_trials=1000, q_trials=200, pair_trials=80,
+                                      cond_trials=40)
+    assert isinstance(tables.law, MonteCarloConditional)
+    return g, tables
+
+
 def test_monte_carlo_tables_with_sampled_conditionals():
-    # force the per-batch conditional resampling path end to end
-    gadget = benchmark_6v8e()
-    g = gadget.graph
-    params = params_for(g)
-    mc = build_tables_monte_carlo(g, params, 4, seed=33, tau=gadget.tau,
-                                  x_trials=8000, q_trials=2000,
-                                  pair_trials=2000, cond_trials=300,
-                                  exact_conditionals=False)
+    # the per-batch conditional resampling path end to end
+    g, mc = generated_mc_tables(4, seed=33)
     [res] = end_to_end(g, mc, [4], runs=200, seed=34)
     for _vb_out, f, _m_n in point_runs(g, mc, 4, 200, 34):
         assert max_load(g, f) <= 1.0 + 1e-9
@@ -432,11 +441,7 @@ def test_sweep_equals_single_points_on_gadgets(gadget):
 
 
 def test_sweep_equals_single_points_with_sampled_conditionals():
-    gadget = benchmark_6v8e()
-    g = gadget.graph
-    tables = build_tables_monte_carlo(g, params_for(g), 8, seed=43, tau=gadget.tau,
-                                      x_trials=2000, q_trials=500, pair_trials=500,
-                                      cond_trials=50, exact_conditionals=False)
+    g, tables = generated_mc_tables(8, seed=43)
     sweep = assert_sweep_equals_single_points(g, tables, 50, seed=44)
     assert_matches_reference(g, tables, sweep, 50, seed=44)
 

@@ -8,7 +8,9 @@ import pytest
 
 from stochmatch import augmenter, cli
 from stochmatch.cli import ExperimentConfig, cmd_generate, cmd_run, cmd_verify, load_config, main
-from stochmatch.graph_core import read_graph
+from stochmatch.estimator import MonteCarloConditional
+from stochmatch.exact import MatchingLaw
+from stochmatch.graph_core import Params, read_graph
 from stochmatch.parallel import BLOCK_LEN
 
 
@@ -89,6 +91,29 @@ def test_cmd_run_makes_one_end_to_end_call(tmp_path, monkeypatch):
     calls.clear()
     cmd_run(tiny_run_config(tmp_path / "b", trials=20, t=[4, 1], control_full_plan=False))
     assert calls == [[1, 4]]
+
+
+@pytest.mark.parametrize("seed,edges,mode,law_type", [
+    (4, 16, "exact", MatchingLaw),
+    (1, 17, "monte_carlo", MonteCarloConditional),
+])
+def test_auto_tables_and_activation_law_follow_the_enumeration_rule(monkeypatch, seed, edges,
+                                                                    mode, law_type):
+    # one cap, 16 edges: enumerated inputs up to it, sampled ones past it
+    budgets = {"x_trials": 200, "q_trials": 50, "pair_trials": 20, "cond_trials": 10}
+    config = ExperimentConfig(graph={"generator": {"n": 8, "density": 0.5, "seed": seed}},
+                              budgets=budgets)
+    g = cli.load_graph(config)
+    assert g.m == edges
+    tables = augmenter.build_tables_monte_carlo(g, Params.for_graph(g, 0.2, 1 / 576.0), 2,
+                                                seed=1, **budgets)
+    assert type(tables.law) is law_type
+    built = []
+    monkeypatch.setattr(cli, "build_tables_exact", lambda *a, **kw: built.append("exact"))
+    monkeypatch.setattr(cli, "build_tables_monte_carlo",
+                        lambda *a, **kw: built.append("monte_carlo"))
+    cli.build_tables(g, config, 2)
+    assert built == [mode]
 
 
 # SHA-256 of the four `run` files for a Monte Carlo table configuration: a

@@ -1,14 +1,20 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from stochmatch import augmenter, cli, exact, mwm
 from stochmatch.exact import (
     EnumerationTooLarge,
     MatchingLaw,
     exact_x,
     prob_in_plan,
+    realizations,
 )
-from stochmatch.gadgets import three_path, two_path
-from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph
+from stochmatch.gadgets import shared_tie_fixture, three_path, two_path, verification_gadgets
+from stochmatch.graph_core import Edge, Params, StochasticGraph
+from stochmatch.mwm import mm_edge_mask
 
 
 def graph(n, edges):
@@ -121,11 +127,99 @@ def test_noncrucial_marginalized_out():
     assert law.y[0] == pytest.approx(0.8, abs=1e-12)
 
 
-def test_enumeration_cap_raises_typed_error():
-    g = gen_random_graph(8, 0.8, {"name": "constant", "value": 1.0},
-                         {"name": "constant", "value": 0.5}, seed=1)
-    assert g.m > 20
-    with pytest.raises(EnumerationTooLarge):
+def generated(n, seed):
+    """The graph ``stochmatch run`` builds from a generator source at density 0.5."""
+    return cli.load_graph(cli.ExperimentConfig(
+        graph={"generator": {"n": n, "density": 0.5, "seed": seed}}))
+
+
+def test_enumeration_cap_raises_typed_error(tmp_path):
+    g = generated(8, 1)
+    assert g.m == exact.ENUM_MAX_EDGES + 1 == 17
+    with pytest.raises(EnumerationTooLarge, match="limited to 16 edges, got 17"):
         exact_x(g)
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(EnumerationTooLarge, match="limited to 16 edges, got 17"):
         MatchingLaw.from_pipeline(g, g.full_mask)
+    out = tmp_path / "out"
+    config = {"graph": {"generator": {"n": 8, "density": 0.5, "seed": 1}},
+              "tables": "exact", "trials": 5, "t": [1], "out": str(out)}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    with pytest.raises(EnumerationTooLarge, match="limited to 16 edges, got 17"):
+        cli.main(["--config", str(tmp_path / "cfg.json"), "run"])
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# The one realization enumeration against one pass per mask, as it was written
+
+
+def reference_enumeration(g, crucial_masks):
+    """``exact_x``, and the ``from_pipeline`` entries for each crucial mask,
+    by a loop over every mask, each mask's probability multiplied edge by
+    edge."""
+    x = np.zeros(g.m)
+    accs = {crucial_mask: {} for crucial_mask in crucial_masks}
+    for mask in range(1 << g.m):
+        prob = 1.0
+        for e in range(g.m):
+            p = g.edges[e].p
+            prob *= p if (mask >> e) & 1 else 1.0 - p
+        if prob == 0.0:
+            continue
+        mm = mm_edge_mask(g, mask)
+        for e in range(g.m):
+            if (mm >> e) & 1:
+                x[e] += prob
+        for crucial_mask, acc in accs.items():
+            key = (mask & crucial_mask, mm & crucial_mask)
+            acc[key] = acc.get(key, 0.0) + prob
+    laws = {}
+    for crucial_mask, acc in accs.items():
+        items = sorted(acc.items())
+        laws[crucial_mask] = (np.array([k[0] for k, _ in items], dtype=np.int64),
+                              np.array([k[1] for k, _ in items], dtype=np.int64),
+                              np.array([p for _, p in items]))
+    return x, laws
+
+
+REFERENCE_GRAPHS = [(gd.name, gd.graph) for gd in verification_gadgets()] + [
+    ("shared_tie", shared_tie_fixture().graph),  # p = 1 edges: zero-probability masks
+    ("edgeless", graph(3, [])),
+    ("generated_16e", generated(8, 4)),
+]
+
+
+@pytest.mark.parametrize("g", [g for _name, g in REFERENCE_GRAPHS],
+                         ids=[name for name, _g in REFERENCE_GRAPHS])
+def test_enumeration_equals_per_mask_loop_bit_for_bit(g):
+    # a fresh copy, so nothing is read from an earlier enumeration
+    g = StochasticGraph(n=g.n, edges=g.edges)
+    assert exact.enumerable(g)
+    ref_x, ref_laws = reference_enumeration(g, {g.full_mask, g.full_mask & 0b0101_1010_0110_1001})
+    assert exact_x(g).tobytes() == ref_x.tobytes()
+    for crucial_mask, (ref_real, ref_mo, ref_prob) in ref_laws.items():
+        law = MatchingLaw.from_pipeline(g, crucial_mask)
+        assert law.real.tobytes() == ref_real.tobytes()
+        assert law.mo.tobytes() == ref_mo.tobytes()
+        assert law.prob.tobytes() == ref_prob.tobytes()
+
+
+def test_exact_tables_ask_the_oracle_once_per_positive_mask(monkeypatch):
+    # every oracle query, from any module, goes through the memo function
+    asked = Counter()
+    memo = mwm._memo_mask
+
+    def counting(g, mask):
+        asked[mask] += 1
+        return memo(g, mask)
+
+    monkeypatch.setattr(mwm, "_memo_mask", counting)
+    for make_gadget, positive in ((shared_tie_fixture, 1), (three_path, 8)):
+        asked.clear()
+        g = make_gadget().graph  # its law is enumerated here, with the oracle counted
+        params = Params.for_graph(g, 0.2, 1 / 576.0)
+        augmenter.build_tables_exact(g, params, 4, tau=0.05)
+        augmenter.build_tables_exact(g, params, 2, tau=0.3)
+        masks, _probs, _mm = realizations(g)
+        assert dict(asked) == {mask: 1 for mask in masks.tolist()}
+        assert len(asked) == positive  # shared_tie: both edges have p = 1

@@ -8,6 +8,7 @@ package back as it was.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -55,6 +56,28 @@ def test_tracer_installs_records_a_run_and_uninstalls(tmp_path):
     assert metrics["vb_matching.runs"][0] > 0
     assert metrics["sparsifier.plan_rounds"][0] > 0
     assert metrics["exact.cond_queries"][0] > 0
+
+
+def test_tracer_records_the_sampled_conditionals(tmp_path):
+    # 19 edges, past the enumeration cap: y and y' are sampled, and the
+    # conditional estimates go through the traced estimator function
+    tracer_mod = load_tracer()
+    before = package_bindings()
+    tracer = tracer_mod.Tracer()
+    tracer_mod.install_tracer(tracer)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "graph": {"generator": {"n": 12, "density": 0.3, "seed": 3}},
+        "tables": "monte_carlo", "trials": 5, "t": [2],
+        "budgets": {"x_trials": 100, "q_trials": 20, "pair_trials": 10, "cond_trials": 5}}))
+    try:
+        cli.main(["--config", str(config), "--out", str(tmp_path / "mc"), "run"])
+    finally:
+        tracer.uninstall()
+    assert package_bindings() == before
+    metrics = tracer_mod.layer_metrics(tracer.self_times(), tracer.counts, 1)
+    assert metrics["estimator.cond_queries"][0] > 0
+    assert metrics["estimator.y_s"][0] > 0
 
 
 def test_tracer_records_the_verifier_runs(tmp_path):

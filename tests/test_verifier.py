@@ -288,27 +288,26 @@ def test_draw_plans_asks_for_at_most_block_len_rows(monkeypatch):
 def test_vb_stats_block_equals_per_run_loop():
     law = benchmark_6v8e().law
     pairs = ((0, 3), (1, 4), (2, 5))
-    for perm in (None, (5, 3, 1, 0, 2, 4)):
-        inputs = draw_run_inputs(law, rng_from(41, verifier._TAG_VB, 2), 400, perm)
-        g = law.graph
-        active, selected = np.zeros(g.m, np.int64), np.zeros(g.m, np.int64)
-        alive, pair_counts, clip = np.zeros(g.n, np.int64), np.zeros(3, np.int64), 0
-        for row in zip(*inputs):
-            out = reference_run_vb(law, *row)
-            clip += out.clip_events
-            for _v, partner, e in out.log:
-                if partner is not None:
-                    active[e] += 1
-            for e in mask_edges(out.matching):
-                selected[e] += 1
-            for v in mask_edges(out.alive):
-                alive[v] += 1
-            for j, (u, v) in enumerate(pairs):
-                if (out.alive >> u) & 1 and (out.alive >> v) & 1:
-                    pair_counts[j] += 1
-        got = estimator._vb_stats_block(law, pairs, perm, 41, verifier._TAG_VB, 2, 400)
-        for a, b in zip(got, (active, selected, alive, pair_counts, clip)):
-            assert np.array_equal(a, b)
+    inputs = draw_run_inputs(law, rng_from(41, verifier._TAG_VB, 2), 400)
+    g = law.graph
+    active, selected = np.zeros(g.m, np.int64), np.zeros(g.m, np.int64)
+    alive, pair_counts, clip = np.zeros(g.n, np.int64), np.zeros(3, np.int64), 0
+    for row in zip(*inputs):
+        out = reference_run_vb(law, *row)
+        clip += out.clip_events
+        for _v, partner, e in out.log:
+            if partner is not None:
+                active[e] += 1
+        for e in mask_edges(out.matching):
+            selected[e] += 1
+        for v in mask_edges(out.alive):
+            alive[v] += 1
+        for j, (u, v) in enumerate(pairs):
+            if (out.alive >> u) & 1 and (out.alive >> v) & 1:
+                pair_counts[j] += 1
+    got = estimator._vb_stats_block(law, pairs, 41, verifier._TAG_VB, 2, 400)
+    for a, b in zip(got, (active, selected, alive, pair_counts, clip)):
+        assert np.array_equal(a, b)
 
 
 def test_z_block_sums_equal_per_run_loop_bit_for_bit():
