@@ -12,7 +12,7 @@ import numpy as np
 
 from stochmatch import GraphView, gen_random_graph, max_weight_matching, weight_of
 from stochmatch.exact import exact_x, prob_in_plan
-from stochmatch.graph_core import mask_edges, sample_mask
+from stochmatch.graph_core import mask_edges, sample_masks
 from stochmatch.parallel import rng_from
 from stochmatch.sparsifier import draw_plan, draw_plans, max_degree
 
@@ -25,7 +25,7 @@ g = gen_random_graph(
 print(f"graph: {g.n} vertices, {g.m} edges, p_min = {g.p_min:.3f}")
 
 rng = rng_from(7)
-realization = sample_mask(g, rng)
+[realization] = sample_masks(g, rng, 1)
 print(f"one realization keeps {bin(realization).count('1')}/{g.m} edges")
 
 opt = max_weight_matching(GraphView(g, realization))

@@ -25,7 +25,7 @@ from .graph_core import (
     StochasticGraph,
     mask_edges,
     mask_weight,
-    sample_mask,
+    sample_masks,
 )
 from .estimator import (
     MonteCarloConditional,
@@ -37,11 +37,9 @@ from .estimator import (
 from .mwm import mm_edge_mask
 from .parallel import BLOCK_LEN, rng_from, run_blocks
 from .sparsifier import EdgeClasses, classify_edges, plan_round_masks
-from .vb_matching import ActivationLaw, exact_vb_enumeration, run_vb
+from .vb_matching import ActivationLaw, draw_run_inputs, exact_vb_enumeration, run_vb
 
-_TAG_E2E_PLAN = 0x11
-_TAG_E2E_REAL = 0x12
-_TAG_E2E_VB = 0x13
+_TAG_E2E = 0x11
 
 _DEGREE_TOL = 1e-12
 
@@ -327,35 +325,23 @@ class E2EResult:
 def _pipeline_run(
     g: StochasticGraph,
     tables: PipelineTables,
-    ts: tuple[int | None, ...],
-    seed: int,
+    q_masks: Sequence[int],
     run_index: int,
     real_mask: int,
     vb_matching: int,
     alive: int,
 ) -> list[tuple[RunRecord, FractionalMatching, int]]:
-    """Run ``run_index`` at every sweep point in ``ts``, given its
-    realization and its variance-bounding run's matching and alive masks.
+    """Run ``run_index`` at every sweep point, given each point's plan mask
+    in ``q_masks``, its realization and its variance-bounding run's matching
+    and alive masks.
 
     Per point it returns the record, the fractional vector and the edge mask
-    of its rounding.  The plan rounds come from a per-run stream that does
-    not depend on ``t``, so they are drawn once: the plan for ``t`` is the
-    union of the first ``t`` of ``max(ts)`` rounds, which by the
-    prefix-stream property of :func:`plan_round_masks` is the plan ``t``
-    rounds alone would draw.  ``None`` is the query-everything control.
-    Points whose plans are equal share one result.
+    of its rounding.  Points whose plans are equal share one result.
     """
     mmg = mask_weight(g, mm_edge_mask(g, real_mask))
-    t_max = max((t for t in ts if t is not None), default=0)
-    rounds = plan_round_masks(g, t_max, rng_from(seed, _TAG_E2E_PLAN, run_index)) if t_max else []
-    unions = [0]
-    for mask in rounds:
-        unions.append(unions[-1] | mask)
-
     by_plan: dict[int, tuple[RunRecord, FractionalMatching, int]] = {}
     points = []
-    for t in ts:
-        q_mask = g.full_mask if t is None else unions[t]
+    for q_mask in q_masks:
         point = by_plan.get(q_mask)
         if point is None:
             f, _survival = build_fractional(
@@ -376,17 +362,21 @@ def _pipeline_run(
 
 
 def _e2e_block(g, tables, ts, seed, block, count):
-    runs = range(block * BLOCK_LEN, block * BLOCK_LEN + count)
-    reals, perms, uniforms = [], [], []
-    for r in runs:
-        reals.append(sample_mask(g, rng_from(seed, _TAG_E2E_REAL, r)))
-        vb_rng = rng_from(seed, _TAG_E2E_VB, r)
-        perms.append(vb_rng.permutation(g.n))
-        uniforms.append(vb_rng.random(g.n))
+    rng = rng_from(seed, _TAG_E2E, block)
+    perms, reals, uniforms = draw_run_inputs(tables.law, rng, count)
+    noncrucial = sample_masks(g, rng, count, scope=tables.classes.noncrucial())
+    reals = [crucial | other for crucial, other in zip(reals, noncrucial)]
     vb = run_vb(tables.law, perms, reals, uniforms)
+    plans = {None: [g.full_mask] * count, 0: [0] * count}
+    union = plans[0]
+    for j in range(1, max(t or 0 for t in ts) + 1):
+        union = [q | mask for q, mask in zip(union, plan_round_masks(g, count, rng))]
+        if j in ts:
+            plans[j] = union
     records = [[] for _ in ts]
-    for r, real_mask, vb_matching, alive in zip(runs, reals, vb.matching, vb.alive):
-        points = _pipeline_run(g, tables, ts, seed, r, real_mask, vb_matching, alive)
+    for k, (real_mask, vb_matching, alive) in enumerate(zip(reals, vb.matching, vb.alive)):
+        points = _pipeline_run(g, tables, [plans[t][k] for t in ts], block * BLOCK_LEN + k,
+                               real_mask, vb_matching, alive)
         for recs, (record, _f, _m_n) in zip(records, points):
             recs.append(record)
     return records
@@ -402,12 +392,13 @@ def end_to_end(
     """Sample the full pipeline ``runs`` times at every sweep point of ``ts``.
 
     ``ts`` holds plan round counts; ``None`` is the query-everything control.
-    Run ``r`` draws its realization, variance-bounding run and plan rounds
-    from the streams ``(seed, REAL, r)``, ``(seed, VB, r)`` and
-    ``(seed, PLAN, r)``, none of which depend on ``t``, so every point sees
-    the same realizations and runs, and plans are nested across ``t``, run
-    by run.  One result per point, in the order of ``ts``, holding each
-    run's weights and winning scheme.
+    Block ``b`` of ``BLOCK_LEN`` runs reads one stream, ``(seed, E2E, b)``:
+    :func:`draw_run_inputs`, then the non-crucial realizations, then
+    ``max(ts)`` plan rounds, round ``j`` of every run in one
+    :func:`plan_round_masks` call.  So every point sees the same realizations
+    and runs, the plan for ``t`` is the union of a run's first ``t`` rounds,
+    and a sweep equals one call per point.  One result per point, in the
+    order of ``ts``, holding each run's weights and winning scheme.
     """
     ts = tuple(ts)
     if runs < 1:

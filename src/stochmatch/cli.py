@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .augmenter import (
@@ -35,6 +35,13 @@ DEFAULT_BUDGETS = {
     "cond_trials": 400,
 }
 TABLE_MODES = ("auto", "exact", "monte_carlo")
+GRAPH_SOURCES = ("bundled", "file", "generator")
+
+
+def _reject_unknown(kind: str, keys, known) -> None:
+    unknown = [repr(key) for key in keys if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {kind} {', '.join(unknown)}; known: {', '.join(known)}")
 
 
 @dataclass
@@ -89,9 +96,8 @@ class ExperimentConfig:
             raise ValueError(f"plan sizes must be >= 0, got {min(self.t)}")
         if self.tables not in TABLE_MODES:
             raise ValueError(f"tables must be one of {', '.join(TABLE_MODES)}, got {self.tables!r}")
+        _reject_unknown("budget", self.budgets, DEFAULT_BUDGETS)
         for key, value in self.budgets.items():
-            if key not in DEFAULT_BUDGETS:
-                raise ValueError(f"unknown budget {key!r}; known: {', '.join(DEFAULT_BUDGETS)}")
             if type(value) is not int or value < 1:
                 raise ValueError(f"budget {key} must be an int >= 1, got {value!r}")
 
@@ -122,15 +128,19 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         with open(path) as fh:
             data = json.load(fh)
     data.update({k: v for k, v in overrides.items() if v is not None})
+    _reject_unknown("config field", data, [f.name for f in fields(ExperimentConfig)])
     return ExperimentConfig(**data)
 
 
 def load_graph(config: ExperimentConfig) -> StochasticGraph:
     source = config.graph
+    if len(source) != 1 or not set(source) <= set(GRAPH_SOURCES):
+        raise ValueError(f"graph must name one of {', '.join(GRAPH_SOURCES)}, got {source!r}")
     if "file" in source:
         return read_graph(source["file"])
     if "generator" in source:
         gen = source["generator"]
+        _reject_unknown("generator key", gen, ("n", "density", "weight_law", "prob_law", "seed"))
         for key in ("n", "density"):
             if key not in gen:
                 raise ValueError(f"generator graph source is missing {key!r}: {gen!r}")

@@ -3,9 +3,8 @@
 A :class:`StochasticGraph` is an immutable weighted graph in which every edge
 carries a survival probability ``p``; one sample of the induced random
 subgraph (a realization) is an integer bitmask over edge indices, drawn by
-:func:`sample_mask` or in batches by :func:`sample_masks`.  Edge identity is
-positional (the index into the edge list), which keeps every downstream set,
-table and the graph text format stable.
+:func:`sample_masks`.  Edge identity is positional (the index into the edge
+list), which keeps every downstream set, table and the graph text format stable.
 """
 
 from __future__ import annotations
@@ -262,14 +261,6 @@ class Params:
         return cls(epsilon=epsilon, delta=delta, p_min=g.p_min)
 
 
-def sample_mask(g: StochasticGraph, rng: np.random.Generator) -> int:
-    """One realization mask: each edge drawn independently with its ``p``.
-
-    Pure function of (graph, generator state): equal seeds give equal masks.
-    """
-    return sample_masks(g, rng, 1)[0]
-
-
 def sample_masks(g: StochasticGraph, rng: np.random.Generator, count: int,
                  scope: Iterable[int] | None = None) -> list[int]:
     """``count`` independent realization masks, for any number of edges.
@@ -317,8 +308,14 @@ def mask_edges(mask: int) -> list[int]:
 # Random instance generation
 
 
+_LAW_PARAMS = {"constant": ("value",), "uniform": ("low", "high"), "exponential": ("scale",)}
+
+
 def _law_sampler(law: Mapping[str, float], kind: str):
     name = law.get("name")
+    for key in _LAW_PARAMS.get(name, ()):
+        if key not in law:
+            raise ValueError(f"{kind} law is missing {key!r}: {law!r}")
     if name == "constant":
         value = float(law["value"])
         if kind == "probability" and not (0.0 < value <= 1.0):

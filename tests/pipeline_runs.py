@@ -3,9 +3,10 @@
 ``end_to_end`` returns only each run's weights and winning scheme.  The
 degree cap, the rounding bound and the E[f_e] floor are properties of the
 fractional vector ``f`` and its rounding ``m_n``, which
-``augmenter._pipeline_run`` builds for every run from its realization and
-variance-bounding run.  Here those come from the sweep's streams for the run
-with the same index, and the run from the reference implementation.
+``augmenter._pipeline_run`` builds for every run from its plan, realization
+and variance-bounding run.  Here those inputs are drawn from the sweep's
+block streams, as the README's stream contract states them, and the run
+comes from the reference implementation.
 """
 
 import dataclasses
@@ -14,19 +15,32 @@ import functools
 import numpy as np
 
 from stochmatch import augmenter
-from stochmatch.graph_core import sample_mask
-from stochmatch.parallel import rng_from
+from stochmatch.graph_core import sample_masks
+from stochmatch.parallel import iter_blocks, rng_from
+from stochmatch.sparsifier import plan_round_masks
+from stochmatch.vb_matching import draw_run_inputs
 
 from vb_reference import reference_run_vb
 
 
-def reference_vb(g, tables, seed, run_index):
-    """Run ``run_index``'s realization mask and its variance-bounding run
-    (a ``ReferenceRun``), drawn from the sweep's streams."""
-    real_mask = sample_mask(g, rng_from(seed, augmenter._TAG_E2E_REAL, run_index))
-    vb_rng = rng_from(seed, augmenter._TAG_E2E_VB, run_index)
-    run = reference_run_vb(tables.law, vb_rng.permutation(g.n), real_mask, vb_rng.random(g.n))
-    return real_mask, run
+def reference_runs(g, tables, seed, runs, t):
+    """``(real_mask, ReferenceRun, q_mask)`` of runs ``0..runs-1`` of a sweep
+    of ``runs`` runs at the point ``t`` (``None``: the control), in run order.
+
+    Block ``b`` reads the stream ``(seed, E2E, b)``: its runs' arrival orders,
+    crucial realizations and uniforms, then their non-crucial realizations,
+    then ``t`` plan rounds, each one call for every run of the block."""
+    for block, count in iter_blocks(runs):
+        rng = rng_from(seed, augmenter._TAG_E2E, block)
+        perms, crucial, uniforms = draw_run_inputs(tables.law, rng, count)
+        noncrucial = sample_masks(g, rng, count, scope=tables.classes.noncrucial())
+        plans = [g.full_mask if t is None else 0] * count
+        for _ in range(t or 0):
+            plans = [q | mask for q, mask in zip(plans, plan_round_masks(g, count, rng))]
+        for k in range(count):
+            real_mask = crucial[k] | noncrucial[k]
+            vb = reference_run_vb(tables.law, perms[k], real_mask, uniforms[k])
+            yield real_mask, vb, plans[k]
 
 
 class RecordedLaw:
@@ -42,9 +56,8 @@ class RecordedLaw:
 def point_runs(g, tables, t, runs, seed):
     """``(ReferenceRun, f, m_n)`` of runs ``0..runs-1`` at the sweep point ``t``."""
     tables = dataclasses.replace(tables, law=RecordedLaw(tables.law))
-    for r in range(runs):
-        real_mask, vb = reference_vb(g, tables, seed, r)
-        [(_record, f, m_n)] = augmenter._pipeline_run(g, tables, (t,), seed, r, real_mask,
+    for r, (real_mask, vb, q_mask) in enumerate(reference_runs(g, tables, seed, runs, t)):
+        [(_record, f, m_n)] = augmenter._pipeline_run(g, tables, (q_mask,), r, real_mask,
                                                       vb.matching, vb.alive)
         yield vb, f, m_n
 

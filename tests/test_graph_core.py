@@ -19,7 +19,6 @@ from stochmatch.graph_core import (
     make_matching,
     mask_edges,
     mask_weight,
-    sample_mask,
     sample_masks,
     weight_of,
 )
@@ -54,12 +53,12 @@ def test_p_min_cached():
 
 def test_sample_realization_p1_full():
     g = graph(3, [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0)])
-    assert sample_mask(g, rng_from(0)) == g.full_mask
+    assert sample_masks(g, rng_from(0), 1)[0] == g.full_mask
 
 
 def test_sample_realization_empty_graph():
     g = graph(4, [])
-    assert sample_mask(g, rng_from(0)) == 0
+    assert sample_masks(g, rng_from(0), 1)[0] == 0
 
 
 def test_sample_realization_frequency():
@@ -68,15 +67,15 @@ def test_sample_realization_frequency():
     hits = 0
     rng = rng_from(42)
     for _ in range(10_000):
-        hits += sample_mask(g, rng) & 1
+        hits += sample_masks(g, rng, 1)[0] & 1
     assert abs(hits / 10_000 - 0.5) <= 3 * 0.005
 
 
 def test_sample_realization_pure_function_of_seed():
     g = gen_random_graph(6, 0.5, {"name": "uniform", "low": 0.1, "high": 2.0},
                          {"name": "uniform", "low": 0.3, "high": 0.9}, seed=7)
-    a = sample_mask(g, rng_from(123))
-    b = sample_mask(g, rng_from(123))
+    a = sample_masks(g, rng_from(123), 1)[0]
+    b = sample_masks(g, rng_from(123), 1)[0]
     assert a == b
 
 
@@ -87,7 +86,7 @@ def test_inclusion_frequency_band_all_edges():
     counts = np.zeros(g.m)
     rng = rng_from(11)
     for _ in range(trials):
-        mask = sample_mask(g, rng)
+        mask = sample_masks(g, rng, 1)[0]
         for e in range(g.m):
             counts[e] += (mask >> e) & 1
     freq = counts / trials
@@ -229,7 +228,7 @@ def reference_mask(draws, probs, edges):
 def test_sample_masks_batch_equals_sequential_draws(g):
     batch = sample_masks(g, rng_from(3), 40)
     rng = rng_from(3)
-    assert batch == [sample_mask(g, rng) for _ in range(40)]
+    assert batch == [sample_masks(g, rng, 1)[0] for _ in range(40)]
     rng = rng_from(3)
     edges = range(g.m)
     assert batch == [reference_mask(rng.random(g.m), g.probs, edges) for _ in range(40)]
@@ -258,7 +257,7 @@ def test_sample_masks_empty_graph_empty_scope_and_zero_count():
     assert sample_masks(g, rng_from(0), 0) == []
     rng = rng_from(0)
     sample_masks(g, rng, 2, scope=[])  # an empty scope reads nothing
-    assert sample_mask(g, rng) == sample_mask(g, rng_from(0))
+    assert sample_masks(g, rng, 1)[0] == sample_masks(g, rng_from(0), 1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from stochmatch.graph_core import (
     StochasticGraph,
     gen_random_graph,
     mask_edges,
-    sample_mask,
     sample_masks,
 )
 from stochmatch import vb_matching
@@ -313,7 +312,7 @@ def test_run_vb_equals_reference_on_every_gadget(gadget):
     law = gadget.law
     g = gadget.graph
     perm = tuple(reversed(range(g.n)))
-    draw = lambda rng: sample_mask(g, rng)  # noqa: E731
+    draw = lambda rng: sample_masks(g, rng, 1)[0]  # noqa: E731
     assert_same_runs(law, 11, 150)
     assert_same_runs(law, 12, 150, permutation=perm)
     assert_same_runs(law, 13, 150, realization=draw)
@@ -335,7 +334,7 @@ def test_run_vb_equals_reference_with_clipping_monte_carlo_conditionals():
     g = random_graph(7, 0.6, 5)
     block = assert_same_runs(clipping_law(g), 21, 200, ref_law=clipping_law(g))
     assert block.clip_events > 0
-    assert_same_runs(clipping_law(g), 22, 100, realization=lambda rng: sample_mask(g, rng))
+    assert_same_runs(clipping_law(g), 22, 100, realization=lambda rng: sample_masks(g, rng, 1)[0])
 
 
 def test_run_vb_equals_reference_without_crucial_edges():
