@@ -144,12 +144,18 @@ def load_graph(config: ExperimentConfig) -> StochasticGraph:
         for key in ("n", "density"):
             if key not in gen:
                 raise ValueError(f"generator graph source is missing {key!r}: {gen!r}")
+        n, density, seed = gen["n"], gen["density"], gen.get("seed", config.seed)
+        for name, value in (("n", n), ("seed", seed)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"generator {name} must be an int, got {value!r}")
+        if isinstance(density, bool) or not isinstance(density, (int, float)):
+            raise ValueError(f"generator density must be a number, got {density!r}")
         return gen_random_graph(
-            n=int(gen["n"]),
-            density=float(gen["density"]),
+            n=n,
+            density=float(density),
             weight_law=gen.get("weight_law", {"name": "uniform", "low": 0.1, "high": 2.0}),
             prob_law=gen.get("prob_law", {"name": "uniform", "low": 0.3, "high": 0.9}),
-            seed=int(gen.get("seed", config.seed)),
+            seed=seed,
         )
     if source.get("bundled") == "benchmark_6v8e":
         return benchmark_6v8e().graph

@@ -7,8 +7,9 @@ says so, i.e. it has at most ``ENUM_MAX_EDGES`` edges; the same rule picks
 exact or sampled inputs everywhere in the package, and past it the
 enumerators raise :class:`EnumerationTooLarge`.  A graph's realizations,
 with their probabilities and oracle matchings, are enumerated once
-(:func:`realizations`) and read by both :func:`exact_x` and
-:meth:`MatchingLaw.from_pipeline`.  The crucial-component caps of
+(:func:`realizations`) and read by :func:`exact_x`,
+:meth:`MatchingLaw.from_pipeline` and :func:`mm_answers`, the array that
+answers plan rounds without a call per round.  The crucial-component caps of
 ``vb_matching.exact_vb_enumeration`` bound a different enumeration, that of
 the variance-bounding run.
 
@@ -54,7 +55,8 @@ def realizations(g: StochasticGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray
     and the edge mask of its maximum-weight matching.  The oracle is asked
     once per row and never about a zero-probability mask.  Computed once per
     graph and cached; past ``ENUM_MAX_EDGES`` edges it raises
-    :class:`EnumerationTooLarge`.
+    :class:`EnumerationTooLarge`.  The MM column also answers plan rounds,
+    through :func:`mm_answers`.
     """
     if not enumerable(g):
         raise EnumerationTooLarge(f"enumeration limited to {ENUM_MAX_EDGES} edges, got {g.m}")
@@ -70,6 +72,24 @@ def realizations(g: StochasticGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray
             rows.setflags(write=False)
         g._caches["realizations"] = (masks, probs, mm)
     return g._caches["realizations"]
+
+
+def mm_answers(g: StochasticGraph) -> np.ndarray:
+    """The oracle's answer for every realization mask, as one int64 array.
+
+    ``answers[mask]`` is the maximum-weight matching's edge mask, taken from
+    the MM column of :func:`realizations`, and -1 for a mask it skipped.  A
+    skipped mask has probability product 0.0, which may be underflow rather
+    than impossibility, so a caller that draws one asks the oracle for it.
+    Cached beside the realizations; same edge cap.
+    """
+    if "mm_answers" not in g._caches:
+        masks, _probs, mm = realizations(g)
+        answers = np.full(1 << g.m, -1, dtype=np.int64)
+        answers[masks] = mm
+        answers.setflags(write=False)
+        g._caches["mm_answers"] = answers
+    return g._caches["mm_answers"]
 
 
 def exact_x(g: StochasticGraph) -> np.ndarray:

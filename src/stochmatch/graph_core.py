@@ -313,9 +313,14 @@ _LAW_PARAMS = {"constant": ("value",), "uniform": ("low", "high"), "exponential"
 
 def _law_sampler(law: Mapping[str, float], kind: str):
     name = law.get("name")
-    for key in _LAW_PARAMS.get(name, ()):
+    params = _LAW_PARAMS.get(name, ())
+    for key in params:
         if key not in law:
             raise ValueError(f"{kind} law is missing {key!r}: {law!r}")
+    unknown = [repr(key) for key in law if key != "name" and key not in params]
+    if params and unknown:
+        raise ValueError(f"unknown {kind} law key {', '.join(unknown)}; "
+                         f"known: name, {', '.join(params)}")
     if name == "constant":
         value = float(law["value"])
         if kind == "probability" and not (0.0 < value <= 1.0):

@@ -16,19 +16,19 @@ maximum-weight matching of a realized mask ``R`` is the first row ``M`` with
 otherwise "no table" is cached and every miss goes to networkx.
 
 networkx's blossom (primal-dual) solver, with a fixed insertion order, is the
-reference.  Whenever the two heaviest table rows inside ``R`` weigh within
-``WEIGHT_TIE_TOL`` of each other (weight ties, zero-weight edges) the miss is
-solved by networkx, so the table only answers masks with a unique optimum and
-every answer is the one networkx gives.  ``brute_force_mwm`` is the
-independent cross-validation oracle: exhaustive enumeration, small instances
-only.
+reference.  It is imported on the first networkx solve, so a process whose
+queries the table answers never loads networkx.  Whenever the two heaviest
+table rows inside ``R`` weigh within ``WEIGHT_TIE_TOL`` of each other
+(weight ties, zero-weight edges) the miss is solved by networkx, so the
+table only answers masks with a unique optimum and every answer is the one
+networkx gives.  ``brute_force_mwm`` is the independent cross-validation
+oracle: exhaustive enumeration, small instances only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .graph_core import WEIGHT_TIE_TOL, Matching, StochasticGraph, make_matching, mask_edges
@@ -105,6 +105,8 @@ def _solve(g: StochasticGraph, mask: int) -> int:
 
 
 def _solve_networkx(g: StochasticGraph, mask: int) -> int:
+    import networkx as nx
+
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
     for e in range(g.m):

@@ -6,6 +6,12 @@ construction.  Every plan is drawn by :func:`draw_plan` / :func:`draw_plans`
 from one generator, which reads its stream row by row: plans drawn from the
 same stream are nested across ``t`` (smaller plans are prefixes of larger
 ones), which is what makes paired ``t``-sweeps comparable run by run.
+
+On a graph small enough to enumerate (:func:`exact.enumerable`), a round is
+not an oracle call: the drawn masks index :func:`exact.mm_answers`, the
+oracle's answer for every realization, and each plan is the OR of a row of
+its rounds.  Other graphs ask the oracle once per round.  Both give the same
+masks from the same draw.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .exact import enumerable, mm_answers
 from .graph_core import StochasticGraph, mask_edges, sample_masks
 from .mwm import mm_edge_mask
 from .parallel import BLOCK_LEN, rng_from
@@ -38,8 +45,16 @@ def plan_round_masks(g: StochasticGraph, t: int, rng: np.random.Generator) -> li
     The realizations come from one :func:`sample_masks` batch, which reads
     the stream row by row, so for a fixed generator state the first rounds
     of a larger ``t`` are exactly the rounds of a smaller one (nested plans).
+    On an enumerable graph the rounds are gathered from :func:`mm_answers`,
+    and only masks it lacks (probability product 0.0) go to the oracle.
     """
-    return [mm_edge_mask(g, mask) for mask in sample_masks(g, rng, t)]
+    drawn = sample_masks(g, rng, t)
+    if not enumerable(g):
+        return [mm_edge_mask(g, mask) for mask in drawn]
+    rounds = mm_answers(g)[np.array(drawn, dtype=np.int64)]
+    for i in np.flatnonzero(rounds < 0).tolist():
+        rounds[i] = mm_edge_mask(g, drawn[i])
+    return rounds.tolist()
 
 
 def draw_plan(g: StochasticGraph, t: int, rng: np.random.Generator) -> int:
@@ -57,12 +72,18 @@ def draw_plans(g: StochasticGraph, t: int, rng: np.random.Generator,
     can take their rounds from one call for ``k * t`` rounds.  Each call asks
     for at most ``BLOCK_LEN`` rounds (or one plan's ``t`` if that is more),
     and plans are built as they are consumed, so memory stays bounded by one
-    call's rounds.
+    call's rounds.  On an enumerable graph a call's rounds are ORed as one
+    ``(k, t)`` int64 array, a row per plan.
     """
+    gathered = enumerable(g)
     per_call = max(1, BLOCK_LEN // max(t, 1))
     for start in range(0, count, per_call):
         k = min(per_call, count - start)
         rounds = plan_round_masks(g, k * t, rng)
+        if gathered:
+            rows = np.array(rounds, dtype=np.int64).reshape(k, t)
+            yield from np.bitwise_or.reduce(rows, axis=1).tolist()
+            continue
         for i in range(k):
             q_mask = 0
             for mask in rounds[i * t:(i + 1) * t]:

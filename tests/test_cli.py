@@ -320,6 +320,24 @@ def test_config_rejects_bad_tables_and_budgets(tmp_path, field, value, message):
     ("run", "graph", {"generator": {"n": 6, "density": 0.5,
                                     "weight_law": {"name": "exponential"}}},
      "weight law is missing 'scale'"),
+    ("run", "graph", {"generator": {"n": 2.7, "density": 0.5}},
+     "generator n must be an int, got 2.7"),
+    ("run", "graph", {"generator": {"n": True, "density": 0.5}},
+     "generator n must be an int, got True"),
+    ("run", "graph", {"generator": {"n": 6, "density": 0.5, "seed": 2.9}},
+     "generator seed must be an int, got 2.9"),
+    ("run", "graph", {"generator": {"n": "6", "density": "0.5"}},
+     "generator n must be an int, got '6'"),
+    ("run", "graph", {"generator": {"n": 6, "density": "0.5"}},
+     "generator density must be a number, got '0.5'"),
+    ("run", "graph", {"generator": {"n": 6, "density": 0.5,
+                                    "prob_law": {"name": "uniform", "low": 0.3, "high": 0.9,
+                                                 "scale": 4}}},
+     "unknown probability law key 'scale'; known: name, low, high"),
+    ("run", "graph", {"generator": {"n": 6, "density": 0.5,
+                                    "weight_law": {"name": "constant", "value": 1.0,
+                                                   "low": 0.1}}},
+     "unknown weight law key 'low'; known: name, value"),
 ])
 def test_bad_config_fails_before_any_output(tmp_path, command, field, value, message):
     cfg_path = tmp_path / "cfg.json"
@@ -348,6 +366,21 @@ def test_config_hash_stable_under_key_order():
     assert a == b
     c = ExperimentConfig(seed=2, trials=10).config_hash()
     assert a != c
+
+
+def test_generator_source_loads_without_networkx():
+    # the matching table answers every untied query on a generated graph, so
+    # networkx is imported only by a networkx solve
+    import stochmatch
+
+    src = str(Path(stochmatch.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from stochmatch import cli; "
+            "config = cli.ExperimentConfig(graph={'generator': "
+            "{'n': 12, 'density': 0.3, 'seed': 3}}); "
+            "g = cli.load_graph(config); print(g.m, 'networkx' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["19", "False"]
 
 
 def test_cli_import_does_not_load_scipy_stats():

@@ -2,19 +2,26 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from stochmatch import mwm
-from stochmatch.exact import exact_x
-from stochmatch.gadgets import benchmark_6v8e, relaxed_suite_8v
+from stochmatch import mwm, sparsifier
+from stochmatch.exact import exact_x, mm_answers, realizations
+from stochmatch.gadgets import (
+    benchmark_6v8e,
+    relaxed_suite_8v,
+    shared_tie_fixture,
+    verification_gadgets,
+)
 from stochmatch.graph_core import (
+    WEIGHT_TIE_TOL,
     Edge,
     StochasticGraph,
     gen_random_graph,
     make_matching,
     mask_edges,
+    mask_weight,
     sample_masks,
 )
-from stochmatch.mwm import mm_edge_mask
-from stochmatch.parallel import rng_from
+from stochmatch.mwm import GraphView, brute_force_mwm, mm_edge_mask
+from stochmatch.parallel import BLOCK_LEN, rng_from
 from stochmatch.sparsifier import (
     _TAG_COVERAGE,
     check_crucial_coverage,
@@ -208,3 +215,115 @@ def test_draw_plans_equals_sequential_draw_plan(t, count):
     assert rng_batch.bit_generator.state == rng_seq.bit_generator.state
     assert rng_batch.bit_generator.state == rng_rounds.bit_generator.state
     assert list(draw_plans(g, t, rng_from(9), 0)) == []
+
+
+# ---------------------------------------------------------------------------
+# Gathered rounds on enumerable graphs against the per-round oracle
+
+
+def reference_draw_plans(g, t, rng, count):
+    """``draw_plans`` as written before rounds were gathered: one oracle call
+    per round, each plan the OR of its ``t`` rounds."""
+    per_call = max(1, BLOCK_LEN // max(t, 1))
+    plans = []
+    for start in range(0, count, per_call):
+        k = min(per_call, count - start)
+        rounds = [mm_edge_mask(g, mask) for mask in sample_masks(g, rng, k * t)]
+        for i in range(k):
+            q_mask = 0
+            for mask in rounds[i * t:(i + 1) * t]:
+                q_mask |= mask
+            plans.append(q_mask)
+    return plans
+
+
+def matching_weights(g, mask):
+    """Weights of every matching inside ``mask``, heaviest first."""
+    edges = mask_edges(mask)
+    weights = []
+    for bits in range(1 << len(edges)):
+        chosen = [e for i, e in enumerate(edges) if (bits >> i) & 1]
+        ends = [v for e in chosen for v in g.endpoints(e)]
+        if len(ends) == len(set(ends)):
+            weights.append(sum(g.edges[e].w for e in chosen))
+    return sorted(weights, reverse=True)
+
+
+ANSWER_GRAPHS = [(gd.name, gd.graph) for gd in verification_gadgets()] + [
+    ("shared_tie", shared_tie_fixture().graph),  # p = 1 edges: zero-probability masks
+]
+
+
+@pytest.mark.parametrize("g", [g for _name, g in ANSWER_GRAPHS],
+                         ids=[name for name, _g in ANSWER_GRAPHS])
+def test_mm_answers_equal_networkx_and_brute_force(g):
+    g = StochasticGraph(n=g.n, edges=g.edges)  # a fresh copy: empty memo and caches
+    answers = mm_answers(g)
+    assert answers.dtype == np.int64 and answers.shape == (1 << g.m,)
+    for mask in range(1 << g.m):
+        prob = 1.0
+        for e, edge in enumerate(g.edges):
+            prob *= edge.p if (mask >> e) & 1 else 1.0 - edge.p
+        answer = int(answers[mask])
+        if prob == 0.0:  # the enumeration skips it
+            assert answer == -1, mask
+            continue
+        assert answer == mwm._solve_networkx(g, mask), mask
+        weights = matching_weights(g, mask)
+        assert abs(mask_weight(g, answer) - weights[0]) <= WEIGHT_TIE_TOL, mask
+        if len(weights) == 1 or weights[0] - weights[1] > WEIGHT_TIE_TOL:
+            assert answer == brute_force_mwm(GraphView(g, mask)).as_mask(), mask
+    assert int((answers >= 0).sum()) == len(realizations(g)[0])
+
+
+class HalfStream:
+    """Stands in for a generator in :func:`sample_masks`: each edge is
+    realized with probability 1/2 whatever its ``p``."""
+
+    def __init__(self, g, seed):
+        self.rng, self.probs = rng_from(seed), g.probs
+
+    def random(self, shape):
+        return self.rng.random(shape) * 2.0 * self.probs
+
+
+def test_underflowed_masks_are_answered_by_the_oracle():
+    # p = 1e-100 on each edge of K4: a mask of 4 or more realized edges has
+    # probability product 0.0 by underflow, so the enumeration skips it
+    g = graph(4, [(0, 1, 1.0, 1e-100), (0, 2, 1.3, 1e-100), (0, 3, 1.7, 1e-100),
+                  (1, 2, 2.1, 1e-100), (1, 3, 2.6, 1e-100), (2, 3, 3.2, 1e-100)])
+    skipped = [mask for mask in range(1 << g.m) if bin(mask).count("1") >= 4]
+    assert np.flatnonzero(mm_answers(g) < 0).tolist() == skipped
+    drawn = sample_masks(g, HalfStream(g, 4), 200)
+    assert sum(mask in skipped for mask in drawn) > 10
+    rounds = plan_round_masks(g, 200, HalfStream(g, 4))
+    assert rounds == [mwm._solve_networkx(g, mask) for mask in drawn]
+    assert all(type(mask) is int for mask in rounds)
+    plans = list(draw_plans(g, 4, HalfStream(g, 4), 50))
+    assert plans == reference_draw_plans(g, 4, HalfStream(g, 4), 50)
+
+
+@pytest.mark.parametrize("gadget", verification_gadgets(), ids=lambda gd: gd.name)
+def test_draw_plans_equals_per_round_oracle_loop(gadget):
+    g = gadget.graph
+    for t in (0, 1, 3, 120):
+        for count in (0, 1, BLOCK_LEN + 5):
+            rng, ref_rng = rng_from(11, t, count), rng_from(11, t, count)
+            plans = list(draw_plans(g, t, rng, count))
+            assert plans == reference_draw_plans(g, t, ref_rng, count), (t, count)
+            assert all(type(q_mask) is int for q_mask in plans)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_gathered_rounds_make_no_oracle_call(monkeypatch):
+    g = benchmark_6v8e().graph
+    answers = mm_answers(g)
+    assert (answers >= 0).all()  # every mask has positive probability
+
+    def no_oracle(g, mask):
+        raise AssertionError(f"oracle asked about mask {mask}")
+
+    monkeypatch.setattr(sparsifier, "mm_edge_mask", no_oracle)
+    rounds = plan_round_masks(g, 500, rng_from(12))
+    assert rounds == answers[sample_masks(g, rng_from(12), 500)].tolist()
+    assert len(list(draw_plans(g, 16, rng_from(12), 300))) == 300
