@@ -9,9 +9,9 @@ ones), which is what makes paired ``t``-sweeps comparable run by run.
 
 On a graph small enough to enumerate (:func:`exact.enumerable`), a round is
 not an oracle call: the drawn masks index :func:`exact.mm_answers`, the
-oracle's answer for every realization, and each plan is the OR of a row of
-its rounds.  Other graphs ask the oracle once per round.  Both give the same
-masks from the same draw.
+oracle's answer for every realization.  Other graphs ask the oracle once per
+round.  Both give the same rounds from the same draw, and each plan is the
+OR of its rounds.
 """
 
 from __future__ import annotations
@@ -72,18 +72,12 @@ def draw_plans(g: StochasticGraph, t: int, rng: np.random.Generator,
     can take their rounds from one call for ``k * t`` rounds.  Each call asks
     for at most ``BLOCK_LEN`` rounds (or one plan's ``t`` if that is more),
     and plans are built as they are consumed, so memory stays bounded by one
-    call's rounds.  On an enumerable graph a call's rounds are ORed as one
-    ``(k, t)`` int64 array, a row per plan.
+    call's rounds.
     """
-    gathered = enumerable(g)
     per_call = max(1, BLOCK_LEN // max(t, 1))
     for start in range(0, count, per_call):
         k = min(per_call, count - start)
         rounds = plan_round_masks(g, k * t, rng)
-        if gathered:
-            rows = np.array(rounds, dtype=np.int64).reshape(k, t)
-            yield from np.bitwise_or.reduce(rows, axis=1).tolist()
-            continue
         for i in range(k):
             q_mask = 0
             for mask in rounds[i * t:(i + 1) * t]:
