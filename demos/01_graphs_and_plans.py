@@ -25,7 +25,7 @@ g = gen_random_graph(
 print(f"graph: {g.n} vertices, {g.m} edges, p_min = {g.p_min:.3f}")
 
 rng = rng_from(7)
-[realization] = sample_masks(g, rng, 1)
+[realization] = sample_masks(g, rng, 1).tolist()
 print(f"one realization keeps {bin(realization).count('1')}/{g.m} edges")
 
 opt = max_weight_matching(GraphView(g, realization))

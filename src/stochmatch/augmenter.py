@@ -364,17 +364,17 @@ def _pipeline_run(
 def _e2e_block(g, tables, ts, seed, block, count):
     rng = rng_from(seed, _TAG_E2E, block)
     perms, reals, uniforms = draw_run_inputs(tables.law, rng, count)
-    noncrucial = sample_masks(g, rng, count, scope=tables.classes.noncrucial())
-    reals = [crucial | other for crucial, other in zip(reals, noncrucial)]
+    reals = reals | sample_masks(g, rng, count, scope=tables.classes.noncrucial())
     vb = run_vb(tables.law, perms, reals, uniforms)
     plans = {None: [g.full_mask] * count, 0: [0] * count}
-    union = plans[0]
+    union = np.zeros(count, dtype=reals.dtype)
     for j in range(1, max(t or 0 for t in ts) + 1):
-        union = [q | mask for q, mask in zip(union, plan_round_masks(g, count, rng))]
+        union = union | plan_round_masks(g, count, rng)
         if j in ts:
-            plans[j] = union
+            plans[j] = union.tolist()
     records = [[] for _ in ts]
-    for k, (real_mask, vb_matching, alive) in enumerate(zip(reals, vb.matching, vb.alive)):
+    for k, (real_mask, vb_matching, alive) in enumerate(zip(reals.tolist(), vb.matching,
+                                                             vb.alive)):
         points = _pipeline_run(g, tables, [plans[t][k] for t in ts], block * BLOCK_LEN + k,
                                real_mask, vb_matching, alive)
         for recs, (record, _f, _m_n) in zip(records, points):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import StochasticGraph, mask_edges, sample_masks
+from .graph_core import StochasticGraph, mask_bits, mask_edges, sample_masks
 from .mwm import mm_edge_mask
 from .parallel import rng_from, run_blocks
 from .sparsifier import draw_plans
@@ -65,7 +65,7 @@ def _mm_counts_block(g: StochasticGraph, keep_mask: int, seed: int, tag: int,
     contains the edge; the oracle runs once per distinct realization."""
     rng = rng_from(seed, tag, block)
     counts = np.zeros(g.m, dtype=np.int64)
-    for mask, k in Counter(sample_masks(g, rng, count)).items():
+    for mask, k in Counter(sample_masks(g, rng, count).tolist()).items():
         for e in mask_edges(mm_edge_mask(g, mask) & keep_mask):
             counts[e] += k
     return counts
@@ -74,8 +74,6 @@ def _mm_counts_block(g: StochasticGraph, keep_mask: int, seed: int, tag: int,
 def estimate_x(g: StochasticGraph, trials: int = DEFAULT_TRIALS,
                seed: int = 0) -> list[ProbEstimate]:
     """Per-edge frequency of membership in MM(realization)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     parts = run_blocks(_mm_counts_block, (g, g.full_mask, seed, _TAG_X), trials)
     counts = sum(parts)
     return [ProbEstimate.from_count(int(c), trials) for c in counts]
@@ -90,8 +88,6 @@ def estimate_y(g: StochasticGraph, crucial_mask: int, trials: int = DEFAULT_TRIA
     maximum-weight matching and keeps its crucial side.  Entries for
     non-crucial edges are identically zero.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     parts = run_blocks(_mm_counts_block, (g, crucial_mask, seed, _TAG_Y), trials)
     counts = sum(parts)
     return [ProbEstimate.from_count(int(c), trials) for c in counts]
@@ -123,7 +119,7 @@ def estimate_y_conditional(
         raise ValueError("trials must be >= 1")
     hidden = mask_edges(g.full_mask & ~revealed_mask)
     count = 0
-    for mask in sample_masks(g, rng, trials, scope=hidden):
+    for mask in sample_masks(g, rng, trials, scope=hidden).tolist():
         mo = mm_edge_mask(g, mask | revealed_bits) & crucial_mask
         if (mo >> e) & 1:
             count += 1
@@ -163,17 +159,11 @@ class MonteCarloConditional:
 def _q_counts_block(g: StochasticGraph, t: int, seed: int, block: int,
                     count: int) -> np.ndarray:
     rng = rng_from(seed, _TAG_Q, block)
-    counts = np.zeros(g.m, dtype=np.int64)
-    for q_mask, k in Counter(draw_plans(g, t, rng, count)).items():
-        for e in mask_edges(q_mask):
-            counts[e] += k
-    return counts
+    return mask_bits(draw_plans(g, t, rng, count), range(g.m)).sum(axis=0)
 
 
 def estimate_q(g: StochasticGraph, t: int, trials: int, seed: int) -> list[ProbEstimate]:
     """Per-edge frequency of plan membership across independent plan draws."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     parts = run_blocks(_q_counts_block, (g, t, seed), trials)
     counts = sum(parts)
     return [ProbEstimate.from_count(int(c), trials) for c in counts]
@@ -232,8 +222,6 @@ def estimate_pair_alive(
 ) -> dict[tuple[int, int], ProbEstimate]:
     """Joint alive frequency of vertex pairs across independent runs, keyed
     by the pair as ``(min, max)``."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     norm_pairs = tuple((min(u, v), max(u, v)) for u, v in pairs)
     *_, counts, _clip = sample_vb_statistics(law, norm_pairs, trials, seed, _TAG_PAIR)
     return {pair: ProbEstimate.from_count(int(counts[pair]), trials) for pair in norm_pairs}

@@ -261,17 +261,24 @@ class Params:
         return cls(epsilon=epsilon, delta=delta, p_min=g.p_min)
 
 
+def mask_dtype(width: int):
+    """dtype of an array of bit masks over ``width`` bits: int64 up to 63
+    bits, Python ints in ``object`` arrays past that."""
+    return np.int64 if width <= 63 else object
+
+
 def sample_masks(g: StochasticGraph, rng: np.random.Generator, count: int,
-                 scope: Iterable[int] | None = None) -> list[int]:
-    """``count`` independent realization masks, for any number of edges.
+                 scope: Iterable[int] | None = None) -> np.ndarray:
+    """``count`` independent realization masks as a 1-D array of
+    :func:`mask_dtype` ``(g.m)``, for any number of edges.
 
     Each edge in ``scope`` (default: every edge) is drawn with its
     probability; edges outside it stay 0.  The draw is one
     ``rng.random((count, len(scope)))`` consumed row by row, so a batch reads
     the generator exactly as ``count`` sequential calls with ``count=1`` do.
-    Only the ``m`` drawn columns are packed; the packed bytes are padded to
-    whole 64-bit words (``tolist`` turns a column of words into Python ints
-    cheaply), which are then joined into one int per row.
+    Up to 63 edges a row's bits are summed into one int64; past that they
+    are packed into 64-bit words, which are joined into one Python int per
+    row.
     """
     m = g.m
     if scope is None:
@@ -280,16 +287,22 @@ def sample_masks(g: StochasticGraph, rng: np.random.Generator, count: int,
         cols = np.fromiter(scope, dtype=np.intp)
         bits = np.zeros((count, m), dtype=bool)
         bits[:, cols] = rng.random((count, len(cols))) < g.probs[cols]
+    if mask_dtype(m) is np.int64:
+        return bits.astype(np.int64) @ (1 << np.arange(m, dtype=np.int64))
     words = -(-m // 64)
     packed = np.zeros((count, 8 * words), dtype=np.uint8)
     packed[:, :-(-m // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    columns = packed.view("<u8").T.tolist()
-    if not columns:
-        return [0] * count
-    masks = columns[0]
+    columns = packed.view("<u8").astype(object)
+    masks = columns[:, 0]
     for k in range(1, words):
-        masks = [mask | word << 64 * k for mask, word in zip(masks, columns[k])]
+        masks = masks | columns[:, k] << 64 * k
     return masks
+
+
+def mask_bits(masks: np.ndarray, edges) -> np.ndarray:
+    """Bit ``edges[j]`` of ``masks[i]`` at ``[i, j]``, as int8 0 or 1 (sums
+    over it accumulate in the platform integer)."""
+    return ((masks[:, None] >> np.asarray(edges, dtype=np.int64)) & 1).astype(np.int8)
 
 
 def mask_edges(mask: int) -> list[int]:

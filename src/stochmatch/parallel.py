@@ -71,7 +71,10 @@ def run_blocks(fn: Callable[..., Any], args: tuple, total: int) -> list:
     more than one block, the blocks go to its processes, so ``fn`` and
     ``args`` must be picklable (``fn`` a module-level function), and ``fn``
     must not call ``run_blocks``: a forked worker still sees the pool.
+    Raises ``ValueError`` unless ``total >= 1``.
     """
+    if total < 1:
+        raise ValueError("trials must be >= 1")
     blocks = list(iter_blocks(total))
     if _pool is None or len(blocks) == 1:
         return [fn(*args, index, count) for index, count in blocks]

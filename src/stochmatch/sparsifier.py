@@ -10,19 +10,19 @@ ones), which is what makes paired ``t``-sweeps comparable run by run.
 On a graph small enough to enumerate (:func:`exact.enumerable`), a round is
 not an oracle call: the drawn masks index :func:`exact.mm_answers`, the
 oracle's answer for every realization.  Other graphs ask the oracle once per
-round.  Both give the same rounds from the same draw, and each plan is the
-OR of its rounds.
+round.  Both give the same rounds from the same draw, as one array of masks
+(int64 up to 63 edges, Python ints past that), and :func:`draw_plans` ORs
+each plan's rounds in one reduction over that array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .exact import enumerable, mm_answers
-from .graph_core import StochasticGraph, mask_edges, sample_masks
+from .graph_core import StochasticGraph, mask_bits, mask_dtype, mask_edges, sample_masks
 from .mwm import mm_edge_mask
 from .parallel import BLOCK_LEN, rng_from
 
@@ -39,8 +39,9 @@ def max_degree(g: StochasticGraph, mask: int) -> int:
     return max(deg, default=0)
 
 
-def plan_round_masks(g: StochasticGraph, t: int, rng: np.random.Generator) -> list[int]:
-    """Per-round matching masks of ``t`` realizations drawn from one generator.
+def plan_round_masks(g: StochasticGraph, t: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-round matching masks of ``t`` realizations drawn from one
+    generator, as an array of the dtype :func:`sample_masks` draws.
 
     The realizations come from one :func:`sample_masks` batch, which reads
     the stream row by row, so for a fixed generator state the first rounds
@@ -50,39 +51,38 @@ def plan_round_masks(g: StochasticGraph, t: int, rng: np.random.Generator) -> li
     """
     drawn = sample_masks(g, rng, t)
     if not enumerable(g):
-        return [mm_edge_mask(g, mask) for mask in drawn]
-    rounds = mm_answers(g)[np.array(drawn, dtype=np.int64)]
+        return np.array([mm_edge_mask(g, mask) for mask in drawn.tolist()], dtype=drawn.dtype)
+    rounds = mm_answers(g)[drawn]
     for i in np.flatnonzero(rounds < 0).tolist():
-        rounds[i] = mm_edge_mask(g, drawn[i])
-    return rounds.tolist()
+        rounds[i] = mm_edge_mask(g, int(drawn[i]))
+    return rounds
 
 
 def draw_plan(g: StochasticGraph, t: int, rng: np.random.Generator) -> int:
     """Edge mask of the plan: the union of ``t`` rounds of :func:`plan_round_masks`."""
-    return next(draw_plans(g, t, rng, 1))
+    return int(draw_plans(g, t, rng, 1)[0])
 
 
 def draw_plans(g: StochasticGraph, t: int, rng: np.random.Generator,
-               count: int) -> Iterator[int]:
-    """Edge masks of ``count`` plans of ``t`` rounds each, the same as
-    ``count`` successive :func:`draw_plan` calls on ``rng``, provided nothing
-    else reads ``rng`` until the iteration ends.
+               count: int) -> np.ndarray:
+    """Edge masks of ``count`` plans of ``t`` rounds each, as an array of
+    :func:`mask_dtype` ``(g.m)``: the same plans as ``count`` successive
+    :func:`draw_plan` calls on ``rng``.
 
     By the prefix-stream property of :func:`plan_round_masks`, ``k`` plans
     can take their rounds from one call for ``k * t`` rounds.  Each call asks
     for at most ``BLOCK_LEN`` rounds (or one plan's ``t`` if that is more),
-    and plans are built as they are consumed, so memory stays bounded by one
-    call's rounds.
+    and ORs each plan's ``t`` consecutive rounds into its mask.  With
+    ``t = 0`` the OR is over no rounds and gives 0, also for ``object``
+    arrays: numpy uses a ufunc's identity for an empty object reduction.
     """
+    plans = np.zeros(count, dtype=mask_dtype(g.m))
     per_call = max(1, BLOCK_LEN // max(t, 1))
     for start in range(0, count, per_call):
         k = min(per_call, count - start)
-        rounds = plan_round_masks(g, k * t, rng)
-        for i in range(k):
-            q_mask = 0
-            for mask in rounds[i * t:(i + 1) * t]:
-                q_mask |= mask
-            yield q_mask
+        rounds = plan_round_masks(g, k * t, rng).reshape(k, t)
+        plans[start:start + k] = np.bitwise_or.reduce(rounds, axis=1)
+    return plans
 
 
 @dataclass(frozen=True)
@@ -146,12 +146,11 @@ def check_crucial_coverage(
     edge is gated against the unconditional ``min(1/3, t*x/3)`` floor.  The
     structural ``max degree <= t`` bound is checked on every sampled plan.
     """
-    counts = np.zeros(g.m, dtype=np.int64)
-    max_degree_seen = 0
-    for q_mask in draw_plans(g, t, rng_from(seed, _TAG_COVERAGE), trials):
-        for e in mask_edges(q_mask):
-            counts[e] += 1
-        max_degree_seen = max(max_degree_seen, max_degree(g, q_mask))
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    plans = draw_plans(g, t, rng_from(seed, _TAG_COVERAGE), trials)
+    counts = mask_bits(plans, range(g.m)).sum(axis=0)
+    max_degree_seen = max(max_degree(g, q_mask) for q_mask in set(plans.tolist()))
 
     freq = counts / trials
     se = np.sqrt(np.maximum(freq * (1.0 - freq), 0.0) / trials)

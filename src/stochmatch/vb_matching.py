@@ -37,7 +37,7 @@ from typing import NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .exact import EnumerationTooLarge
-from .graph_core import StochasticGraph, mask_edges, sample_masks
+from .graph_core import StochasticGraph, mask_dtype, mask_edges, sample_masks
 
 _CLIP_TOL = 1e-12
 _SUM_TOL = 1e-9
@@ -183,7 +183,7 @@ def run_vb(law: ActivationLaw, perms, reals: Sequence[int], uniforms) -> VBBlock
             np.sort(perms.reshape(count, n), axis=1), np.broadcast_to(np.arange(n), (count, n))):
         raise ValueError("permutation must cover every vertex exactly once")
     perms = perms.reshape(count, n)
-    dtype = object if n > 63 or m > 63 else np.int64
+    dtype = mask_dtype(max(n, m))
     vertex_bit = np.array([1 << v for v in range(n)], dtype=dtype)
     edge_bit = np.array([1 << e for e in range(m)], dtype=dtype)
     crucial_mask = law.crucial_mask

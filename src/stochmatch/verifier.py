@@ -14,6 +14,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .gadgets import (
     var_z_synthetic_x,
     verification_gadgets,
 )
-from .graph_core import Params, StochasticGraph, mask_edges, sample_masks
+from .graph_core import Params, StochasticGraph, mask_bits, mask_edges, sample_masks
 from .parallel import rng_from, run_blocks
 from .sparsifier import draw_plans
 from .vb_matching import (
@@ -239,13 +240,10 @@ def check_pair_alive(gadget: Gadget, trials: int, seed: int) -> CheckReport:
 def _plan_pair_block(g: StochasticGraph, t: int, pairs: tuple, seed: int,
                      block: int, count: int) -> np.ndarray:
     rng = rng_from(seed, _TAG_NA, block)
-    cells = np.zeros((len(pairs), 4), dtype=np.int64)  # n00 n01 n10 n11
-    for q_mask, k in Counter(draw_plans(g, t, rng, count)).items():
-        for j, (e1, e2) in enumerate(pairs):
-            a = (q_mask >> e1) & 1
-            b = (q_mask >> e2) & 1
-            cells[j, 2 * a + b] += k
-    return cells
+    plans = draw_plans(g, t, rng, count)
+    first, second = (mask_bits(plans, edges) for edges in zip(*pairs))
+    cell = 2 * first + second  # per plan and pair: 0..3 for n00 n01 n10 n11
+    return np.stack([np.count_nonzero(cell == c, axis=0) for c in range(4)], axis=1)
 
 
 def covariance_from_cells(cells: np.ndarray) -> tuple[float, float]:
@@ -264,15 +262,8 @@ def covariance_from_cells(cells: np.ndarray) -> tuple[float, float]:
 
 
 def incident_edge_pairs(g: StochasticGraph) -> list[tuple[int, int]]:
-    out = []
-    for v in range(g.n):
-        inc = g.incident[v]
-        for i in range(len(inc)):
-            for j in range(i + 1, len(inc)):
-                pair = (min(inc[i], inc[j]), max(inc[i], inc[j]))
-                if pair not in out:
-                    out.append(pair)
-    return sorted(set(out))
+    return sorted({(min(a, b), max(a, b))
+                   for inc in g.incident for a, b in combinations(inc, 2)})
 
 
 def check_negative_association(gadget: Gadget, trials: int, seed: int) -> CheckReport:
@@ -376,11 +367,11 @@ def _y_block(g: StochasticGraph, tables: PipelineTables, t: int, seed: int,
     noncrucial = tables.classes.noncrucial_mask
     alive = run_vb(tables.law, *draw_run_inputs(tables.law, rng, count)).alive
     # the plans, then the non-crucial realizations, after the runs' inputs
-    q_masks = list(draw_plans(g, t, rng, count))
+    q_masks = draw_plans(g, t, rng, count)
     real_masks = sample_masks(g, rng, count, scope=mask_edges(noncrucial))
     outcomes: dict = {}  # (queried non-crucial edges, alive vertices) masks -> row of `rows`
-    runs = [outcomes.setdefault((q_mask & real_mask, alive_mask), len(outcomes))
-            for q_mask, real_mask, alive_mask in zip(q_masks, real_masks, alive)]
+    runs = [outcomes.setdefault(key, len(outcomes))
+            for key in zip((q_masks & real_masks).tolist(), alive)]
     rows = np.zeros((len(outcomes), g.n))
     for (queried, alive), i in outcomes.items():
         for e in mask_edges(queried):

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import networkx
 
-from stochmatch import cli
+from stochmatch import cli, verifier
+from stochmatch.gadgets import relaxed_suite_8v
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -110,3 +111,17 @@ def test_stopwatch_installs_and_uninstalls_for_run_and_verify():
         finally:
             watch.uninstall()
         assert package_bindings() == before
+
+
+def test_tracer_counts_every_plan_round_of_a_check():
+    # draw_plans must call plan_round_masks through the module global, or the
+    # tracer's `sparsifier.plan` span misses the rounds of every check
+    tracer_mod = load_tracer()
+    tracer = tracer_mod.Tracer()
+    tracer_mod.install_tracer(tracer)
+    gadget = relaxed_suite_8v()
+    try:
+        verifier.check_negative_association(gadget, 300, 7)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["sparsifier.plan_rounds"] == 300 * gadget.t

@@ -1,8 +1,10 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from stochmatch import mwm, sparsifier
+from stochmatch import estimator, mwm, sparsifier, verifier
 from stochmatch.exact import exact_x, mm_answers, realizations
 from stochmatch.gadgets import (
     benchmark_6v8e,
@@ -16,6 +18,7 @@ from stochmatch.graph_core import (
     StochasticGraph,
     gen_random_graph,
     make_matching,
+    mask_dtype,
     mask_edges,
     mask_weight,
     sample_masks,
@@ -94,7 +97,7 @@ def test_plan_round_masks_prefix_stream():
     g = benchmark_6v8e().graph
     a = plan_round_masks(g, 4, rng_from(5))
     b = plan_round_masks(g, 11, rng_from(5))
-    assert b[:4] == a
+    assert b[:4].tolist() == a.tolist()
 
 
 def complete_66e():
@@ -110,7 +113,7 @@ def test_draw_plan_prefix_stream(make):
     large = draw_plan(g, 7, rng_from(5))
     small_rounds = plan_round_masks(g, 3, rng_from(5))
     large_rounds = plan_round_masks(g, 7, rng_from(5))
-    assert large_rounds[:3] == small_rounds
+    assert large_rounds[:3].tolist() == small_rounds.tolist()
     for q_mask, rounds in ((small, small_rounds), (large, large_rounds)):
         union = 0
         for mask in rounds:
@@ -124,11 +127,11 @@ def test_plan_round_masks_without_matching_table():
     assert g.m == 66 and mwm.matching_table(g) is None
     realized = sample_masks(g, rng_from(6), 4)
     rounds = plan_round_masks(g, 4, rng_from(6))
-    assert rounds == [mwm._solve_networkx(g, mask) for mask in realized]
+    assert rounds.tolist() == [mwm._solve_networkx(g, mask) for mask in realized]
     for mask, round_mask in zip(realized, rounds):
         assert round_mask & ~mask == 0
         make_matching(g, mask_edges(round_mask))
-    assert plan_round_masks(g, 2, rng_from(6)) == rounds[:2]
+    assert plan_round_masks(g, 2, rng_from(6)).tolist() == rounds[:2].tolist()
 
 
 def test_classify_extremes_and_ties():
@@ -296,10 +299,10 @@ def test_underflowed_masks_are_answered_by_the_oracle():
     assert np.flatnonzero(mm_answers(g) < 0).tolist() == skipped
     drawn = sample_masks(g, HalfStream(g, 4), 200)
     assert sum(mask in skipped for mask in drawn) > 10
-    rounds = plan_round_masks(g, 200, HalfStream(g, 4))
+    rounds = plan_round_masks(g, 200, HalfStream(g, 4)).tolist()
     assert rounds == [mwm._solve_networkx(g, mask) for mask in drawn]
     assert all(type(mask) is int for mask in rounds)
-    plans = list(draw_plans(g, 4, HalfStream(g, 4), 50))
+    plans = draw_plans(g, 4, HalfStream(g, 4), 50).tolist()
     assert plans == reference_draw_plans(g, 4, HalfStream(g, 4), 50)
 
 
@@ -309,7 +312,7 @@ def test_draw_plans_equals_per_round_oracle_loop(gadget):
     for t in (0, 1, 3, 120):
         for count in (0, 1, BLOCK_LEN + 5):
             rng, ref_rng = rng_from(11, t, count), rng_from(11, t, count)
-            plans = list(draw_plans(g, t, rng, count))
+            plans = draw_plans(g, t, rng, count).tolist()
             assert plans == reference_draw_plans(g, t, ref_rng, count), (t, count)
             assert all(type(q_mask) is int for q_mask in plans)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -325,5 +328,66 @@ def test_gathered_rounds_make_no_oracle_call(monkeypatch):
 
     monkeypatch.setattr(sparsifier, "mm_edge_mask", no_oracle)
     rounds = plan_round_masks(g, 500, rng_from(12))
-    assert rounds == answers[sample_masks(g, rng_from(12), 500)].tolist()
+    assert rounds.tolist() == answers[sample_masks(g, rng_from(12), 500)].tolist()
     assert len(list(draw_plans(g, 16, rng_from(12), 300))) == 300
+
+
+# ---------------------------------------------------------------------------
+# Masks as arrays: dtype, empty draws and the counts taken from them
+
+CONTRACT_GRAPHS = ANSWER_GRAPHS + [("complete_66e", complete_66e())]
+
+
+@pytest.mark.parametrize("g", [g for _name, g in CONTRACT_GRAPHS],
+                         ids=[name for name, _g in CONTRACT_GRAPHS])
+def test_mask_arrays_are_int64_up_to_63_edges_and_python_ints_past(g):
+    dtype = np.int64 if g.m <= 63 else object
+    for masks in (sample_masks(g, rng_from(1), 50), plan_round_masks(g, 50, rng_from(1)),
+                  draw_plans(g, 3, rng_from(1), 50)):
+        assert masks.dtype == dtype and masks.shape == (50,)
+        assert all(type(mask) is int for mask in masks.tolist())
+    assert type(draw_plan(g, 3, rng_from(1))) is int
+
+
+@pytest.mark.parametrize("g", [benchmark_6v8e().graph, complete_66e()],
+                         ids=["benchmark_6v8e", "complete_66e"])
+def test_zero_rounds_and_zero_plans_read_nothing(g):
+    rng = rng_from(13)
+    rounds = plan_round_masks(g, 0, rng)
+    assert rounds.dtype == mask_dtype(g.m) and rounds.shape == (0,)
+    for t, count in ((0, 5), (0, BLOCK_LEN + 1), (0, 0), (3, 0)):
+        plans = draw_plans(g, t, rng, count)
+        assert plans.dtype == mask_dtype(g.m) and plans.tolist() == [0] * count
+    assert draw_plan(g, 0, rng) == 0
+    assert rng.bit_generator.state == rng_from(13).bit_generator.state
+
+
+@pytest.mark.parametrize("g", [g for _name, g in CONTRACT_GRAPHS],
+                         ids=[name for name, _g in CONTRACT_GRAPHS])
+def test_plan_counts_equal_per_plan_loops(g):
+    # the negative-association cells, the q counts and the coverage counts,
+    # each against one pass per plan over reference_draw_plans on its stream
+    t, count = 3, 40 if g.m > 63 else 500
+    pairs = tuple(combinations_with_replacement(range(g.m), 2))
+    if pairs:
+        cells = np.zeros((len(pairs), 4), dtype=np.int64)  # n00 n01 n10 n11
+        for q_mask in reference_draw_plans(g, t, rng_from(44, verifier._TAG_NA, 2), count):
+            for j, (e1, e2) in enumerate(pairs):
+                cells[j, 2 * ((q_mask >> e1) & 1) + ((q_mask >> e2) & 1)] += 1
+        assert np.array_equal(verifier._plan_pair_block(g, t, pairs, 44, 2, count), cells)
+
+    q_counts = np.zeros(g.m, dtype=np.int64)
+    for q_mask in reference_draw_plans(g, t, rng_from(51, estimator._TAG_Q, 1), count):
+        for e in mask_edges(q_mask):
+            q_counts[e] += 1
+    assert np.array_equal(estimator._q_counts_block(g, t, 51, 1, count), q_counts)
+
+    x_hat = np.full(g.m, 0.5)
+    report = check_crucial_coverage(g, classify_edges(x_hat, 0.3), x_hat, epsilon=0.5, t=t,
+                                    trials=count, seed=3)
+    plans = reference_draw_plans(g, t, rng_from(3, _TAG_COVERAGE), count)
+    counts = np.zeros(g.m, dtype=np.int64)
+    for q_mask in plans:
+        counts[mask_edges(q_mask)] += 1
+    assert [report.claim_floor[e][0] for e in range(g.m)] == list(counts / count)
+    assert report.max_degree_seen == max(max_degree(g, q_mask) for q_mask in plans)

@@ -382,3 +382,24 @@ def test_plan_pair_and_log_joint_blocks_equal_per_run_loops():
         counts[(xu, xw)] = counts.get((xu, xw), 0) + 1
     got = verifier._log_joint_block(law, perm, 1, 3, 45, 0, 300)
     assert list(got.items()) == list(counts.items())
+
+
+def relaxed_concentration_y(gadget, trials, seed):
+    g = gadget.graph
+    params = Params(epsilon=gadget.epsilon, delta=PAIR_ALIVE_FLOOR, p_min=g.p_min)
+    tables = build_tables_exact(g, params, gadget.t, tau=gadget.tau)
+    return check_concentration_y(gadget, tables, trials, seed)
+
+
+def relaxed_coverage(gadget, trials, seed):
+    x = gadget.law.y
+    return sparsifier.check_crucial_coverage(gadget.graph, sparsifier.classify_edges(x, 0.1),
+                                             x, 0.5, gadget.t, trials, seed)
+
+
+@pytest.mark.parametrize("check", [check_activation, check_selectability, check_pair_alive,
+                                   check_negative_association, relaxed_concentration_y,
+                                   relaxed_coverage])
+def test_zero_trials_raise_a_value_error(check):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        check(relaxed_suite_8v(), 0, 5)
