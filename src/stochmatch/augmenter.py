@@ -34,7 +34,7 @@ from .estimator import (
     estimate_x,
     estimate_y,
 )
-from .mwm import mm_edge_mask
+from .mwm import mm_edge_mask, mm_edge_masks
 from .parallel import BLOCK_LEN, rng_from, run_blocks
 from .sparsifier import EdgeClasses, classify_edges, plan_round_masks
 from .vb_matching import ActivationLaw, draw_run_inputs, exact_vb_enumeration, run_vb
@@ -330,18 +330,22 @@ def _pipeline_run(
     real_mask: int,
     vb_matching: int,
     alive: int,
+    mmg_mask: int,
+    mmq_masks: Sequence[int],
 ) -> list[tuple[RunRecord, FractionalMatching, int]]:
     """Run ``run_index`` at every sweep point, given each point's plan mask
-    in ``q_masks``, its realization and its variance-bounding run's matching
-    and alive masks.
+    in ``q_masks``, its realization, its variance-bounding run's matching
+    and alive masks, and the maximum-weight matchings of the realization
+    (``mmg_mask``) and of each point's queried edges (``mmq_masks``, the
+    MM of ``q_mask & real_mask``).
 
     Per point it returns the record, the fractional vector and the edge mask
     of its rounding.  Points whose plans are equal share one result.
     """
-    mmg = mask_weight(g, mm_edge_mask(g, real_mask))
+    mmg = mask_weight(g, mmg_mask)
     by_plan: dict[int, tuple[RunRecord, FractionalMatching, int]] = {}
     points = []
-    for q_mask in q_masks:
+    for q_mask, mmq_mask in zip(q_masks, mmq_masks):
         point = by_plan.get(q_mask)
         if point is None:
             f, _survival = build_fractional(
@@ -352,7 +356,7 @@ def _pipeline_run(
             record = RunRecord(
                 run=run_index,
                 alg_weight=mask_weight(g, alg),
-                mmq_weight=mask_weight(g, mm_edge_mask(g, q_mask & real_mask)),
+                mmq_weight=mask_weight(g, mmq_mask),
                 mmg_weight=mmg,
                 scheme=scheme,
             )
@@ -366,17 +370,22 @@ def _e2e_block(g, tables, ts, seed, block, count):
     perms, reals, uniforms = draw_run_inputs(tables.law, rng, count)
     reals = reals | sample_masks(g, rng, count, scope=tables.classes.noncrucial())
     vb = run_vb(tables.law, perms, reals, uniforms)
-    plans = {None: [g.full_mask] * count, 0: [0] * count}
-    union = np.zeros(count, dtype=reals.dtype)
+    plans = {None: np.full(count, g.full_mask, dtype=reals.dtype),
+             0: np.zeros(count, dtype=reals.dtype)}
+    union = plans[0]
     for j in range(1, max(t or 0 for t in ts) + 1):
         union = union | plan_round_masks(g, count, rng)
         if j in ts:
-            plans[j] = union.tolist()
+            plans[j] = union
+    mmg = mm_edge_masks(g, reals)
+    q_masks = [plans[t].tolist() for t in ts]
+    mmq_masks = [(mmg if t is None else mm_edge_masks(g, plans[t] & reals)).tolist() for t in ts]
+    runs = zip(reals.tolist(), vb.matching.tolist(), vb.alive.tolist(), mmg.tolist(),
+               zip(*q_masks), zip(*mmq_masks))
     records = [[] for _ in ts]
-    for k, (real_mask, vb_matching, alive) in enumerate(zip(reals.tolist(), vb.matching,
-                                                             vb.alive)):
-        points = _pipeline_run(g, tables, [plans[t][k] for t in ts], block * BLOCK_LEN + k,
-                               real_mask, vb_matching, alive)
+    for k, (real_mask, vb_matching, alive, mmg_mask, q_row, mmq_row) in enumerate(runs):
+        points = _pipeline_run(g, tables, q_row, block * BLOCK_LEN + k, real_mask, vb_matching,
+                               alive, mmg_mask, mmq_row)
         for recs, (record, _f, _m_n) in zip(records, points):
             recs.append(record)
     return records

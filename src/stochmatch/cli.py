@@ -26,7 +26,7 @@ from .exact import enumerable
 from .gadgets import benchmark_6v8e
 from .graph_core import Params, StochasticGraph, gen_random_graph, read_graph, write_graph
 from .parallel import worker_pool
-from .verifier import default_suite, format_report_table, gated_failures, reports_to_json
+from .verifier import default_suite, format_report_table, gated_failures
 
 DEFAULT_BUDGETS = {
     "x_trials": 20_000,
@@ -283,7 +283,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
         )
     payload = {
         "config_hash": config.config_hash(),
-        "reports": json.loads(reports_to_json(reports)),
+        "reports": [r.to_json_dict() for r in reports],
     }
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)

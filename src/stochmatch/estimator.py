@@ -8,25 +8,26 @@ blocks with index-derived streams so results do not depend on the worker
 count.
 
 Every realization is drawn through :func:`graph_core.sample_masks` and every
-plan through :func:`sparsifier.draw_plans`.  For x and y a block's
-realizations are drawn as one batch and reduced to distinct masks, so the
-matching oracle runs once per distinct mask; y' draws only the edges its
-batch reveal leaves hidden.  :class:`MonteCarloConditional` carries estimated
-``y`` and ``y'`` as the variance-bounding run's activation law, and
-:func:`sample_vb_statistics` reruns that run on any such law and counts its
-outcomes, for :func:`estimate_pair_alive` and the verifier's checks alike.
+plan through :func:`sparsifier.draw_plans`.  For x, y and y' a block's
+realizations are drawn as one array and answered by one
+:func:`mwm.mm_edge_masks` call, which scans the matching table once per
+chunk of distinct masks instead of calling the oracle per mask; y' draws
+only the edges its batch reveal leaves hidden.  :class:`MonteCarloConditional`
+carries estimated ``y`` and ``y'`` as the variance-bounding run's activation
+law, and :func:`sample_vb_statistics` reruns that run on any such law and
+counts its outcomes, mask arrays, with :func:`graph_core.mask_bits`, for
+:func:`estimate_pair_alive` and the verifier's checks alike.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph_core import StochasticGraph, mask_bits, mask_edges, sample_masks
-from .mwm import mm_edge_mask
+from .mwm import mm_edge_masks
 from .parallel import rng_from, run_blocks
 from .sparsifier import draw_plans
 from .vb_matching import ActivationLaw, draw_run_inputs, run_vb
@@ -62,13 +63,10 @@ class ProbEstimate:
 def _mm_counts_block(g: StochasticGraph, keep_mask: int, seed: int, tag: int,
                      block: int, count: int) -> np.ndarray:
     """Per-edge count of realizations whose MM, restricted to ``keep_mask``,
-    contains the edge; the oracle runs once per distinct realization."""
+    contains the edge."""
     rng = rng_from(seed, tag, block)
-    counts = np.zeros(g.m, dtype=np.int64)
-    for mask, k in Counter(sample_masks(g, rng, count).tolist()).items():
-        for e in mask_edges(mm_edge_mask(g, mask) & keep_mask):
-            counts[e] += k
-    return counts
+    answers = mm_edge_masks(g, sample_masks(g, rng, count))
+    return mask_bits(answers & keep_mask, range(g.m)).sum(axis=0)
 
 
 def estimate_x(g: StochasticGraph, trials: int = DEFAULT_TRIALS,
@@ -118,11 +116,8 @@ def estimate_y_conditional(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     hidden = mask_edges(g.full_mask & ~revealed_mask)
-    count = 0
-    for mask in sample_masks(g, rng, trials, scope=hidden).tolist():
-        mo = mm_edge_mask(g, mask | revealed_bits) & crucial_mask
-        if (mo >> e) & 1:
-            count += 1
+    answers = mm_edge_masks(g, sample_masks(g, rng, trials, scope=hidden) | revealed_bits)
+    count = int(np.count_nonzero(answers & (crucial_mask & (1 << e))))
     return ProbEstimate.from_count(count, trials)
 
 
@@ -173,25 +168,14 @@ def _vb_stats_block(law: ActivationLaw, pairs: tuple, seed: int, tag: int, block
                     count: int):
     rng = rng_from(seed, tag, block)
     g = law.graph
-    active = np.zeros(g.m, dtype=np.int64)
-    selected = np.zeros(g.m, dtype=np.int64)
-    alive = np.zeros(g.n, dtype=np.int64)
-    pair_counts = np.zeros(len(pairs), dtype=np.int64)
     out = run_vb(law, *draw_run_inputs(law, rng, count))
-    # (active, matched edges, alive vertices) masks
-    outcomes = Counter(zip(out.activated, out.matching, out.alive))
-    pair_masks = [(1 << u) | (1 << v) for u, v in pairs]
-    for (activated, matched, alive_mask), k in outcomes.items():
-        for e in mask_edges(activated):
-            active[e] += k
-        for e in mask_edges(matched):
-            selected[e] += k
-        for v in mask_edges(alive_mask):
-            alive[v] += k
-        for j, both in enumerate(pair_masks):
-            if alive_mask & both == both:
-                pair_counts[j] += k
-    return active, selected, alive, pair_counts, out.clip_events
+    alive = mask_bits(out.alive, range(g.n))
+    ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return (mask_bits(out.activated, range(g.m)).sum(axis=0),
+            mask_bits(out.matching, range(g.m)).sum(axis=0),
+            alive.sum(axis=0),
+            (alive[:, ends[:, 0]] & alive[:, ends[:, 1]]).sum(axis=0),
+            out.clip_events)
 
 
 def sample_vb_statistics(law: ActivationLaw, pairs, trials: int, seed: int, tag: int):

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph_core import StochasticGraph
-from .mwm import mm_edge_mask
+from .mwm import mm_edge_masks
 
 # Largest edge count that is enumerated; every realization mask of such a
 # graph fits in the oracle memo (``mwm.MM_CACHE_MAX`` = 2^16 entries).
@@ -52,11 +52,11 @@ def realizations(g: StochasticGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     Rows come in mask order: the realization mask, its probability (the
     product of ``p`` or ``1 - p`` over the edges, multiplied in edge order)
-    and the edge mask of its maximum-weight matching.  The oracle is asked
-    once per row and never about a zero-probability mask.  Computed once per
-    graph and cached; past ``ENUM_MAX_EDGES`` edges it raises
-    :class:`EnumerationTooLarge`.  The MM column also answers plan rounds,
-    through :func:`mm_answers`.
+    and the edge mask of its maximum-weight matching.  The oracle answers
+    every row in one :func:`mwm.mm_edge_masks` call and is never asked about
+    a zero-probability mask.  Computed once per graph and cached; past
+    ``ENUM_MAX_EDGES`` edges it raises :class:`EnumerationTooLarge`.  The MM
+    column also answers plan rounds, through :func:`mm_answers`.
     """
     if not enumerable(g):
         raise EnumerationTooLarge(f"enumeration limited to {ENUM_MAX_EDGES} edges, got {g.m}")
@@ -67,7 +67,7 @@ def realizations(g: StochasticGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray
             probs *= np.where((masks >> e) & 1 == 1, edge.p, 1.0 - edge.p)
         keep = probs != 0.0
         masks, probs = masks[keep], probs[keep]
-        mm = np.array([mm_edge_mask(g, mask) for mask in masks.tolist()], dtype=np.int64)
+        mm = mm_edge_masks(g, masks)
         for rows in (masks, probs, mm):
             rows.setflags(write=False)
         g._caches["realizations"] = (masks, probs, mm)

@@ -14,12 +14,16 @@ maximum-weight matching of a realized mask ``R`` is the first row ``M`` with
 ``M & ~R == 0``.  The table is built once per graph, and only when
 ``m <= 62`` and the graph has at most ``TABLE_MAX_MATCHINGS`` matchings;
 otherwise "no table" is cached and every miss goes to networkx.
+``mm_edge_masks`` answers a whole array of masks: it dedupes them and scans
+the table for a chunk of masks at once, with no Python call per mask, and
+these answers neither read nor fill the memo.  Its tied masks, and every
+mask of a graph without a table, go through the memo one at a time.
 
 networkx's blossom (primal-dual) solver, with a fixed insertion order, is the
 reference.  It is imported on the first networkx solve, so a process whose
 queries the table answers never loads networkx.  Whenever the two heaviest
 table rows inside ``R`` weigh within ``WEIGHT_TIE_TOL`` of each other
-(weight ties, zero-weight edges) the miss is solved by networkx, so the
+(weight ties, zero-weight edges) the mask is solved by networkx, so the
 table only answers masks with a unique optimum and every answer is the one
 networkx gives.  ``brute_force_mwm`` is the independent cross-validation
 oracle: exhaustive enumeration, small instances only.
@@ -38,6 +42,9 @@ from .graph_core import WEIGHT_TIE_TOL, Matching, StochasticGraph, make_matching
 TABLE_MAX_MATCHINGS = 1 << 17
 # The per-graph memo is cleared when it reaches this many entries.
 MM_CACHE_MAX = 1 << 16
+# Cells (masks times table rows) of one chunk of ``mm_edge_masks``: a 512 KB
+# int64 temporary, small enough that batches do not raise the peak memory.
+SCAN_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,9 @@ def mm_edge_mask(g: StochasticGraph, mask: int) -> int:
 
 
 def _memo_mask(g: StochasticGraph, mask: int) -> int:
-    """The memo behind both public entry points; neither calls the other, so
-    every oracle query is exactly one call of one of them."""
+    """The memo behind both per-mask entry points; neither calls the other,
+    so every per-mask oracle query is exactly one call of one of them.
+    :func:`mm_edge_masks` sends its tied masks here too."""
     cache = g._caches.setdefault("mm", {})
     hit = cache.get(mask)
     if hit is None:
@@ -88,20 +96,75 @@ def _memo_mask(g: StochasticGraph, mask: int) -> int:
     return hit
 
 
+def mm_edge_masks(g: StochasticGraph, masks: np.ndarray) -> np.ndarray:
+    """:func:`mm_edge_mask` of every mask of an array, as an array of its dtype.
+
+    With a matching table the distinct masks are answered by
+    :func:`_table_answers`; those answers neither read nor fill the memo.
+    Masks whose optimum ties, and every mask of a graph without a table (so
+    every ``object`` array, past 63 edges), go through the memo one at a
+    time, as :func:`mm_edge_mask` does.
+    """
+    table = matching_table(g)
+    if table is None:
+        return np.array([_memo_mask(g, mask) for mask in masks.tolist()], dtype=masks.dtype)
+    distinct, inverse = np.unique(masks, return_inverse=True)
+    answers = _table_answers(*table, distinct)
+    for i in np.flatnonzero(answers < 0).tolist():
+        answers[i] = _memo_mask(g, int(distinct[i]))
+    return answers[inverse]
+
+
 def _solve(g: StochasticGraph, mask: int) -> int:
     """Table lookup, or networkx when there is no table or the optimum ties."""
     table = matching_table(g)
-    if table is None:
-        return _solve_networkx(g, mask)
-    rows, weights = table
+    if table is not None:
+        answer = _scan_one(*table, mask)
+        if answer >= 0:
+            return answer
+    return _solve_networkx(g, mask)
+
+
+def _table_answers(rows: np.ndarray, weights: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The table's answer for each int64 mask: the first row inside it, or -1
+    where the next row inside ties with that one.
+
+    Each scan covers a chunk of ``SCAN_CELLS // len(rows)`` masks.  A lone
+    mask, and every mask of a table too large for two masks per chunk, takes
+    the cheaper 1-D scan of :func:`_scan_one`, as a single miss does.
+    """
+    per_chunk = SCAN_CELLS // len(rows)
+    if per_chunk < 2 or len(masks) < 2:
+        return np.array([_scan_one(rows, weights, mask) for mask in masks.tolist()],
+                        dtype=np.int64)
+    answers = np.empty_like(masks)
+    for start in range(0, len(masks), per_chunk):
+        chunk = masks[start:start + per_chunk]
+        inside = (rows & ~chunk[:, None]) == 0
+        k = np.arange(len(chunk))
+        first = inside.argmax(axis=1)
+        inside[k, first] = False
+        second = inside.argmax(axis=1)
+        answers[start:start + per_chunk] = np.where(
+            _tied(weights, first, second, inside[k, second]), -1, rows[first])
+    return answers
+
+
+def _scan_one(rows: np.ndarray, weights: np.ndarray, mask: int) -> int:
+    """The table's answer for one mask, as :func:`_table_answers` gives it,
+    from a 1-D scan whose ``argmax`` stops at the first inside row."""
     inside = (rows & np.int64(~mask)) == 0
     first = int(inside.argmax())
-    rest = inside[first + 1:]
-    if rest.size:
-        second = first + 1 + int(rest.argmax())
-        if inside[second] and weights[first] - weights[second] <= WEIGHT_TIE_TOL:
-            return _solve_networkx(g, mask)
-    return int(rows[first])
+    inside[first] = False
+    second = int(inside.argmax())
+    return -1 if _tied(weights, first, second, inside[second]) else int(rows[first])
+
+
+def _tied(weights: np.ndarray, first, second, second_inside):
+    """The tie rule: a second row inside the mask within ``WEIGHT_TIE_TOL`` of
+    the first.  The empty matching is a row, so a first row always exists;
+    when no second does, ``argmax`` points at a row outside the mask."""
+    return second_inside & (weights[first] - weights[second] <= WEIGHT_TIE_TOL)
 
 
 def _solve_networkx(g: StochasticGraph, mask: int) -> int:

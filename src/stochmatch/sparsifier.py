@@ -9,10 +9,11 @@ ones), which is what makes paired ``t``-sweeps comparable run by run.
 
 On a graph small enough to enumerate (:func:`exact.enumerable`), a round is
 not an oracle call: the drawn masks index :func:`exact.mm_answers`, the
-oracle's answer for every realization.  Other graphs ask the oracle once per
-round.  Both give the same rounds from the same draw, as one array of masks
-(int64 up to 63 edges, Python ints past that), and :func:`draw_plans` ORs
-each plan's rounds in one reduction over that array.
+oracle's answer for every realization.  Other graphs answer all the rounds
+of a draw with one :func:`mwm.mm_edge_masks` call.  Both give the same rounds
+from the same draw, as one array of masks (int64 up to 63 edges, Python ints
+past that), and :func:`draw_plans` ORs each plan's rounds in one reduction
+over that array.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .exact import enumerable, mm_answers
 from .graph_core import StochasticGraph, mask_bits, mask_dtype, mask_edges, sample_masks
-from .mwm import mm_edge_mask
+from .mwm import mm_edge_masks
 from .parallel import BLOCK_LEN, rng_from
 
 _TAG_COVERAGE = 0x5152
@@ -47,14 +48,16 @@ def plan_round_masks(g: StochasticGraph, t: int, rng: np.random.Generator) -> np
     the stream row by row, so for a fixed generator state the first rounds
     of a larger ``t`` are exactly the rounds of a smaller one (nested plans).
     On an enumerable graph the rounds are gathered from :func:`mm_answers`,
-    and only masks it lacks (probability product 0.0) go to the oracle.
+    and only masks it lacks (probability product 0.0) go to
+    :func:`mm_edge_masks`, which answers every other graph's rounds.
     """
     drawn = sample_masks(g, rng, t)
     if not enumerable(g):
-        return np.array([mm_edge_mask(g, mask) for mask in drawn.tolist()], dtype=drawn.dtype)
+        return mm_edge_masks(g, drawn)
     rounds = mm_answers(g)[drawn]
-    for i in np.flatnonzero(rounds < 0).tolist():
-        rounds[i] = mm_edge_mask(g, int(drawn[i]))
+    missing = rounds < 0
+    if missing.any():
+        rounds[missing] = mm_edge_masks(g, drawn[missing])
     return rounds
 
 

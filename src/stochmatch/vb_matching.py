@@ -69,12 +69,12 @@ def attenuation_g(y: float) -> float:
 
 class VBBlock(NamedTuple):
     """Outcomes of a block of runs: per run, the matched, alive and activated
-    masks (Python ints); for the whole block, the number of clipped
-    batches."""
+    masks, as arrays of :func:`graph_core.mask_dtype` ``(max(n, m))``; for
+    the whole block, the number of clipped batches."""
 
-    matching: list[int]
-    alive: list[int]
-    activated: list[int]
+    matching: np.ndarray
+    alive: np.ndarray
+    activated: np.ndarray
     clip_events: int
 
 
@@ -257,7 +257,7 @@ def run_vb(law: ActivationLaw, perms, reals: Sequence[int], uniforms) -> VBBlock
         touched[activated & edge_bit[e] != 0] |= vertex_bit[u] | vertex_bit[v]
     assert np.array_equal(alive, everyone & ~touched)
     assert not np.any(mc & ~(crucial_mask & revealed_bits))
-    return VBBlock(mc.tolist(), alive.tolist(), activated.tolist(), clip_events)
+    return VBBlock(mc, alive, activated, clip_events)
 
 
 # ---------------------------------------------------------------------------

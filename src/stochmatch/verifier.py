@@ -10,7 +10,6 @@ themselves.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -310,11 +309,11 @@ def check_negative_association(gadget: Gadget, trials: int, seed: int) -> CheckR
 def _z_block(law: ActivationLaw, support: tuple, h_values: tuple, n: int,
              seed: int, block: int, count: int):
     rng = rng_from(seed, _TAG_Z, block)
-    outcomes: dict = {}  # alive vertex mask -> row of `rows`
-    runs = [outcomes.setdefault(alive, len(outcomes))
-            for alive in run_vb(law, *draw_run_inputs(law, rng, count)).alive]
+    # the distinct alive vertex masks, and for each run the row of its mask
+    outcomes, runs = np.unique(run_vb(law, *draw_run_inputs(law, rng, count)).alive,
+                               return_inverse=True)
     rows = np.zeros((len(outcomes), n))
-    for alive, i in outcomes.items():
+    for i, alive in enumerate(outcomes.tolist()):
         for (u, v), h in zip(support, h_values):
             if (alive >> u) & 1:
                 rows[i, v] += h
@@ -371,7 +370,7 @@ def _y_block(g: StochasticGraph, tables: PipelineTables, t: int, seed: int,
     real_masks = sample_masks(g, rng, count, scope=mask_edges(noncrucial))
     outcomes: dict = {}  # (queried non-crucial edges, alive vertices) masks -> row of `rows`
     runs = [outcomes.setdefault(key, len(outcomes))
-            for key in zip((q_masks & real_masks).tolist(), alive)]
+            for key in zip((q_masks & real_masks).tolist(), alive.tolist())]
     rows = np.zeros((len(outcomes), g.n))
     for (queried, alive), i in outcomes.items():
         for e in mask_edges(queried):
@@ -452,7 +451,7 @@ def _log_joint_block(law: ActivationLaw, perm: tuple, u: int, w: int, seed: int,
                      block: int, count: int) -> dict:
     rng = rng_from(seed, _TAG_IND, block)
     g = law.graph
-    activated = Counter(run_vb(law, *draw_run_inputs(law, rng, count, perm)).activated)
+    activated = Counter(run_vb(law, *draw_run_inputs(law, rng, count, perm)).activated.tolist())
     position = {v: i for i, v in enumerate(perm)}
     # the edges of each vertex's batch: its crucial edges to earlier arrivals
     batches = {x: [e for e in mask_edges(law.crucial_mask) if x in g.endpoints(e)
@@ -557,10 +556,6 @@ def default_suite(trials: int = 20_000, seed: int = 2024,
         reports.append(check_negative_association(
             positive_covariance_control(), trials, seed + 7))
     return reports
-
-
-def reports_to_json(reports: list[CheckReport]) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=2, sort_keys=True)
 
 
 def format_report_table(reports: list[CheckReport]) -> str:

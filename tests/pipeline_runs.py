@@ -16,6 +16,7 @@ import numpy as np
 
 from stochmatch import augmenter
 from stochmatch.graph_core import sample_masks
+from stochmatch.mwm import mm_edge_mask
 from stochmatch.parallel import iter_blocks, rng_from
 from stochmatch.sparsifier import plan_round_masks
 from stochmatch.vb_matching import draw_run_inputs
@@ -57,8 +58,9 @@ def point_runs(g, tables, t, runs, seed):
     """``(ReferenceRun, f, m_n)`` of runs ``0..runs-1`` at the sweep point ``t``."""
     tables = dataclasses.replace(tables, law=RecordedLaw(tables.law))
     for r, (real_mask, vb, q_mask) in enumerate(reference_runs(g, tables, seed, runs, t)):
-        [(_record, f, m_n)] = augmenter._pipeline_run(g, tables, (q_mask,), r, real_mask,
-                                                      vb.matching, vb.alive)
+        [(_record, f, m_n)] = augmenter._pipeline_run(
+            g, tables, (q_mask,), r, real_mask, vb.matching, vb.alive,
+            mm_edge_mask(g, real_mask), (mm_edge_mask(g, q_mask & real_mask),))
         yield vb, f, m_n
 
 

@@ -27,7 +27,7 @@ from stochmatch.graph_core import (
     mask_weight,
     weight_of,
 )
-from stochmatch.mwm import GraphView, max_weight_matching
+from stochmatch.mwm import GraphView, max_weight_matching, mm_edge_mask
 from stochmatch.parallel import BLOCK_LEN, rng_from, worker_pool
 from stochmatch.sparsifier import classify_edges
 from stochmatch.vb_matching import run_vb
@@ -406,8 +406,10 @@ def assert_matches_reference(g, tables, sweep, runs, seed):
     inputs = [list(reference_runs(g, tables, seed, runs, res.t)) for res in sweep]
     for r in range(runs):
         real_mask, vb, _q_mask = inputs[0][r]
-        points = augmenter._pipeline_run(g, tables, [point[r][2] for point in inputs], r,
-                                         real_mask, vb.matching, vb.alive)
+        q_masks = [point[r][2] for point in inputs]
+        points = augmenter._pipeline_run(
+            g, tables, q_masks, r, real_mask, vb.matching, vb.alive,
+            mm_edge_mask(g, real_mask), [mm_edge_mask(g, q & real_mask) for q in q_masks])
         for res, point, (record, f, m_n) in zip(sweep, inputs, points):
             ref, ref_f, ref_m_n = reference_run(g, tables, r, *point[r])
             assert res.runs[r] == record == ref

@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 
 import numpy as np
@@ -205,15 +206,24 @@ def test_enumeration_equals_per_mask_loop_bit_for_bit(g):
 
 
 def test_exact_tables_ask_the_oracle_once_per_positive_mask(monkeypatch):
-    # every oracle query, from any module, goes through the memo function
+    # every oracle query, from any module, is a mask given to one of the
+    # public entry points; the batched one is asked about each mask of its array
     asked = Counter()
-    memo = mwm._memo_mask
 
-    def counting(g, mask):
-        asked[mask] += 1
-        return memo(g, mask)
+    def counting(entry, queried):
+        def wrapper(*args):
+            asked.update(queried(*args))
+            return entry(*args)
+        return wrapper
 
-    monkeypatch.setattr(mwm, "_memo_mask", counting)
+    entries = {"mm_edge_masks": lambda g, masks: masks.tolist(),
+               "mm_edge_mask": lambda g, mask: [mask],
+               "max_weight_matching": lambda view: [view.effective_mask]}
+    for name, queried in entries.items():
+        entry = getattr(mwm, name)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("stochmatch") and getattr(module, name, None) is entry:
+                monkeypatch.setattr(module, name, counting(entry, queried))
     for make_gadget, positive in ((shared_tie_fixture, 1), (three_path, 8)):
         asked.clear()
         g = make_gadget().graph  # its law is enumerated here, with the oracle counted

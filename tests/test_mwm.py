@@ -4,9 +4,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stochmatch import mwm
-from stochmatch.gadgets import benchmark_6v8e
+from stochmatch.gadgets import benchmark_6v8e, shared_tie_fixture
 from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph, mask_weight, weight_of
-from stochmatch.mwm import GraphView, brute_force_mwm, max_weight_matching, mm_edge_mask
+from stochmatch.mwm import (
+    GraphView,
+    brute_force_mwm,
+    max_weight_matching,
+    mm_edge_mask,
+    mm_edge_masks,
+)
 
 
 def graph(n, weighted_edges):
@@ -240,3 +246,74 @@ def test_memo_is_cleared_at_its_cap(monkeypatch):
         assert bits == mwm._solve_networkx(g, mask)
         assert max_weight_matching(GraphView(g, mask)).as_mask() == bits
         assert all(type(k) is int and type(v) is int for k, v in g._caches["mm"].items())
+
+
+# ---------------------------------------------------------------------------
+# mm_edge_masks: the batched table scan against the per-mask answers
+
+
+def assert_batch_equals_per_mask(g, masks):
+    """``mm_edge_masks`` equals ``mm_edge_mask`` and networkx mask by mask,
+    and the brute force wherever the optimum is untied."""
+    answers = mm_edge_masks(g, masks)
+    assert answers.dtype == masks.dtype and answers.shape == masks.shape
+    answers = answers.tolist()
+    assert answers == [mm_edge_mask(g, mask) for mask in masks.tolist()]
+    for mask, bits in zip(masks.tolist(), answers):
+        assert bits == mwm._solve_networkx(g, mask), mask
+        weights = sorted((mask_weight(g, row) for row in range(1 << g.m)
+                          if row & ~mask == 0 and is_matching(g, row)), reverse=True)
+        if len(weights) == 1 or weights[0] - weights[1] > 1e-9:
+            assert bits == brute_force_mwm(GraphView(g, mask)).as_mask(), mask
+
+
+@st.composite
+def graphs_and_mask_arrays(draw):
+    g, _masks = draw(graphs_and_masks())
+    masks = draw(st.lists(st.integers(0, g.full_mask), max_size=24))
+    repeats = draw(st.lists(st.sampled_from(masks), max_size=8)) if masks else []
+    order = draw(st.permutations(masks + repeats))
+    return g, np.array(order, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graphs_and_mask_arrays(), st.integers(1, 5))
+def test_mm_edge_masks_equals_per_mask_answers(case, per_chunk):
+    # duplicates, the empty array, ties and zero weights, and chunks of
+    # 1 to 5 masks, so the distinct masks cross chunk boundaries
+    g, masks = case
+    rows, _weights = mwm.matching_table(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mwm, "SCAN_CELLS", per_chunk * len(rows))
+        assert_batch_equals_per_mask(g, masks)
+
+
+def test_mm_edge_masks_on_the_tie_fixtures_in_one_chunk():
+    zero_weight = graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.0), (0, 3, 2.0)])
+    for g in (shared_tie_fixture().graph, benchmark_6v8e().graph, zero_weight):
+        masks = np.arange(1 << g.m, dtype=np.int64)
+        assert_batch_equals_per_mask(g, np.concatenate([masks[::-1], masks[:5]]))
+    assert mm_edge_masks(zero_weight, np.zeros(0, dtype=np.int64)).tolist() == []
+
+
+def test_mm_edge_masks_without_a_table(monkeypatch):
+    over_cap = gen_random_graph(8, 0.6, {"name": "uniform", "low": 0.1, "high": 2.0},
+                                {"name": "constant", "value": 0.5}, seed=6)
+    masks = np.arange(0, 1 << over_cap.m, 97, dtype=np.int64)
+    expected = [mm_edge_mask(over_cap, mask) for mask in masks.tolist()]
+    monkeypatch.setattr(mwm, "TABLE_MAX_MATCHINGS", 16)
+    g = gen_random_graph(8, 0.6, {"name": "uniform", "low": 0.1, "high": 2.0},
+                         {"name": "constant", "value": 0.5}, seed=6)  # a fresh copy
+    answers = mm_edge_masks(g, np.concatenate([masks, masks[:3]]))
+    assert g._caches["mm_table"] is None
+    assert answers.dtype == np.int64 and answers.tolist() == expected + expected[:3]
+
+    wide = gen_random_graph(12, 1.0, {"name": "uniform", "low": 0.1, "high": 2.0},
+                            {"name": "uniform", "low": 0.3, "high": 0.9}, seed=5)
+    assert wide.m == 66 and mwm.matching_table(wide) is None
+    masks = np.array([wide.full_mask, 0, (1 << 65) | 1, wide.full_mask], dtype=object)
+    answers = mm_edge_masks(wide, masks)
+    assert answers.dtype == object and answers.shape == (4,)
+    assert answers.tolist() == [mwm._solve_networkx(wide, mask) for mask in masks.tolist()]
+    assert all(type(bits) is int for bits in answers.tolist())

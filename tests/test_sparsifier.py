@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from stochmatch import estimator, mwm, sparsifier, verifier
+from stochmatch import augmenter, estimator, exact, mwm, sparsifier, verifier
 from stochmatch.exact import exact_x, mm_answers, realizations
 from stochmatch.gadgets import (
     benchmark_6v8e,
@@ -15,6 +15,7 @@ from stochmatch.gadgets import (
 from stochmatch.graph_core import (
     WEIGHT_TIE_TOL,
     Edge,
+    Params,
     StochasticGraph,
     gen_random_graph,
     make_matching,
@@ -323,13 +324,53 @@ def test_gathered_rounds_make_no_oracle_call(monkeypatch):
     answers = mm_answers(g)
     assert (answers >= 0).all()  # every mask has positive probability
 
-    def no_oracle(g, mask):
-        raise AssertionError(f"oracle asked about mask {mask}")
+    def no_oracle(g, masks):
+        raise AssertionError(f"oracle asked about masks {masks}")
 
-    monkeypatch.setattr(sparsifier, "mm_edge_mask", no_oracle)
+    monkeypatch.setattr(sparsifier, "mm_edge_masks", no_oracle)
     rounds = plan_round_masks(g, 500, rng_from(12))
     assert rounds.tolist() == answers[sample_masks(g, rng_from(12), 500)].tolist()
     assert len(list(draw_plans(g, 16, rng_from(12), 300))) == 300
+
+
+def test_batched_answers_make_no_per_mask_oracle_call(monkeypatch):
+    # 19 edges: not enumerable, but a 589-row matching table with no tied
+    # optimum among the drawn masks, so every batched answer is a table scan
+    g = gen_random_graph(12, 0.3, {"name": "uniform", "low": 0.1, "high": 2.0},
+                         {"name": "uniform", "low": 0.3, "high": 0.9}, seed=3)
+    assert not exact.enumerable(g) and len(mwm.matching_table(g)[0]) == 589
+    memo = mwm._memo_mask
+    stages = []  # the rounding and the crucial scheme ask one mask per run
+
+    def per_mask(g_, mask):
+        if not stages:
+            raise AssertionError(f"per-mask oracle call for mask {mask}")
+        return memo(g_, mask)
+
+    def allowed(stage):
+        def wrapper(*args):
+            stages.append(stage)
+            try:
+                return stage(*args)
+            finally:
+                stages.pop()
+        return wrapper
+
+    conditionals = []
+    y_conditional = estimator.estimate_y_conditional
+    monkeypatch.setattr(estimator, "estimate_y_conditional",
+                        lambda *args: conditionals.append(args) or y_conditional(*args))
+    monkeypatch.setattr(mwm, "_memo_mask", per_mask)
+    monkeypatch.setattr(augmenter, "round_fractional", allowed(augmenter.round_fractional))
+    monkeypatch.setattr(augmenter, "combine", allowed(augmenter.combine))
+    # x, y, y' (through the pair-alive runs) and the plans of q
+    tables = augmenter.build_tables_monte_carlo(
+        g, Params.for_graph(g, 0.2, 1 / 576.0), 8, seed=1, tau=0.05, x_trials=1000,
+        q_trials=200, pair_trials=80, cond_trials=40)
+    assert isinstance(tables.law, estimator.MonteCarloConditional) and conditionals
+    sweep = augmenter.end_to_end(g, tables, [1, 2, 4, 8, None], 200, seed=2)
+    assert [len(res.runs) for res in sweep] == [200] * 5
+    assert len(draw_plans(g, 8, rng_from(3), 300)) == 300
 
 
 # ---------------------------------------------------------------------------
