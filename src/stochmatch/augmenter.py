@@ -9,6 +9,17 @@ taking an exact maximum-weight matching on its support (which dominates the
 integral matching the small-values regime guarantees), and the final answer
 is the heavier of that augmented matching and the plain maximum-weight
 matching of the realized crucial plan edges.
+
+Each stage runs on a block of runs at a time, one run per row of int64 mask
+arrays (Python ints in ``object`` arrays past 63 edges or vertices):
+:func:`_fractional_block` accumulates the vertex degrees edge by edge,
+the rounding is one :func:`mwm.mm_edge_masks` call on the support masks,
+and :func:`_combine_block` answers the crucial scheme with one more and
+checks the augmented union for overlaps on arrays.  The sweep,
+:func:`end_to_end`, runs each stage once per block on the rows of every
+sweep point.  :func:`build_fractional`, :func:`round_fractional` and
+:func:`combine` run one pipeline run: each is the block stage on a block
+of one row.
 """
 
 from __future__ import annotations
@@ -23,8 +34,11 @@ from .graph_core import (
     FractionalMatching,
     Params,
     StochasticGraph,
+    mask_bits,
+    mask_dtype,
     mask_edges,
-    mask_weight,
+    mask_weights,
+    pack_masks,
     sample_masks,
 )
 from .estimator import (
@@ -34,7 +48,7 @@ from .estimator import (
     estimate_x,
     estimate_y,
 )
-from .mwm import mm_edge_mask, mm_edge_masks
+from .mwm import mm_edge_masks
 from .parallel import BLOCK_LEN, rng_from, run_blocks
 from .sparsifier import EdgeClasses, classify_edges, plan_round_masks
 from .vb_matching import ActivationLaw, draw_run_inputs, exact_vb_enumeration, run_vb
@@ -97,48 +111,25 @@ def build_fractional(
 
     ``q_mask`` is the query plan's edge mask, ``real_mask`` the true
     realization's and ``alive`` the vertex mask of the variance-bounding
-    run's alive set.  Zeroing is simultaneous: degrees are computed once on the
-    pre-zeroing vector and every vertex over the cap has all incident values
-    dropped.
+    run's alive set.  A block of one row of :func:`_fractional_block`.
     """
-    gamma = params.gamma
-    edges = g.edges
-    pre: dict[int, float] = {}
-    degree = [0.0] * g.n
-    for e in mask_edges(classes.noncrucial_mask & q_mask & real_mask):
-        u, v, _w, _p = edges[e]
-        if not (alive >> u) & 1 or not (alive >> v) & 1:
-            continue
-        value = gamma * g_table[e]
-        if value > 0.0:
-            pre[e] = value
-            degree[u] += value
-            degree[v] += value
-
-    overloaded = 0
-    for v, d in enumerate(degree):
-        if d > 1.0 + _DEGREE_TOL:
-            overloaded |= 1 << v
-
-    final = {}
-    for e, value in pre.items():
-        u, v, _w, _p = edges[e]
-        if not (overloaded >> u) & 1 and not (overloaded >> v) & 1:
-            final[e] = min(value, 1.0)
-
-    f = FractionalMatching(values=final, parent=g.token)
-    return f, SurvivalRecord(graph=g, overloaded_mask=overloaded)
+    values, support, overloaded = _fractional_block(
+        g, classes, g_table, params.gamma, _row(q_mask, g.m), _row(real_mask, g.m),
+        _row(alive, max(g.n, g.m)))
+    f = FractionalMatching(values={e: values[e] for e in mask_edges(support.tolist()[0])},
+                           parent=g.token)
+    return f, SurvivalRecord(graph=g, overloaded_mask=pack_masks(overloaded).tolist()[0])
 
 
 def round_fractional(g: StochasticGraph, f: FractionalMatching) -> int:
     """Edge mask of the exact maximum-weight matching on the support of the
-    fractional vector.
+    fractional vector: one :func:`mwm.mm_edge_masks` call on a row.
 
     In the small-values regime (every value at most eps^3) an integral
     matching of weight (1 - eps/2) * f.w exists inside the support, and the
     exact matching dominates it, so callers can gate that bound per run.
     """
-    return mm_edge_mask(g, f.support_mask())
+    return mm_edge_masks(g, _row(f.support_mask(), g.m)).tolist()[0]
 
 
 def combine(
@@ -154,26 +145,94 @@ def combine(
 
     ``q_mask``, ``real_mask``, ``vb_matching`` and ``m_n`` are the edge
     masks of the query plan, the true realization, the variance-bounding
-    run's matching and the rounded non-crucial matching.  Scheme
-    "crucial": maximum-weight matching over realized crucial plan edges.
-    Scheme "augmented": the variance-bounding matching restricted to the
-    plan, together with the rounded non-crucial matching.  The union in the
-    augmented scheme is disjoint by construction (the non-crucial side only
-    touches alive vertices, which the crucial matching left unmatched); a
-    conflict would mean a broken invariant and raises.
+    run's matching and the rounded non-crucial matching.  A block of one row
+    of :func:`_combine_block`.
     """
-    scheme_a = mm_edge_mask(g, classes.crucial_mask & q_mask & real_mask)
-    scheme_b = (vb_matching & q_mask) | m_n
-    used = 0
-    for e in mask_edges(scheme_b):
+    alg, augmented, _weight = _combine_block(
+        g, classes, *(_row(mask, g.m) for mask in (q_mask, real_mask, vb_matching, m_n)))
+    return alg.tolist()[0], "augmented" if augmented[0] else "crucial"
+
+
+def _row(mask: int, width: int) -> np.ndarray:
+    """A block of one row: ``mask`` in an array of :func:`mask_dtype` ``(width)``."""
+    return np.array([mask], dtype=mask_dtype(width))
+
+
+def _fractional_block(g, classes, g_table, gamma, q, real, alive):
+    """The fractional stage of a block of runs, one run per row of the plan,
+    realization and alive-set mask arrays ``q``, ``real`` and ``alive``.
+
+    A non-crucial edge is eligible in a run when it is in the plan and the
+    realization and both its endpoints are alive; it gets the value
+    ``gamma * g_table[e]``, the same in every run.  Each vertex degree is
+    accumulated edge by edge in ascending edge order, adding 0.0 where the
+    edge is not eligible, so it is the same float as a per-run sum over the
+    eligible edges: a matmul or an axis sum would reorder the additions and
+    could flip the overload test.  Zeroing is simultaneous: every vertex
+    whose degree exceeds ``1 + _DEGREE_TOL`` drops all its incident values.
+
+    Returns each edge's value after zeroing, capped at one (0.0 for edges
+    never eligible), the edge masks of each run's support, and the
+    ``(count, n)`` bool array of overloaded vertices.
+    """
+    noncrucial = classes.noncrucial()
+    eligible = mask_bits(q & real & classes.noncrucial_mask, noncrucial).astype(bool)
+    alive = mask_bits(alive, range(g.n)).astype(bool)
+    values = np.zeros(g.m)
+    pre = np.zeros((len(q), g.m), dtype=bool)
+    degree = np.zeros((len(q), g.n))
+    for j, e in enumerate(noncrucial):
         u, v, _w, _p = g.edges[e]
-        ends = (1 << u) | (1 << v)
-        if used & ends:
-            raise RuntimeError(f"combiner invariant breach: overlap at edge {e}")
-        used |= ends
-    if mask_weight(g, scheme_b) > mask_weight(g, scheme_a):
-        return scheme_b, "augmented"
-    return scheme_a, "crucial"
+        in_run = eligible[:, j] & alive[:, u] & alive[:, v]
+        if not in_run.any():
+            continue
+        value = gamma * g_table[e]
+        if value > 0.0:
+            values[e] = min(value, 1.0)
+            pre[:, e] = in_run
+            added = np.where(in_run, value, 0.0)
+            degree[:, u] += added
+            degree[:, v] += added
+    overloaded = degree > 1.0 + _DEGREE_TOL
+    ends = np.array([(u, v) for u, v, _w, _p in g.edges], dtype=np.intp).reshape(-1, 2)
+    support = pre & ~overloaded[:, ends].any(axis=2)
+    return values, pack_masks(support), overloaded
+
+
+def _combine_block(g, classes, q, real, vb_matching, m_n):
+    """The combiner of a block of runs, one run per row of the edge mask
+    arrays of the plan, the realization, the variance-bounding matching and
+    the rounded non-crucial matching.
+
+    Scheme "crucial": the maximum-weight matching of the realized crucial
+    plan edges, one :func:`mwm.mm_edge_masks` call.  Scheme "augmented": the
+    variance-bounding matching restricted to the plan, together with the
+    rounded non-crucial matching.  That union is disjoint by construction
+    (the non-crucial side only touches alive vertices, which the crucial
+    matching left unmatched); a run whose union puts an edge on a vertex an
+    earlier edge covers is a broken invariant and raises, naming the edge
+    of the first such run.  A run takes the augmented scheme when it weighs
+    more.  Returns each run's winning edge mask, whether it is the augmented
+    one, and its weight.
+    """
+    crucial = mm_edge_masks(g, q & real & classes.crucial_mask)
+    augmented = (np.asarray(vb_matching, dtype=q.dtype) & q) | m_n
+    bits = mask_bits(augmented, range(g.m)).astype(bool)
+    covered = np.zeros((len(q), g.n), dtype=bool)
+    overlap = np.zeros_like(bits)
+    for e, (u, v, _w, _p) in enumerate(g.edges):
+        overlap[:, e] = bits[:, e] & (covered[:, u] | covered[:, v])
+        covered[:, u] |= bits[:, e]
+        covered[:, v] |= bits[:, e]
+    breach = np.flatnonzero(overlap.any(axis=1))
+    if breach.size:
+        e = int(overlap[breach[0]].argmax())
+        raise RuntimeError(f"combiner invariant breach: overlap at edge {e}")
+    crucial_weight = mask_weights(g, crucial)
+    augmented_weight = mask_weights(g, augmented)
+    wins = augmented_weight > crucial_weight
+    return (np.where(wins, augmented, crucial), wins,
+            np.where(wins, augmented_weight, crucial_weight))
 
 
 # ---------------------------------------------------------------------------
@@ -322,49 +381,6 @@ class E2EResult:
         return float(np.sqrt(np.mean(resid**2) / n) / b_mean)
 
 
-def _pipeline_run(
-    g: StochasticGraph,
-    tables: PipelineTables,
-    q_masks: Sequence[int],
-    run_index: int,
-    real_mask: int,
-    vb_matching: int,
-    alive: int,
-    mmg_mask: int,
-    mmq_masks: Sequence[int],
-) -> list[tuple[RunRecord, FractionalMatching, int]]:
-    """Run ``run_index`` at every sweep point, given each point's plan mask
-    in ``q_masks``, its realization, its variance-bounding run's matching
-    and alive masks, and the maximum-weight matchings of the realization
-    (``mmg_mask``) and of each point's queried edges (``mmq_masks``, the
-    MM of ``q_mask & real_mask``).
-
-    Per point it returns the record, the fractional vector and the edge mask
-    of its rounding.  Points whose plans are equal share one result.
-    """
-    mmg = mask_weight(g, mmg_mask)
-    by_plan: dict[int, tuple[RunRecord, FractionalMatching, int]] = {}
-    points = []
-    for q_mask, mmq_mask in zip(q_masks, mmq_masks):
-        point = by_plan.get(q_mask)
-        if point is None:
-            f, _survival = build_fractional(
-                g, tables.classes, q_mask, real_mask, alive, tables.g_table, tables.params,
-            )
-            m_n = round_fractional(g, f)
-            alg, scheme = combine(g, q_mask, real_mask, vb_matching, m_n, tables.classes)
-            record = RunRecord(
-                run=run_index,
-                alg_weight=mask_weight(g, alg),
-                mmq_weight=mask_weight(g, mmq_mask),
-                mmg_weight=mmg,
-                scheme=scheme,
-            )
-            point = by_plan[q_mask] = (record, f, m_n)
-        points.append(point)
-    return points
-
-
 def _e2e_block(g, tables, ts, seed, block, count):
     rng = rng_from(seed, _TAG_E2E, block)
     perms, reals, uniforms = draw_run_inputs(tables.law, rng, count)
@@ -377,18 +393,30 @@ def _e2e_block(g, tables, ts, seed, block, count):
         union = union | plan_round_masks(g, count, rng)
         if j in ts:
             plans[j] = union
-    mmg = mm_edge_masks(g, reals)
-    q_masks = [plans[t].tolist() for t in ts]
-    mmq_masks = [(mmg if t is None else mm_edge_masks(g, plans[t] & reals)).tolist() for t in ts]
-    runs = zip(reals.tolist(), vb.matching.tolist(), vb.alive.tolist(), mmg.tolist(),
-               zip(*q_masks), zip(*mmq_masks))
-    records = [[] for _ in ts]
-    for k, (real_mask, vb_matching, alive, mmg_mask, q_row, mmq_row) in enumerate(runs):
-        points = _pipeline_run(g, tables, q_row, block * BLOCK_LEN + k, real_mask, vb_matching,
-                               alive, mmg_mask, mmq_row)
-        for recs, (record, _f, _m_n) in zip(records, points):
-            recs.append(record)
-    return records
+    # Every stage runs once on the block's rows of all points, point-major.
+    q = np.concatenate([plans[t] for t in ts])
+    real = np.tile(reals, len(ts))
+    _values, support, _overloaded = _fractional_block(
+        g, tables.classes, tables.g_table, tables.params.gamma, q, real,
+        np.tile(vb.alive, len(ts)))
+    m_n = mm_edge_masks(g, support)
+    _alg, augmented, alg = _combine_block(
+        g, tables.classes, q, real, np.tile(vb.matching, len(ts)), m_n)
+    mmq = mask_weights(g, mm_edge_masks(g, q & real))
+    mmg = mask_weights(g, mm_edge_masks(g, reals)).tolist()
+    schemes = np.where(augmented, "augmented", "crucial")
+    run_indices = range(block * BLOCK_LEN, block * BLOCK_LEN + count)
+    shape = (len(ts), count)
+    points = zip(alg.reshape(shape).tolist(), mmq.reshape(shape).tolist(),
+                 schemes.reshape(shape).tolist())
+    return [list(map(RunRecord, run_indices, alg_t, mmq_t, mmg, schemes_t))
+            for alg_t, mmq_t, schemes_t in points]
+
+
+def _is_count(value) -> bool:
+    """An int that is not a bool: JSON true/false are bools, which Python
+    also counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def end_to_end(
@@ -410,13 +438,13 @@ def end_to_end(
     order of ``ts``, holding each run's weights and winning scheme.
     """
     ts = tuple(ts)
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    if not _is_count(runs) or runs < 1:
+        raise ValueError(f"runs must be an int >= 1, got {runs!r}")
     if not ts:
         raise ValueError("ts must hold at least one sweep point")
     for t in ts:
-        if t is not None and t < 0:
-            raise ValueError(f"plan round count must be >= 0, got {t}")
+        if t is not None and (not _is_count(t) or t < 0):
+            raise ValueError(f"a sweep point must be None or an int >= 0, got {t!r}")
     parts = run_blocks(_e2e_block, (g, tables, ts, seed), runs)
     return [E2EResult(t=t, runs=[record for block in parts for record in block[i]])
             for i, t in enumerate(ts)]

@@ -182,6 +182,19 @@ def mask_weight(g: StochasticGraph, mask: int) -> float:
     return total
 
 
+def mask_weights(g: StochasticGraph, masks: np.ndarray) -> np.ndarray:
+    """:func:`mask_weight` of every mask of an array, as a float array.
+
+    The totals are summed one edge at a time in ascending edge order, adding
+    0.0 where an edge is absent, so each equals :func:`mask_weight` bit for
+    bit.
+    """
+    totals = np.zeros(len(masks))
+    for e, bit in enumerate(mask_bits(masks, range(g.m)).T):
+        totals += bit * g.edges[e].w
+    return totals
+
+
 @dataclass(frozen=True)
 class FractionalMatching:
     """Per-edge values in [0, 1].
@@ -275,10 +288,8 @@ def sample_masks(g: StochasticGraph, rng: np.random.Generator, count: int,
     Each edge in ``scope`` (default: every edge) is drawn with its
     probability; edges outside it stay 0.  The draw is one
     ``rng.random((count, len(scope)))`` consumed row by row, so a batch reads
-    the generator exactly as ``count`` sequential calls with ``count=1`` do.
-    Up to 63 edges a row's bits are summed into one int64; past that they
-    are packed into 64-bit words, which are joined into one Python int per
-    row.
+    the generator exactly as ``count`` sequential calls with ``count=1`` do,
+    and each row is packed into a mask by :func:`pack_masks`.
     """
     m = g.m
     if scope is None:
@@ -287,11 +298,22 @@ def sample_masks(g: StochasticGraph, rng: np.random.Generator, count: int,
         cols = np.fromiter(scope, dtype=np.intp)
         bits = np.zeros((count, m), dtype=bool)
         bits[:, cols] = rng.random((count, len(cols))) < g.probs[cols]
-    if mask_dtype(m) is np.int64:
-        return bits.astype(np.int64) @ (1 << np.arange(m, dtype=np.int64))
-    words = -(-m // 64)
+    return pack_masks(bits)
+
+
+def pack_masks(bits: np.ndarray) -> np.ndarray:
+    """Row ``i`` of a ``(count, width)`` bool array as the bit mask of its
+    true columns, in a 1-D array of :func:`mask_dtype` ``(width)``.
+
+    Up to 63 bits a row's bits are summed into one int64; past that they are
+    packed into 64-bit words, which are joined into one Python int per row.
+    """
+    count, width = bits.shape
+    if mask_dtype(width) is np.int64:
+        return bits.astype(np.int64) @ (1 << np.arange(width, dtype=np.int64))
+    words = -(-width // 64)
     packed = np.zeros((count, 8 * words), dtype=np.uint8)
-    packed[:, :-(-m // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    packed[:, :-(-width // 8)] = np.packbits(bits, axis=1, bitorder="little")
     columns = packed.view("<u8").astype(object)
     masks = columns[:, 0]
     for k in range(1, words):

@@ -2,11 +2,11 @@
 
 ``end_to_end`` returns only each run's weights and winning scheme.  The
 degree cap, the rounding bound and the E[f_e] floor are properties of the
-fractional vector ``f`` and its rounding ``m_n``, which
-``augmenter._pipeline_run`` builds for every run from its plan, realization
-and variance-bounding run.  Here those inputs are drawn from the sweep's
-block streams, as the README's stream contract states them, and the run
-comes from the reference implementation.
+fractional vector ``f`` and its rounding ``m_n``, which the sweep builds for
+every run from its plan, realization and variance-bounding run.  Here those
+inputs are drawn from the sweep's block streams, as the README's stream
+contract states them, and the run comes from the per-run reference
+implementations of ``vb_reference`` and ``augment_reference``.
 """
 
 import dataclasses
@@ -14,6 +14,7 @@ import functools
 
 import numpy as np
 
+import augment_reference
 from stochmatch import augmenter
 from stochmatch.graph_core import sample_masks
 from stochmatch.mwm import mm_edge_mask
@@ -58,7 +59,7 @@ def point_runs(g, tables, t, runs, seed):
     """``(ReferenceRun, f, m_n)`` of runs ``0..runs-1`` at the sweep point ``t``."""
     tables = dataclasses.replace(tables, law=RecordedLaw(tables.law))
     for r, (real_mask, vb, q_mask) in enumerate(reference_runs(g, tables, seed, runs, t)):
-        [(_record, f, m_n)] = augmenter._pipeline_run(
+        [(_record, f, m_n)] = augment_reference.pipeline_run(
             g, tables, (q_mask,), r, real_mask, vb.matching, vb.alive,
             mm_edge_mask(g, real_mask), (mm_edge_mask(g, q_mask & real_mask),))
         yield vb, f, m_n

@@ -32,6 +32,7 @@ from stochmatch.parallel import BLOCK_LEN, rng_from, worker_pool
 from stochmatch.sparsifier import classify_edges
 from stochmatch.vb_matching import run_vb
 
+import augment_reference
 from pipeline_runs import f_weight, max_load, mean_f, point_runs, reference_runs
 
 
@@ -308,14 +309,14 @@ def test_monte_carlo_tables_agree_with_exact():
     assert 0.5 <= res.ratio <= 1.0
 
 
-def generated_mc_tables(t, seed):
+def generated_mc_tables(t, seed, tau=0.05):
     """Monte Carlo tables at the ``generated_mc`` benchmark's graph and
     budgets: 19 edges, past the enumeration cap, so y' is resampled per
     batch."""
     g = gen_random_graph(12, 0.3, {"name": "uniform", "low": 0.1, "high": 2.0},
                          {"name": "uniform", "low": 0.3, "high": 0.9}, seed=3)
     assert g.m == 19
-    tables = build_tables_monte_carlo(g, params_for(g), t, seed=seed, tau=0.05,
+    tables = build_tables_monte_carlo(g, params_for(g), t, seed=seed, tau=tau,
                                       x_trials=1000, q_trials=200, pair_trials=80,
                                       cond_trials=40)
     assert isinstance(tables.law, MonteCarloConditional)
@@ -362,10 +363,10 @@ SWEEP = [1, 2, 4, 8, None]
 
 
 def reference_run(g, tables, run_index, real_mask, vb, q_mask):
-    """One pipeline run on its own inputs, as a one-point call builds it: its
-    record, fractional vector and rounding."""
-    f, _survival = build_fractional(g, tables.classes, q_mask, real_mask, vb.alive,
-                                    tables.g_table, tables.params)
+    """One pipeline run on its own inputs, through the one-row entry points:
+    its record, fractional vector, rounding and survival record."""
+    f, survival = build_fractional(g, tables.classes, q_mask, real_mask, vb.alive,
+                                   tables.g_table, tables.params)
     m_n = round_fractional(g, f)
     alg, scheme = combine(g, q_mask, real_mask, vb.matching, m_n, tables.classes)
     mmq = weight_of(max_weight_matching(GraphView(g, q_mask & real_mask)), g)
@@ -374,7 +375,7 @@ def reference_run(g, tables, run_index, real_mask, vb, q_mask):
         run=run_index, alg_weight=mask_weight(g, alg), mmq_weight=mmq, mmg_weight=mmg,
         scheme=scheme,
     )
-    return record, f, m_n
+    return record, f, m_n, survival
 
 
 def assert_same_point(a, b):
@@ -400,21 +401,31 @@ def exact_tables(gadget):
 
 
 def assert_matches_reference(g, tables, sweep, runs, seed):
-    """Every run of every point, with its fractional vector and rounding as
-    the sweep builds them, equals the reference run."""
+    """Every run of every point of the sweep equals the per-run reference of
+    ``augment_reference`` and the one-row entry points: its record, its
+    fractional vector, its rounding and its zeroed vertices.  Returns the
+    number of augmented runs and of zeroed vertices over all points."""
     assert [len(res.runs) for res in sweep] == [runs] * len(sweep)
     inputs = [list(reference_runs(g, tables, seed, runs, res.t)) for res in sweep]
+    augmented = zeroed = 0
     for r in range(runs):
         real_mask, vb, _q_mask = inputs[0][r]
         q_masks = [point[r][2] for point in inputs]
-        points = augmenter._pipeline_run(
+        points = augment_reference.pipeline_run(
             g, tables, q_masks, r, real_mask, vb.matching, vb.alive,
             mm_edge_mask(g, real_mask), [mm_edge_mask(g, q & real_mask) for q in q_masks])
         for res, point, (record, f, m_n) in zip(sweep, inputs, points):
-            ref, ref_f, ref_m_n = reference_run(g, tables, r, *point[r])
+            ref, ref_f, ref_m_n, survival = reference_run(g, tables, r, *point[r])
             assert res.runs[r] == record == ref
             assert f.values == ref_f.values  # exact float equality, edge by edge
             assert m_n == ref_m_n
+            _f, ref_survival = augment_reference.build_fractional(
+                g, tables.classes, point[r][2], real_mask, vb.alive, tables.g_table,
+                tables.params)
+            assert survival.overloaded_mask == ref_survival.overloaded_mask
+            augmented += record.scheme == "augmented"
+            zeroed += bin(survival.overloaded_mask).count("1")
+    return augmented, zeroed
 
 
 def test_sweep_equals_single_points_across_blocks_and_workers():
@@ -445,6 +456,93 @@ def test_sweep_equals_single_points_with_sampled_conditionals():
     assert_matches_reference(g, tables, sweep, 50, seed=44)
 
 
+def low_p_66e_tables():
+    """Monte Carlo tables on the complete 12-vertex graph: 66 edges, so
+    every mask array is an ``object`` array of Python ints.  Its edges exist
+    with probability 0.05 to 0.3, so no ``x_e`` reaches 0.3; at ``tau`` 0.15
+    8 of them are crucial and both schemes win some runs."""
+    g = gen_random_graph(12, 1.0, {"name": "uniform", "low": 0.1, "high": 2.0},
+                         {"name": "uniform", "low": 0.05, "high": 0.3}, seed=3)
+    assert g.m == 66
+    tables = build_tables_monte_carlo(g, params_for(g), 4, seed=5, tau=0.15, x_trials=300,
+                                      q_trials=60, pair_trials=40, cond_trials=20)
+    assert len(tables.classes.crucial()) == 8
+    return g, tables
+
+
+@pytest.mark.parametrize("build", [lambda: generated_mc_tables(8, seed=45, tau=0.3),
+                                   low_p_66e_tables],
+                         ids=["generated_mc_19e_tau_0.3", "low_p_66e"])
+def test_sweep_matches_reference_where_the_augmented_scheme_wins(build):
+    # At the default tau 0.05 the augmented scheme hardly ever wins on the
+    # generated_mc graph, so records equal to the reference there say little
+    # about the fractional stage and the combiner.  Here both graphs have
+    # augmented runs and zeroed vertices.
+    g, tables = build()
+    sweep = end_to_end(g, tables, [1, 4, None], 150, seed=46)
+    augmented, zeroed = assert_matches_reference(g, tables, sweep, 150, seed=46)
+    assert augmented > 0 and zeroed > 0
+
+
+def star_at_the_overload_bound():
+    """A 10-vertex star whose centre's degree is exactly ``1 + _DEGREE_TOL``
+    when summed in ascending edge order: edge 0 carries that value, and each
+    of the other 8 edges a value below half a unit in the last place of it,
+    which that order rounds away but any sum of two of them does not."""
+    g = graph(10, [(0, leaf, 1.0, 0.5) for leaf in range(1, 10)])
+    params = params_for(g)
+    bound = 1.0 + augmenter._DEGREE_TOL
+    big = bound / params.gamma
+    while params.gamma * big != bound:  # the g value whose gamma * g is the bound
+        big = np.nextafter(big, np.inf if params.gamma * big < bound else 0.0)
+    tiny = 0.75 * 2.0**-53 / params.gamma
+    small = params.gamma * tiny
+    assert bound + small == bound and bound + (small + small) > bound
+    table = {0: big, **{e: tiny for e in range(1, g.m)}}
+    return g, params, classify_edges(np.zeros(g.m), tau=0.5), table
+
+
+def test_fractional_block_sums_degrees_in_edge_order_with_a_strict_bound():
+    # The reference keeps the centre, since the sequential sum equals the
+    # bound; a `>=` test or a sum in any other order would zero it.
+    g, params, classes, table = star_at_the_overload_bound()
+    full = g.full_mask
+    everyone = vertex_mask(range(g.n))
+    rows = [(full, full, everyone), (full, full & ~0b10, everyone), (0b1, full, everyone),
+            (full, full, everyone & ~0b100), (0, full, everyone), (full, full, everyone)]
+    q, real, alive = (np.array(column, dtype=np.int64) for column in zip(*rows))
+    values, support, overloaded = augmenter._fractional_block(
+        g, classes, table, params.gamma, q, real, alive)
+    for k, (q_mask, real_mask, alive_mask) in enumerate(rows):
+        ref_f, ref_survival = augment_reference.build_fractional(
+            g, classes, q_mask, real_mask, alive_mask, table, params)
+        assert support[k] == ref_f.support_mask()
+        assert {e: values[e] for e in mask_edges(int(support[k]))} == ref_f.values
+        assert vertex_mask(np.flatnonzero(overloaded[k])) == ref_survival.overloaded_mask
+    assert ref_survival.overloaded_mask == 0 and ref_f.values[0] == 1.0
+    f, survival = build_fractional(g, classes, full, full, everyone, table, params)
+    assert f.values == ref_f.values and survival.overloaded_mask == 0
+
+
+def test_block_combiner_names_the_first_overlapping_edge():
+    g = graph(4, [(0, 1, 1.0, 0.9), (1, 2, 1.0, 0.9), (2, 3, 1.0, 0.9)])
+    classes = classify_edges(np.array([0.8, 0.8, 0.01]), tau=0.5)
+    # (vb matching, m_n) per run: run 1 overlaps at edge 2, run 3 at edge 1
+    rows = [(0b001, 0b100), (0b010, 0b100), (0b000, 0b100), (0b001, 0b010)]
+    vb, m_n = (np.array(column, dtype=np.int64) for column in zip(*rows))
+    full = np.full(len(rows), g.full_mask, dtype=np.int64)
+    with pytest.raises(RuntimeError, match="combiner invariant breach: overlap at edge 2"):
+        augmenter._combine_block(g, classes, full, full, vb, m_n)
+    ok = [0, 2]
+    alg, augmented, weights = augmenter._combine_block(g, classes, full[ok], full[ok],
+                                                       vb[ok], m_n[ok])
+    for k, row in enumerate(ok):
+        mask, scheme = augment_reference.combine(g, g.full_mask, g.full_mask, *rows[row],
+                                                 classes)
+        assert (alg[k], "augmented" if augmented[k] else "crucial") == (mask, scheme)
+        assert weights[k] == mask_weight(g, mask)
+
+
 @pytest.mark.parametrize("gadget,noncrucial", [(relaxed_suite_8v(), [4, 5, 6]),
                                                (benchmark_6v8e(), [1, 2, 3, 5])],
                          ids=["relaxed_suite_8v", "benchmark_6v8e"])
@@ -472,6 +570,14 @@ def test_end_to_end_rejects_empty_and_negative_sweeps():
         end_to_end(g, tables, [2, -1], 10, seed=1)
     with pytest.raises(ValueError):
         end_to_end(g, tables, [2], 0, seed=1)
+
+
+@pytest.mark.parametrize("ts,runs", [([True], 10), ([2, 2.0], 10), ([2], True), ([2], 10.0)],
+                         ids=["bool_point", "float_point", "bool_runs", "float_runs"])
+def test_end_to_end_rejects_ill_typed_sweeps(ts, runs):
+    gadget = benchmark_6v8e()
+    with pytest.raises(ValueError):
+        end_to_end(gadget.graph, exact_tables(gadget), ts, runs, seed=1)
 
 
 def test_sweep_runs_one_block_call_per_block_equal_to_reference_runs(monkeypatch):
