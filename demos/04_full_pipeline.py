@@ -28,7 +28,7 @@ runs = 3000
 *sweep, control = end_to_end(g, tables, [1, 2, 4, 8, 16, None], runs=runs, seed=17)
 print(f"{'t':>5} {'ratio':>8} {'+-3se':>8} {'alg ratio':>10} {'augmented wins':>15}")
 for res in sweep:
-    aug = sum(1 for r in res.runs if r.scheme == "augmented") / runs
+    aug = res.augmented.mean()
     print(f"{res.t:>5} {res.ratio:>8.4f} {3 * res.ratio_std_err():>8.4f} "
           f"{res.alg_ratio:>10.4f} {aug:>15.3f}")
 

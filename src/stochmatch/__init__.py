@@ -11,7 +11,6 @@ enumeration oracles.
 
 from .augmenter import (
     PipelineTables,
-    RunRecord,
     SurvivalRecord,
     build_fractional,
     build_g_table,

@@ -49,7 +49,7 @@ from .estimator import (
     estimate_y,
 )
 from .mwm import mm_edge_masks
-from .parallel import BLOCK_LEN, rng_from, run_blocks
+from .parallel import rng_from, run_blocks
 from .sparsifier import EdgeClasses, classify_edges, plan_round_masks
 from .vb_matching import ActivationLaw, draw_run_inputs, exact_vb_enumeration, run_vb
 
@@ -331,57 +331,41 @@ def build_tables_monte_carlo(
 # End-to-end pipeline
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    run: int
-    alg_weight: float
-    mmq_weight: float
-    mmg_weight: float
-    scheme: str
-
-    @property
-    def ratio(self) -> float:
-        if self.mmg_weight <= 0.0:
-            return 1.0
-        return self.mmq_weight / self.mmg_weight
-
-
 @dataclass
 class E2EResult:
-    """One sweep point: ``t`` plan rounds, or ``t=None`` for the control."""
+    """One sweep point, ``t`` plan rounds or ``t=None`` for the control, and
+    its per-run arrays in run order: the weights ``alg``, ``mm_Q`` and
+    ``mm_G`` (shared by every point) and whether the augmented scheme won."""
 
     t: int | None
-    runs: list[RunRecord]
+    alg: np.ndarray
+    mm_Q: np.ndarray
+    mm_G: np.ndarray
+    augmented: np.ndarray
 
     @property
     def ratio(self) -> float:
         """Ratio of expectations: sum of plan optima over sum of true optima."""
-        total_g = sum(r.mmg_weight for r in self.runs)
-        if total_g <= 0.0:
-            return 1.0
-        return sum(r.mmq_weight for r in self.runs) / total_g
+        total_g = sum(self.mm_G.tolist())  # in run order: np.sum adds pairwise
+        return 1.0 if total_g <= 0.0 else sum(self.mm_Q.tolist()) / total_g
 
     @property
     def alg_ratio(self) -> float:
-        total_g = sum(r.mmg_weight for r in self.runs)
-        if total_g <= 0.0:
-            return 1.0
-        return sum(r.alg_weight for r in self.runs) / total_g
+        total_g = sum(self.mm_G.tolist())
+        return 1.0 if total_g <= 0.0 else sum(self.alg.tolist()) / total_g
 
     def ratio_std_err(self) -> float:
         """Delta-method standard error of the ratio of sums."""
-        n = len(self.runs)
-        if n < 2:
+        n, b_mean = len(self.mm_G), float(np.mean(self.mm_G))
+        if n < 2 or b_mean <= 0.0:
             return 0.0
-        b_mean = float(np.mean([r.mmg_weight for r in self.runs]))
-        if b_mean <= 0.0:
-            return 0.0
-        ratio = self.ratio
-        resid = np.array([r.mmq_weight - ratio * r.mmg_weight for r in self.runs])
+        resid = self.mm_Q - self.ratio * self.mm_G
         return float(np.sqrt(np.mean(resid**2) / n) / b_mean)
 
 
 def _e2e_block(g, tables, ts, seed, block, count):
+    """A block's ``(len(ts), count)`` arrays of alg and ``MM(Q & G)`` weights,
+    its ``(count,)`` ``MM(G)`` weights and its augmented-scheme wins."""
     rng = rng_from(seed, _TAG_E2E, block)
     perms, reals, uniforms = draw_run_inputs(tables.law, rng, count)
     reals = reals | sample_masks(g, rng, count, scope=tables.classes.noncrucial())
@@ -403,14 +387,9 @@ def _e2e_block(g, tables, ts, seed, block, count):
     _alg, augmented, alg = _combine_block(
         g, tables.classes, q, real, np.tile(vb.matching, len(ts)), m_n)
     mmq = mask_weights(g, mm_edge_masks(g, q & real))
-    mmg = mask_weights(g, mm_edge_masks(g, reals)).tolist()
-    schemes = np.where(augmented, "augmented", "crucial")
-    run_indices = range(block * BLOCK_LEN, block * BLOCK_LEN + count)
     shape = (len(ts), count)
-    points = zip(alg.reshape(shape).tolist(), mmq.reshape(shape).tolist(),
-                 schemes.reshape(shape).tolist())
-    return [list(map(RunRecord, run_indices, alg_t, mmq_t, mmg, schemes_t))
-            for alg_t, mmq_t, schemes_t in points]
+    return (alg.reshape(shape), mmq.reshape(shape), mask_weights(g, mm_edge_masks(g, reals)),
+            augmented.reshape(shape))
 
 
 def _is_count(value) -> bool:
@@ -435,7 +414,8 @@ def end_to_end(
     :func:`plan_round_masks` call.  So every point sees the same realizations
     and runs, the plan for ``t`` is the union of a run's first ``t`` rounds,
     and a sweep equals one call per point.  One result per point, in the
-    order of ``ts``, holding each run's weights and winning scheme.
+    order of ``ts``, holding each run's weights and winning scheme as
+    arrays in run order.
     """
     ts = tuple(ts)
     if not _is_count(runs) or runs < 1:
@@ -446,5 +426,6 @@ def end_to_end(
         if t is not None and (not _is_count(t) or t < 0):
             raise ValueError(f"a sweep point must be None or an int >= 0, got {t!r}")
     parts = run_blocks(_e2e_block, (g, tables, ts, seed), runs)
-    return [E2EResult(t=t, runs=[record for block in parts for record in block[i]])
-            for i, t in enumerate(ts)]
+    # Blocks hold consecutive runs, so entry ``r`` of each array is run ``r``.
+    alg, mm_q, mm_g, augmented = (np.concatenate(column, axis=-1) for column in zip(*parts))
+    return [E2EResult(t, alg[i], mm_q[i], mm_g, augmented[i]) for i, t in enumerate(ts)]

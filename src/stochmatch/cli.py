@@ -15,6 +15,8 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from .augmenter import (
     E2EResult,
     PipelineTables,
@@ -96,6 +98,9 @@ class ExperimentConfig:
             raise ValueError(f"plan sizes must be >= 0, got {min(self.t)}")
         if self.tables not in TABLE_MODES:
             raise ValueError(f"tables must be one of {', '.join(TABLE_MODES)}, got {self.tables!r}")
+        for name in ("graph", "budgets"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"{name} must be an object, got {getattr(self, name)!r}")
         _reject_unknown("budget", self.budgets, DEFAULT_BUDGETS)
         for key, value in self.budgets.items():
             if type(value) is not int or value < 1:
@@ -137,9 +142,13 @@ def load_graph(config: ExperimentConfig) -> StochasticGraph:
     if len(source) != 1 or not set(source) <= set(GRAPH_SOURCES):
         raise ValueError(f"graph must name one of {', '.join(GRAPH_SOURCES)}, got {source!r}")
     if "file" in source:
+        if not isinstance(source["file"], str):  # open(0) would read stdin
+            raise ValueError(f"graph file must be a path string, got {source['file']!r}")
         return read_graph(source["file"])
     if "generator" in source:
         gen = source["generator"]
+        if not isinstance(gen, dict):
+            raise ValueError(f"generator graph source must be an object, got {gen!r}")
         _reject_unknown("generator key", gen, ("n", "density", "weight_law", "prob_law", "seed"))
         for key in ("n", "density"):
             if key not in gen:
@@ -205,6 +214,9 @@ def cmd_run(config: ExperimentConfig) -> Path:
     with worker_pool(config.workers):
         tables = build_tables(g, config, max(t_values))
         results = end_to_end(g, tables, points, config.trials, config.seed)
+    # repr writes nan and inf where json.dumps writes NaN and Infinity.
+    if not all(np.isfinite(w).all() for r in results for w in (r.alg, r.mm_Q, r.mm_G)):
+        raise ValueError("the sweep returned a non-finite run weight")
 
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -214,20 +226,16 @@ def cmd_run(config: ExperimentConfig) -> Path:
     with open(runs_path, "w") as fh:
         fh.write(json.dumps({"config_hash": chash}, sort_keys=True) + "\n")
         for result in results:
+            # The bytes of json.dumps(record, sort_keys=True); the run index is the row.
             t_label = _t_label(result)
-            for record in result.runs:
-                fh.write(json.dumps({
-                    "seed": config.seed,
-                    "run": record.run,
-                    "t": t_label,
-                    "ratio": record.ratio,
-                    "scheme_chosen": record.scheme,
-                    "weights": {
-                        "alg": record.alg_weight,
-                        "mm_Q": record.mmq_weight,
-                        "mm_G": record.mmg_weight,
-                    },
-                }, sort_keys=True) + "\n")
+            fh.writelines(
+                f'{{"ratio": {(mm_q / mm_g if mm_g > 0.0 else 1.0)!r}, "run": {run}, '
+                f'"scheme_chosen": "{"augmented" if augmented else "crucial"}", '
+                f'"seed": {config.seed}, "t": {t_label}, "weights": '
+                f'{{"alg": {alg!r}, "mm_G": {mm_g!r}, "mm_Q": {mm_q!r}}}}}\n'
+                for run, (alg, mm_q, mm_g, augmented) in enumerate(zip(
+                    result.alg.tolist(), result.mm_Q.tolist(), result.mm_G.tolist(),
+                    result.augmented.tolist())))
 
     agg_path = out_dir / "aggregate.csv"
     with open(agg_path, "w") as fh:
@@ -235,11 +243,12 @@ def cmd_run(config: ExperimentConfig) -> Path:
         fh.write("seed,t,ratio,alg_weight,mmQ_weight,mmG_weight,scheme\n")
         for result in results:
             t_label = _t_label(result)
-            n = len(result.runs)
-            mean_alg = sum(r.alg_weight for r in result.runs) / n
-            mean_q = sum(r.mmq_weight for r in result.runs) / n
-            mean_g = sum(r.mmg_weight for r in result.runs) / n
-            frac_aug = sum(1 for r in result.runs if r.scheme == "augmented") / n
+            n = len(result.mm_G)
+            # Python sums in run order, as the ratios take them.
+            mean_alg = sum(result.alg.tolist()) / n
+            mean_q = sum(result.mm_Q.tolist()) / n
+            mean_g = sum(result.mm_G.tolist()) / n
+            frac_aug = int(result.augmented.sum()) / n
             fh.write(
                 f"{config.seed},{t_label},{result.ratio!r},{mean_alg!r},"
                 f"{mean_q!r},{mean_g!r},{frac_aug!r}\n"
@@ -263,7 +272,7 @@ def cmd_run(config: ExperimentConfig) -> Path:
                 "ratio": r.ratio,
                 "ratio_se": r.ratio_std_err(),
                 "alg_ratio": r.alg_ratio,
-                "runs": len(r.runs),
+                "runs": len(r.mm_G),
             }
             for r in results
         ],

@@ -347,6 +347,8 @@ _LAW_PARAMS = {"constant": ("value",), "uniform": ("low", "high"), "exponential"
 
 
 def _law_sampler(law: Mapping[str, float], kind: str):
+    if not isinstance(law, Mapping):
+        raise ValueError(f"{kind} law must be an object, got {law!r}")
     name = law.get("name")
     params = _LAW_PARAMS.get(name, ())
     for key in params:

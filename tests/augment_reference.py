@@ -4,13 +4,14 @@
 run one pipeline run at a time: dict-valued fractional vectors, a Python
 degree loop and one ``mm_edge_mask`` oracle call per mask.  The package runs
 these stages on a block of runs at a time (``augmenter._fractional_block``
-and ``augmenter._combine_block``); tests compare its records, fractional
-vectors and roundings against these, run by run and point by point.
+and ``augmenter._combine_block``); tests compare its weights and schemes,
+fractional vectors and roundings against these, run by run and point by
+point.
 """
 
 from typing import Sequence
 
-from stochmatch.augmenter import _DEGREE_TOL, PipelineTables, RunRecord, SurvivalRecord
+from stochmatch.augmenter import _DEGREE_TOL, PipelineTables, SurvivalRecord
 from stochmatch.graph_core import (
     FractionalMatching,
     Params,
@@ -118,24 +119,25 @@ def pipeline_run(
     g: StochasticGraph,
     tables: PipelineTables,
     q_masks: Sequence[int],
-    run_index: int,
     real_mask: int,
     vb_matching: int,
     alive: int,
     mmg_mask: int,
     mmq_masks: Sequence[int],
-) -> list[tuple[RunRecord, FractionalMatching, int]]:
-    """Run ``run_index`` at every sweep point, given each point's plan mask
+) -> list[tuple[tuple[float, float, float, bool], FractionalMatching, int]]:
+    """One pipeline run at every sweep point, given each point's plan mask
     in ``q_masks``, its realization, its variance-bounding run's matching
     and alive masks, and the maximum-weight matchings of the realization
     (``mmg_mask``) and of each point's queried edges (``mmq_masks``, the
     MM of ``q_mask & real_mask``).
 
-    Per point it returns the record, the fractional vector and the edge mask
-    of its rounding.  Points whose plans are equal share one result.
+    Per point it returns the run's ``(alg, mm_Q, mm_G, augmented)`` weights
+    and scheme, as ``end_to_end`` holds them, the fractional vector and the
+    edge mask of its rounding.  Points whose plans are equal share one
+    result.
     """
     mmg = mask_weight(g, mmg_mask)
-    by_plan: dict[int, tuple[RunRecord, FractionalMatching, int]] = {}
+    by_plan: dict[int, tuple[tuple[float, float, float, bool], FractionalMatching, int]] = {}
     points = []
     for q_mask, mmq_mask in zip(q_masks, mmq_masks):
         point = by_plan.get(q_mask)
@@ -145,13 +147,7 @@ def pipeline_run(
             )
             m_n = round_fractional(g, f)
             alg, scheme = combine(g, q_mask, real_mask, vb_matching, m_n, tables.classes)
-            record = RunRecord(
-                run=run_index,
-                alg_weight=mask_weight(g, alg),
-                mmq_weight=mask_weight(g, mmq_mask),
-                mmg_weight=mmg,
-                scheme=scheme,
-            )
-            point = by_plan[q_mask] = (record, f, m_n)
+            run = (mask_weight(g, alg), mask_weight(g, mmq_mask), mmg, scheme == "augmented")
+            point = by_plan[q_mask] = (run, f, m_n)
         points.append(point)
     return points

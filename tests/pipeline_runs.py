@@ -58,9 +58,9 @@ class RecordedLaw:
 def point_runs(g, tables, t, runs, seed):
     """``(ReferenceRun, f, m_n)`` of runs ``0..runs-1`` at the sweep point ``t``."""
     tables = dataclasses.replace(tables, law=RecordedLaw(tables.law))
-    for r, (real_mask, vb, q_mask) in enumerate(reference_runs(g, tables, seed, runs, t)):
-        [(_record, f, m_n)] = augment_reference.pipeline_run(
-            g, tables, (q_mask,), r, real_mask, vb.matching, vb.alive,
+    for real_mask, vb, q_mask in reference_runs(g, tables, seed, runs, t):
+        [(_run, f, m_n)] = augment_reference.pipeline_run(
+            g, tables, (q_mask,), real_mask, vb.matching, vb.alive,
             mm_edge_mask(g, real_mask), (mm_edge_mask(g, q_mask & real_mask),))
         yield vb, f, m_n
 

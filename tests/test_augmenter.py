@@ -225,8 +225,8 @@ def test_end_to_end_full_plan_control_ratio_one():
     tables = build_tables_exact(g, params, gadget.t, tau=gadget.tau)
     [res] = end_to_end(g, tables, [None], runs=200, seed=4)
     assert res.ratio == 1.0
-    for r in res.runs:
-        assert r.ratio == 1.0
+    for mm_q, mm_g in zip(res.mm_Q.tolist(), res.mm_G.tolist()):
+        assert (mm_q / mm_g if mm_g > 0.0 else 1.0) == 1.0  # each run's ratio
 
 
 def test_end_to_end_single_edge_expected_weight():
@@ -235,15 +235,15 @@ def test_end_to_end_single_edge_expected_weight():
     tables = build_tables_exact(g, params, 4, tau=0.5)
     # sampled plan: E[ALG] = w * p * Pr[edge in plan]
     [res] = end_to_end(g, tables, [4], runs=20_000, seed=6)
-    mean_alg = float(np.mean([r.alg_weight for r in res.runs]))
+    mean_alg = float(np.mean(res.alg))
     keep = 0.6 * (1 - 0.4**4)
     target = 2.0 * keep
-    se = 2.0 * math.sqrt(keep * (1 - keep) / len(res.runs))
+    se = 2.0 * math.sqrt(keep * (1 - keep) / len(res.alg))
     assert abs(mean_alg - target) <= 3 * se
     # querying everything: E[ALG] = w * p exactly
     [full] = end_to_end(g, tables, [None], runs=20_000, seed=6)
-    mean_full = float(np.mean([r.alg_weight for r in full.runs]))
-    se_full = 2.0 * math.sqrt(0.6 * 0.4 / len(full.runs))
+    mean_full = float(np.mean(full.alg))
+    se_full = 2.0 * math.sqrt(0.6 * 0.4 / len(full.alg))
     assert abs(mean_full - 2.0 * 0.6) <= 3 * se_full
 
 
@@ -252,8 +252,8 @@ def test_end_to_end_paired_sweep_monotone():
     g = gadget.graph
     tables = build_tables_exact(g, params_for(g), gadget.t, tau=gadget.tau)
     r1, r16 = end_to_end(g, tables, [1, 16], runs=800, seed=7)
-    for a, b in zip(r1.runs, r16.runs):
-        assert b.mmq_weight >= a.mmq_weight - 1e-12
+    for a, b in zip(r1.mm_Q.tolist(), r16.mm_Q.tolist()):
+        assert b >= a - 1e-12
     assert r16.ratio >= r1.ratio - 3 * (r1.ratio_std_err() + r16.ratio_std_err())
 
 
@@ -264,9 +264,9 @@ def test_end_to_end_structural_invariants():
     [res] = end_to_end(g, tables, [4], runs=600, seed=9)
     for _vb_out, f, _m_n in point_runs(g, tables, 4, 600, 9):
         assert max_load(g, f) <= 1.0 + 1e-9
-    for r in res.runs:
-        assert r.alg_weight <= r.mmq_weight + 1e-9  # ALG lives inside the plan
-        assert r.mmq_weight <= r.mmg_weight + 1e-9
+    for alg, mm_q, mm_g in zip(res.alg.tolist(), res.mm_Q.tolist(), res.mm_G.tolist()):
+        assert alg <= mm_q + 1e-9  # ALG lives inside the plan
+        assert mm_q <= mm_g + 1e-9
 
 
 def test_end_to_end_f_support_flags():
@@ -286,10 +286,12 @@ def test_end_to_end_worker_independence():
     gadget = benchmark_6v8e()
     g = gadget.graph
     tables = build_tables_exact(g, params_for(g), gadget.t, tau=gadget.tau)
-    [a] = end_to_end(g, tables, [4], runs=300, seed=12)
+    # Two blocks, so the second worker really runs one and its arrays are
+    # pickled back to this process.
+    [a] = end_to_end(g, tables, [4], runs=BLOCK_LEN + 300, seed=12)
     with worker_pool(2):
-        [b] = end_to_end(g, tables, [4], runs=300, seed=12)
-    assert [r.alg_weight for r in a.runs] == [r.alg_weight for r in b.runs]
+        [b] = end_to_end(g, tables, [4], runs=BLOCK_LEN + 300, seed=12)
+    assert_same_point(a, b)
     assert a.ratio == b.ratio
 
 
@@ -362,25 +364,32 @@ def test_build_tables_exact_propagates_activation_breach(monkeypatch):
 SWEEP = [1, 2, 4, 8, None]
 
 
-def reference_run(g, tables, run_index, real_mask, vb, q_mask):
+def reference_run(g, tables, real_mask, vb, q_mask):
     """One pipeline run on its own inputs, through the one-row entry points:
-    its record, fractional vector, rounding and survival record."""
+    its ``(alg, mm_Q, mm_G, augmented)`` row, fractional vector, rounding
+    and survival record."""
     f, survival = build_fractional(g, tables.classes, q_mask, real_mask, vb.alive,
                                    tables.g_table, tables.params)
     m_n = round_fractional(g, f)
     alg, scheme = combine(g, q_mask, real_mask, vb.matching, m_n, tables.classes)
     mmq = weight_of(max_weight_matching(GraphView(g, q_mask & real_mask)), g)
     mmg = weight_of(max_weight_matching(GraphView(g, real_mask)), g)
-    record = augmenter.RunRecord(
-        run=run_index, alg_weight=mask_weight(g, alg), mmq_weight=mmq, mmg_weight=mmg,
-        scheme=scheme,
-    )
-    return record, f, m_n, survival
+    return (mask_weight(g, alg), mmq, mmg, scheme == "augmented"), f, m_n, survival
+
+
+COLUMNS = ("alg", "mm_Q", "mm_G", "augmented")
 
 
 def assert_same_point(a, b):
     assert a.t == b.t
-    assert a.runs == b.runs  # every RunRecord field
+    for name in COLUMNS:  # every run of every array, bit for bit
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y) and x.tobytes() == y.tobytes(), name
+
+
+def rows(res):
+    """Each run's ``(alg, mm_Q, mm_G, augmented)`` as Python values."""
+    return list(zip(*(getattr(res, name).tolist() for name in COLUMNS)))
 
 
 def assert_sweep_equals_single_points(g, tables, runs, seed, workers=None):
@@ -402,28 +411,30 @@ def exact_tables(gadget):
 
 def assert_matches_reference(g, tables, sweep, runs, seed):
     """Every run of every point of the sweep equals the per-run reference of
-    ``augment_reference`` and the one-row entry points: its record, its
-    fractional vector, its rounding and its zeroed vertices.  Returns the
-    number of augmented runs and of zeroed vertices over all points."""
-    assert [len(res.runs) for res in sweep] == [runs] * len(sweep)
+    ``augment_reference`` and the one-row entry points: its weights and
+    scheme, its fractional vector, its rounding and its zeroed vertices.
+    Returns the number of augmented runs and of zeroed vertices over all
+    points."""
+    assert [len(res.alg) for res in sweep] == [runs] * len(sweep)
     inputs = [list(reference_runs(g, tables, seed, runs, res.t)) for res in sweep]
+    sweep_rows = [rows(res) for res in sweep]
     augmented = zeroed = 0
     for r in range(runs):
         real_mask, vb, _q_mask = inputs[0][r]
         q_masks = [point[r][2] for point in inputs]
         points = augment_reference.pipeline_run(
-            g, tables, q_masks, r, real_mask, vb.matching, vb.alive,
+            g, tables, q_masks, real_mask, vb.matching, vb.alive,
             mm_edge_mask(g, real_mask), [mm_edge_mask(g, q & real_mask) for q in q_masks])
-        for res, point, (record, f, m_n) in zip(sweep, inputs, points):
-            ref, ref_f, ref_m_n, survival = reference_run(g, tables, r, *point[r])
-            assert res.runs[r] == record == ref
+        for res_rows, point, (row, f, m_n) in zip(sweep_rows, inputs, points):
+            ref, ref_f, ref_m_n, survival = reference_run(g, tables, *point[r])
+            assert res_rows[r] == row == ref
             assert f.values == ref_f.values  # exact float equality, edge by edge
             assert m_n == ref_m_n
             _f, ref_survival = augment_reference.build_fractional(
                 g, tables.classes, point[r][2], real_mask, vb.alive, tables.g_table,
                 tables.params)
             assert survival.overloaded_mask == ref_survival.overloaded_mask
-            augmented += record.scheme == "augmented"
+            augmented += row[3]
             zeroed += bin(survival.overloaded_mask).count("1")
     return augmented, zeroed
 
@@ -475,7 +486,7 @@ def low_p_66e_tables():
                          ids=["generated_mc_19e_tau_0.3", "low_p_66e"])
 def test_sweep_matches_reference_where_the_augmented_scheme_wins(build):
     # At the default tau 0.05 the augmented scheme hardly ever wins on the
-    # generated_mc graph, so records equal to the reference there say little
+    # generated_mc graph, so runs equal to the reference there say little
     # about the fractional stage and the combiner.  Here both graphs have
     # augmented runs and zeroed vertices.
     g, tables = build()
@@ -555,7 +566,7 @@ def test_sweep_draws_realizations_from_the_edge_law(gadget, noncrucial):
     tables = exact_tables(gadget)
     assert tables.classes.noncrucial() == noncrucial
     [res] = end_to_end(g, tables, [None], runs=40_000, seed=51)
-    mmg = np.array([r.mmg_weight for r in res.runs])
+    mmg = res.mm_G
     se = mmg.std() / math.sqrt(len(mmg))
     assert abs(mmg.mean() - exact_x(g) @ g.weights) <= 4 * se
 

@@ -129,13 +129,14 @@ MONTE_CARLO_RUN_DIGESTS = {
 }
 
 
+MONTE_CARLO_GOLDEN_CONFIG = dict(
+    graph={"generator": {"n": 12, "density": 0.3, "seed": 4}},
+    seed=5, trials=60, t=[1, 2, 4], tau=0.3, tables="monte_carlo",
+    budgets={"x_trials": 1000, "q_trials": 200, "pair_trials": 80, "cond_trials": 40})
+
+
 def test_cmd_run_monte_carlo_tables_golden_digests(tmp_path):
-    config = ExperimentConfig(
-        graph={"generator": {"n": 12, "density": 0.3, "seed": 4}},
-        seed=5, trials=60, t=[1, 2, 4], tau=0.3, tables="monte_carlo",
-        budgets={"x_trials": 1000, "q_trials": 200, "pair_trials": 80, "cond_trials": 40},
-        out=str(tmp_path / "mc"))
-    out = cmd_run(config)
+    out = cmd_run(ExperimentConfig(**MONTE_CARLO_GOLDEN_CONFIG, out=str(tmp_path / "mc")))
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in MONTE_CARLO_RUN_DIGESTS}
     assert digests == MONTE_CARLO_RUN_DIGESTS
@@ -154,15 +155,81 @@ EXACT_RUN_DIGESTS = {
 }
 
 
+EXACT_GOLDEN_CONFIG = dict(
+    graph={"generator": {"n": 8, "density": 0.35, "seed": 3}},
+    tables="exact", tau=0.3, t=[1, 2, 4], trials=300, seed=5)
+
+
 def test_cmd_run_exact_tables_golden_digests(tmp_path):
-    config = ExperimentConfig(
-        graph={"generator": {"n": 8, "density": 0.35, "seed": 3}},
-        tables="exact", tau=0.3, t=[1, 2, 4], trials=300, seed=5,
-        out=str(tmp_path / "exact"))
-    out = cmd_run(config)
+    out = cmd_run(ExperimentConfig(**EXACT_GOLDEN_CONFIG, out=str(tmp_path / "exact")))
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in EXACT_RUN_DIGESTS}
     assert digests == EXACT_RUN_DIGESTS
+
+
+def json_dumps_runs(config, results):
+    """``runs.jsonl`` as the record-by-record ``json.dumps`` writer wrote it:
+    the reference for ``cmd_run``'s template."""
+    lines = [json.dumps({"config_hash": config.config_hash()}, sort_keys=True)]
+    for result in results:
+        columns = (result.alg.tolist(), result.mm_Q.tolist(), result.mm_G.tolist(),
+                   result.augmented.tolist())
+        for run, (alg, mm_q, mm_g, augmented) in enumerate(zip(*columns)):
+            lines.append(json.dumps({
+                "seed": config.seed,
+                "run": run,
+                "t": -1 if result.t is None else result.t,
+                "ratio": 1.0 if mm_g <= 0.0 else mm_q / mm_g,
+                "scheme_chosen": "augmented" if augmented else "crucial",
+                "weights": {"alg": alg, "mm_Q": mm_q, "mm_G": mm_g},
+            }, sort_keys=True))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+# perfbench's `generated_mc` round, the two golden configurations, and a
+# low-probability graph where some runs realize no edge (per-run ratio 1.0).
+RUNS_JSONL_CONFIGS = {
+    "generated_mc": dict(
+        graph={"generator": {"n": 12, "density": 0.3, "seed": 3}}, seed=1,
+        tables="monte_carlo", t=[1, 2, 4, 8], trials=200,
+        budgets={"x_trials": 1000, "q_trials": 200, "pair_trials": 80, "cond_trials": 40}),
+    "exact_golden": EXACT_GOLDEN_CONFIG,
+    "monte_carlo_golden": MONTE_CARLO_GOLDEN_CONFIG,
+    "low_p": dict(
+        graph={"generator": {"n": 10, "density": 0.4, "seed": 2,
+                             "prob_law": {"name": "uniform", "low": 0.05, "high": 0.2}}},
+        seed=5, t=[1, 2, 4], trials=300, tau=0.3),
+}
+
+
+@pytest.mark.parametrize("name", RUNS_JSONL_CONFIGS)
+def test_runs_jsonl_template_writes_the_json_dumps_bytes(tmp_path, monkeypatch, name):
+    results = []
+    sweep = cli.end_to_end
+    monkeypatch.setattr(cli, "end_to_end", lambda *args: results.extend(sweep(*args)) or results)
+    config = ExperimentConfig(**RUNS_JSONL_CONFIGS[name], out=str(tmp_path / name))
+    out = cmd_run(config)
+    assert (out / "runs.jsonl").read_bytes() == json_dumps_runs(config, results)
+    if name == "low_p":
+        assert (results[0].mm_G == 0.0).any()
+
+
+@pytest.mark.parametrize("column,value", [("alg", float("nan")), ("mm_Q", float("inf")),
+                                          ("mm_G", float("-inf"))])
+def test_cmd_run_rejects_non_finite_weights_before_any_output(tmp_path, monkeypatch,
+                                                             column, value):
+    # repr would write nan where json.dumps writes NaN: the writers would differ
+    sweep = cli.end_to_end
+
+    def poisoned(*args):
+        results = sweep(*args)
+        getattr(results[1], column)[3] = value
+        return results
+
+    monkeypatch.setattr(cli, "end_to_end", poisoned)
+    with pytest.raises(ValueError, match="non-finite run weight"):
+        cmd_run(tiny_run_config(tmp_path, trials=20))
+    assert not (tmp_path / "results").exists()
 
 
 VERIFY_REPORTS_DIGEST = "1a3e5341a8b1e734b61fda59088a5b9f4aa448d042883b8387fa51aa787bae94"
@@ -338,6 +405,15 @@ def test_config_rejects_bad_tables_and_budgets(tmp_path, field, value, message):
                                     "weight_law": {"name": "constant", "value": 1.0,
                                                    "low": 0.1}}},
      "unknown weight law key 'low'; known: name, value"),
+    ("run", "budgets", ["x_trials"], r"budgets must be an object, got \['x_trials'\]"),
+    ("run", "graph", ["bundled"], r"graph must be an object, got \['bundled'\]"),
+    ("run", "graph", {"file": 0}, "graph file must be a path string, got 0"),
+    ("run", "graph", {"generator": ["n", "density"]},
+     "generator graph source must be an object"),
+    ("run", "graph", {"generator": {"n": 6, "density": 0.5, "prob_law": "uniform"}},
+     "probability law must be an object, got 'uniform'"),
+    ("run", "graph", {"generator": {"n": 6, "density": 0.5, "weight_law": [0.1, 2.0]}},
+     r"weight law must be an object, got \[0.1, 2.0\]"),
 ])
 def test_bad_config_fails_before_any_output(tmp_path, command, field, value, message):
     cfg_path = tmp_path / "cfg.json"

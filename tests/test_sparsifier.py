@@ -354,7 +354,7 @@ def test_batched_answers_make_no_per_mask_oracle_call(monkeypatch):
         q_trials=200, pair_trials=80, cond_trials=40)
     assert isinstance(tables.law, estimator.MonteCarloConditional) and conditionals
     sweep = augmenter.end_to_end(g, tables, [1, 2, 4, 8, None], 200, seed=2)
-    assert [len(res.runs) for res in sweep] == [200] * 5
+    assert [len(res.alg) for res in sweep] == [200] * 5
     assert len(draw_plans(g, 8, rng_from(3), 300)) == 300
 
 
