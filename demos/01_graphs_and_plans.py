@@ -10,11 +10,12 @@ near-optimal matchings with high probability.
 
 import numpy as np
 
-from stochmatch import GraphView, gen_random_graph, max_weight_matching, weight_of
+from stochmatch import gen_random_graph
 from stochmatch.exact import exact_x, prob_in_plan
-from stochmatch.graph_core import mask_edges, sample_masks
+from stochmatch.graph_core import mask_edges, mask_weight, sample_masks
+from stochmatch.mwm import mm_edge_mask
 from stochmatch.parallel import rng_from
-from stochmatch.sparsifier import draw_plan, draw_plans, max_degree
+from stochmatch.sparsifier import draw_plans, max_degree
 
 g = gen_random_graph(
     n=8, density=0.5,
@@ -28,14 +29,14 @@ rng = rng_from(7)
 [realization] = sample_masks(g, rng, 1).tolist()
 print(f"one realization keeps {bin(realization).count('1')}/{g.m} edges")
 
-opt = max_weight_matching(GraphView(g, realization))
-print(f"optimum of that realization: edges {opt.sorted_edges()}, "
-      f"weight {weight_of(opt, g):.3f}")
+opt = mm_edge_mask(g, realization)
+print(f"optimum of that realization: edges {mask_edges(opt)}, "
+      f"weight {mask_weight(g, opt):.3f}")
 
 print("\nquery plans (union of t sampled optima; one stream, so the plans nest):")
 print(f"{'t':>3} {'edges':>6} {'max degree':>11}")
 for t in (1, 2, 4, 8, 16):
-    q_mask = draw_plan(g, t, rng_from(3))
+    [q_mask] = draw_plans(g, t, rng_from(3), 1).tolist()
     print(f"{t:>3} {q_mask.bit_count():>6} {max_degree(g, q_mask):>11}")
 
 x = exact_x(g)

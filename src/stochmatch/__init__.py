@@ -38,21 +38,17 @@ from .estimator import (
 from .graph_core import (
     Edge,
     FractionalMatching,
-    Matching,
     Params,
     StochasticGraph,
     gen_random_graph,
-    make_matching,
     read_graph,
-    weight_of,
     write_graph,
 )
-from .mwm import GraphView, brute_force_mwm, max_weight_matching
+from .mwm import GraphView, Matching, brute_force_mwm, max_weight_matching
 from .sparsifier import (
     EdgeClasses,
     check_crucial_coverage,
     classify_edges,
-    draw_plan,
     max_degree,
 )
 from .vb_matching import (

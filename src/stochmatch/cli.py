@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise ValueError("t must hold at least one plan size")
         if min(self.t) < 0:
             raise ValueError(f"plan sizes must be >= 0, got {min(self.t)}")
+        if not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string, got {self.out!r}")
         if self.tables not in TABLE_MODES:
             raise ValueError(f"tables must be one of {', '.join(TABLE_MODES)}, got {self.tables!r}")
         for name in ("graph", "budgets"):
@@ -132,6 +134,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     if path:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file must hold a JSON object, got {type(data).__name__}")
     data.update({k: v for k, v in overrides.items() if v is not None})
     _reject_unknown("config field", data, [f.name for f in fields(ExperimentConfig)])
     return ExperimentConfig(**data)

@@ -124,55 +124,6 @@ class StochasticGraph:
         return edge.v if edge.u == v else edge.u
 
 
-def check_parent(obj_parent: str, g: StochasticGraph, what: str) -> None:
-    if obj_parent != g.token:
-        raise ValueError(f"{what} belongs to a different graph")
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A set of edge indices of a parent graph, no two sharing an endpoint."""
-
-    edges: frozenset[int]
-    parent: str
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def sorted_edges(self) -> list[int]:
-        return sorted(self.edges)
-
-    def as_mask(self) -> int:
-        mask = 0
-        for e in self.edges:
-            mask |= 1 << e
-        return mask
-
-
-def make_matching(g: StochasticGraph, edge_indices: Iterable[int]) -> Matching:
-    """Validated matching constructor; rejects shared endpoints."""
-    indices = sorted(set(int(e) for e in edge_indices))
-    used: set[int] = set()
-    for e in indices:
-        if not (0 <= e < g.m):
-            raise ValueError(f"edge index {e} is not an edge of the graph")
-        u, v = g.endpoints(e)
-        if u in used or v in used:
-            raise ValueError(f"edges share endpoint at edge index {e}")
-        used.add(u)
-        used.add(v)
-    return Matching(edges=frozenset(indices), parent=g.token)
-
-
-def weight_of(matching: Matching, g: StochasticGraph) -> float:
-    """Total weight of a matching; foreign edges are an error."""
-    check_parent(matching.parent, g, "matching")
-    for e in matching.edges:
-        if not 0 <= e < g.m:
-            raise ValueError(f"edge index {e} is not an edge of the graph")
-    return mask_weight(g, matching.as_mask())
-
-
 def mask_weight(g: StochasticGraph, mask: int) -> float:
     """Total weight of the edges in ``mask``, summed in ascending edge order."""
     edges = g.edges

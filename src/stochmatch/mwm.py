@@ -1,23 +1,18 @@
 """Exact maximum-weight matching on general graphs.
 
-``max_weight_matching`` (and its mask form ``mm_edge_mask``) is the
-deterministic oracle the whole pipeline leans on.  Answers are memoized per
-(graph, edge mask) in ``g._caches["mm"]``, as the optimum's edge mask,
-since the Monte Carlo loops revisit the same realized subgraphs constantly;
-``max_weight_matching`` builds its :class:`Matching` from that mask on each
-call.  The memo is cleared when it reaches ``MM_CACHE_MAX`` entries, so
-graphs whose masks rarely repeat do not grow it without bound.
+``mm_edge_masks`` is the deterministic oracle the whole pipeline leans on:
+it answers an array of realized edge masks with the optimum's edge mask for
+each.  ``mm_edge_mask`` (one mask) and ``max_weight_matching`` (a
+:class:`GraphView`, answered as a :class:`Matching`) are one-row calls of it.
 
-A memo miss is answered from a *matching table*: every matching of the
-graph, as an int64 edge mask, stably sorted by weight, heaviest first.  The
+Masks are answered from a *matching table*: every matching of the graph, as
+an int64 edge mask, stably sorted by weight, heaviest first.  The
 maximum-weight matching of a realized mask ``R`` is the first row ``M`` with
 ``M & ~R == 0``.  The table is built once per graph, and only when
 ``m <= 62`` and the graph has at most ``TABLE_MAX_MATCHINGS`` matchings;
-otherwise "no table" is cached and every miss goes to networkx.
-``mm_edge_masks`` answers a whole array of masks: it dedupes them and scans
-the table for a chunk of masks at once, with no Python call per mask, and
-these answers neither read nor fill the memo.  Its tied masks, and every
-mask of a graph without a table, go through the memo one at a time.
+otherwise "no table" is cached and every mask goes to networkx.
+``mm_edge_masks`` dedupes its masks and scans the table for a chunk of them
+at once, with no Python call per mask.
 
 networkx's blossom (primal-dual) solver, with a fixed insertion order, is the
 reference.  It is imported on the first networkx solve, so a process whose
@@ -25,8 +20,11 @@ queries the table answers never loads networkx.  Whenever the two heaviest
 table rows inside ``R`` weigh within ``WEIGHT_TIE_TOL`` of each other
 (weight ties, zero-weight edges) the mask is solved by networkx, so the
 table only answers masks with a unique optimum and every answer is the one
-networkx gives.  ``brute_force_mwm`` is the independent cross-validation
-oracle: exhaustive enumeration, small instances only.
+networkx gives.  networkx's answers are memoized per (graph, edge mask) in
+``g._caches["mm"]``; the memo is cleared when it reaches ``MM_CACHE_MAX``
+entries, so graphs whose masks rarely repeat do not grow it without bound.
+``brute_force_mwm`` is the independent cross-validation oracle: exhaustive
+enumeration, small instances only.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import WEIGHT_TIE_TOL, Matching, StochasticGraph, make_matching, mask_edges
+from .graph_core import WEIGHT_TIE_TOL, StochasticGraph, mask_dtype, mask_edges
 
 # Largest matching count for which a graph gets a matching table (2 MB of
 # rows and weights); enumeration stops as soon as the count passes it.
@@ -45,6 +43,13 @@ MM_CACHE_MAX = 1 << 16
 # Cells (masks times table rows) of one chunk of ``mm_edge_masks``: a 512 KB
 # int64 temporary, small enough that batches do not raise the peak memory.
 SCAN_CELLS = 1 << 16
+
+
+@dataclass(frozen=True)
+class Matching:
+    """The edge indices of a matching (no two share an endpoint)."""
+
+    edges: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -72,57 +77,53 @@ class GraphView:
 
 
 def max_weight_matching(view: GraphView) -> Matching:
-    """Maximum-weight matching of the view; deterministic, memoized as a mask."""
+    """Maximum-weight matching of the view: a one-row :func:`mm_edge_masks`."""
     g = view.graph
-    return Matching(edges=frozenset(mask_edges(_memo_mask(g, view.effective_mask))),
-                    parent=g.token)
+    rows = mm_edge_masks(g, np.array([view.effective_mask], dtype=mask_dtype(g.m)))
+    return Matching(edges=frozenset(mask_edges(int(rows[0]))))
 
 
 def mm_edge_mask(g: StochasticGraph, mask: int) -> int:
-    """Bitmask of MM(view) edges; same memo as :func:`max_weight_matching`."""
-    return _memo_mask(g, mask)
+    """Bitmask of MM(view) edges: a one-row :func:`mm_edge_masks`.
 
-
-def _memo_mask(g: StochasticGraph, mask: int) -> int:
-    """The memo behind both per-mask entry points; neither calls the other,
-    so every per-mask oracle query is exactly one call of one of them.
-    :func:`mm_edge_masks` sends its tied masks here too."""
-    cache = g._caches.setdefault("mm", {})
-    hit = cache.get(mask)
-    if hit is None:
-        if len(cache) >= MM_CACHE_MAX:
-            cache.clear()
-        hit = cache[mask] = _solve(g, mask)
-    return hit
+    Neither per-mask entry point calls the other, so every per-mask oracle
+    query is exactly one call of one of them.
+    """
+    return int(mm_edge_masks(g, np.array([mask], dtype=mask_dtype(g.m)))[0])
 
 
 def mm_edge_masks(g: StochasticGraph, masks: np.ndarray) -> np.ndarray:
-    """:func:`mm_edge_mask` of every mask of an array, as an array of its dtype.
+    """The maximum-weight matching of every mask of an array, as an array of
+    edge masks of its dtype.
 
     With a matching table the distinct masks are answered by
     :func:`_table_answers`; those answers neither read nor fill the memo.
     Masks whose optimum ties, and every mask of a graph without a table (so
-    every ``object`` array, past 63 edges), go through the memo one at a
-    time, as :func:`mm_edge_mask` does.
+    every ``object`` array, past 63 edges), are answered by
+    :func:`_memo_mask`.
     """
     table = matching_table(g)
     if table is None:
         return np.array([_memo_mask(g, mask) for mask in masks.tolist()], dtype=masks.dtype)
-    distinct, inverse = np.unique(masks, return_inverse=True)
+    if len(masks) < 2:  # nothing to dedupe; np.unique costs more than the scan
+        distinct, inverse = masks, slice(None)
+    else:
+        distinct, inverse = np.unique(masks, return_inverse=True)
     answers = _table_answers(*table, distinct)
     for i in np.flatnonzero(answers < 0).tolist():
         answers[i] = _memo_mask(g, int(distinct[i]))
     return answers[inverse]
 
 
-def _solve(g: StochasticGraph, mask: int) -> int:
-    """Table lookup, or networkx when there is no table or the optimum ties."""
-    table = matching_table(g)
-    if table is not None:
-        answer = _scan_one(*table, mask)
-        if answer >= 0:
-            return answer
-    return _solve_networkx(g, mask)
+def _memo_mask(g: StochasticGraph, mask: int) -> int:
+    """networkx's answer for one mask, memoized."""
+    cache = g._caches.setdefault("mm", {})
+    hit = cache.get(mask)
+    if hit is None:
+        if len(cache) >= MM_CACHE_MAX:
+            cache.clear()
+        hit = cache[mask] = _solve_networkx(g, mask)
+    return hit
 
 
 def _table_answers(rows: np.ndarray, weights: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -130,8 +131,8 @@ def _table_answers(rows: np.ndarray, weights: np.ndarray, masks: np.ndarray) -> 
     where the next row inside ties with that one.
 
     Each scan covers a chunk of ``SCAN_CELLS // len(rows)`` masks.  A lone
-    mask, and every mask of a table too large for two masks per chunk, takes
-    the cheaper 1-D scan of :func:`_scan_one`, as a single miss does.
+    mask (every one-row call), and every mask of a table too large for two
+    masks per chunk, takes the cheaper 1-D scan of :func:`_scan_one`.
     """
     per_chunk = SCAN_CELLS // len(rows)
     if per_chunk < 2 or len(masks) < 2:
@@ -168,6 +169,8 @@ def _tied(weights: np.ndarray, first, second, second_inside):
 
 
 def _solve_networkx(g: StochasticGraph, mask: int) -> int:
+    """networkx's matching of the mask's edges, as an edge mask; raises
+    ``ValueError`` if two of its pairs share a vertex."""
     import networkx as nx
 
     nxg = nx.Graph()
@@ -178,7 +181,14 @@ def _solve_networkx(g: StochasticGraph, mask: int) -> int:
             nxg.add_edge(u, v, weight=w)
     pairs = nx.max_weight_matching(nxg, maxcardinality=False)
     index = g.pair_index
-    return make_matching(g, [index[(min(u, v), max(u, v))] for u, v in pairs]).as_mask()
+    answer = used = 0
+    for u, v in pairs:
+        ends = (1 << u) | (1 << v)
+        if used & ends:
+            raise ValueError(f"networkx matched a vertex of pair ({u}, {v}) twice")
+        used |= ends
+        answer |= 1 << index[(min(u, v), max(u, v))]
+    return answer
 
 
 def matching_table(g: StochasticGraph) -> tuple[np.ndarray, np.ndarray] | None:
@@ -246,4 +256,4 @@ def brute_force_mwm(view: GraphView) -> Matching:
             recurse(i + 1, used | ends, weight + g.edges[e].w, chosen + (e,))
 
     recurse(0, 0, 0.0, ())
-    return make_matching(g, best_edges)
+    return Matching(edges=frozenset(best_edges))

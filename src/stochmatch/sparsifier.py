@@ -2,10 +2,10 @@
 
 A plan is the edge mask of the union of maximum-weight matchings of ``t``
 independently sampled realizations, so its max-degree is at most ``t`` by
-construction.  Every plan is drawn by :func:`draw_plan` / :func:`draw_plans`
-from one generator, which reads its stream row by row: plans drawn from the
-same stream are nested across ``t`` (smaller plans are prefixes of larger
-ones), which is what makes paired ``t``-sweeps comparable run by run.
+construction.  Every plan is drawn by :func:`draw_plans` from one
+generator, which reads its stream row by row: plans drawn from the same
+stream are nested across ``t`` (smaller plans are prefixes of larger ones),
+which is what makes paired ``t``-sweeps comparable run by run.
 
 On a graph small enough to enumerate (:func:`exact.enumerable`), a round is
 not an oracle call: the drawn masks index :func:`exact.mm_answers`, the
@@ -61,16 +61,12 @@ def plan_round_masks(g: StochasticGraph, t: int, rng: np.random.Generator) -> np
     return rounds
 
 
-def draw_plan(g: StochasticGraph, t: int, rng: np.random.Generator) -> int:
-    """Edge mask of the plan: the union of ``t`` rounds of :func:`plan_round_masks`."""
-    return int(draw_plans(g, t, rng, 1)[0])
-
-
 def draw_plans(g: StochasticGraph, t: int, rng: np.random.Generator,
                count: int) -> np.ndarray:
-    """Edge masks of ``count`` plans of ``t`` rounds each, as an array of
-    :func:`mask_dtype` ``(g.m)``: the same plans as ``count`` successive
-    :func:`draw_plan` calls on ``rng``.
+    """Edge masks of ``count`` plans, as an array of :func:`mask_dtype`
+    ``(g.m)``.  A plan is the union of ``t`` rounds of
+    :func:`plan_round_masks`, and the plans are the same as ``count``
+    successive calls with ``count=1`` on ``rng`` give.
 
     By the prefix-stream property of :func:`plan_round_masks`, ``k`` plans
     can take their rounds from one call for ``k * t`` rounds.  Each call asks

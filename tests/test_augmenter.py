@@ -22,12 +22,10 @@ from stochmatch.graph_core import (
     Params,
     StochasticGraph,
     gen_random_graph,
-    make_matching,
     mask_edges,
     mask_weight,
-    weight_of,
 )
-from stochmatch.mwm import GraphView, max_weight_matching, mm_edge_mask
+from stochmatch.mwm import mm_edge_mask
 from stochmatch.parallel import BLOCK_LEN, rng_from, worker_pool
 from stochmatch.sparsifier import classify_edges
 from stochmatch.vb_matching import run_vb
@@ -180,15 +178,13 @@ def test_combine_trivial_sides():
     plan = g.full_mask
     realization = g.full_mask
     # no non-crucial matching: crucial side returned
-    vb_matching = make_matching(g, [0]).as_mask()
-    m, scheme = combine(g, plan, realization, vb_matching, make_matching(g, []).as_mask(),
-                        classes)
+    vb_matching = 0b01
+    m, scheme = combine(g, plan, realization, vb_matching, 0, classes)
     assert mask_edges(m) == [0]
     assert scheme == "crucial"
     # no crucial edges at all: the rounded matching is returned
     classes_none = classify_edges(np.array([0.004, 0.004]), tau=0.05)
-    m2, scheme2 = combine(g, plan, realization, 0, make_matching(g, [1]).as_mask(),
-                          classes_none)
+    m2, scheme2 = combine(g, plan, realization, 0, 0b10, classes_none)
     assert mask_edges(m2) == [1]
     assert scheme2 == "augmented"
 
@@ -199,21 +195,20 @@ def test_combine_prefers_heavier_scheme():
     classes = classify_edges(np.array([0.9, 0.9, 0.004]), tau=0.05)
     plan = g.full_mask
     realization = g.full_mask
-    m_n = make_matching(g, [2]).as_mask()
+    m_n = 0b100
     m, scheme = combine(g, plan, realization, 0, m_n, classes)
     # scheme a = MM{edges 0,1} = edge 0 (5.0) vs scheme b = {2} (0.5)
     assert scheme == "crucial"
     assert mask_weight(g, m) == 5.0
-    both = (weight_of(make_matching(g, [0]), g),
-            weight_of(make_matching(g, [2]), g))
+    both = (mask_weight(g, 0b001), mask_weight(g, 0b100))
     assert mask_weight(g, m) >= max(both)
 
 
 def test_combine_detects_invariant_breach():
     g = graph(3, [(0, 1, 2.0, 0.9), (1, 2, 1.0, 0.9)])
     classes = classify_edges(np.array([0.9, 0.004]), tau=0.05)
-    vb_matching = make_matching(g, [0]).as_mask()
-    bogus_m_n = make_matching(g, [1]).as_mask()  # touches matched vertex 1
+    vb_matching = 0b01
+    bogus_m_n = 0b10  # touches matched vertex 1
     with pytest.raises(RuntimeError):
         combine(g, g.full_mask, g.full_mask, vb_matching, bogus_m_n, classes)
 
@@ -372,8 +367,8 @@ def reference_run(g, tables, real_mask, vb, q_mask):
                                    tables.g_table, tables.params)
     m_n = round_fractional(g, f)
     alg, scheme = combine(g, q_mask, real_mask, vb.matching, m_n, tables.classes)
-    mmq = weight_of(max_weight_matching(GraphView(g, q_mask & real_mask)), g)
-    mmg = weight_of(max_weight_matching(GraphView(g, real_mask)), g)
+    mmq = mask_weight(g, mm_edge_mask(g, q_mask & real_mask))
+    mmg = mask_weight(g, mm_edge_mask(g, real_mask))
     return (mask_weight(g, alg), mmq, mmg, scheme == "augmented"), f, m_n, survival
 
 

@@ -414,13 +414,24 @@ def test_config_rejects_bad_tables_and_budgets(tmp_path, field, value, message):
      "probability law must be an object, got 'uniform'"),
     ("run", "graph", {"generator": {"n": 6, "density": 0.5, "weight_law": [0.1, 2.0]}},
      r"weight law must be an object, got \[0.1, 2.0\]"),
+    ("run", "out", 5, "out must be a path string, got 5"),
+    ("verify", "out", ["results"], r"out must be a path string, got \['results'\]"),
 ])
 def test_bad_config_fails_before_any_output(tmp_path, command, field, value, message):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"trials": 5, "t": [1], field: value,
-                                    "out": str(tmp_path / "out")}))
+    cfg_path.write_text(json.dumps({"trials": 5, "t": [1], "out": str(tmp_path / "out"),
+                                    field: value}))
     with pytest.raises(ValueError, match=message):
         main(["--config", str(cfg_path), command])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("top", [[1, 2], "run", 3, None])
+def test_config_file_must_hold_an_object(tmp_path, top):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(top))
+    with pytest.raises(ValueError, match="config file must hold a JSON object"):
+        main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "run"])
     assert not (tmp_path / "out").exists()
 
 

@@ -18,7 +18,7 @@ from stochmatch.exact import exact_x
 from stochmatch.gadgets import benchmark_6v8e, four_cycle, isolated_pair, two_path
 from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph, mask_edges
 from stochmatch.parallel import rng_from, worker_pool
-from stochmatch.sparsifier import draw_plan
+from stochmatch.sparsifier import draw_plans
 from stochmatch.vb_matching import draw_run_inputs, exact_vb_enumeration
 
 from vb_reference import reference_run_vb
@@ -242,7 +242,8 @@ def test_counted_q_and_pair_alive_blocks_equal_per_run_loops():
     rng = rng_from(51, estimator._TAG_Q, 1)
     q_counts = np.zeros(g.m, dtype=np.int64)
     for _ in range(300):
-        for e in mask_edges(draw_plan(g, 3, rng)):
+        [q_mask] = draw_plans(g, 3, rng, 1).tolist()
+        for e in mask_edges(q_mask):
             q_counts[e] += 1
     assert np.array_equal(estimator._q_counts_block(g, 3, 51, 1, 300), q_counts)
 

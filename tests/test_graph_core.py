@@ -10,17 +10,16 @@ from stochmatch.gadgets import benchmark_6v8e
 from stochmatch.graph_core import (
     Edge,
     FractionalMatching,
-    Matching,
     Params,
     StochasticGraph,
     dumps_graph,
     gen_random_graph,
     loads_graph,
-    make_matching,
+    mask_dtype,
     mask_edges,
     mask_weight,
+    mask_weights,
     sample_masks,
-    weight_of,
 )
 from stochmatch.parallel import rng_from
 
@@ -130,14 +129,13 @@ def test_gen_random_graph_rejects_bad_laws():
 
 def test_weight_of():
     g = graph(4, [(0, 1, 5.0, 1.0), (2, 3, 1.5, 1.0), (1, 2, 2.25, 1.0)])
-    assert weight_of(make_matching(g, []), g) == 0.0
-    assert weight_of(make_matching(g, [0]), g) == 5.0
-    assert weight_of(make_matching(g, [0, 1]), g) == pytest.approx(6.5, abs=1e-12)
-    two = make_matching(graph(4, [(0, 1, 1.5, 1.0), (2, 3, 2.25, 1.0)]), [0, 1])
-    assert weight_of(two, graph(4, [(0, 1, 1.5, 1.0), (2, 3, 2.25, 1.0)])) == 3.75
-    # mask_weight is weight_of's ascending-edge-order sum, bit for bit: on
-    # every row of the benchmark's matching table and on random masks of the
-    # 66-edge complete graph
+    assert mask_weight(g, 0) == 0.0
+    assert mask_weight(g, 0b01) == 5.0
+    assert mask_weight(g, 0b11) == pytest.approx(6.5, abs=1e-12)
+    assert mask_weight(graph(4, [(0, 1, 1.5, 1.0), (2, 3, 2.25, 1.0)]), 0b11) == 3.75
+    # mask_weight is the ascending-edge-order sum, and mask_weights equals it
+    # bit for bit: on every row of the benchmark's matching table and on
+    # random masks of the 66-edge complete graph
     bench = benchmark_6v8e().graph
     complete = sampler_graphs()[0]
     cases = [(bench, [int(row) for row in mwm.matching_table(bench)[0]]),
@@ -148,23 +146,7 @@ def test_weight_of():
             for e in mask_edges(mask):
                 total += h.edges[e].w
             assert mask_weight(h, mask) == total
-            assert weight_of(Matching(frozenset(mask_edges(mask)), h.token), h) == total
-
-
-def test_weight_of_foreign_matching_rejected():
-    g = graph(4, [(0, 1, 5.0, 1.0), (2, 3, 1.5, 1.0)])
-    other = graph(4, [(0, 2, 5.0, 1.0)])
-    m = make_matching(other, [0])
-    with pytest.raises(ValueError):
-        weight_of(m, g)
-
-
-def test_matching_rejects_shared_endpoint():
-    g = graph(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0)])
-    with pytest.raises(ValueError):
-        make_matching(g, [0, 1])
-    with pytest.raises(ValueError):
-        make_matching(g, [5])
+            assert mask_weights(h, np.array([mask], dtype=mask_dtype(h.m)))[0] == total
 
 
 def test_fractional_matching_rejects_values_outside_unit_interval():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from stochmatch import mwm
 from stochmatch.gadgets import benchmark_6v8e, shared_tie_fixture
-from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph, mask_weight, weight_of
+from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph, mask_weight
 from stochmatch.mwm import (
     GraphView,
     brute_force_mwm,
@@ -20,48 +20,56 @@ def graph(n, weighted_edges):
         n=n, edges=tuple(Edge(u, v, w, 1.0) for u, v, w in weighted_edges))
 
 
+def as_mask(matching):
+    return sum(1 << e for e in matching.edges)
+
+
+def weight(matching, g):
+    return mask_weight(g, as_mask(matching))
+
+
 def test_single_edge():
     g = graph(2, [(0, 1, 5.0)])
     m = max_weight_matching(GraphView(g))
-    assert m.sorted_edges() == [0]
-    assert weight_of(m, g) == 5.0
+    assert sorted(m.edges) == [0]
+    assert weight(m, g) == 5.0
 
 
 def test_path_middle_heavy():
     # all 4 matchings of the path enumerate to: {}, {ab}=1, {bc}=3, {cd}=1, {ab,cd}=2
     g = graph(4, [(0, 1, 1.0), (1, 2, 3.0), (2, 3, 1.0)])
     m = max_weight_matching(GraphView(g))
-    assert m.sorted_edges() == [1]
-    assert weight_of(m, g) == 3.0
-    assert weight_of(brute_force_mwm(GraphView(g)), g) == 3.0
+    assert sorted(m.edges) == [1]
+    assert weight(m, g) == 3.0
+    assert weight(brute_force_mwm(GraphView(g)), g) == 3.0
 
 
 def test_path_outer_pair_wins():
     g = graph(4, [(0, 1, 2.0), (1, 2, 3.0), (2, 3, 2.0)])
     m = max_weight_matching(GraphView(g))
-    assert m.sorted_edges() == [0, 2]
-    assert weight_of(m, g) == 4.0
+    assert sorted(m.edges) == [0, 2]
+    assert weight(m, g) == 4.0
 
 
 def test_triangle_single_edge_weight():
     g = graph(3, [(0, 1, 3.0), (1, 2, 3.0), (0, 2, 3.0)])
     m = max_weight_matching(GraphView(g))
-    assert len(m) == 1
-    assert weight_of(m, g) == 3.0
+    assert len(m.edges) == 1
+    assert weight(m, g) == 3.0
 
 
 def test_empty_view():
     g = graph(4, [(0, 1, 2.0)])
     m = max_weight_matching(GraphView(g, 0))
-    assert len(m) == 0
-    assert weight_of(brute_force_mwm(GraphView(g, 0)), g) == 0.0
+    assert len(m.edges) == 0
+    assert weight(brute_force_mwm(GraphView(g, 0)), g) == 0.0
 
 
 def test_brute_force_two_disjoint():
     g = graph(4, [(0, 1, 1.0), (2, 3, 2.0)])
     m = brute_force_mwm(GraphView(g))
-    assert m.sorted_edges() == [0, 1]
-    assert weight_of(m, g) == 3.0
+    assert sorted(m.edges) == [0, 1]
+    assert weight(m, g) == 3.0
 
 
 def test_brute_force_refuses_large_views():
@@ -76,7 +84,7 @@ def test_brute_force_tie_break_lexicographic():
     # both single-edge optima weigh 1; the smaller index vector wins
     g = graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     m = brute_force_mwm(GraphView(g))
-    assert m.sorted_edges() == [0]
+    assert sorted(m.edges) == [0]
 
 
 def test_wheel_cross_check():
@@ -85,8 +93,8 @@ def test_wheel_cross_check():
     edges += [(i, i % 5 + 1, float(rng.uniform(0.1, 3.0))) for i in range(1, 6)]
     g = graph(6, edges)
     view = GraphView(g)
-    assert weight_of(max_weight_matching(view), g) == pytest.approx(
-        weight_of(brute_force_mwm(view), g), abs=1e-9)
+    assert weight(max_weight_matching(view), g) == pytest.approx(
+        weight(brute_force_mwm(view), g), abs=1e-9)
 
 
 def test_determinism_on_repeat_calls():
@@ -109,8 +117,8 @@ def test_oracle_equivalence_random_family():
         if g.m > 18:
             continue
         view = GraphView(g)
-        fast = weight_of(max_weight_matching(view), g)
-        slow = weight_of(brute_force_mwm(view), g)
+        fast = weight(max_weight_matching(view), g)
+        slow = weight(brute_force_mwm(view), g)
         assert abs(fast - slow) <= 1e-9, (i, fast, slow)
 
 
@@ -128,7 +136,7 @@ def test_monotone_in_added_edges():
         prev = 0.0
         for e in order:
             mask |= 1 << int(e)
-            w = weight_of(max_weight_matching(GraphView(g, mask)), g)
+            w = weight(max_weight_matching(GraphView(g, mask)), g)
             assert w >= prev - 1e-12
             prev = w
 
@@ -136,7 +144,7 @@ def test_monotone_in_added_edges():
 def test_masked_view_restricts_edges():
     g = graph(4, [(0, 1, 5.0), (1, 2, 10.0), (2, 3, 5.0)])
     m = max_weight_matching(GraphView(g, 0b101))
-    assert m.sorted_edges() == [0, 2]
+    assert sorted(m.edges) == [0, 2]
     with pytest.raises(ValueError):
         GraphView(g, 1 << 10)
 
@@ -168,7 +176,33 @@ def test_table_matches_networkx_on_every_benchmark_mask():
     g = benchmark_6v8e().graph
     assert mwm.matching_table(g) is not None
     for mask in range(1 << g.m):
-        assert mwm._solve(g, mask) == mwm._solve_networkx(g, mask), mask
+        assert mm_edge_mask(g, mask) == mwm._solve_networkx(g, mask), mask
+
+
+def test_tied_masks_are_scanned_once(monkeypatch):
+    # a tied mask goes from the batched scan straight to networkx: the
+    # one-mask scan is never run on a mask the batch has scanned
+    bench = benchmark_6v8e().graph
+    g = StochasticGraph(n=bench.n, edges=bench.edges)  # a fresh copy: empty memo
+    masks = np.arange(1 << g.m, dtype=np.int64)
+    expected = [mwm._solve_networkx(g, mask) for mask in masks.tolist()]
+
+    def no_rescan(*_args):
+        raise AssertionError("a mask was scanned twice")
+
+    monkeypatch.setattr(mwm, "_scan_one", no_rescan)
+    assert mm_edge_masks(g, masks).tolist() == expected
+    assert len(g._caches["mm"]) > 0  # the fixture has tied masks
+
+
+def test_networkx_answer_sharing_a_vertex_is_rejected(monkeypatch):
+    import networkx
+
+    g = graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    monkeypatch.setattr(networkx, "max_weight_matching",
+                        lambda *_args, **_kwargs: {(0, 1), (2, 1)})
+    with pytest.raises(ValueError):
+        mwm._solve_networkx(g, g.full_mask)
 
 
 def test_tie_and_zero_weight_fall_back_to_networkx(monkeypatch):
@@ -177,11 +211,11 @@ def test_tie_and_zero_weight_fall_back_to_networkx(monkeypatch):
     solve_nx = mwm._solve_networkx
     monkeypatch.setattr(mwm, "_solve_networkx",
                         lambda g_, mask: calls.append(mask) or solve_nx(g_, mask))
-    assert mwm._solve(g, 0b0011) == solve_nx(g, 0b0011)  # two weight-1 optima
-    assert mwm._solve(g, 0b0101) == solve_nx(g, 0b0101)  # optional zero-weight edge
+    assert mm_edge_mask(g, 0b0011) == solve_nx(g, 0b0011)  # two weight-1 optima
+    assert mm_edge_mask(g, 0b0101) == solve_nx(g, 0b0101)  # optional zero-weight edge
     assert calls == [0b0011, 0b0101]
-    assert mwm._solve(g, 0b1010) == 0b1010  # unique optimum: answered by the table
-    assert mwm._solve(g, 0) == solve_nx(g, 0)
+    assert mm_edge_mask(g, 0b1010) == 0b1010  # unique optimum: answered by the table
+    assert mm_edge_mask(g, 0) == solve_nx(g, 0)
     assert calls == [0b0011, 0b0101]
 
 
@@ -206,10 +240,10 @@ def test_table_equals_networkx_and_brute_force(case):
     g, masks = case
     assert mwm.matching_table(g) is not None
     for mask in masks:
-        bits = mwm._solve(g, mask)
+        bits = mm_edge_mask(g, mask)
         assert bits == mwm._solve_networkx(g, mask)
         assert mask_weight(g, bits) == pytest.approx(
-            weight_of(brute_force_mwm(GraphView(g, mask)), g), abs=1e-9)
+            weight(brute_force_mwm(GraphView(g, mask)), g), abs=1e-9)
 
 
 def test_over_cap_graph_uses_networkx_and_caches_no_table(monkeypatch):
@@ -236,16 +270,22 @@ def test_over_cap_graph_uses_networkx_and_caches_no_table(monkeypatch):
 
 
 def test_memo_is_cleared_at_its_cap(monkeypatch):
+    # only networkx answers are memoized, so the graph must have no table
     monkeypatch.setattr(mwm, "MM_CACHE_MAX", 8)
+    monkeypatch.setattr(mwm, "TABLE_MAX_MATCHINGS", 16)
     g = gen_random_graph(8, 0.5, {"name": "uniform", "low": 0.1, "high": 2.0},
                          {"name": "constant", "value": 0.5}, seed=8)
+    assert mwm.matching_table(g) is None
     masks = list(range(0, 1 << g.m, (1 << g.m) // 100))
+    sizes = []
     for mask in masks:
         bits = mm_edge_mask(g, mask)
-        assert len(g._caches["mm"]) <= 8
+        sizes.append(len(g._caches["mm"]))
+        assert 1 <= sizes[-1] <= 8
         assert bits == mwm._solve_networkx(g, mask)
-        assert max_weight_matching(GraphView(g, mask)).as_mask() == bits
+        assert as_mask(max_weight_matching(GraphView(g, mask))) == bits
         assert all(type(k) is int and type(v) is int for k, v in g._caches["mm"].items())
+    assert sizes.count(8) > 1 and sizes.count(1) > 1  # filled and cleared, more than once
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +304,7 @@ def assert_batch_equals_per_mask(g, masks):
         weights = sorted((mask_weight(g, row) for row in range(1 << g.m)
                           if row & ~mask == 0 and is_matching(g, row)), reverse=True)
         if len(weights) == 1 or weights[0] - weights[1] > 1e-9:
-            assert bits == brute_force_mwm(GraphView(g, mask)).as_mask(), mask
+            assert bits == as_mask(brute_force_mwm(GraphView(g, mask))), mask
 
 
 @st.composite

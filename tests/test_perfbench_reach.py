@@ -1,10 +1,12 @@
-"""The benchmark's tracer and stopwatch still find every name they patch.
+"""The benchmark's tracer, stopwatch and output checks still find every name
+they use.
 
 ``perfbench/tracer.py`` wraps package functions by name from outside the
 package, so renaming or deleting one of them breaks only a traced benchmark
 run.  These tests load that file from the checkout, install each recorder,
 run a small command under the tracer, and check that uninstalling puts the
-package back as it was.
+package back as it was.  ``perfbench/checks.py`` calls the oracles and reads
+their matchings' edges; it is loaded the same way and run on small inputs.
 """
 
 import importlib.util
@@ -15,17 +17,22 @@ from pathlib import Path
 import networkx
 
 from stochmatch import cli, verifier
-from stochmatch.gadgets import relaxed_suite_8v
+from stochmatch.exact import exact_x
+from stochmatch.gadgets import benchmark_6v8e, relaxed_suite_8v
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  ROOT / "perfbench" / "tracer.py")
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_perfbench("tracer")
 
 
 def package_bindings():
@@ -125,3 +132,14 @@ def test_tracer_counts_every_plan_round_of_a_check():
     finally:
         tracer.uninstall()
     assert tracer.counts["sparsifier.plan_rounds"] == 300 * gadget.t
+
+
+def test_benchmark_output_checks_pass_on_the_package():
+    # the checks build GraphView masks and read .edges of max_weight_matching
+    # and brute_force_mwm; the graph is the generated_mc workload's
+    checks = load_perfbench("checks")
+    config = cli.ExperimentConfig(graph={"generator": {"n": 12, "density": 0.3, "seed": 3}})
+    assert checks.check_generated(cli.load_graph(config), [], 1) == []
+    g = benchmark_6v8e().graph
+    truth = checks.expected_mm_weight_brute_force(g)
+    assert abs(truth - float(exact_x(g) @ g.weights)) <= checks.WEIGHT_TOL

@@ -19,7 +19,7 @@ from stochmatch.gadgets import (
 from stochmatch import estimator, gadgets, sparsifier, verifier
 from stochmatch.graph_core import Params, mask_edges, sample_masks
 from stochmatch.parallel import BLOCK_LEN, rng_from, worker_pool
-from stochmatch.sparsifier import draw_plan
+from stochmatch.sparsifier import draw_plans
 from stochmatch.vb_matching import draw_run_inputs
 from stochmatch.verifier import (
     PAIR_ALIVE_FLOOR,
@@ -340,7 +340,7 @@ def test_y_block_rows_equal_per_run_loop():
     tables = build_tables_exact(g, params, gadget.t, tau=gadget.tau)
     rng = rng_from(43, verifier._TAG_Y, 0)
     perms, reals, uniforms = draw_run_inputs(tables.law, rng, 200)
-    q_masks = [draw_plan(g, 30, rng) for _ in range(200)]
+    q_masks = [draw_plans(g, 30, rng, 1).tolist()[0] for _ in range(200)]
     noncrucial = tables.classes.noncrucial()
     rows = np.zeros((200, g.n))
     for i in range(200):
@@ -366,7 +366,7 @@ def test_plan_pair_and_log_joint_blocks_equal_per_run_loops():
     rng = rng_from(44, verifier._TAG_NA, 3)
     cells = np.zeros((len(pairs), 4), dtype=np.int64)
     for _ in range(300):
-        q_mask = draw_plan(g, 3, rng)
+        [q_mask] = draw_plans(g, 3, rng, 1).tolist()
         for j, (e1, e2) in enumerate(pairs):
             cells[j, 2 * ((q_mask >> e1) & 1) + ((q_mask >> e2) & 1)] += 1
     assert np.array_equal(verifier._plan_pair_block(g, 3, pairs, 44, 3, 300), cells)

@@ -9,7 +9,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from stochmatch.graph_core import make_matching
 from stochmatch.vb_matching import run_vb
 
 
@@ -102,8 +101,10 @@ def reference_run_vb(law, permutation, realization_mask, uniforms) -> ReferenceR
             matched[v] = True
             mc_edges.append(choice)
 
+    ends = [v for e in mc_edges for v in g.endpoints(e)]
+    assert len(ends) == len(set(ends)), "matched edges share a vertex"
     alive = sum(1 << v for v in range(g.n) if not had_active[v])
-    return ReferenceRun(make_matching(g, mc_edges).as_mask(), alive, activated,
+    return ReferenceRun(sum(1 << e for e in mc_edges), alive, activated,
                         clip_events, tuple(log))
 
 
