@@ -45,12 +45,7 @@ from .graph_core import (
     write_graph,
 )
 from .mwm import GraphView, Matching, brute_force_mwm, max_weight_matching
-from .sparsifier import (
-    EdgeClasses,
-    check_crucial_coverage,
-    classify_edges,
-    max_degree,
-)
+from .sparsifier import EdgeClasses, classify_edges, max_degree
 from .vb_matching import (
     activate_batch,
     attenuation_g,
@@ -61,6 +56,7 @@ from .vb_matching import (
 from .verifier import (
     CheckReport,
     check_activation,
+    check_crucial_coverage,
     check_concentration_y,
     check_negative_association,
     check_pair_alive,

@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -296,7 +296,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
         )
     payload = {
         "config_hash": config.config_hash(),
-        "reports": [r.to_json_dict() for r in reports],
+        "reports": [asdict(r) for r in reports],
     }
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -319,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Stochastic matching sparsifier experiments and verification",
     )
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, help="master seed (mandatory via flag or config)")
+    parser.add_argument("--seed", type=int, help="master seed (default 1)")
     parser.add_argument("--trials", type=int, help="pipeline runs per sweep point")
     parser.add_argument("--workers", type=int, help="worker processes")
     parser.add_argument("--t", type=int, help="single plan size (overrides sweep)")

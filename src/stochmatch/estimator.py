@@ -41,6 +41,11 @@ _TAG_Q = 0x05
 DEFAULT_TRIALS = 4000  # std_err <= 0.008 for probabilities near 0.5
 
 
+def binomial_se(freq: float, trials: int) -> float:
+    """Plug-in binomial standard error of a frequency observed over ``trials``."""
+    return math.sqrt(max(freq * (1.0 - freq), 0.0) / trials)
+
+
 @dataclass(frozen=True)
 class ProbEstimate:
     """A probability estimate with its binomial standard error."""
@@ -52,8 +57,7 @@ class ProbEstimate:
     @classmethod
     def from_count(cls, count: int, trials: int) -> "ProbEstimate":
         value = count / trials
-        return cls(value=value, trials=trials,
-                   std_err=math.sqrt(max(value * (1.0 - value), 0.0) / trials))
+        return cls(value=value, trials=trials, std_err=binomial_se(value, trials))
 
 
 # ---------------------------------------------------------------------------

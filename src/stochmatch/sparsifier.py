@@ -14,6 +14,9 @@ of a draw with one :func:`mwm.mm_edge_masks` call.  Both give the same rounds
 from the same draw, as one array of masks (int64 up to 63 edges, Python ints
 past that), and :func:`draw_plans` ORs each plan's rounds in one reduction
 over that array.
+
+The runtime check of the plans' membership floors and degree bound is
+:func:`verifier.check_crucial_coverage`, beside the other gated checks.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import enumerable, mm_answers
-from .graph_core import StochasticGraph, mask_bits, mask_dtype, mask_edges, sample_masks
+from .graph_core import StochasticGraph, mask_dtype, mask_edges, sample_masks
 from .mwm import mm_edge_masks
-from .parallel import BLOCK_LEN, rng_from
+from .parallel import BLOCK_LEN
 
-_TAG_COVERAGE = 0x5152
 
 
 def max_degree(g: StochasticGraph, mask: int) -> int:
@@ -111,69 +113,3 @@ def classify_edges(x_hat: np.ndarray, tau: float) -> EdgeClasses:
         if value >= tau:
             mask |= 1 << e
     return EdgeClasses(crucial_mask=mask, tau=tau, m=len(x_hat))
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    """Per-edge plan-membership frequencies against their guaranteed floors."""
-
-    trials: int
-    t: int
-    epsilon: float
-    tau: float
-    theory_precondition_met: bool
-    coverage: dict  # edge -> (freq, floor, passed) for crucial edges
-    claim_floor: dict  # edge -> (freq, floor, passed) for all edges
-    max_degree_seen: int
-    degree_bound_ok: bool
-
-
-def check_crucial_coverage(
-    g: StochasticGraph,
-    classes: EdgeClasses,
-    x_hat: np.ndarray,
-    epsilon: float,
-    t: int,
-    trials: int,
-    seed: int,
-) -> CoverageReport:
-    """Measure Pr[edge joins the plan] across plan re-draws.
-
-    Crucial edges are gated against the ``1 - epsilon`` floor whenever the
-    ``t >= 1/(tau*epsilon)`` precondition actually holds (at practical ``t``
-    it usually does not, and the floor is then informational only); every
-    edge is gated against the unconditional ``min(1/3, t*x/3)`` floor.  The
-    structural ``max degree <= t`` bound is checked on every sampled plan.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    plans = draw_plans(g, t, rng_from(seed, _TAG_COVERAGE), trials)
-    counts = mask_bits(plans, range(g.m)).sum(axis=0)
-    max_degree_seen = max(max_degree(g, q_mask) for q_mask in set(plans.tolist()))
-
-    freq = counts / trials
-    se = np.sqrt(np.maximum(freq * (1.0 - freq), 0.0) / trials)
-    precondition = t >= 1.0 / (classes.tau * epsilon)
-
-    coverage = {}
-    for e in classes.crucial():
-        floor = 1.0 - epsilon
-        passed = (freq[e] >= floor - 3.0 * se[e]) or not precondition
-        coverage[e] = (float(freq[e]), floor, bool(passed))
-    claim_floor = {}
-    for e in range(g.m):
-        floor = min(1.0 / 3.0, t * float(x_hat[e]) / 3.0)
-        passed = freq[e] >= floor - 3.0 * se[e]
-        claim_floor[e] = (float(freq[e]), floor, bool(passed))
-
-    return CoverageReport(
-        trials=trials,
-        t=t,
-        epsilon=epsilon,
-        tau=classes.tau,
-        theory_precondition_met=bool(precondition),
-        coverage=coverage,
-        claim_floor=claim_floor,
-        max_degree_seen=max_degree_seen,
-        degree_bound_ok=max_degree_seen <= t,
-    )

@@ -1,11 +1,13 @@
 """Statistical verification of the pipeline's probabilistic guarantees.
 
 Every check is a deterministic function of (instance, seed, trials) and
-produces a :class:`CheckReport`.  Monte Carlo frequencies are compared
-against enumeration oracles within 3 standard errors where instance size
-permits exact enumeration; structural facts (matching validity, degree caps,
-alive-set disjointness) are asserted exactly inside the sampled runs
-themselves.
+produces a :class:`CheckReport` (:class:`CoverageReport` for plan coverage).
+Every statistical comparison fails past ``Z_GATE`` standard errors: a
+frequency against a target (``g(y)``, an enumeration oracle) in
+:func:`z_gap`, against a floor (8/15 y, 1/576, coverage) in :func:`short_of`,
+both with the standard error of :func:`estimator.binomial_se`.  Structural
+facts (matching validity, degree caps, alive-set disjointness) are asserted
+exactly inside the sampled runs themselves.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .augmenter import PipelineTables, build_tables_exact
-from .estimator import estimate_pair_alive, sample_vb_statistics
+from .estimator import binomial_se, estimate_pair_alive, sample_vb_statistics
 from .gadgets import (
     Gadget,
     positive_covariance_control,
@@ -29,7 +31,7 @@ from .gadgets import (
 )
 from .graph_core import Params, StochasticGraph, mask_bits, mask_edges, sample_masks
 from .parallel import rng_from, run_blocks
-from .sparsifier import draw_plans
+from .sparsifier import EdgeClasses, draw_plans, max_degree
 from .vb_matching import (
     ActivationLaw,
     attenuation_g,
@@ -43,8 +45,10 @@ _TAG_NA = 0x22
 _TAG_Z = 0x23
 _TAG_Y = 0x24
 _TAG_IND = 0x25
+_TAG_COVERAGE = 0x5152
 
 PAIR_ALIVE_FLOOR = 1.0 / 576.0  # 1/36 * 0.25^2
+Z_GATE = 3.0  # a gated comparison fails past this many standard errors
 
 
 @dataclass(frozen=True)
@@ -62,18 +66,6 @@ class CheckReport:
     def failed(self) -> bool:
         return self.gated and self.verdict == "fail"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "gated": self.gated,
-            "estimate": self.estimate,
-            "std_err": self.std_err,
-            "threshold": self.threshold,
-            "trials": self.trials,
-            "details": self.details,
-        }
-
 
 def two_point_covariance(q: float) -> float:
     """Covariance of indicators under the law 'exactly one of two, first w.p. q'."""
@@ -82,8 +74,17 @@ def two_point_covariance(q: float) -> float:
     return -q * (1.0 - q)
 
 
-def _se(freq: float, trials: int) -> float:
-    return math.sqrt(max(freq * (1.0 - freq), 0.0) / trials)
+def z_gap(freq: float, target: float, trials: int) -> float:
+    """``|freq - target|`` in standard errors of ``freq`` (infinite for a gap
+    at zero standard error); gates fail when it exceeds ``Z_GATE``."""
+    se = binomial_se(freq, trials)
+    gap = abs(freq - target)
+    return gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
+
+
+def short_of(freq: float, floor: float, trials: int) -> bool:
+    """Whether ``freq`` falls more than ``Z_GATE`` standard errors below ``floor``."""
+    return freq < floor - Z_GATE * binomial_se(freq, trials)
 
 
 def _noncrucial_pairs(g: StochasticGraph, crucial_mask: int):
@@ -106,35 +107,30 @@ def _noncrucial_pairs(g: StochasticGraph, crucial_mask: int):
 
 def check_activation(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     """Activation frequency of every crucial edge vs g(y) and the oracle."""
-    g = gadget.graph
     active, _sel, _alive, _pairs, clip = sample_vb_statistics(gadget.law, (), trials, seed, _TAG_VB)
     dist = gadget.enumeration
     y = gadget.law.y
     details = {}
     z_max = 0.0
     oracle_gap = 0.0
-    for e in range(g.m):
-        if not (gadget.crucial_mask >> e) & 1:
-            continue
+    for e in mask_edges(gadget.crucial_mask):
         freq = active[e] / trials
         target = attenuation_g(float(y[e]))
-        se = _se(freq, trials)
-        entry = {"freq": freq, "g_of_y": target, "se": se}
-        gaps = [abs(freq - target)]
+        entry = {"freq": freq, "g_of_y": target, "se": binomial_se(freq, trials)}
+        targets = [target]
         if dist is not None:
             exact = dist.edge_active_prob(e)
             entry["exact"] = exact
-            gaps.append(abs(freq - exact))
+            targets.append(exact)
             oracle_gap = max(oracle_gap, abs(exact - target))
-        z_edge = max(gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
-                     for gap in gaps)
+        z_edge = max(z_gap(freq, value, trials) for value in targets)
         z_max = max(z_max, z_edge)
         entry["z"] = z_edge
         details[str(e)] = entry
-    verdict = "pass" if z_max <= 3.0 else "fail"
+    verdict = "pass" if z_max <= Z_GATE else "fail"
     return CheckReport(
         name=f"activation[{gadget.name}]", verdict=verdict, gated=True,
-        estimate=z_max, std_err=0.0, threshold=3.0, trials=trials,
+        estimate=z_max, std_err=0.0, threshold=Z_GATE, trials=trials,
         details={"edges": details, "oracle_vs_g_gap": oracle_gap,
                  "enumerated": dist is not None, "clip_events": clip},
     )
@@ -142,39 +138,32 @@ def check_activation(gadget: Gadget, trials: int, seed: int) -> CheckReport:
 
 def check_selectability(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     """Matching membership vs the enumeration oracle, and the 8/15 line."""
-    g = gadget.graph
     _act, selected, _alive, _pairs, _clip = sample_vb_statistics(gadget.law, (), trials, seed, _TAG_VB)
     dist = gadget.enumeration
     y = gadget.law.y
     details = {}
     z_max = 0.0
     ratio_floor_ok = True
-    for e in range(g.m):
-        if not (gadget.crucial_mask >> e) & 1:
-            continue
+    for e in mask_edges(gadget.crucial_mask):
         freq = selected[e] / trials
-        se = _se(freq, trials)
-        entry = {"freq": freq, "se": se, "target_8_15": (8.0 / 15.0) * float(y[e])}
+        floor = (8.0 / 15.0) * float(y[e])
+        entry = {"freq": freq, "se": binomial_se(freq, trials), "target_8_15": floor}
         if dist is not None:
             exact = dist.edge_selected_prob(e)
-            gap = abs(freq - exact)
-            z_edge = gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
+            z_edge = z_gap(freq, exact, trials)
             z_max = max(z_max, z_edge)
             entry["exact"] = exact
             entry["z"] = z_edge
-        if freq < (8.0 / 15.0) * float(y[e]) - 3.0 * se:
+        if short_of(freq, floor, trials):
             ratio_floor_ok = False
             entry["below_8_15"] = True
         details[str(e)] = entry
     single_edge = bin(gadget.crucial_mask).count("1") == 1
-    verdict = "pass"
-    if dist is not None and z_max > 3.0:
-        verdict = "fail"
-    if single_edge and not ratio_floor_ok:
-        verdict = "fail"
+    oracle_fail = dist is not None and z_max > Z_GATE
+    verdict = "fail" if oracle_fail or (single_edge and not ratio_floor_ok) else "pass"
     return CheckReport(
         name=f"selectability[{gadget.name}]", verdict=verdict, gated=True,
-        estimate=z_max, std_err=0.0, threshold=3.0, trials=trials,
+        estimate=z_max, std_err=0.0, threshold=Z_GATE, trials=trials,
         details={"edges": details, "enumerated": dist is not None,
                  "eight_fifteenths_floor_ok": ratio_floor_ok,
                  "eight_fifteenths_gated": single_edge},
@@ -193,19 +182,14 @@ def check_pair_alive(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     worst = 1.0
     for u, v in pairs:
         freq = pair_counts[(u, v)] / trials
-        se = _se(freq, trials)
-        entry = {"freq": freq, "se": se}
-        if freq < PAIR_ALIVE_FLOOR - 3.0 * se:
+        entry = {"freq": freq, "se": binomial_se(freq, trials)}
+        if short_of(freq, PAIR_ALIVE_FLOOR, trials):
             verdict = "fail"
             entry["below_floor"] = True
         if dist is not None:
             exact = dist.pair_alive_prob(u, v)
             entry["exact"] = exact
-            gap = abs(freq - exact)
-            if se > 0 and gap / se > 3.0:
-                verdict = "fail"
-                entry["off_oracle"] = True
-            elif se == 0 and gap > 0:
+            if z_gap(freq, exact, trials) > Z_GATE:
                 verdict = "fail"
                 entry["off_oracle"] = True
         worst = min(worst, freq)
@@ -219,9 +203,8 @@ def check_pair_alive(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     for v in range(g.n):
         freq = alive[v] / trials
         y_v = float(sum(y[e] for e in g.incident[v] if (gadget.crucial_mask >> e) & 1))
-        se = _se(freq, trials)
         singles[str(v)] = {"freq": freq, "floor": 1.0 - y_v}
-        if freq < 1.0 - y_v - 3.0 * se:
+        if short_of(freq, 1.0 - y_v, trials):
             verdict = "fail"
             singles[str(v)]["below_floor"] = True
     return CheckReport(
@@ -266,7 +249,7 @@ def incident_edge_pairs(g: StochasticGraph) -> list[tuple[int, int]]:
 
 
 def check_negative_association(gadget: Gadget, trials: int, seed: int) -> CheckReport:
-    """Plan-membership covariance of incident edge pairs is <= +3*SE.
+    """Plan-membership covariance of incident edge pairs is <= +Z_GATE*SE.
 
     Declared pairs of the gadget are gated as well (that is how the negative
     control forces a failure).  The structural 'exactly one of the two edges
@@ -290,15 +273,68 @@ def check_negative_association(gadget: Gadget, trials: int, seed: int) -> CheckR
         entry = {"cov": cov, "se": se}
         exactly_one = int(cells[j, 1] + cells[j, 2])
         entry["exactly_one_freq"] = exactly_one / trials
-        if cov > 3.0 * se:
+        if cov > Z_GATE * se:
             verdict = "fail"
             entry["positive"] = True
-        worst = max(worst, cov - 3.0 * se)
+        worst = max(worst, cov - Z_GATE * se)
         details[f"{e1},{e2}"] = entry
     return CheckReport(
         name=f"negative_association[{gadget.name}]", verdict=verdict, gated=True,
         estimate=worst, std_err=0.0, threshold=0.0, trials=trials,
         details={"pairs": details},
+    )
+
+
+# ---------------------------------------------------------------------------
+# Plan coverage
+
+
+@dataclass(frozen=True)
+class CoverageReport:
+    """Per-edge plan-membership frequencies against their guaranteed floors."""
+
+    trials: int
+    t: int
+    epsilon: float
+    tau: float
+    theory_precondition_met: bool
+    coverage: dict  # edge -> (freq, floor, passed) for crucial edges
+    claim_floor: dict  # edge -> (freq, floor, passed) for all edges
+    max_degree_seen: int
+    degree_bound_ok: bool
+
+
+def check_crucial_coverage(g: StochasticGraph, classes: EdgeClasses, x_hat: np.ndarray,
+                           epsilon: float, t: int, trials: int, seed: int) -> CoverageReport:
+    """Measure Pr[edge joins the plan] across plan re-draws.
+
+    Crucial edges are gated against the ``1 - epsilon`` floor whenever the
+    ``t >= 1/(tau*epsilon)`` precondition actually holds (at practical ``t``
+    it usually does not, and the floor is then informational only); every
+    edge is gated against the unconditional ``min(1/3, t*x/3)`` floor.  Both
+    floors are :func:`short_of` gates.  The structural ``max degree <= t``
+    bound is checked on every sampled plan.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    plans = draw_plans(g, t, rng_from(seed, _TAG_COVERAGE), trials)
+    counts = mask_bits(plans, range(g.m)).sum(axis=0)
+    max_degree_seen = max(max_degree(g, q_mask) for q_mask in set(plans.tolist()))
+
+    freq = counts / trials
+    precondition = t >= 1.0 / (classes.tau * epsilon)
+
+    def entry(e: int, floor: float, gated: bool = True) -> tuple:
+        return float(freq[e]), floor, not (gated and short_of(freq[e], floor, trials))
+
+    coverage = {e: entry(e, 1.0 - epsilon, precondition) for e in classes.crucial()}
+    claim_floor = {e: entry(e, min(1.0 / 3.0, t * float(x_hat[e]) / 3.0)) for e in range(g.m)}
+
+    return CoverageReport(
+        trials=trials, t=t, epsilon=epsilon, tau=classes.tau,
+        theory_precondition_met=bool(precondition), coverage=coverage,
+        claim_floor=claim_floor, max_degree_seen=max_degree_seen,
+        degree_bound_ok=max_degree_seen <= t,
     )
 
 
@@ -333,6 +369,8 @@ def check_var_z(gadget: Gadget, synthetic_x: dict[tuple[int, int], float],
     crucial graph with every value at most ``tau``; pair-alive denominators
     are measured first, and ``delta_hat`` is their minimum.
     """
+    if trials < 2:
+        raise ValueError("trials must be >= 2 for a sample variance")
     if any(x > tau + 1e-12 for x in synthetic_x.values()):
         raise ValueError("synthetic fractional matching exceeds tau")
     g = gadget.graph
@@ -413,11 +451,11 @@ def check_concentration_y(gadget: Gadget, tables: PipelineTables, trials: int,
             if stds[v] <= 0.0:
                 continue
             mass = float((np.abs(rows[:, v] - means[v]) >= c * stds[v]).mean())
-            se = _se(mass, trials)
+            se = binomial_se(mass, trials)
             key = f"c={c:g},v={v}"
             cheb[key] = {"mass": mass, "bound": bound, "se": se}
-            worst_excess = max(worst_excess, mass - bound - 3.0 * se)
-            if mass > bound + 3.0 * se:
+            worst_excess = max(worst_excess, mass - bound - Z_GATE * se)
+            if mass > bound + Z_GATE * se:
                 cheb_fail = True
                 cheb[key]["exceeded"] = True
     details = {

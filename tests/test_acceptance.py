@@ -36,9 +36,10 @@ from stochmatch.graph_core import (
 )
 from stochmatch.mwm import GraphView, brute_force_mwm, max_weight_matching
 from stochmatch.parallel import rng_from
-from stochmatch.sparsifier import check_crucial_coverage, classify_edges, draw_plans, max_degree
+from stochmatch.sparsifier import classify_edges, draw_plans, max_degree
 from stochmatch.verifier import (
     check_activation,
+    check_crucial_coverage,
     check_negative_association,
     check_pair_alive,
     check_selectability,

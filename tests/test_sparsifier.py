@@ -25,14 +25,8 @@ from stochmatch.graph_core import (
 )
 from stochmatch.mwm import GraphView, brute_force_mwm, mm_edge_mask
 from stochmatch.parallel import BLOCK_LEN, rng_from
-from stochmatch.sparsifier import (
-    _TAG_COVERAGE,
-    check_crucial_coverage,
-    classify_edges,
-    draw_plans,
-    max_degree,
-    plan_round_masks,
-)
+from stochmatch.sparsifier import classify_edges, draw_plans, max_degree, plan_round_masks
+from stochmatch.verifier import _TAG_COVERAGE, check_crucial_coverage
 
 
 def graph(n, edges):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from stochmatch.gadgets import (
     var_z_synthetic_x,
 )
 from stochmatch import estimator, gadgets, sparsifier, verifier
-from stochmatch.graph_core import Params, mask_edges, sample_masks
+from stochmatch.graph_core import Edge, Params, StochasticGraph, mask_edges, sample_masks
 from stochmatch.parallel import BLOCK_LEN, rng_from, worker_pool
 from stochmatch.sparsifier import draw_plans
 from stochmatch.vb_matching import draw_run_inputs
@@ -182,6 +184,21 @@ def test_check_var_z_rejects_oversized_values():
         check_var_z(gadget, {(1, 2): 0.5}, 0.05, trials=100, seed=16)
 
 
+@pytest.mark.parametrize("trials", [0, 1])
+def test_check_var_z_needs_two_trials_before_drawing(monkeypatch, trials):
+    # one trial has no sample variance: (trials - 1) would divide by zero and
+    # write NaN and Infinity into the verify report
+    def no_draw(*args, **kwargs):
+        raise AssertionError("check_var_z drew samples")
+
+    monkeypatch.setattr(verifier, "estimate_pair_alive", no_draw)
+    monkeypatch.setattr(verifier, "run_blocks", no_draw)
+    gadget = relaxed_suite_8v()
+    with pytest.raises(ValueError, match="trials must be >= 2"):
+        check_var_z(gadget, var_z_synthetic_x(gadget, gadget.tau), gadget.tau,
+                    trials=trials, seed=9)
+
+
 def test_check_concentration_y_no_noncrucial_edges():
     gadget = two_path()  # everything crucial: Y is identically zero
     params = Params(epsilon=0.2, delta=1 / 576.0, p_min=gadget.graph.p_min)
@@ -259,9 +276,9 @@ CHUNK_TRIALS = BLOCK_LEN + 17  # a full block and a partial one
                          ids=lambda fn: fn.__name__)
 def test_relaxed_checks_identical_with_one_and_two_workers(check):
     gadget = relaxed_suite_8v()
-    one = check(gadget, CHUNK_TRIALS, 31).to_json_dict()
+    one = dataclasses.asdict(check(gadget, CHUNK_TRIALS, 31))
     with worker_pool(2):
-        two = check(gadget, CHUNK_TRIALS, 31).to_json_dict()
+        two = dataclasses.asdict(check(gadget, CHUNK_TRIALS, 31))
     assert one == two
     assert one["trials"] == CHUNK_TRIALS
 
@@ -393,8 +410,8 @@ def relaxed_concentration_y(gadget, trials, seed):
 
 def relaxed_coverage(gadget, trials, seed):
     x = gadget.law.y
-    return sparsifier.check_crucial_coverage(gadget.graph, sparsifier.classify_edges(x, 0.1),
-                                             x, 0.5, gadget.t, trials, seed)
+    return verifier.check_crucial_coverage(gadget.graph, sparsifier.classify_edges(x, 0.1),
+                                           x, 0.5, gadget.t, trials, seed)
 
 
 @pytest.mark.parametrize("check", [check_activation, check_selectability, check_pair_alive,
@@ -403,3 +420,60 @@ def relaxed_coverage(gadget, trials, seed):
 def test_zero_trials_raise_a_value_error(check):
     with pytest.raises(ValueError, match="trials must be >= 1"):
         check(relaxed_suite_8v(), 0, 5)
+
+
+# ---------------------------------------------------------------------------
+# Every gated comparison reads Z_GATE
+
+
+def gate_outcomes() -> dict[str, list[bool]]:
+    """Per gate, whether each of its comparisons with a positive standard
+    error failed, on small fixtures that exercise every gated comparison."""
+    def positive(entries, se=lambda entry: entry["se"]):
+        return [entry for entry in entries if se(entry) > 0]
+
+    activation = check_activation(three_path(), trials=2000, seed=1)
+    oracle_selected = check_selectability(three_path(), trials=2000, seed=2)
+    floor_selected = check_selectability(single_edge(y=0.5), trials=2000, seed=3)
+    alive = check_pair_alive(two_path(), trials=2000, seed=4)
+    pairs = positive(e for e in alive.details["pairs"].values() if "adjacent" not in e)
+    singles = positive(alive.details["alive_single"].values(),
+                       lambda entry: 0.0 < entry["freq"] < 1.0)
+    association = check_negative_association(benchmark_6v8e(), trials=2000, seed=5)
+    concentration = relaxed_concentration_y(relaxed_suite_8v(), trials=2000, seed=6)
+    g = StochasticGraph(n=2, edges=(Edge(0, 1, 1.0, 0.5),))
+    x = np.array([0.5])
+    coverage = verifier.check_crucial_coverage(g, sparsifier.classify_edges(x, 0.4), x,
+                                               epsilon=0.5, t=5, trials=2000, seed=7)
+    assert coverage.theory_precondition_met  # 5 >= 1/(0.4*0.5)
+    assert all(0.0 < freq < 1.0 for freq, _floor, _ok in coverage.claim_floor.values())
+    for report in (activation, oracle_selected):  # gated on the worst edge: all must count
+        edges = list(report.details["edges"].values())
+        assert positive(edges) == edges and report.details["enumerated"]
+    assert not oracle_selected.details["eight_fifteenths_gated"]
+    return {
+        "activation": [activation.verdict == "fail"],
+        "selectability_oracle": [oracle_selected.verdict == "fail"],
+        "selectability_8_15": ["below_8_15" in entry for entry in
+                               positive(floor_selected.details["edges"].values())],
+        "pair_alive_floor": ["below_floor" in entry for entry in pairs],
+        "pair_alive_oracle": ["off_oracle" in entry for entry in pairs],
+        "alive_single_floor": ["below_floor" in entry for entry in singles],
+        "negative_association": ["positive" in entry for entry in
+                                 positive(association.details["pairs"].values())],
+        "chebyshev": ["exceeded" in entry for entry in
+                      positive(concentration.details["chebyshev"].values())],
+        "coverage_crucial": [not ok for _f, _floor, ok in coverage.coverage.values()],
+        "coverage_claim": [not ok for _f, _floor, ok in coverage.claim_floor.values()],
+    }
+
+
+@pytest.mark.parametrize("z_gate, failed", [(-1e9, True), (1e9, False)])
+def test_every_gate_reads_z_gate(monkeypatch, z_gate, failed):
+    # a gate at minus a billion standard errors fails every comparison with a
+    # positive standard error, and one at plus a billion passes them all; a
+    # gate with a threshold of its own would keep its verdict under either
+    monkeypatch.setattr(verifier, "Z_GATE", z_gate)
+    for gate, flags in gate_outcomes().items():
+        assert flags, gate
+        assert all(flag is failed for flag in flags), (gate, flags)
