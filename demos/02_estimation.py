@@ -38,8 +38,8 @@ for e in classes.crucial():
 # bits and resampling everything else is the exact conditional law
 e = classes.crucial()[0]
 batch_mask = 1 << e
-est = estimate_y_conditional(g, classes.crucial_mask, e, batch_mask, batch_mask,
-                             trials=40_000, rng=rng_from(3))
+[est] = estimate_y_conditional(g, classes.crucial_mask, [(e, batch_mask, batch_mask)],
+                               trials=40_000, rngs=[rng_from(3)])
 exact = law.y_prime(e, batch_mask, batch_mask)
 print(f"\nconditional membership of edge {e} given it realized: "
       f"estimated {est.value:.4f}, exact {exact:.4f}")

@@ -25,7 +25,7 @@ from .augmenter import (
     end_to_end,
 )
 from .exact import enumerable
-from .gadgets import benchmark_6v8e
+from .gadgets import benchmark_6v8e_graph
 from .graph_core import Params, StochasticGraph, gen_random_graph, read_graph, write_graph
 from .parallel import worker_pool
 from .verifier import default_suite, format_report_table, gated_failures
@@ -86,8 +86,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if type(self.trials) is not int or self.trials < 1:
             raise ValueError(f"trial budget must be an int >= 1, got {self.trials!r}")
-        if type(self.verify_trials) is not int or self.verify_trials < 1:
-            raise ValueError(f"verify trial budget must be an int >= 1, got {self.verify_trials!r}")
+        # verify's variance gates need at least two runs per check
+        if type(self.verify_trials) is not int or self.verify_trials < 2:
+            raise ValueError(f"verify trial budget must be an int >= 2, got {self.verify_trials!r}")
         if self.tau is not None and not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau!r}")
         if self.workers is not None and self.workers < 1:
@@ -171,7 +172,7 @@ def load_graph(config: ExperimentConfig) -> StochasticGraph:
             seed=seed,
         )
     if source.get("bundled") == "benchmark_6v8e":
-        return benchmark_6v8e().graph
+        return benchmark_6v8e_graph()
     raise ValueError(f"unrecognized graph source: {source!r}")
 
 

@@ -8,14 +8,17 @@ blocks with index-derived streams so results do not depend on the worker
 count.
 
 Every realization is drawn through :func:`graph_core.sample_masks` and every
-plan through :func:`sparsifier.draw_plans`.  For x, y and y' a block's
+plan through :func:`sparsifier.draw_plans`.  For x and y a block's
 realizations are drawn as one array and answered by one
 :func:`mwm.mm_edge_masks` call, which scans the matching table once per
-chunk of distinct masks instead of calling the oracle per mask; y' draws
-only the edges its batch reveal leaves hidden.  :class:`MonteCarloConditional`
+chunk of distinct masks instead of calling the oracle per mask.  y' is
+estimated for a list of (edge, batch reveal) queries at once: each query
+draws only the edges its reveal leaves hidden, from its own stream, and one
+oracle call answers the draws of all of them.  :class:`MonteCarloConditional`
 carries estimated ``y`` and ``y'`` as the variance-bounding run's activation
-law, and :func:`sample_vb_statistics` reruns that run on any such law and
-counts its outcomes, mask arrays, with :func:`graph_core.mask_bits`, for
+law, which a block of runs asks once for all its batch reveals, and
+:func:`sample_vb_statistics` reruns that run on any such law and counts its
+outcomes, mask arrays, with :func:`graph_core.mask_bits`, for
 :func:`estimate_pair_alive` and the verifier's checks alike.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -98,31 +102,39 @@ def estimate_y(g: StochasticGraph, crucial_mask: int, trials: int = DEFAULT_TRIA
 def estimate_y_conditional(
     g: StochasticGraph,
     crucial_mask: int,
-    e: int,
-    revealed_mask: int,
-    revealed_bits: int,
+    queries: Sequence[tuple[int, int, int]],
     trials: int,
-    rng: np.random.Generator,
-) -> ProbEstimate:
-    """Conditional oracle-matching membership given a batch reveal.
+    rngs: Sequence[np.random.Generator],
+) -> list[ProbEstimate]:
+    """Conditional oracle-matching membership given a batch reveal, for each
+    query ``(e, revealed_mask, revealed_bits)``.
 
     Revealed edges are frozen to their observed states; every other edge is
     resampled independently (hidden crucial edges and the whole hallucinated
     non-crucial copy).  Valid because edges realize independently, so
     conditioning is just freezing the revealed bits.  An empty reveal (first
-    arrival) degenerates to the unconditional estimate.
+    arrival) degenerates to the unconditional estimate.  Query ``i`` draws
+    its ``trials`` realizations from ``rngs[i]``, and the draws of all
+    queries are answered by one :func:`mwm.mm_edge_masks` call.
     """
-    if revealed_mask != 0:
-        if not (revealed_mask >> e) & 1:
-            raise ValueError("edge is not part of the revealed batch")
-        if not (revealed_bits >> e) & 1:
-            raise ValueError("activation only considers realized edges")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    hidden = mask_edges(g.full_mask & ~revealed_mask)
-    answers = mm_edge_masks(g, sample_masks(g, rng, trials, scope=hidden) | revealed_bits)
-    count = int(np.count_nonzero(answers & (crucial_mask & (1 << e))))
-    return ProbEstimate.from_count(count, trials)
+    if not queries:
+        return []
+    draws = []
+    for (e, revealed_mask, revealed_bits), rng in zip(queries, rngs, strict=True):
+        if revealed_mask != 0:
+            if not (revealed_mask >> e) & 1:
+                raise ValueError("edge is not part of the revealed batch")
+            if not (revealed_bits >> e) & 1:
+                raise ValueError("activation only considers realized edges")
+        hidden = mask_edges(g.full_mask & ~revealed_mask)
+        draws.append(sample_masks(g, rng, trials, scope=hidden) | revealed_bits)
+    answers = mm_edge_masks(g, np.concatenate(draws)).reshape(len(queries), trials)
+    keep = np.array([crucial_mask & (1 << e) for e, _mask, _bits in queries],
+                    dtype=answers.dtype)
+    counts = (answers & keep[:, None] != 0).sum(axis=1)
+    return [ProbEstimate.from_count(int(count), trials) for count in counts]
 
 
 class MonteCarloConditional:
@@ -131,10 +143,11 @@ class MonteCarloConditional:
 
     Each (edge, batch) query is estimated from its own stream, derived from
     the master seed and the query key, so an estimate does not depend on
-    query order and a repeated query gives the same value.  The law keeps no
-    memo of its own: the run's activation table (``vb_matching``) asks each
-    batch reveal once.  Batch clipping downstream is logged by the run
-    itself.
+    query order or on the other queries asked with it, and a repeated query
+    gives the same value.  :meth:`y_primes` answers a list of queries with one
+    :func:`estimate_y_conditional` call.  The law keeps no memo of its own:
+    the run's activation table (``vb_matching``) asks each batch reveal once.
+    Batch clipping downstream is logged by the run itself.
     """
 
     def __init__(self, g: StochasticGraph, crucial_mask: int, y: np.ndarray,
@@ -145,10 +158,14 @@ class MonteCarloConditional:
         self.trials = trials
         self.seed = seed
 
+    def y_primes(self, queries: Sequence[tuple[int, int, int]]) -> list[float]:
+        rngs = [rng_from(self.seed, _TAG_COND, *query) for query in queries]
+        return [est.value for est in estimate_y_conditional(
+            self.graph, self.crucial_mask, queries, self.trials, rngs)]
+
     def y_prime(self, e: int, batch_mask: int, batch_bits: int) -> float:
-        rng = rng_from(self.seed, _TAG_COND, e, batch_mask, batch_bits)
-        return estimate_y_conditional(self.graph, self.crucial_mask, e, batch_mask,
-                                      batch_bits, self.trials, rng).value
+        """One query of :meth:`y_primes`."""
+        return self.y_primes([(e, batch_mask, batch_bits)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ class MatchingLaw:
     Entries are parallel arrays: ``real[k]`` is a bitmask over the graph's
     edge indices restricted to the crucial edges, ``mo[k]`` the matching drawn
     together with that realization, ``prob[k]`` its probability.  Through
-    :attr:`y` and :meth:`y_prime` the law is itself the zero-noise
+    :attr:`y` and :meth:`y_primes` the law is itself the zero-noise
     ``ActivationLaw`` of the variance-bounding run.
     """
 
@@ -210,6 +210,10 @@ class MatchingLaw:
             raise ValueError("conditioning event has probability zero")
         num = float(self.prob[sel & ((self.mo >> e) & 1 == 1)].sum())
         return num / denom
+
+    def y_primes(self, queries) -> list[float]:
+        """:meth:`y_prime` of each ``(e, cond_mask, cond_bits)`` query."""
+        return [self.y_prime(*query) for query in queries]
 
     def validate_realization_marginals(self, tol: float = 1e-9) -> None:
         """Crucial bits must be independent Bernoulli(p) under the law."""

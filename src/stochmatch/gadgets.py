@@ -120,9 +120,10 @@ def positive_covariance_control() -> Gadget:
                         declared_pairs=((0, 2),))
 
 
-def benchmark_6v8e() -> Gadget:
-    """The 6-vertex / 8-edge experiment benchmark (p_min = 0.5)."""
-    graph = _graph(6, [
+def benchmark_6v8e_graph() -> StochasticGraph:
+    """The graph of :func:`benchmark_6v8e`, without its law: building the law
+    enumerates every realization."""
+    return _graph(6, [
         (0, 1, 2.0, 0.9),
         (0, 2, 1.0, 0.5),
         (1, 2, 1.5, 0.6),
@@ -132,7 +133,12 @@ def benchmark_6v8e() -> Gadget:
         (3, 5, 2.0, 0.9),
         (4, 5, 1.2, 0.6),
     ])
-    return _all_crucial("benchmark_6v8e", graph, t=16, epsilon=0.2, tau=0.02)
+
+
+def benchmark_6v8e() -> Gadget:
+    """The 6-vertex / 8-edge experiment benchmark (p_min = 0.5)."""
+    return _all_crucial("benchmark_6v8e", benchmark_6v8e_graph(), t=16, epsilon=0.2,
+                        tau=0.02)
 
 
 def relaxed_suite_8v() -> Gadget:

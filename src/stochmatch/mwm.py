@@ -11,8 +11,9 @@ maximum-weight matching of a realized mask ``R`` is the first row ``M`` with
 ``M & ~R == 0``.  The table is built once per graph, and only when
 ``m <= 62`` and the graph has at most ``TABLE_MAX_MATCHINGS`` matchings;
 otherwise "no table" is cached and every mask goes to networkx.
-``mm_edge_masks`` dedupes its masks and scans the table for a chunk of them
-at once, with no Python call per mask.
+``mm_edge_masks`` dedupes its masks and scans growing prefixes of the table
+for a chunk of them at once, with no Python call per mask; a mask leaves the
+scan as soon as no later row can change its answer.
 
 networkx's blossom (primal-dual) solver, with a fixed insertion order, is the
 reference.  It is imported on the first networkx solve, so a process whose
@@ -43,6 +44,10 @@ MM_CACHE_MAX = 1 << 16
 # Cells (masks times table rows) of one chunk of ``mm_edge_masks``: a 512 KB
 # int64 temporary, small enough that batches do not raise the peak memory.
 SCAN_CELLS = 1 << 16
+# The table scan's first prefix of rows, and the factor by which each later
+# prefix grows.
+SCAN_FIRST_ROWS = 64
+SCAN_GROWTH = 4
 
 
 @dataclass(frozen=True)
@@ -130,35 +135,45 @@ def _table_answers(rows: np.ndarray, weights: np.ndarray, masks: np.ndarray) -> 
     """The table's answer for each int64 mask: the first row inside it, or -1
     where the next row inside ties with that one.
 
-    Each scan covers a chunk of ``SCAN_CELLS // len(rows)`` masks.  A lone
-    mask (every one-row call), and every mask of a table too large for two
-    masks per chunk, takes the cheaper 1-D scan of :func:`_scan_one`.
+    The rows are scanned in growing prefixes: the first ``SCAN_FIRST_ROWS``,
+    then ``SCAN_GROWTH`` times as many at each stage, up to the whole table.
+    A mask drops out once it is settled: when the prefix holds its second
+    inside row, or its first inside row and the next row weighs more than
+    ``WEIGHT_TIE_TOL`` less than that one (rows are sorted heaviest first, so
+    no later row can tie).  Each stage covers its masks in chunks of
+    ``SCAN_CELLS // prefix`` masks.
     """
-    per_chunk = SCAN_CELLS // len(rows)
-    if per_chunk < 2 or len(masks) < 2:
-        return np.array([_scan_one(rows, weights, mask) for mask in masks.tolist()],
-                        dtype=np.int64)
     answers = np.empty_like(masks)
-    for start in range(0, len(masks), per_chunk):
-        chunk = masks[start:start + per_chunk]
-        inside = (rows & ~chunk[:, None]) == 0
-        k = np.arange(len(chunk))
-        first = inside.argmax(axis=1)
-        inside[k, first] = False
-        second = inside.argmax(axis=1)
-        answers[start:start + per_chunk] = np.where(
-            _tied(weights, first, second, inside[k, second]), -1, rows[first])
+    pending = np.arange(len(masks))
+    size = SCAN_FIRST_ROWS
+    while pending.size:
+        size = min(size, len(rows))
+        last = size == len(rows)
+        prefix = rows[:size]
+        per_chunk = max(1, SCAN_CELLS // size)
+        unsettled = []
+        for start in range(0, len(pending), per_chunk):
+            index = pending[start:start + per_chunk]
+            inside = (prefix & ~masks[index, None]) == 0
+            k = np.arange(len(index))
+            first = inside.argmax(axis=1)
+            found = last or inside[k, first]  # the whole table holds the empty matching
+            inside[k, first] = False
+            second = inside.argmax(axis=1)
+            second_inside = inside[k, second]
+            if not last:
+                settled = second_inside | found & (
+                    weights[first] - weights[size] > WEIGHT_TIE_TOL)
+                unsettled.append(index[~settled])
+                index, first, second, second_inside = (
+                    index[settled], first[settled], second[settled], second_inside[settled])
+            answers[index] = np.where(_tied(weights, first, second, second_inside),
+                                      -1, rows[first])
+        if not unsettled:  # the whole table was scanned
+            break
+        pending = np.concatenate(unsettled)
+        size *= SCAN_GROWTH
     return answers
-
-
-def _scan_one(rows: np.ndarray, weights: np.ndarray, mask: int) -> int:
-    """The table's answer for one mask, as :func:`_table_answers` gives it,
-    from a 1-D scan whose ``argmax`` stops at the first inside row."""
-    inside = (rows & np.int64(~mask)) == 0
-    first = int(inside.argmax())
-    inside[first] = False
-    second = int(inside.argmax())
-    return -1 if _tied(weights, first, second, inside[second]) else int(rows[first])
 
 
 def _tied(weights: np.ndarray, first, second, second_inside):

@@ -17,8 +17,10 @@ the ``j``-th arrival whose batch has a realized edge reads the ``j``-th.
 :func:`draw_run_inputs` draws the inputs of a block of runs in one go, in
 this order: the permutations, then the crucial realizations through
 :func:`graph_core.sample_masks`, then the uniforms.  :func:`run_vb` runs a
-block of inputs, one run per row, one arrival step at a time on numpy
-arrays of masks; a single run is a block of one row.
+block of inputs, one run per row, on numpy arrays of masks; a single run is
+a block of one row.  The batch reveals of a block are known before any
+activation, so the block asks the law for the conditionals ``y'`` of all
+its new reveals in one ``y_primes`` call.
 
 ``exact_vb_enumeration`` is an independent oracle: it enumerates arrival
 orders, reveals and activation outcomes per connected component of the
@@ -51,13 +53,14 @@ ACTIVATION_CACHE_MAX = 1 << 16
 class ActivationLaw(Protocol):
     """The oracle-matching law as the run reads it: the graph, its crucial
     edges, the marginals ``y`` (indexed by edge) and the batch conditionals
-    ``y'``."""
+    ``y'``, answered for a list of ``(e, batch_mask, batch_bits)`` queries
+    at once."""
 
     graph: StochasticGraph
     crucial_mask: int
     y: np.ndarray
 
-    def y_prime(self, e: int, batch_mask: int, batch_bits: int) -> float: ...
+    def y_primes(self, queries: Sequence[tuple[int, int, int]]) -> list[float]: ...
 
 
 def attenuation_g(y: float) -> float:
@@ -89,11 +92,17 @@ def activate_batch(law: ActivationLaw, batch_mask: int,
     the batch clipped: if estimation noise pushes the probabilities past
     total 1 they are renormalized and the batch is flagged.
     """
-    y = law.y
+    edges = mask_edges(batch_bits)
+    return _activation_rule(law.y, edges,
+                            law.y_primes([(e, batch_mask, batch_bits) for e in edges]))
+
+
+def _activation_rule(y: np.ndarray, edges: list[int], y_primes: Sequence[float]):
+    """:func:`activate_batch` of the realized batch edges ``edges``, given
+    their conditionals ``y_primes``."""
     probs: list[tuple[int, float]] = []
     total = 0.0
-    for e in mask_edges(batch_bits):
-        y_prime = law.y_prime(e, batch_mask, batch_bits)
+    for e, y_prime in zip(edges, y_primes):
         if y_prime < 0.0:
             raise ValueError(f"negative conditional marginal for edge {e}")
         y_e = float(y[e])
@@ -115,21 +124,29 @@ def activate_batch(law: ActivationLaw, batch_mask: int,
     return tuple(e for e, _q in probs), tuple(cumulative), clipped
 
 
-def _activation_entry(law: ActivationLaw, batch_mask: int, batch_bits: int):
-    """:func:`activate_batch` of the batch, from the law's activation table.
+def _activation_entries(law: ActivationLaw, masks: list[int], bits: list[int]) -> list:
+    """:func:`activate_batch` of each batch reveal ``(masks[i], bits[i])``,
+    from the law's activation table.
 
-    The table lives on the law object itself, so it goes with the law; it is
-    cleared when it reaches ``ACTIVATION_CACHE_MAX`` entries.
+    The conditionals of every reveal missing from the table come from one
+    ``law.y_primes`` call.  The table lives on the law object itself, so it
+    goes with the law; it is cleared when it reaches
+    ``ACTIVATION_CACHE_MAX`` entries, and the entries this call returns do
+    not depend on it.
     """
     table = vars(law).setdefault("_activation_table", {})
-    key = (batch_mask, batch_bits)
-    entry = table.get(key)
-    if entry is None:
-        entry = activate_batch(law, batch_mask, batch_bits)
+    keys = list(zip(masks, bits))
+    entries = [table.get(key) for key in keys]
+    missing = [(i, mask_edges(keys[i][1])) for i, entry in enumerate(entries) if entry is None]
+    if not missing:
+        return entries
+    y_primes = iter(law.y_primes([(e, *keys[i]) for i, edges in missing for e in edges]))
+    for i, edges in missing:
+        entries[i] = _activation_rule(law.y, edges, [next(y_primes) for _e in edges])
         if len(table) >= ACTIVATION_CACHE_MAX:
             table.clear()
-        table[key] = entry
-    return entry
+        table[keys[i]] = entries[i]
+    return entries
 
 
 def draw_run_inputs(law: ActivationLaw, rng: np.random.Generator, count: int,
@@ -169,12 +186,15 @@ def run_vb(law: ActivationLaw, perms, reals: Sequence[int], uniforms) -> VBBlock
     Run ``k``'s vertices arrive in the order ``perms[k]``; each arrival
     reveals the crucial bits of ``reals[k]`` on its batch, and the ``j``-th
     arrival whose batch has a realized edge activates on ``uniforms[k][j]``
-    through the law's activation table (:func:`activate_batch`).  The runs
-    advance one arrival step at a time on numpy arrays of vertex and edge
-    masks, and each step looks up the activation entry of every distinct
-    batch reveal once.  The masks are int64 up to 63 vertices and edges and
-    Python ints in ``dtype=object`` arrays past that.  The structural
-    invariants are asserted row by row.
+    through the law's activation table (:func:`activate_batch`).  The batch
+    reveals depend on the arrival orders and realizations alone, so the
+    block collects them all first and looks up the activation entry of
+    every distinct one once, with one ``law.y_primes`` call for those
+    missing from the table; every activation is then picked at once.  Only
+    the greedy matching advances one arrival step at a time, on numpy arrays
+    of vertex and edge masks.  The masks are int64 up to 63 vertices and
+    edges and Python ints in ``dtype=object`` arrays past that.  The
+    structural invariants are asserted row by row.
     """
     g = law.graph
     n, m, count = g.n, g.m, len(reals)
@@ -198,52 +218,57 @@ def run_vb(law: ActivationLaw, perms, reals: Sequence[int], uniforms) -> VBBlock
     reals = np.asarray(reals, dtype=dtype) & crucial_mask
     uniforms = np.asarray(uniforms, dtype=float)
 
+    # batch_masks[step, k]: the crucial edges from run k's arrival at `step`
+    # to earlier arrivals.
+    batch_masks = np.zeros((n, count), dtype=dtype)
     seen = np.zeros(count, dtype=dtype)  # crucial edges with an arrived endpoint
+    for step in range(n):
+        incident_v = incident[perms[:, step]]
+        batch_masks[step] = incident_v & seen
+        seen |= incident_v
+    batch_bits = batch_masks & reals
+    revealed = batch_bits != 0
+    # The arrivals that reveal a realized edge, as flat indices
+    # `step * count + k` in step order; each reads the next uniform of its run.
+    flat = np.flatnonzero(revealed)
+    steps, rows = np.divmod(flat, count)
+    draws = np.cumsum(revealed, axis=0).ravel()[flat] - 1
+    masks, bits, inverse = _distinct_pairs(batch_masks.ravel()[flat], batch_bits.ravel()[flat])
+    entries = _activation_entries(law, masks, bits)
+    width = max((len(edges) for edges, _c, _f in entries), default=0)
+    # Row k of `cumulative` holds entry k's cumulative probabilities,
+    # padded with inf; `choices[k, i]` is its i-th edge and -1 past the end.
+    cumulative = np.full((len(entries), width), np.inf)
+    choices = np.full((len(entries), width + 1), -1, dtype=np.int64)
+    for k, (edges, cum, _clipped) in enumerate(entries):
+        cumulative[k, :len(cum)] = cum
+        choices[k, :len(edges)] = edges
+    clipped = np.array([flag for _e, _c, flag in entries], dtype=bool)
+    clip_events = int(np.count_nonzero(clipped[inverse]))
+    u = uniforms[rows, draws]
+    chosen = choices[inverse, (cumulative[inverse] <= u[:, None]).sum(axis=1)]
+    hit = chosen >= 0
+    steps, rows, chosen = steps[hit], rows[hit], chosen[hit]
+    arriving = perms[rows, steps]
+    partner = ends[chosen] - arriving
+    pairs = vertex_bit[arriving] | vertex_bit[partner]
+
     matched = np.zeros(count, dtype=dtype)
     active = np.zeros(count, dtype=dtype)  # vertices with an active edge
     mc = np.zeros(count, dtype=dtype)
     activated = np.zeros(count, dtype=dtype)
-    revealed_bits = np.zeros(count, dtype=dtype)
-    draws = np.zeros(count, dtype=np.int64)
-    clip_events = 0
-    for step in range(n):
-        v = perms[:, step]
-        incident_v = incident[v]
-        batch_mask = incident_v & seen
-        seen |= incident_v
-        batch_bits = batch_mask & reals
-        revealed_bits |= batch_bits
-        rows = np.flatnonzero(batch_bits)
-        if not rows.size:
+    bounds = np.searchsorted(steps, np.arange(n + 1))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if lo == hi:
             continue
-        masks, bits, inverse = _distinct_pairs(batch_mask[rows], batch_bits[rows])
-        entries = [_activation_entry(law, bm, bb) for bm, bb in zip(masks, bits)]
-        width = max(len(edges) for edges, _c, _f in entries)
-        # Row k of `cumulative` holds entry k's cumulative probabilities,
-        # padded with inf; `choices[k, i]` is its i-th edge and -1 past the end.
-        cumulative = np.full((len(entries), width), np.inf)
-        choices = np.full((len(entries), width + 1), -1, dtype=np.int64)
-        for k, (edges, cum, _clipped) in enumerate(entries):
-            cumulative[k, :len(cum)] = cum
-            choices[k, :len(edges)] = edges
-        u = uniforms[rows, draws[rows]]
-        draws[rows] += 1
-        clipped = np.array([flag for _e, _c, flag in entries], dtype=bool)
-        clip_events += int(np.count_nonzero(clipped[inverse]))
-        picked = (cumulative[inverse] <= u[:, None]).sum(axis=1)
-        chosen = choices[inverse, picked]
-        hit = chosen >= 0
-        rows, chosen = rows[hit], chosen[hit]
-        arriving = v[rows]
-        partner = ends[chosen] - arriving
-        pair = vertex_bit[arriving] | vertex_bit[partner]
-        activated[rows] |= edge_bit[chosen]
-        active[rows] |= pair
-        free = matched[rows] & vertex_bit[partner] == 0
-        rows, pair, chosen = rows[free], pair[free], chosen[free]
-        assert not np.any(matched[rows] & pair)  # matched edges stay vertex-disjoint
-        matched[rows] |= pair
-        mc[rows] |= edge_bit[chosen]
+        rows_s, pair, chosen_s = rows[lo:hi], pairs[lo:hi], chosen[lo:hi]
+        activated[rows_s] |= edge_bit[chosen_s]
+        active[rows_s] |= pair
+        free = matched[rows_s] & vertex_bit[partner[lo:hi]] == 0
+        rows_s, pair, chosen_s = rows_s[free], pair[free], chosen_s[free]
+        assert not np.any(matched[rows_s] & pair)  # matched edges stay vertex-disjoint
+        matched[rows_s] |= pair
+        mc[rows_s] |= edge_bit[chosen_s]
 
     everyone = (1 << n) - 1
     alive = everyone & ~active
@@ -256,7 +281,7 @@ def run_vb(law: ActivationLaw, perms, reals: Sequence[int], uniforms) -> VBBlock
         u, v = g.endpoints(e)
         touched[activated & edge_bit[e] != 0] |= vertex_bit[u] | vertex_bit[v]
     assert np.array_equal(alive, everyone & ~touched)
-    assert not np.any(mc & ~(crucial_mask & revealed_bits))
+    assert not np.any(mc & ~(crucial_mask & np.bitwise_or.reduce(batch_bits, axis=0)))
     return VBBlock(mc, alive, activated, clip_events)
 
 
@@ -441,7 +466,7 @@ def _enumerate_component(g, verts, edges, law):
                         continue
                     key = (e, batch_mask, batch_bits)
                     if key not in y_prime:
-                        y_prime[key] = law.y_prime(*key)
+                        y_prime[key] = law.y_primes([key])[0]
                     q = 3.0 * y_prime[key] / (3.0 + 2.0 * float(y[e]))
                     qs.append((e, q))
                     total += q

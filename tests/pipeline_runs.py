@@ -54,6 +54,9 @@ class RecordedLaw:
         self.graph, self.crucial_mask, self.y = law.graph, law.crucial_mask, law.y
         self.y_prime = functools.cache(law.y_prime)
 
+    def y_primes(self, queries):
+        return [self.y_prime(*query) for query in queries]
+
 
 def point_runs(g, tables, t, runs, seed):
     """``(ReferenceRun, f, m_n)`` of runs ``0..runs-1`` at the sweep point ``t``.

@@ -10,7 +10,8 @@ from stochmatch import augmenter, cli
 from stochmatch.cli import ExperimentConfig, cmd_generate, cmd_run, cmd_verify, load_config, main
 from stochmatch.estimator import MonteCarloConditional
 from stochmatch.exact import MatchingLaw
-from stochmatch.graph_core import Params, read_graph
+from stochmatch.gadgets import benchmark_6v8e_graph
+from stochmatch.graph_core import Params, read_graph, write_graph
 from stochmatch.parallel import BLOCK_LEN
 
 
@@ -354,7 +355,7 @@ def test_config_rejects_bad_tables_and_budgets(tmp_path, field, value, message):
     ("run", "delta", 0.0, r"delta must be in \(0, 1\)"),
     ("run", "trials", 2.5, "trial budget must be an int >= 1, got 2.5"),
     ("run", "trials", True, "trial budget must be an int >= 1, got True"),
-    ("verify", "verify_trials", 2.5, "verify trial budget must be an int >= 1, got 2.5"),
+    ("verify", "verify_trials", 2.5, "verify trial budget must be an int >= 2, got 2.5"),
     ("run", "t", [1.5], "t must be an int, got 1.5"),
     ("run", "t", [True], "t must be an int, got True"),
     ("run", "t", ["2"], "t must be an int, got '2'"),
@@ -416,6 +417,7 @@ def test_config_rejects_bad_tables_and_budgets(tmp_path, field, value, message):
      r"weight law must be an object, got \[0.1, 2.0\]"),
     ("run", "out", 5, "out must be a path string, got 5"),
     ("verify", "out", ["results"], r"out must be a path string, got \['results'\]"),
+    ("verify", "verify_trials", 1, "verify trial budget must be an int >= 2, got 1"),
 ])
 def test_bad_config_fails_before_any_output(tmp_path, command, field, value, message):
     cfg_path = tmp_path / "cfg.json"
@@ -468,6 +470,24 @@ def test_generator_source_loads_without_networkx():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == ["19", "False"]
+
+
+@pytest.mark.parametrize("source", ["bundled", "file"])
+def test_bundled_and_file_sources_load_without_networkx(tmp_path, source):
+    # loading a graph builds no law and solves no mask (the generator source
+    # is the test above)
+    import stochmatch
+
+    path = tmp_path / "graph.txt"
+    write_graph(benchmark_6v8e_graph(), path)
+    graph = {"bundled": "benchmark_6v8e", "file": str(path)}[source]
+    src = str(Path(stochmatch.__file__).resolve().parents[1])
+    code = ("import sys, json; sys.path.insert(0, sys.argv[1]); from stochmatch import cli; "
+            "g = cli.load_graph(cli.ExperimentConfig(graph=json.loads(sys.argv[2]))); "
+            "print(g.m, 'networkx' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src, json.dumps({source: graph})],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["8", "False"]
 
 
 def test_cli_import_does_not_load_scipy_stats():

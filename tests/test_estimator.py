@@ -16,7 +16,14 @@ from stochmatch.estimator import (
 )
 from stochmatch.exact import exact_x
 from stochmatch.gadgets import benchmark_6v8e, four_cycle, isolated_pair, two_path
-from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph, mask_edges
+from stochmatch.graph_core import (
+    Edge,
+    StochasticGraph,
+    gen_random_graph,
+    mask_edges,
+    sample_masks,
+)
+from stochmatch.mwm import mm_edge_masks
 from stochmatch.parallel import rng_from, worker_pool
 from stochmatch.sparsifier import draw_plans
 from stochmatch.vb_matching import draw_run_inputs, exact_vb_enumeration
@@ -119,26 +126,23 @@ def test_estimate_y_all_crucial_matches_x_distribution():
 
 def test_estimate_y_conditional_single_edge():
     g = graph(2, [(0, 1, 1.0, 1.0)])
-    est = estimate_y_conditional(g, 1, 0, revealed_mask=1, revealed_bits=1,
-                                 trials=200, rng=rng_from(0))
+    [est] = estimate_y_conditional(g, 1, [(0, 1, 1)], trials=200, rngs=[rng_from(0)])
     assert est.value == 1.0  # a realized positive-weight edge is always kept
 
 
 def test_estimate_y_conditional_requires_realized_edge():
     g = graph(3, [(0, 1, 1.0, 0.5), (1, 2, 1.0, 0.5)])
     with pytest.raises(ValueError):
-        estimate_y_conditional(g, 0b11, 0, revealed_mask=0b11, revealed_bits=0b10,
-                               trials=10, rng=rng_from(0))
+        estimate_y_conditional(g, 0b11, [(0, 0b11, 0b10)], trials=10, rngs=[rng_from(0)])
     with pytest.raises(ValueError):
-        estimate_y_conditional(g, 0b11, 0, revealed_mask=0b10, revealed_bits=0b10,
-                               trials=10, rng=rng_from(0))
+        estimate_y_conditional(g, 0b11, [(0, 0b10, 0b10)], trials=10, rngs=[rng_from(0)])
 
 
 def test_estimate_y_conditional_empty_reveal_matches_unconditional():
     gadget = two_path()
     g = gadget.graph
-    est = estimate_y_conditional(g, g.full_mask, 0, revealed_mask=0,
-                                 revealed_bits=0, trials=50_000, rng=rng_from(7))
+    [est] = estimate_y_conditional(g, g.full_mask, [(0, 0, 0)], trials=50_000,
+                                   rngs=[rng_from(7)])
     y = gadget.law.y[0]
     assert abs(est.value - y) <= 3.5 * max(est.std_err, 1e-9)
 
@@ -148,9 +152,51 @@ def test_estimate_y_conditional_matches_exact_conditional():
     gadget = two_path()
     g = gadget.graph
     exact = gadget.law.y_prime(0, 0b11, 0b11)
-    est = estimate_y_conditional(g, g.full_mask, 0, revealed_mask=0b11,
-                                 revealed_bits=0b11, trials=50_000, rng=rng_from(8))
+    [est] = estimate_y_conditional(g, g.full_mask, [(0, 0b11, 0b11)], trials=50_000,
+                                   rngs=[rng_from(8)])
     assert abs(est.value - exact) <= 3.5 * max(est.std_err, 1e-9)
+
+
+def per_query_estimate(g, crucial_mask, e, revealed_mask, revealed_bits, trials, rng):
+    """One query of ``estimate_y_conditional`` answered on its own, as the
+    estimator did before it answered a list of queries with one oracle call."""
+    hidden = mask_edges(g.full_mask & ~revealed_mask)
+    answers = mm_edge_masks(g, sample_masks(g, rng, trials, scope=hidden) | revealed_bits)
+    count = int(np.count_nonzero(answers & (crucial_mask & (1 << e))))
+    return ProbEstimate.from_count(count, trials)
+
+
+def reveal_queries(g, crucial_mask, seed, count):
+    """``count`` queries ``(e, batch_mask, batch_bits)``: the crucial edges of
+    a random endpoint of ``e``, a random part of them realized with ``e``,
+    and one empty reveal."""
+    rng = rng_from(seed)
+    crucial = mask_edges(crucial_mask)
+    queries = [(crucial[0], 0, 0)]
+    for e in rng.choice(crucial, size=count - 1).tolist():
+        v = g.endpoints(e)[int(rng.integers(2))]
+        batch = [f for f in g.incident[v] if (crucial_mask >> f) & 1]
+        batch_mask = sum(1 << f for f in batch)
+        batch_bits = (1 << e) | sum(1 << f for f in batch if rng.random() < 0.5)
+        queries.append((e, batch_mask, batch_bits))
+    return queries
+
+
+@pytest.mark.parametrize("n, density, trials", [(12, 0.3, 40), (14, 0.8, 6)],
+                         ids=["19_edges", "76_edges"])
+def test_y_primes_equal_the_per_query_estimates(n, density, trials):
+    g = gen_random_graph(n, density, {"name": "uniform", "low": 0.1, "high": 2.0},
+                         {"name": "uniform", "low": 0.3, "high": 0.9}, seed=3)
+    assert g.m in (19, 76)  # int64 masks, and object masks past 63 edges
+    crucial_mask = sum(1 << e for e in range(0, g.m, 2))
+    law = MonteCarloConditional(g, crucial_mask, np.full(g.m, 0.4), trials, seed=5)
+    queries = reveal_queries(g, crucial_mask, 6, 12)
+    expected = [per_query_estimate(g, crucial_mask, *query, trials,
+                                   rng_from(5, estimator._TAG_COND, *query)).value
+                for query in queries]
+    assert law.y_primes(queries) == expected
+    assert 0.0 < sum(expected) < len(expected)
+    assert law.y_primes([]) == []
 
 
 def test_monte_carlo_conditional_deterministic():

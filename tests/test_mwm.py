@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -5,7 +7,14 @@ from hypothesis import strategies as st
 
 from stochmatch import mwm
 from stochmatch.gadgets import benchmark_6v8e, shared_tie_fixture
-from stochmatch.graph_core import Edge, StochasticGraph, gen_random_graph, mask_weight
+from stochmatch.graph_core import (
+    WEIGHT_TIE_TOL,
+    Edge,
+    StochasticGraph,
+    gen_random_graph,
+    mask_weight,
+    sample_masks,
+)
 from stochmatch.mwm import (
     GraphView,
     brute_force_mwm,
@@ -13,6 +22,7 @@ from stochmatch.mwm import (
     mm_edge_mask,
     mm_edge_masks,
 )
+from stochmatch.parallel import rng_from
 
 
 def graph(n, weighted_edges):
@@ -180,17 +190,22 @@ def test_table_matches_networkx_on_every_benchmark_mask():
 
 
 def test_tied_masks_are_scanned_once(monkeypatch):
-    # a tied mask goes from the batched scan straight to networkx: the
-    # one-mask scan is never run on a mask the batch has scanned
+    # a tied mask goes from the batched scan straight to networkx: no mask
+    # the batch has scanned is scanned again
     bench = benchmark_6v8e().graph
     g = StochasticGraph(n=bench.n, edges=bench.edges)  # a fresh copy: empty memo
     masks = np.arange(1 << g.m, dtype=np.int64)
     expected = [mwm._solve_networkx(g, mask) for mask in masks.tolist()]
+    scanned = []
+    table_answers = mwm._table_answers
 
-    def no_rescan(*_args):
-        raise AssertionError("a mask was scanned twice")
+    def no_rescan(rows, weights, chunk):
+        if scanned:
+            raise AssertionError("a mask was scanned twice")
+        scanned.append(chunk)
+        return table_answers(rows, weights, chunk)
 
-    monkeypatch.setattr(mwm, "_scan_one", no_rescan)
+    monkeypatch.setattr(mwm, "_table_answers", no_rescan)
     assert mm_edge_masks(g, masks).tolist() == expected
     assert len(g._caches["mm"]) > 0  # the fixture has tied masks
 
@@ -357,3 +372,59 @@ def test_mm_edge_masks_without_a_table(monkeypatch):
     assert answers.dtype == object and answers.shape == (4,)
     assert answers.tolist() == [mwm._solve_networkx(wide, mask) for mask in masks.tolist()]
     assert all(type(bits) is int for bits in answers.tolist())
+
+
+# ---------------------------------------------------------------------------
+# The staged scan: growing prefixes of the table, heaviest rows first
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graphs_and_mask_arrays(), st.integers(1, 2), st.integers(2, 4), st.integers(1, 16))
+def test_staged_scan_equals_networkx(case, first_rows, growth, cells):
+    # first prefixes of 1-2 rows, so every stage runs, with the ties and
+    # zero weights of WEIGHTS, and chunks so small that the masks of a stage
+    # cross chunk boundaries
+    g, masks = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mwm, "SCAN_FIRST_ROWS", first_rows)
+        mp.setattr(mwm, "SCAN_GROWTH", growth)
+        mp.setattr(mwm, "SCAN_CELLS", cells)
+        answers = mm_edge_masks(g, masks)
+    assert answers.tolist() == [mwm._solve_networkx(g, mask) for mask in masks.tolist()]
+
+
+@pytest.mark.parametrize("first_rows", [1, 2])
+def test_staged_scan_on_the_tie_fixtures(monkeypatch, first_rows):
+    monkeypatch.setattr(mwm, "SCAN_FIRST_ROWS", first_rows)
+    zero_weight = graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.0), (0, 3, 2.0)])
+    for g in (shared_tie_fixture().graph, benchmark_6v8e().graph, zero_weight):
+        masks = np.arange(1 << g.m, dtype=np.int64)
+        assert mm_edge_masks(g, masks).tolist() == [
+            mwm._solve_networkx(g, mask) for mask in masks.tolist()]
+
+
+def full_scan(rows, weights, mask):
+    """The table's answer for one mask from a scan of every row: the scan the
+    staged one replaced, kept as its reference."""
+    inside = (rows & np.int64(~mask)) == 0
+    first = int(inside.argmax())
+    inside[first] = False
+    second = int(inside.argmax())
+    tied = inside[second] and weights[first] - weights[second] <= WEIGHT_TIE_TOL
+    return -1 if tied else int(rows[first])
+
+
+def test_staged_scan_equals_the_full_scan_on_a_large_table():
+    g = gen_random_graph(16, 0.33, {"name": "uniform", "low": 0.1, "high": 2.0},
+                         {"name": "uniform", "low": 0.3, "high": 0.9}, seed=3)
+    rows, weights = mwm.matching_table(g)
+    assert g.m == 40 and len(rows) == 76_685
+    masks = sample_masks(g, rng_from(9), 2000)
+    answers = mwm._table_answers(rows, weights, masks).tolist()
+    assert answers == [full_scan(rows, weights, mask) for mask in masks.tolist()]
+    # some answer lies in each stage's new rows
+    position = {row: i for i, row in enumerate(rows.tolist())}
+    stages = Counter(int(np.searchsorted([64, 256, 1024, 4096, 16_384], position[a],
+                                         side="right")) for a in answers)
+    assert sorted(stages) == list(range(6)), stages

@@ -24,7 +24,7 @@ from stochmatch.graph_core import (
     mask_edges,
     sample_masks,
 )
-from stochmatch import vb_matching
+from stochmatch import estimator, vb_matching
 from stochmatch.parallel import rng_from
 from stochmatch.vb_matching import (
     activate_batch,
@@ -52,6 +52,9 @@ class StubLaw:
 
     def y_prime(self, e, batch_mask, batch_bits):
         return self.value
+
+    def y_primes(self, queries):
+        return [self.value for _query in queries]
 
 
 def test_attenuation_values():
@@ -368,6 +371,36 @@ def test_activation_table_lives_on_the_law_and_is_bounded(monkeypatch):
     assert list(law._activation_table) == [(0b10, 0b10)]
 
 
+def test_a_block_asks_the_oracle_once(monkeypatch):
+    # every conditional of a block's batch reveals comes from one estimator
+    # call, and all its draws from one oracle call
+    g = random_graph(12, 0.3, 3)
+    law = MonteCarloConditional(g, sum(1 << e for e in range(0, g.m, 2)),
+                                np.full(g.m, 0.4), 40, 5)
+    calls = Counter()
+    for name in ("estimate_y_conditional", "mm_edge_masks"):
+        original = getattr(estimator, name)
+        monkeypatch.setattr(estimator, name, lambda *args, _f=original, _name=name:
+                            calls.update([_name]) or _f(*args))
+    block = run_vb(law, *draw_run_inputs(law, rng_from(40), 300))
+    assert calls == {"estimate_y_conditional": 1, "mm_edge_masks": 1}
+    assert len(law._activation_table) > 10 and any(block.activated)
+
+
+def test_a_block_gets_every_entry_past_the_table_cap(monkeypatch):
+    g = random_graph(7, 0.6, 5)
+    inputs = draw_run_inputs(clipping_law(g), rng_from(41), 200)
+    uncapped = clipping_law(g)
+    expected = run_vb(uncapped, *inputs)
+    assert len(uncapped._activation_table) > 10  # the block has many batch reveals
+    monkeypatch.setattr(vb_matching, "ACTIVATION_CACHE_MAX", 1)
+    law = clipping_law(g)
+    block, _refs = assert_rows_equal_reference(law, *inputs, ref_law=clipping_law(g))
+    assert len(law._activation_table) == 1
+    assert [a.tolist() for a in block[:3]] == [a.tolist() for a in expected[:3]]
+    assert block.clip_events == expected.clip_events > 0
+
+
 def full_inputs(law, seed, runs, permutation=None):
     """Drawn inputs whose realizations also carry non-crucial bits."""
     perms, _reals, uniforms = draw_run_inputs(law, rng_from(seed), runs, permutation)
@@ -441,8 +474,8 @@ def test_run_vb_block_asserts_structural_invariants(monkeypatch):
     # a corrupt activation table that activates edge 1-2 when vertex 1
     # reveals only edge 0-1: the matched edge was never revealed
     law = two_path().law
-    monkeypatch.setattr(vb_matching, "_activation_entry",
-                        lambda _law, _mask, _bits: ((1,), (1.0,), False))
+    monkeypatch.setattr(vb_matching, "_activation_entries",
+                        lambda _law, masks, _bits: [((1,), (1.0,), False)] * len(masks))
     with pytest.raises(AssertionError):
         run_vb(law, [(0, 1, 2)], [0b01], np.zeros((1, 3)))
     # the same breach on Python-int masks: 64 vertices, edges 0-1 and 1-2 crucial
