@@ -27,7 +27,9 @@ classes = classify_edges(x_exact, tau=0.02)
 print(f"\nthreshold 0.02 splits edges into crucial {classes.crucial()} "
       f"and non-crucial {classes.noncrucial()}")
 
-y_hat = estimate_y(g, classes.crucial_mask, trials=40_000, seed=2)
+# estimate_y also returns the rows it counted y on: the pool from which
+# MonteCarloConditional answers batch reveals on graphs too large to enumerate
+y_hat, _rows = estimate_y(g, classes.crucial_mask, trials=40_000, seed=2)
 law = MatchingLaw.from_pipeline(g, classes.crucial_mask)
 y_exact = law.y
 print("\ncrucial-edge oracle-matching marginals:")

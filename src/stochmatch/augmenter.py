@@ -306,8 +306,10 @@ def build_tables_monte_carlo(
     """Estimate every pipeline input by Monte Carlo.
 
     The activation law is the enumerated :class:`MatchingLaw` when the
-    graph is :func:`exact.enumerable`, otherwise estimated ``y`` with
-    per-batch conditional resampling of ``y'`` at ``cond_trials`` trials.
+    graph is :func:`exact.enumerable`, otherwise estimated ``y`` with ``y'``
+    pooled from the y stage's rows: a batch reveal that at least
+    ``cond_trials`` rows agree with is answered from them, and one with fewer
+    is resampled at ``cond_trials`` trials (:class:`MonteCarloConditional`).
     """
     x_hat = estimate_x(g, x_trials, seed)
     x = np.array([e.value for e in x_hat])
@@ -317,9 +319,9 @@ def build_tables_monte_carlo(
     if enumerable(g):
         law = MatchingLaw.from_pipeline(g, classes.crucial_mask)
     else:
-        y_hat = estimate_y(g, classes.crucial_mask, x_trials, seed + 1)
+        y_hat, rows = estimate_y(g, classes.crucial_mask, x_trials, seed + 1)
         y = np.array([e.value for e in y_hat])
-        law = MonteCarloConditional(g, classes.crucial_mask, y, cond_trials, seed + 2)
+        law = MonteCarloConditional(g, classes.crucial_mask, y, cond_trials, seed + 2, rows)
 
     q = [est.value for est in estimate_q(g, t, q_trials, seed + 3)]
     alive = _pair_alive_by_edge(g, classes, law, pair_trials, seed + 4)

@@ -137,6 +137,8 @@ def _table_answers(rows: np.ndarray, weights: np.ndarray, masks: np.ndarray) -> 
 
     The rows are scanned in growing prefixes: the first ``SCAN_FIRST_ROWS``,
     then ``SCAN_GROWTH`` times as many at each stage, up to the whole table.
+    A lone mask is scanned against the whole table in one pass, as each
+    stage's fixed cost exceeds what a short prefix saves on one row.
     A mask drops out once it is settled: when the prefix holds its second
     inside row, or its first inside row and the next row weighs more than
     ``WEIGHT_TIE_TOL`` less than that one (rows are sorted heaviest first, so
@@ -145,7 +147,7 @@ def _table_answers(rows: np.ndarray, weights: np.ndarray, masks: np.ndarray) -> 
     """
     answers = np.empty_like(masks)
     pending = np.arange(len(masks))
-    size = SCAN_FIRST_ROWS
+    size = len(rows) if len(masks) == 1 else SCAN_FIRST_ROWS
     while pending.size:
         size = min(size, len(rows))
         last = size == len(rows)

@@ -308,8 +308,8 @@ def test_monte_carlo_tables_agree_with_exact():
 
 def generated_mc_tables(t, seed, tau=0.05):
     """Monte Carlo tables at the ``generated_mc`` benchmark's graph and
-    budgets: 19 edges, past the enumeration cap, so y' is resampled per
-    batch."""
+    budgets: 19 edges, past the enumeration cap, so y' comes from the y
+    stage's pool of rows."""
     g = gen_random_graph(12, 0.3, {"name": "uniform", "low": 0.1, "high": 2.0},
                          {"name": "uniform", "low": 0.3, "high": 0.9}, seed=3)
     assert g.m == 19
@@ -321,12 +321,31 @@ def generated_mc_tables(t, seed, tau=0.05):
 
 
 def test_monte_carlo_tables_with_sampled_conditionals():
-    # the per-batch conditional resampling path end to end
+    # the pooled conditional path end to end
     g, mc = generated_mc_tables(4, seed=33)
     [res] = end_to_end(g, mc, [4], runs=200, seed=34)
     for _vb_out, f, _m_n in point_runs(g, mc, 4, 200, 34):
         assert max_load(g, f) <= 1.0 + 1e-9
     assert 0.5 <= res.ratio <= 1.0
+
+
+def test_pooled_tables_are_worker_independent():
+    # the x and y stages and the pair-alive runs each span two blocks: with 2
+    # workers the pool is drawn in worker processes, and the law goes back
+    # to them pickled with it
+    g = gen_random_graph(12, 0.3, {"name": "uniform", "low": 0.1, "high": 2.0},
+                         {"name": "uniform", "low": 0.3, "high": 0.9}, seed=3)
+    budgets = dict(x_trials=BLOCK_LEN + 300, q_trials=200, pair_trials=BLOCK_LEN + 1,
+                   cond_trials=40)
+    one = build_tables_monte_carlo(g, params_for(g), 4, seed=8, tau=0.05, **budgets)
+    with worker_pool(2):
+        two = build_tables_monte_carlo(g, params_for(g), 4, seed=8, tau=0.05, **budgets)
+    assert len(one.law.pool[0]) == BLOCK_LEN + 300
+    assert all(np.array_equal(a, b) for a, b in zip(one.law.pool, two.law.pool))
+    assert one.x.tolist() == two.x.tolist() and one.g_table == two.g_table
+    queries = [(e, mask, bits) for mask, bits in one.law._activation_table
+               for e in mask_edges(bits)]
+    assert len(queries) > 20 and one.law.y_primes(queries) == two.law.y_primes(queries)
 
 
 def test_mean_f_tracks_gamma_x_on_relaxed_suite():

@@ -67,13 +67,15 @@ def test_cmd_run_outputs_and_rowcount(tmp_path):
 
 
 def test_cmd_run_byte_identical_across_reruns_and_workers(tmp_path):
-    out1 = cmd_run(tiny_run_config(tmp_path / "r1", workers=1))
-    out2 = cmd_run(tiny_run_config(tmp_path / "r2", workers=1))
-    out3 = cmd_run(tiny_run_config(tmp_path / "r3", workers=2))
-    for name in ("aggregate.csv", "runs.jsonl", "ratio_vs_t.txt", "summary.json"):
-        a = (out1 / name).read_bytes()
-        assert a == (out2 / name).read_bytes()
-        assert a == (out3 / name).read_bytes()
+    # exact tables, and Monte Carlo tables whose y' pool spans two blocks
+    for make in (tiny_run_config, pooled_run_config):
+        out1 = cmd_run(make(tmp_path / make.__name__ / "r1", workers=1))
+        out2 = cmd_run(make(tmp_path / make.__name__ / "r2", workers=1))
+        out3 = cmd_run(make(tmp_path / make.__name__ / "r3", workers=2))
+        for name in ("aggregate.csv", "runs.jsonl", "ratio_vs_t.txt", "summary.json"):
+            a = (out1 / name).read_bytes()
+            assert a == (out2 / name).read_bytes()
+            assert a == (out3 / name).read_bytes()
 
 
 def test_cmd_run_makes_one_end_to_end_call(tmp_path, monkeypatch):
@@ -119,14 +121,14 @@ def test_auto_tables_and_activation_law_follow_the_enumeration_rule(monkeypatch,
 
 # SHA-256 of the four `run` files for a Monte Carlo table configuration: a
 # generated 12-vertex, 21-edge graph, so y' comes from MonteCarloConditional,
-# and tau = 0.3, so the augmented scheme wins 2% to 27% of the runs and the
+# and tau = 0.3, so the augmented scheme wins 3% to 35% of the runs and the
 # variance-bounding run reaches the outputs.  A change that moves these
 # numbers says why in CHANGES.md and updates them.
 MONTE_CARLO_RUN_DIGESTS = {
-    "runs.jsonl": "e370a54a387e08746ccb65615ec2e3c980d9e4526f7d10e59e3729f51296a504",
-    "aggregate.csv": "524a568b2234088d7d804c57f20ed1736b3bb5674b8f3505f505af7dce74f68d",
+    "runs.jsonl": "eec3506f9a18d083a6cde503a7aa6f023376e3187bfd541a94ea167b01602f6f",
+    "aggregate.csv": "5b195a302c8ff347c7b3527b01f3fae744a60c1a993008a236eb7ee5f35c92ae",
     "ratio_vs_t.txt": "93701bccc558fcbf66e6c2fb7a1c8b03a04982a0ae17e95a1a1f59098a5c8293",
-    "summary.json": "49ff13795f0ca175eee45e4bcf8101d8e0035d982a743b7e339bb9fba63f4add",
+    "summary.json": "9632869ac0cc3b4a57d1bb18ab29cc487abc37c2cb4035b235245324ac0f3053",
 }
 
 
@@ -141,6 +143,16 @@ def test_cmd_run_monte_carlo_tables_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in MONTE_CARLO_RUN_DIGESTS}
     assert digests == MONTE_CARLO_RUN_DIGESTS
+
+
+def pooled_run_config(tmp_path, **kw):
+    """The Monte Carlo golden configuration with x, y and pair-alive budgets
+    of two blocks, so with 2 workers the y' pool is drawn in worker processes
+    and the pooled law goes back to them pickled."""
+    budgets = dict(MONTE_CARLO_GOLDEN_CONFIG["budgets"], x_trials=BLOCK_LEN + 1,
+                   pair_trials=BLOCK_LEN + 1)
+    return ExperimentConfig(**dict(MONTE_CARLO_GOLDEN_CONFIG, budgets=budgets),
+                            out=str(tmp_path / "results"), **kw)
 
 
 # SHA-256 of the four `run` files for an exact-table configuration with

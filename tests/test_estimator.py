@@ -14,7 +14,7 @@ from stochmatch.estimator import (
     estimate_y,
     estimate_y_conditional,
 )
-from stochmatch.exact import exact_x
+from stochmatch.exact import MatchingLaw, exact_x
 from stochmatch.gadgets import benchmark_6v8e, four_cycle, isolated_pair, two_path
 from stochmatch.graph_core import (
     Edge,
@@ -25,8 +25,8 @@ from stochmatch.graph_core import (
 )
 from stochmatch.mwm import mm_edge_masks
 from stochmatch.parallel import rng_from, worker_pool
-from stochmatch.sparsifier import draw_plans
-from stochmatch.vb_matching import draw_run_inputs, exact_vb_enumeration
+from stochmatch.sparsifier import classify_edges, draw_plans
+from stochmatch.vb_matching import draw_run_inputs, exact_vb_enumeration, run_vb
 
 from vb_reference import reference_run_vb
 
@@ -104,13 +104,13 @@ def test_estimate_x_on_graph_without_matching_table():
 
 def test_estimate_y_no_crucial_edges():
     g = two_path().graph
-    ests = estimate_y(g, crucial_mask=0, trials=1000, seed=0)
+    ests, _rows = estimate_y(g, crucial_mask=0, trials=1000, seed=0)
     assert all(e.value == 0.0 for e in ests)
 
 
 def test_estimate_y_single_crucial_edge_p1():
     g = graph(2, [(0, 1, 1.0, 1.0)])
-    (est,) = estimate_y(g, crucial_mask=1, trials=1000, seed=0)
+    (est,), _rows = estimate_y(g, crucial_mask=1, trials=1000, seed=0)
     assert est.value == 1.0
 
 
@@ -118,7 +118,7 @@ def test_estimate_y_all_crucial_matches_x_distribution():
     gadget = two_path()
     g = gadget.graph
     xs = estimate_x(g, trials=40_000, seed=21)
-    ys = estimate_y(g, g.full_mask, trials=40_000, seed=22)
+    ys, _rows = estimate_y(g, g.full_mask, trials=40_000, seed=22)
     for e in range(g.m):
         gap = abs(xs[e].value - ys[e].value)
         assert gap <= 3.5 * math.hypot(xs[e].std_err, ys[e].std_err)
@@ -199,6 +199,78 @@ def test_y_primes_equal_the_per_query_estimates(n, density, trials):
     assert law.y_primes([]) == []
 
 
+def pool_reference(pool, crucial_mask, e, batch_mask, batch_bits):
+    """``(count, rows)`` of a query on a pool, row by row in Python ints."""
+    reals, answers = pool
+    rows = [a for r, a in zip(reals.tolist(), answers.tolist()) if r & batch_mask == batch_bits]
+    return sum(1 for a in rows if (a & crucial_mask) >> e & 1), len(rows)
+
+
+@pytest.mark.parametrize("n, density, pool_rows, trials, cells", [
+    (12, 0.3, 400, 40, 1000), (14, 0.8, 150, 6, 700)], ids=["19_edges", "76_edges"])
+def test_pooled_y_primes_equal_the_reference(monkeypatch, n, density, pool_rows, trials,
+                                             cells):
+    # reveals with at least `trials` agreeing rows are counted on the pool, the
+    # others resampled from their own streams; chunks of a few reveals, on
+    # int64 masks and on object masks past 63 edges
+    g = gen_random_graph(n, density, {"name": "uniform", "low": 0.1, "high": 2.0},
+                         {"name": "uniform", "low": 0.3, "high": 0.9}, seed=3)
+    monkeypatch.setattr(estimator, "SCAN_CELLS", cells)
+    crucial_mask = sum(1 << e for e in range(0, g.m, 2))
+    y_hat, pool = estimate_y(g, crucial_mask, pool_rows, seed=4)
+    assert pool[0].dtype == (np.int64 if g.m <= 63 else object) and len(pool[0]) == pool_rows
+    # y is counted on the rows it returns
+    assert [est.value for est in y_hat] == [
+        pool_reference(pool, crucial_mask, e, 0, 0)[0] / pool_rows for e in range(g.m)]
+    law = MonteCarloConditional(g, crucial_mask, np.full(g.m, 0.4), trials, seed=5, rows=pool)
+    queries = reveal_queries(g, crucial_mask, 6, 40) + [(1, 0, 0)]  # edge 1 is not crucial
+    expected, thin, pooled = [], set(), set()
+    for query in queries:
+        count, rows = pool_reference(pool, crucial_mask, *query)
+        if rows >= trials:
+            pooled.add(query[1:])
+            expected.append(count / rows)
+        else:
+            thin.add(query[1:])
+            expected.append(per_query_estimate(g, crucial_mask, *query, trials,
+                                               rng_from(5, estimator._TAG_COND, *query)).value)
+    assert law.y_primes(queries) == expected
+    assert thin and pooled and 0.0 < sum(expected) < len(expected)
+    assert (law.pooled_reveals, law.resampled_reveals) == (len(pooled), len(thin))
+
+
+@pytest.mark.parametrize("crucial", ["fixed", "classified"])
+def test_pooled_y_primes_pass_a_z_test_against_the_exact_law(crucial):
+    # every pooled y' of the batch reveals of 300 runs against the exact
+    # conditional, with the null standard error at the pooled row count.
+    # Bonferroni: at most 400 comparisons at 5 standard errors (two-sided
+    # normal tail 5.7e-7 each) raise a false alarm with probability at most
+    # 2.3e-4 per case, whatever the dependence between them (they share pool
+    # rows).  "classified" takes the crucial edges from an x estimate, as the
+    # Monte Carlo tables do, with edges of x near tau on both sides; the pool
+    # is drawn apart from it, so y' is not counted on the rows that chose them.
+    g = gen_random_graph(8, 0.5, {"name": "uniform", "low": 0.1, "high": 2.0},
+                         {"name": "uniform", "low": 0.3, "high": 0.9}, seed=4)
+    assert g.m == 16
+    if crucial == "fixed":
+        crucial_mask = sum(1 << e for e in range(g.m) if e % 3)
+    else:
+        x = np.array([est.value for est in estimate_x(g, 2000, seed=10)])
+        crucial_mask = classify_edges(x, 0.13).crucial_mask
+        assert bin(crucial_mask).count("1") == 8
+    exact = MatchingLaw.from_pipeline(g, crucial_mask)
+    _y_hat, pool = estimate_y(g, crucial_mask, 100_000, seed=11)
+    law = MonteCarloConditional(g, crucial_mask, exact.y, 400, seed=12, rows=pool)
+    block = run_vb(law, *draw_run_inputs(law, rng_from(13), 300))
+    queries = [(e, mask, bits) for mask, bits in law._activation_table for e in mask_edges(bits)]
+    assert law.resampled_reveals == 0 and block.clip_events == 0
+    assert 50 <= len(queries) <= 400
+    for query, value in zip(queries, law.y_primes(queries)):
+        p0 = exact.y_prime(*query)
+        _count, rows = pool_reference(pool, crucial_mask, *query)
+        assert abs(value - p0) <= 5.0 * math.sqrt(p0 * (1.0 - p0) / rows), (query, value, p0)
+
+
 def test_monte_carlo_conditional_deterministic():
     gadget = two_path()
     g = gadget.graph
@@ -248,7 +320,7 @@ def test_tower_property_through_estimator_op():
     assert sorted(reveals) == [0b01, 0b11]
     # one estimate per distinct reveal, weighted by how often it was drawn
     acc = sum(k * cond.y_prime(0, batch_mask, bits) for bits, k in reveals.items())
-    ys = estimate_y(g, g.full_mask, trials=40_000, seed=79)
+    ys, _rows = estimate_y(g, g.full_mask, trials=40_000, seed=79)
     assert abs(acc / trials - ys[0].value) <= 0.015
 
 

@@ -400,8 +400,10 @@ def test_staged_scan_on_the_tie_fixtures(monkeypatch, first_rows):
     zero_weight = graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.0), (0, 3, 2.0)])
     for g in (shared_tie_fixture().graph, benchmark_6v8e().graph, zero_weight):
         masks = np.arange(1 << g.m, dtype=np.int64)
-        assert mm_edge_masks(g, masks).tolist() == [
-            mwm._solve_networkx(g, mask) for mask in masks.tolist()]
+        expected = [mwm._solve_networkx(g, mask) for mask in masks.tolist()]
+        assert mm_edge_masks(g, masks).tolist() == expected
+        # a lone mask: one pass over the whole table
+        assert [int(mm_edge_masks(g, masks[i:i + 1])[0]) for i in range(len(masks))] == expected
 
 
 def full_scan(rows, weights, mask):
@@ -423,6 +425,8 @@ def test_staged_scan_equals_the_full_scan_on_a_large_table():
     masks = sample_masks(g, rng_from(9), 2000)
     answers = mwm._table_answers(rows, weights, masks).tolist()
     assert answers == [full_scan(rows, weights, mask) for mask in masks.tolist()]
+    assert [mwm._table_answers(rows, weights, masks[i:i + 1]).tolist()[0]
+            for i in range(300)] == answers[:300]
     # some answer lies in each stage's new rows
     position = {row: i for i, row in enumerate(rows.tolist())}
     stages = Counter(int(np.searchsorted([64, 256, 1024, 4096, 16_384], position[a],

@@ -340,6 +340,20 @@ def test_run_vb_equals_reference_with_clipping_monte_carlo_conditionals():
     assert_same_runs(clipping_law(g), 22, 100, realization=lambda rng: sample_masks(g, rng, 1)[0])
 
 
+def test_pooled_reveals_never_clip():
+    # the same 2-trial budget, but every batch reveal answered from a pool of
+    # rows: each row's matching holds at most one edge of a batch, so no
+    # batch sums past 1, where resampling clips
+    g = random_graph(7, 0.6, 5)
+    _y_hat, pool = estimator.estimate_y(g, g.full_mask, 5000, seed=4)
+    law = MonteCarloConditional(g, g.full_mask, np.full(g.m, 0.1), 2, 3, rows=pool)
+    inputs = draw_run_inputs(law, rng_from(21), 200)
+    assert run_vb(clipping_law(g), *inputs).clip_events > 0
+    block, _refs = assert_rows_equal_reference(law, *inputs)
+    assert block.clip_events == 0
+    assert law.resampled_reveals == 0 and law.pooled_reveals > 10
+
+
 def test_run_vb_equals_reference_without_crucial_edges():
     g = graph(3, [(0, 1, 1.0, 0.5)])
     law = StubLaw(g, 0, np.zeros(1))
