@@ -12,14 +12,17 @@ matching of the realized crucial plan edges.
 
 Each stage runs on a block of runs at a time, one run per row of int64 mask
 arrays (Python ints in ``object`` arrays past 63 edges or vertices):
-:func:`_fractional_block` accumulates the vertex degrees edge by edge,
-the rounding is one :func:`mwm.mm_edge_masks` call on the support masks,
-and :func:`_combine_block` answers the crucial scheme with one more and
-checks the augmented union for overlaps on arrays.  The sweep,
+:func:`_fractional_block` accumulates the vertex degrees edge by edge, and
+:func:`_combine_block` takes the crucial scheme's matchings from its caller
+and checks the augmented union for overlaps on arrays.  The sweep,
 :func:`end_to_end`, runs each stage once per block on the rows of every
-sweep point.  :func:`build_fractional`, :func:`round_fractional` and
-:func:`combine` run one pipeline run: each is the block stage on a block
-of one row.
+sweep point and asks the oracle twice per block: one
+:func:`sparsifier.plan_round_masks` call draws and answers every plan round,
+and after the fractional stage one :func:`mwm.mm_edge_masks` call answers
+the rounding's support masks, the crucial schemes, ``MM(Q & G)`` and
+``MM(G)``.  :func:`build_fractional`, :func:`round_fractional` and
+:func:`combine` run one pipeline run: each is the block stage on a block of
+one row.
 """
 
 from __future__ import annotations
@@ -148,8 +151,9 @@ def combine(
     run's matching and the rounded non-crucial matching.  A block of one row
     of :func:`_combine_block`.
     """
+    q, real, vb, rounded = (_row(mask, g.m) for mask in (q_mask, real_mask, vb_matching, m_n))
     alg, augmented, _weight = _combine_block(
-        g, classes, *(_row(mask, g.m) for mask in (q_mask, real_mask, vb_matching, m_n)))
+        g, classes, q, real, vb, rounded, mm_edge_masks(g, q & real & classes.crucial_mask))
     return alg.tolist()[0], "augmented" if augmented[0] else "crucial"
 
 
@@ -199,13 +203,14 @@ def _fractional_block(g, classes, g_table, gamma, q, real, alive):
     return values, pack_masks(support), overloaded
 
 
-def _combine_block(g, classes, q, real, vb_matching, m_n):
+def _combine_block(g, classes, q, real, vb_matching, m_n, crucial):
     """The combiner of a block of runs, one run per row of the edge mask
-    arrays of the plan, the realization, the variance-bounding matching and
-    the rounded non-crucial matching.
+    arrays of the plan, the realization, the variance-bounding matching, the
+    rounded non-crucial matching and the crucial scheme's matching.
 
-    Scheme "crucial": the maximum-weight matching of the realized crucial
-    plan edges, one :func:`mwm.mm_edge_masks` call.  Scheme "augmented": the
+    Scheme "crucial": ``crucial``, the caller's :func:`mwm.mm_edge_masks`
+    answers for the realized crucial plan edges ``q & real & crucial_mask``;
+    the combiner itself asks the oracle nothing.  Scheme "augmented": the
     variance-bounding matching restricted to the plan, together with the
     rounded non-crucial matching.  That union is disjoint by construction
     (the non-crucial side only touches alive vertices, which the crucial
@@ -215,7 +220,6 @@ def _combine_block(g, classes, q, real, vb_matching, m_n):
     more.  Returns each run's winning edge mask, whether it is the augmented
     one, and its weight.
     """
-    crucial = mm_edge_masks(g, q & real & classes.crucial_mask)
     augmented = (np.asarray(vb_matching, dtype=q.dtype) & q) | m_n
     bits = mask_bits(augmented, range(g.m)).astype(bool)
     covered = np.zeros((len(q), g.n), dtype=bool)
@@ -372,25 +376,27 @@ def _e2e_block(g, tables, ts, seed, block, count):
     perms, reals, uniforms = draw_run_inputs(tables.law, rng, count)
     reals = reals | sample_masks(g, rng, count, scope=tables.classes.noncrucial())
     vb = run_vb(tables.law, perms, reals, uniforms)
+    # Phase 1: every plan round of every run in one draw, round-major; row
+    # ``j - 1`` of the running OR is each run's plan of ``j`` rounds.
+    t_max = max(t or 0 for t in ts)
+    unions = np.bitwise_or.accumulate(
+        plan_round_masks(g, t_max * count, rng).reshape(t_max, count), axis=0)
     plans = {None: np.full(count, g.full_mask, dtype=reals.dtype),
              0: np.zeros(count, dtype=reals.dtype)}
-    union = plans[0]
-    for j in range(1, max(t or 0 for t in ts) + 1):
-        union = union | plan_round_masks(g, count, rng)
-        if j in ts:
-            plans[j] = union
     # Every stage runs once on the block's rows of all points, point-major.
-    q = np.concatenate([plans[t] for t in ts])
+    q = np.concatenate([plans[t] if t in plans else unions[t - 1] for t in ts])
     real = np.tile(reals, len(ts))
     _values, support, _overloaded = _fractional_block(
         g, tables.classes, tables.g_table, tables.params.gamma, q, real,
         np.tile(vb.alive, len(ts)))
-    m_n = mm_edge_masks(g, support)
+    # Phase 2: the rounding, the crucial scheme, MM(Q & G) and MM(G) in one call.
+    n = len(q)
+    m_n, crucial, mmq, mmg = np.split(mm_edge_masks(g, np.concatenate(
+        [support, q & real & tables.classes.crucial_mask, q & real, reals])), [n, 2 * n, 3 * n])
     _alg, augmented, alg = _combine_block(
-        g, tables.classes, q, real, np.tile(vb.matching, len(ts)), m_n)
-    mmq = mask_weights(g, mm_edge_masks(g, q & real))
+        g, tables.classes, q, real, np.tile(vb.matching, len(ts)), m_n, crucial)
     shape = (len(ts), count)
-    return (alg.reshape(shape), mmq.reshape(shape), mask_weights(g, mm_edge_masks(g, reals)),
+    return (alg.reshape(shape), mask_weights(g, mmq).reshape(shape), mask_weights(g, mmg),
             augmented.reshape(shape))
 
 
@@ -412,10 +418,14 @@ def end_to_end(
     ``ts`` holds plan round counts; ``None`` is the query-everything control.
     Block ``b`` of ``BLOCK_LEN`` runs reads one stream, ``(seed, E2E, b)``:
     :func:`draw_run_inputs`, then the non-crucial realizations, then
-    ``max(ts)`` plan rounds, round ``j`` of every run in one
-    :func:`plan_round_masks` call.  So every point sees the same realizations
-    and runs, the plan for ``t`` is the union of a run's first ``t`` rounds,
-    and a sweep equals one call per point.  One result per point, in the
+    ``max(ts)`` plan rounds, round-major (round ``j`` of every run, then
+    round ``j + 1``).  All the rounds come from one :func:`plan_round_masks`
+    call, which reads the stream row by row, so they are the draws of one
+    call per round.  So every point sees the same realizations and runs,
+    the plan for ``t`` is the union of a run's first ``t`` rounds, and a
+    sweep equals one call per point.  After the fractional stage, one
+    :func:`mwm.mm_edge_masks` call answers the block's rounding, crucial
+    schemes, ``MM(Q & G)`` and ``MM(G)``.  One result per point, in the
     order of ``ts``, holding each run's weights and winning scheme as
     arrays in run order.
     """

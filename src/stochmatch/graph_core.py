@@ -16,6 +16,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from .parallel import BLOCK_LEN
+
 WEIGHT_TIE_TOL = 1e-9  # tolerance for weight comparisons in tie-breaking
 
 
@@ -237,19 +239,21 @@ def sample_masks(g: StochasticGraph, rng: np.random.Generator, count: int,
     :func:`mask_dtype` ``(g.m)``, for any number of edges.
 
     Each edge in ``scope`` (default: every edge) is drawn with its
-    probability; edges outside it stay 0.  The draw is one
-    ``rng.random((count, len(scope)))`` consumed row by row, so a batch reads
-    the generator exactly as ``count`` sequential calls with ``count=1`` do,
-    and each row is packed into a mask by :func:`pack_masks`.
+    probability; edges outside it stay 0.  The draw is
+    ``rng.random((rows, len(scope)))`` calls of at most ``BLOCK_LEN`` rows,
+    consumed row by row, so a batch reads the generator exactly as ``count``
+    sequential calls with ``count=1`` do.  Each chunk's rows are packed into
+    masks by :func:`pack_masks` before the next is drawn, so a large batch
+    holds one chunk's temporaries at a time.
     """
-    m = g.m
-    if scope is None:
-        bits = rng.random((count, m)) < g.probs
-    else:
-        cols = np.fromiter(scope, dtype=np.intp)
-        bits = np.zeros((count, m), dtype=bool)
-        bits[:, cols] = rng.random((count, len(cols))) < g.probs[cols]
-    return pack_masks(bits)
+    cols = slice(None) if scope is None else np.fromiter(scope, dtype=np.intp)
+    probs = g.probs[cols]
+    chunks = []
+    for start in range(0, max(count, 1), BLOCK_LEN):  # count 0: one empty chunk
+        bits = np.zeros((min(BLOCK_LEN, count - start), g.m), dtype=bool)
+        bits[:, cols] = rng.random((len(bits), len(probs))) < probs
+        chunks.append(pack_masks(bits))
+    return np.concatenate(chunks)
 
 
 def pack_masks(bits: np.ndarray) -> np.ndarray:

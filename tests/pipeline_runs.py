@@ -31,7 +31,9 @@ def reference_runs(g, tables, seed, runs, t):
 
     Block ``b`` reads the stream ``(seed, E2E, b)``: its runs' arrival orders,
     crucial realizations and uniforms, then their non-crucial realizations,
-    then ``t`` plan rounds, each one call for every run of the block."""
+    then ``t`` plan rounds, each one call for every run of the block.  The
+    sweep draws all its rounds in one call instead; that reads the stream
+    row by row, so drawing round by round here checks that contract."""
     for block, count in iter_blocks(runs):
         rng = rng_from(seed, augmenter._TAG_E2E, block)
         perms, crucial, uniforms = draw_run_inputs(tables.law, rng, count)

@@ -12,7 +12,7 @@ from stochmatch.augmenter import (
     end_to_end,
     round_fractional,
 )
-from stochmatch import augmenter
+from stochmatch import augmenter, mwm, sparsifier
 from stochmatch.estimator import MonteCarloConditional
 from stochmatch.exact import EnumerationTooLarge, MatchingLaw, exact_x
 from stochmatch.gadgets import benchmark_6v8e, relaxed_suite_8v, star, verification_gadgets
@@ -25,9 +25,9 @@ from stochmatch.graph_core import (
     mask_edges,
     mask_weight,
 )
-from stochmatch.mwm import mm_edge_mask
+from stochmatch.mwm import mm_edge_mask, mm_edge_masks
 from stochmatch.parallel import BLOCK_LEN, rng_from, worker_pool
-from stochmatch.sparsifier import classify_edges
+from stochmatch.sparsifier import classify_edges, plan_round_masks
 from stochmatch.vb_matching import run_vb
 
 import augment_reference
@@ -556,11 +556,12 @@ def test_block_combiner_names_the_first_overlapping_edge():
     rows = [(0b001, 0b100), (0b010, 0b100), (0b000, 0b100), (0b001, 0b010)]
     vb, m_n = (np.array(column, dtype=np.int64) for column in zip(*rows))
     full = np.full(len(rows), g.full_mask, dtype=np.int64)
+    crucial = mm_edge_masks(g, full & classes.crucial_mask)
     with pytest.raises(RuntimeError, match="combiner invariant breach: overlap at edge 2"):
-        augmenter._combine_block(g, classes, full, full, vb, m_n)
+        augmenter._combine_block(g, classes, full, full, vb, m_n, crucial)
     ok = [0, 2]
     alg, augmented, weights = augmenter._combine_block(g, classes, full[ok], full[ok],
-                                                       vb[ok], m_n[ok])
+                                                       vb[ok], m_n[ok], crucial[ok])
     for k, row in enumerate(ok):
         mask, scheme = augment_reference.combine(g, g.full_mask, g.full_mask, *rows[row],
                                                  classes)
@@ -631,3 +632,61 @@ def test_sweep_runs_one_block_call_per_block_equal_to_reference_runs(monkeypatch
     references = reference_runs(g, tables, 43, BLOCK_LEN + 17, None)
     for r, (_real_mask, vb, _q_mask) in enumerate(references):
         assert rows[r] == (vb.matching, vb.alive), r
+
+
+# The 19-edge graph has a matching table and int64 masks; the 66-edge one has
+# neither, so its masks are ``object`` arrays answered by networkx.
+WITH_AND_WITHOUT_TABLE = pytest.mark.parametrize(
+    "build", [lambda: generated_mc_tables(8, seed=45, tau=0.3), low_p_66e_tables],
+    ids=["generated_mc_19e_table", "low_p_66e_no_table"])
+
+
+def count_oracle_rows(monkeypatch):
+    """Record the rows of every ``mm_edge_masks`` call the augmenter and the
+    sparsifier make and of every ``plan_round_masks`` call of the sweep."""
+    oracle_rows, round_rows = [], []
+
+    def counting_oracle(graph, masks):
+        oracle_rows.append(len(masks))
+        return mm_edge_masks(graph, masks)
+
+    def counting_rounds(graph, t, rng):
+        round_rows.append(t)
+        return plan_round_masks(graph, t, rng)
+
+    for module in (augmenter, sparsifier):
+        monkeypatch.setattr(module, "mm_edge_masks", counting_oracle)
+    monkeypatch.setattr(augmenter, "plan_round_masks", counting_rounds)
+    return oracle_rows, round_rows
+
+
+@WITH_AND_WITHOUT_TABLE
+def test_sweep_block_asks_the_oracle_twice(build, monkeypatch):
+    # Phase 1 answers every plan round of the block in one call, phase 2 the
+    # rounding, the crucial scheme, MM(Q & G) and MM(G) in one more.
+    g, tables = build()
+    assert (mwm.matching_table(g) is None) == (g.m > 62)
+    oracle_rows, round_rows = count_oracle_rows(monkeypatch)
+    ts, runs = [1, 4, None], BLOCK_LEN + 17
+    sweep = end_to_end(g, tables, ts, runs, seed=47)
+    assert round_rows == [4 * BLOCK_LEN, 4 * 17]
+    assert oracle_rows == [4 * BLOCK_LEN, 10 * BLOCK_LEN, 4 * 17, 10 * 17]
+    monkeypatch.undo()
+    augmented, _zeroed = assert_matches_reference(g, tables, sweep, runs, seed=47)
+    assert augmented > 0
+
+
+@pytest.mark.parametrize("ts", [[0], [None], [0, None]], ids=["zero", "control", "both"])
+@WITH_AND_WITHOUT_TABLE
+def test_sweep_without_plan_rounds_equals_single_points_and_reference(build, ts, monkeypatch):
+    # max(t) is 0: the block draws no plan round and its phase-1 call is empty
+    g, tables = build()
+    oracle_rows, round_rows = count_oracle_rows(monkeypatch)
+    sweep = end_to_end(g, tables, ts, 60, seed=48)
+    assert round_rows == [0] and oracle_rows == [0, (3 * len(ts) + 1) * 60]
+    monkeypatch.undo()
+    assert [res.t for res in sweep] == ts
+    for res in sweep:
+        [single] = end_to_end(g, tables, [res.t], 60, seed=48)
+        assert_same_point(res, single)
+    assert_matches_reference(g, tables, sweep, 60, seed=48)

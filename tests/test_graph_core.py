@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochmatch import mwm
+from stochmatch import graph_core, mwm
 from stochmatch.gadgets import benchmark_6v8e
 from stochmatch.graph_core import (
     Edge,
@@ -230,6 +230,30 @@ def test_sample_masks_scope_equals_hidden_edge_loop(g):
     expected = [revealed_bits | reference_mask(rng.random(len(hidden)), p_hidden, hidden)
                 for _ in range(30)]
     assert [mask | revealed_bits for mask in scoped] == expected
+
+
+class RecordingStream:
+    """A generator that records the shape of every ``random`` call."""
+
+    def __init__(self, rng):
+        self.rng, self.shapes = rng, []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.rng.random(shape)
+
+
+@pytest.mark.parametrize("g", sampler_graphs(), ids=["complete_66e", "generated_19e"])
+def test_sample_masks_draws_in_chunks_of_block_len_rows(g, monkeypatch):
+    hidden = list(range(1, g.m, 2))
+    expected = [sample_masks(g, rng_from(5), 23).tolist(),
+                sample_masks(g, rng_from(5), 23, scope=hidden).tolist()]
+    monkeypatch.setattr(graph_core, "BLOCK_LEN", 5)
+    for scope, masks in zip((None, hidden), expected):
+        stream = RecordingStream(rng_from(5))
+        assert sample_masks(g, stream, 23, scope=scope).tolist() == masks
+        width = g.m if scope is None else len(hidden)
+        assert stream.shapes == [(5, width)] * 4 + [(3, width)]
 
 
 def test_sample_masks_empty_graph_empty_scope_and_zero_count():
