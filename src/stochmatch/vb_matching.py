@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
@@ -46,7 +46,7 @@ _SUM_TOL = 1e-9
 # Largest crucial component (vertices, edges) exact_vb_enumeration enumerates.
 MAX_COMPONENT_VERTICES = 4
 MAX_COMPONENT_EDGES = 6
-# A law's activation table is cleared when it reaches this many entries.
+# A block that takes a law's activation table past this many entries clears it.
 ACTIVATION_CACHE_MAX = 1 << 16
 
 
@@ -100,7 +100,7 @@ def activate_batch(law: ActivationLaw, batch_mask: int,
 def _activation_rule(y: np.ndarray, edges: list[int], y_primes: Sequence[float]):
     """:func:`activate_batch` of the realized batch edges ``edges``, given
     their conditionals ``y_primes``."""
-    probs: list[tuple[int, float]] = []
+    probs = []
     total = 0.0
     for e, y_prime in zip(edges, y_primes):
         if y_prime < 0.0:
@@ -108,45 +108,91 @@ def _activation_rule(y: np.ndarray, edges: list[int], y_primes: Sequence[float])
         y_e = float(y[e])
         if not (0.0 <= y_e <= 1.0):
             raise ValueError(f"marginal of edge {e} must be in [0, 1]")
-        q = 3.0 * y_prime / (3.0 + 2.0 * y_e)
-        probs.append((e, q))
-        total += q
-    clipped = False
+        probs.append(3.0 * y_prime / (3.0 + 2.0 * y_e))
+        total += probs[-1]
     if total > 1.0:
-        clipped = total > 1.0 + _CLIP_TOL
         scale = 1.0 / total
-        probs = [(e, q * scale) for e, q in probs]
-    cumulative = []
-    acc = 0.0
-    for _e, q in probs:
-        acc += q
-        cumulative.append(acc)
-    return tuple(e for e, _q in probs), tuple(cumulative), clipped
+        probs = [q * scale for q in probs]
+    return tuple(edges), tuple(accumulate(probs)), total > 1.0 + _CLIP_TOL
 
 
-def _activation_entries(law: ActivationLaw, masks: list[int], bits: list[int]) -> list:
-    """:func:`activate_batch` of each batch reveal ``(masks[i], bits[i])``,
-    from the law's activation table.
+class _ActivationTable:
+    """What :func:`run_vb` keeps on a law object, as its ``_activation_table``:
+    the crucial geometry of the law's graph, and the activation entries
+    (:func:`activate_batch`) of the batch reveals asked so far, as arrays.
 
-    The conditionals of every reveal missing from the table come from one
-    ``law.y_primes`` call.  The table lives on the law object itself, so it
-    goes with the law; it is cleared when it reaches
-    ``ACTIVATION_CACHE_MAX`` entries, and the entries this call returns do
-    not depend on it.
+    ``rows`` maps a reveal ``(batch_mask, batch_bits)`` to its row of
+    ``cumulative`` (the cumulative probabilities, padded with inf),
+    ``choices`` (the realized edges, padded with -1 to one column more than
+    ``cumulative``) and ``clipped``.  A block that takes the table past
+    ``ACTIVATION_CACHE_MAX`` entries clears it.
     """
-    table = vars(law).setdefault("_activation_table", {})
+
+    def __init__(self, law: ActivationLaw):
+        g = law.graph
+        self.dtype = dtype = mask_dtype(max(g.n, g.m))
+        incident = [0] * g.n  # crucial edge mask per vertex
+        ends = [0] * g.m  # u + v, to find the partner
+        end_bits = [0] * g.m  # vertex mask of a crucial edge
+        for e in mask_edges(law.crucial_mask):
+            u, v = g.endpoints(e)
+            incident[u] |= 1 << e
+            incident[v] |= 1 << e
+            ends[e] = u + v
+            end_bits[e] = (1 << u) | (1 << v)
+        self.incident = np.array(incident, dtype=dtype)
+        self.ends = np.array(ends, dtype=np.int64)
+        self.vertex_bit = np.array([1 << v for v in range(g.n)], dtype=dtype)
+        self.edge_bit = np.array([1 << e for e in range(g.m)], dtype=dtype)
+        self.width = max((mask.bit_count() for mask in incident), default=0)
+        # touched_by[i][b]: the endpoints of the edges 8 * i + j, j a bit of b
+        self.touched_by = []
+        for i in range(0, g.m, 8):
+            touched = [0]
+            for bits in end_bits[i:i + 8]:
+                touched += [t | bits for t in touched]
+            self.touched_by.append(np.array(touched, dtype=dtype))
+        self.clear()
+
+    def clear(self):
+        self.rows: dict[tuple[int, int], int] = {}
+        self.cumulative = np.empty((0, self.width))
+        self.choices = np.empty((0, self.width + 1), dtype=np.int64)
+        self.clipped = np.empty(0, dtype=bool)
+
+
+def _activation_arrays(law: ActivationLaw, table: _ActivationTable, masks: list[int],
+                       bits: list[int]):
+    """The activation entries of the batch reveals ``(masks[i], bits[i])``,
+    as their rows of ``table.cumulative``, ``table.choices`` and
+    ``table.clipped``.
+
+    The entries missing from the table are added, with the conditionals of
+    all of them from one ``law.y_primes`` call.  The rows this call returns
+    do not depend on what the table held.
+    """
     keys = list(zip(masks, bits))
-    entries = [table.get(key) for key in keys]
-    missing = [(i, mask_edges(keys[i][1])) for i, entry in enumerate(entries) if entry is None]
-    if not missing:
-        return entries
-    y_primes = iter(law.y_primes([(e, *keys[i]) for i, edges in missing for e in edges]))
-    for i, edges in missing:
-        entries[i] = _activation_rule(law.y, edges, [next(y_primes) for _e in edges])
-        if len(table) >= ACTIVATION_CACHE_MAX:
-            table.clear()
-        table[keys[i]] = entries[i]
-    return entries
+    rows = [table.rows.get(key) for key in keys]
+    missing = [i for i, row in enumerate(rows) if row is None]
+    if missing:
+        realized = [mask_edges(bits[i]) for i in missing]
+        y_primes = iter(law.y_primes([(e, *keys[i]) for i, es in zip(missing, realized) for e in es]))
+        cumulative = np.full((len(missing), table.width), np.inf)
+        choices = np.full((len(missing), table.width + 1), -1, dtype=np.int64)
+        clipped = np.zeros(len(missing), dtype=bool)
+        for j, (i, es) in enumerate(zip(missing, realized)):
+            edges, cum, clipped[j] = _activation_rule(law.y, es, [next(y_primes) for _e in es])
+            cumulative[j, :len(cum)] = cum
+            choices[j, :len(edges)] = edges
+            rows[i] = table.rows[keys[i]] = len(table.cumulative) + j
+        table.cumulative = np.concatenate([table.cumulative, cumulative])
+        table.choices = np.concatenate([table.choices, choices])
+        table.clipped = np.concatenate([table.clipped, clipped])
+    rows = np.array(rows, dtype=np.int64)
+    out = table.cumulative[rows], table.choices[rows], table.clipped[rows]
+    if len(table.rows) > ACTIVATION_CACHE_MAX:
+        table.clear()
+    return out
 
 
 def draw_run_inputs(law: ActivationLaw, rng: np.random.Generator, count: int,
@@ -166,17 +212,39 @@ def draw_run_inputs(law: ActivationLaw, rng: np.random.Generator, count: int,
     return perms, reals, rng.random((count, g.n))
 
 
-def _distinct_pairs(a: np.ndarray, b: np.ndarray):
-    """The distinct pairs ``(a[i], b[i])`` as two lists of ints, and for each
-    ``i`` the index of its pair (``np.unique(..., axis=0)`` does the same,
-    about ten times slower)."""
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+def _distinct_reveals(batch_masks: np.ndarray, batch_bits: np.ndarray, flat: np.ndarray,
+                      m: int):
+    """The distinct batch reveals at the flat indices ``flat`` of
+    ``batch_masks`` and ``batch_bits``, ordered by mask and then bits, as two
+    lists of ints, and for each index the index of its reveal.
+
+    Up to 31 edges a reveal is the one int64 word ``mask << m | bits``,
+    which sorts as the pair does; up to 8 edges the words are indexed through
+    a table over all ``2 ** (2 * m)`` of them rather than an ``argsort``.
+    Past 31 edges the pairs are sorted by ``lexsort``.
+    """
+    first = np.ones(len(flat), dtype=bool)
+    if 2 * m <= 63:
+        word = (batch_masks.ravel()[flat].astype(np.int64) << m
+                | batch_bits.ravel()[flat].astype(np.int64))
+        if 2 * m <= 16:
+            ordered = np.sort(word)
+            first[1:] = ordered[1:] != ordered[:-1]
+            distinct = ordered[first]
+            index = np.empty(1 << 2 * m, dtype=np.int32)  # at most 3 ** 8 reveals
+            index[distinct] = np.arange(len(distinct))
+            return (distinct >> m).tolist(), (distinct & (1 << m) - 1).tolist(), index[word]
+        order = np.argsort(word)
+        word = word[order]
+        first[1:] = word[1:] != word[:-1]
+        masks, bits = word >> m, word & (1 << m) - 1
+    else:
+        order = np.lexsort((batch_bits.ravel()[flat], batch_masks.ravel()[flat]))
+        masks, bits = batch_masks.ravel()[flat[order]], batch_bits.ravel()[flat[order]]
+        first[1:] = (masks[1:] != masks[:-1]) | (bits[1:] != bits[:-1])
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
-    return a[first].tolist(), b[first].tolist(), inverse
+    return masks[first].tolist(), bits[first].tolist(), inverse
 
 
 def run_vb(law: ActivationLaw, perms, reals: Sequence[int], uniforms) -> VBBlock:
@@ -186,89 +254,90 @@ def run_vb(law: ActivationLaw, perms, reals: Sequence[int], uniforms) -> VBBlock
     Run ``k``'s vertices arrive in the order ``perms[k]``; each arrival
     reveals the crucial bits of ``reals[k]`` on its batch, and the ``j``-th
     arrival whose batch has a realized edge activates on ``uniforms[k][j]``
-    through the law's activation table (:func:`activate_batch`).  The batch
-    reveals depend on the arrival orders and realizations alone, so the
-    block collects them all first and looks up the activation entry of
-    every distinct one once, with one ``law.y_primes`` call for those
-    missing from the table; every activation is then picked at once.  Only
-    the greedy matching advances one arrival step at a time, on numpy arrays
-    of vertex and edge masks.  The masks are int64 up to 63 vertices and
-    edges and Python ints in ``dtype=object`` arrays past that.  The
-    structural invariants are asserted row by row.
+    by the rule of :func:`activate_batch`.  The batch reveals depend on the
+    arrival orders and realizations alone, so the block collects them all
+    first and sorts out the distinct ones (as one int64 word each up to 31
+    edges).  Their entries come from the law's activation table, which keeps
+    them as arrays beside the crucial geometry, and those missing from it get
+    their conditionals from one ``law.y_primes`` call.  Every activation is
+    then picked at once, by flat indices into the block's entries; only the
+    greedy matching advances one arrival step at a time, on numpy arrays of
+    vertex and edge masks.  The masks are int64 up to 63 vertices and edges
+    and Python ints in ``dtype=object`` arrays past that.  A row that is not
+    a permutation raises ``ValueError``, and the structural invariants are
+    asserted for every row.
     """
     g = law.graph
     n, m, count = g.n, g.m, len(reals)
     perms = np.asarray(perms, dtype=np.int64)
-    if perms.size != count * n or not np.array_equal(
-            np.sort(perms.reshape(count, n), axis=1), np.broadcast_to(np.arange(n), (count, n))):
+    if perms.size != count * n or perms.size and (
+            perms.min() < 0 or perms.max() >= n or not np.bincount(
+                (perms.reshape(count, n) + np.arange(0, count * n, n)[:, None]).ravel(),
+                minlength=count * n).all()):
         raise ValueError("permutation must cover every vertex exactly once")
     perms = perms.reshape(count, n)
-    dtype = mask_dtype(max(n, m))
-    vertex_bit = np.array([1 << v for v in range(n)], dtype=dtype)
-    edge_bit = np.array([1 << e for e in range(m)], dtype=dtype)
+    table = vars(law).get("_activation_table")
+    if table is None:
+        table = vars(law)["_activation_table"] = _ActivationTable(law)
+    dtype, vertex_bit = table.dtype, table.vertex_bit
     crucial_mask = law.crucial_mask
-    crucial = mask_edges(crucial_mask)
-    incident = np.zeros(n, dtype=dtype)  # crucial edge mask per vertex
-    ends = np.zeros(m, dtype=np.int64)  # u + v, to find the partner
-    for e in crucial:
-        u, v = g.endpoints(e)
-        incident[u] |= 1 << e
-        incident[v] |= 1 << e
-        ends[e] = u + v
     reals = np.asarray(reals, dtype=dtype) & crucial_mask
     uniforms = np.asarray(uniforms, dtype=float)
 
     # batch_masks[step, k]: the crucial edges from run k's arrival at `step`
-    # to earlier arrivals.
-    batch_masks = np.zeros((n, count), dtype=dtype)
+    # to earlier arrivals, and batch_bits its realized ones; uniform[step, k]:
+    # the flat index in `uniforms` of the uniform that arrival reads.
+    batch_masks = np.empty((n, count), dtype=dtype)
+    batch_bits = np.empty((n, count), dtype=dtype)
+    uniform = np.empty((n, count), dtype=np.int64)
     seen = np.zeros(count, dtype=dtype)  # crucial edges with an arrived endpoint
+    read = np.arange(count) * uniforms.shape[1]
     for step in range(n):
-        incident_v = incident[perms[:, step]]
+        incident_v = table.incident[perms[:, step]]
         batch_masks[step] = incident_v & seen
         seen |= incident_v
-    batch_bits = batch_masks & reals
-    revealed = batch_bits != 0
+        batch_bits[step] = batch_masks[step] & reals
+        uniform[step] = read
+        read += batch_bits[step] != 0
     # The arrivals that reveal a realized edge, as flat indices
-    # `step * count + k` in step order; each reads the next uniform of its run.
-    flat = np.flatnonzero(revealed)
-    steps, rows = np.divmod(flat, count)
-    draws = np.cumsum(revealed, axis=0).ravel()[flat] - 1
-    masks, bits, inverse = _distinct_pairs(batch_masks.ravel()[flat], batch_bits.ravel()[flat])
-    entries = _activation_entries(law, masks, bits)
-    width = max((len(edges) for edges, _c, _f in entries), default=0)
-    # Row k of `cumulative` holds entry k's cumulative probabilities,
-    # padded with inf; `choices[k, i]` is its i-th edge and -1 past the end.
-    cumulative = np.full((len(entries), width), np.inf)
-    choices = np.full((len(entries), width + 1), -1, dtype=np.int64)
-    for k, (edges, cum, _clipped) in enumerate(entries):
-        cumulative[k, :len(cum)] = cum
-        choices[k, :len(edges)] = edges
-    clipped = np.array([flag for _e, _c, flag in entries], dtype=bool)
+    # `step * count + k` in step order.
+    flat = np.flatnonzero(batch_bits != 0)
+    masks, bits, inverse = _distinct_reveals(batch_masks, batch_bits, flat, m)
+    cumulative, choices, clipped = _activation_arrays(law, table, masks, bits)
     clip_events = int(np.count_nonzero(clipped[inverse]))
-    u = uniforms[rows, draws]
-    chosen = choices[inverse, (cumulative[inverse] <= u[:, None]).sum(axis=1)]
-    hit = chosen >= 0
-    steps, rows, chosen = steps[hit], rows[hit], chosen[hit]
-    arriving = perms[rows, steps]
-    partner = ends[chosen] - arriving
-    pairs = vertex_bit[arriving] | vertex_bit[partner]
+    # Each arrival counts the cumulative probabilities of its entry that its
+    # uniform reaches, which indexes its edge in `choices` (-1: none).
+    u = uniforms.ravel()[uniform.ravel()[flat]]
+    pick = inverse * (table.width + 1)
+    for column in cumulative.T:
+        pick += column[inverse] <= u
+    chosen = choices.ravel()[pick]
+    hit = np.flatnonzero(chosen >= 0)
+    flat, chosen = flat[hit], chosen[hit]
+    steps = flat // count
+    rows = flat - steps * count
+    arriving = perms.ravel()[rows * n + steps]
+    partner_bit = vertex_bit[table.ends[chosen] - arriving]
+    pairs = vertex_bit[arriving] | partner_bit
+    edges = table.edge_bit[chosen]
 
     matched = np.zeros(count, dtype=dtype)
     active = np.zeros(count, dtype=dtype)  # vertices with an active edge
     mc = np.zeros(count, dtype=dtype)
     activated = np.zeros(count, dtype=dtype)
-    bounds = np.searchsorted(steps, np.arange(n + 1))
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+    bounds = np.searchsorted(steps, np.arange(n + 1)).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         if lo == hi:
             continue
-        rows_s, pair, chosen_s = rows[lo:hi], pairs[lo:hi], chosen[lo:hi]
-        activated[rows_s] |= edge_bit[chosen_s]
+        rows_s, pair, edge_s = rows[lo:hi], pairs[lo:hi], edges[lo:hi]
+        activated[rows_s] |= edge_s
         active[rows_s] |= pair
-        free = matched[rows_s] & vertex_bit[partner[lo:hi]] == 0
-        rows_s, pair, chosen_s = rows_s[free], pair[free], chosen_s[free]
-        assert not np.any(matched[rows_s] & pair)  # matched edges stay vertex-disjoint
-        matched[rows_s] |= pair
-        mc[rows_s] |= edge_bit[chosen_s]
+        held = matched[rows_s]
+        free = held & partner_bit[lo:hi] == 0
+        pair = pair * free  # the pairs that join the matching
+        assert not np.any(held & pair)  # matched edges stay vertex-disjoint
+        matched[rows_s] = held | pair
+        mc[rows_s] |= edge_s * free
 
     everyone = (1 << n) - 1
     alive = everyone & ~active
@@ -277,9 +346,8 @@ def run_vb(law: ActivationLaw, perms, reals: Sequence[int], uniforms) -> VBBlock
     # edges.
     assert not np.any(alive & matched)
     touched = np.zeros(count, dtype=dtype)
-    for e in crucial:
-        u, v = g.endpoints(e)
-        touched[activated & edge_bit[e] != 0] |= vertex_bit[u] | vertex_bit[v]
+    for i, touched_by in enumerate(table.touched_by):
+        touched |= touched_by[(activated >> 8 * i & 255).astype(np.intp)]
     assert np.array_equal(alive, everyone & ~touched)
     assert not np.any(mc & ~(crucial_mask & np.bitwise_or.reduce(batch_bits, axis=0)))
     return VBBlock(mc, alive, activated, clip_events)

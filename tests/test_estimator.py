@@ -262,7 +262,7 @@ def test_pooled_y_primes_pass_a_z_test_against_the_exact_law(crucial):
     _y_hat, pool = estimate_y(g, crucial_mask, 100_000, seed=11)
     law = MonteCarloConditional(g, crucial_mask, exact.y, 400, seed=12, rows=pool)
     block = run_vb(law, *draw_run_inputs(law, rng_from(13), 300))
-    queries = [(e, mask, bits) for mask, bits in law._activation_table for e in mask_edges(bits)]
+    queries = [(e, mask, bits) for mask, bits in law._activation_table.rows for e in mask_edges(bits)]
     assert law.resampled_reveals == 0 and block.clip_events == 0
     assert 50 <= len(queries) <= 400
     for query, value in zip(queries, law.y_primes(queries)):

@@ -131,6 +131,16 @@ def test_activate_batch_clips_oversubscribed():
     assert abs(counts[0b01] / trials - 0.5) <= 3 * math.sqrt(0.25 / trials)
 
 
+def test_run_vb_picks_on_cumulative_boundaries():
+    # a uniform equal to a cumulative probability picks the next edge (the
+    # reference's `u < acc`); vertex 0 arrives last and reveals both edges
+    law = fan_law(0.5, 0.5)  # cumulative probabilities (0.375, 0.75)
+    uniforms = np.repeat([[0.0], [0.375], [0.75], [0.5]], 3, axis=1)
+    block, _refs = assert_rows_equal_reference(law, np.tile([1, 2, 0], (4, 1)), [0b11] * 4,
+                                               uniforms)
+    assert block.activated.tolist() == [0b01, 0b10, 0, 0b10]
+
+
 def test_run_vb_no_crucial_edges():
     g = graph(3, [(0, 1, 1.0, 0.5)])
     out = one_run(StubLaw(g, 0, np.zeros(1)), rng_from(0), realization_mask=1)
@@ -369,20 +379,44 @@ def test_run_vb_error_paths_still_raise():
     for bad_y in (-0.5, 1.5):
         with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
             run_vb(StubLaw(g, 1, np.full(1, bad_y)), [(0, 1)], [1], np.zeros((1, 2)))
-    for bad_perm in ((0, 0), (0,), (0, 2), (1, 0, 2)):
-        with pytest.raises(ValueError, match="permutation"):
+    message = "permutation must cover every vertex exactly once"
+    for bad_perm in ((0, 0), (0,), (0, 2), (1, 0, 2), (-1, 1)):
+        with pytest.raises(ValueError, match=message):
             run_vb(StubLaw(g, 1, np.full(1, 0.5)), [bad_perm], [1], np.zeros((1, 2)))
+    # one bad row among good ones: the middle row repeats vertex 1
+    g3 = graph(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0)])
+    with pytest.raises(ValueError, match=message):
+        run_vb(StubLaw(g3, 0b11, np.full(2, 0.5)), [(0, 1, 2), (1, 1, 2), (2, 1, 0)],
+               [0b11] * 3, np.zeros((3, 3)))
+    # a repeated vertex on Python-int masks (64 vertices)
+    g64 = graph(64, [(v, v + 1, 1.0, 0.5) for v in range(63)])
+    duplicate = list(range(64))
+    duplicate[5] = 6
+    with pytest.raises(ValueError, match=message):
+        run_vb(StubLaw(g64, 0b11, np.full(63, 0.4)), [range(64), duplicate], [0b11] * 2,
+               np.zeros((2, 64)))
 
 
 def test_activation_table_lives_on_the_law_and_is_bounded(monkeypatch):
     law = fan_law(0.5, 0.5)
     one_run(law, rng_from(0), permutation=(1, 2, 0))
-    assert law._activation_table == {(0b11, 0b11): ((0, 1), (0.375, 0.75), False)}
+    table = law._activation_table
+    # one row per batch reveal: the cumulative probabilities padded with
+    # inf, the edges padded with -1, the clip flag
+    assert table.rows == {(0b11, 0b11): 0}
+    assert table.cumulative.tolist() == [[0.375, 0.75]]
+    assert table.choices.tolist() == [[0, 1, -1]] and table.clipped.tolist() == [False]
+    assert activate_batch(law, 0b11, 0b11) == ((0, 1), (0.375, 0.75), False)
+    assert "_activation_table" not in vars(fan_law(0.5, 0.5))
     monkeypatch.setattr(vb_matching, "ACTIVATION_CACHE_MAX", 1)
     one_run(law, rng_from(0), permutation=(2, 1, 0))
-    assert list(law._activation_table) == [(0b11, 0b11)]
+    assert list(table.rows) == [(0b11, 0b11)]  # nothing new: no clear
+    # (0b01, 0b01) and (0b10, 0b10) take the table past one entry: cleared
     one_run(law, rng_from(0), permutation=(0, 1, 2))
-    assert list(law._activation_table) == [(0b10, 0b10)]
+    assert law._activation_table is table and table.rows == {}
+    assert len(table.cumulative) == len(table.choices) == len(table.clipped) == 0
+    one_run(law, rng_from(0), permutation=(2, 1, 0))
+    assert table.rows == {(0b11, 0b11): 0} and table.choices.tolist() == [[0, 1, -1]]
 
 
 def test_a_block_asks_the_oracle_once(monkeypatch):
@@ -398,7 +432,7 @@ def test_a_block_asks_the_oracle_once(monkeypatch):
                             calls.update([_name]) or _f(*args))
     block = run_vb(law, *draw_run_inputs(law, rng_from(40), 300))
     assert calls == {"estimate_y_conditional": 1, "mm_edge_masks": 1}
-    assert len(law._activation_table) > 10 and any(block.activated)
+    assert len(law._activation_table.rows) > 10 and any(block.activated)
 
 
 def test_a_block_gets_every_entry_past_the_table_cap(monkeypatch):
@@ -406,11 +440,11 @@ def test_a_block_gets_every_entry_past_the_table_cap(monkeypatch):
     inputs = draw_run_inputs(clipping_law(g), rng_from(41), 200)
     uncapped = clipping_law(g)
     expected = run_vb(uncapped, *inputs)
-    assert len(uncapped._activation_table) > 10  # the block has many batch reveals
+    assert len(uncapped._activation_table.rows) > 10  # the block has many batch reveals
     monkeypatch.setattr(vb_matching, "ACTIVATION_CACHE_MAX", 1)
     law = clipping_law(g)
     block, _refs = assert_rows_equal_reference(law, *inputs, ref_law=clipping_law(g))
-    assert len(law._activation_table) == 1
+    assert law._activation_table.rows == {}  # the block took it past the cap
     assert [a.tolist() for a in block[:3]] == [a.tolist() for a in expected[:3]]
     assert block.clip_events == expected.clip_events > 0
 
@@ -472,9 +506,12 @@ def graph_of_size(n, m, seed):
                      for i in chosen])
 
 
-@pytest.mark.parametrize("n, m", [(63, 62), (64, 63), (63, 63), (64, 64), (62, 63), (40, 64)])
+@pytest.mark.parametrize("n, m", [(63, 62), (64, 63), (63, 63), (64, 64), (62, 63), (40, 64),
+                                  (10, 31), (10, 32), (64, 31), (70, 8)])
 def test_run_vb_equals_reference_on_both_sides_of_int64_width(n, m):
-    # int64 masks up to 63 vertices and edges, Python ints from 64 on
+    # int64 masks up to 63 vertices and edges, Python ints from 64 on; up to
+    # 31 edges a batch reveal is also one int64 word, mask << m | bits, and up
+    # to 8 edges that word indexes a table
     g = graph_of_size(n, m, n * 1000 + m)
     law = StubLaw(g, sum(1 << e for e in range(0, m, 3)) | 1 << (m - 1),
                   np.full(m, 0.4), value=0.4)
@@ -484,12 +521,44 @@ def test_run_vb_equals_reference_on_both_sides_of_int64_width(n, m):
     assert any(alive >> (n - 1) for alive in block.alive)
 
 
+@pytest.mark.parametrize("m", [31, 32])
+def test_y_primes_gets_reveals_in_mask_then_bits_order(m):
+    # one word per reveal up to 31 edges, a pair of words past that: the
+    # law is asked in the same order either way
+    g = graph_of_size(10, m, m)
+    asked = []
+
+    class RecordingLaw(StubLaw):
+        def y_primes(self, queries):
+            asked.extend(queries)
+            return super().y_primes(queries)
+
+    law = RecordingLaw(g, g.full_mask, np.full(m, 0.4), value=0.1)
+    run_vb(law, *full_inputs(law, 39, 100))
+    reveals = [(mask, bits) for _e, mask, bits in asked]
+    assert len(set(reveals)) > 100 and reveals == sorted(reveals)
+    assert asked == sorted(asked, key=lambda query: (query[1], query[2], query[0]))
+    assert any(mask >> 31 for mask, _bits in reveals) == (m > 31)
+
+
+def test_run_vb_asserts_matched_edges_stay_vertex_disjoint(monkeypatch):
+    # a corrupt activation rule on the path 0-1-2-3: vertex 2's reveal of
+    # edge 2-3 activates edge 1-2, which matches vertex 1 before it arrives;
+    # vertex 1 then activates edge 0-1 to the free vertex 0
+    law = StubLaw(graph(4, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (2, 3, 1.0, 1.0)]), 0b111,
+                  np.full(3, 0.4))
+    monkeypatch.setattr(vb_matching, "_activation_rule", lambda _y, edges, _y_primes:
+                        ((1,) if edges == [2] else (0,), (1.0,), False))
+    with pytest.raises(AssertionError):
+        run_vb(law, [(0, 3, 2, 1)], [0b111], np.zeros((1, 4)))
+
+
 def test_run_vb_block_asserts_structural_invariants(monkeypatch):
-    # a corrupt activation table that activates edge 1-2 when vertex 1
+    # a corrupt activation rule that activates edge 1-2 when vertex 1
     # reveals only edge 0-1: the matched edge was never revealed
     law = two_path().law
-    monkeypatch.setattr(vb_matching, "_activation_entries",
-                        lambda _law, masks, _bits: [((1,), (1.0,), False)] * len(masks))
+    monkeypatch.setattr(vb_matching, "_activation_rule",
+                        lambda _y, _edges, _y_primes: ((1,), (1.0,), False))
     with pytest.raises(AssertionError):
         run_vb(law, [(0, 1, 2)], [0b01], np.zeros((1, 3)))
     # the same breach on Python-int masks: 64 vertices, edges 0-1 and 1-2 crucial
