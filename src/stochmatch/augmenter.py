@@ -28,6 +28,7 @@ one row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -349,16 +350,23 @@ class E2EResult:
     mm_G: np.ndarray
     augmented: np.ndarray
 
+    @cached_property
+    def totals(self) -> tuple[float, float, float]:
+        """The sums of ``alg``, ``mm_Q`` and ``mm_G``, added in run order
+        (np.sum adds pairwise) and taken once: the arrays must not change
+        after the first read."""
+        return tuple(sum(column.tolist()) for column in (self.alg, self.mm_Q, self.mm_G))
+
     @property
     def ratio(self) -> float:
         """Ratio of expectations: sum of plan optima over sum of true optima."""
-        total_g = sum(self.mm_G.tolist())  # in run order: np.sum adds pairwise
-        return 1.0 if total_g <= 0.0 else sum(self.mm_Q.tolist()) / total_g
+        _alg, total_q, total_g = self.totals
+        return 1.0 if total_g <= 0.0 else total_q / total_g
 
     @property
     def alg_ratio(self) -> float:
-        total_g = sum(self.mm_G.tolist())
-        return 1.0 if total_g <= 0.0 else sum(self.alg.tolist()) / total_g
+        total_alg, _q, total_g = self.totals
+        return 1.0 if total_g <= 0.0 else total_alg / total_g
 
     def ratio_std_err(self) -> float:
         """Delta-method standard error of the ratio of sums."""

@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .augmenter import (
 from .exact import enumerable
 from .gadgets import benchmark_6v8e_graph
 from .graph_core import Params, StochasticGraph, gen_random_graph, read_graph, write_graph
-from .parallel import worker_pool
+from .parallel import BLOCK_LEN, worker_pool
 from .verifier import default_suite, format_report_table, gated_failures
 
 DEFAULT_BUDGETS = {
@@ -209,6 +209,34 @@ def _t_label(result: E2EResult) -> int:
     return -1 if result.t is None else result.t
 
 
+def _write_runs(fh, seed: int, result: E2EResult) -> None:
+    """Write a sweep point's ``runs.jsonl`` lines: the bytes of
+    ``json.dumps(record, sort_keys=True)``, the run index being the row.
+
+    Each chunk of at most ``BLOCK_LEN`` runs formats each of its distinct
+    values once, keyed on the bits so ``-0.0`` stays apart from ``0.0`` (the
+    weights are finite, so repr writes what json.dumps writes).  The lines go
+    to the file one by one: joined into one string per chunk, they make the
+    heap grow and shrink with every chunk, and the next command's sampling
+    faults the pages back in.
+    """
+    line = ('{"ratio": %%s, "run": %%d, "scheme_chosen": "%%s", "seed": %d, "t": %d, '
+            '"weights": {"alg": %%s, "mm_G": %%s, "mm_Q": %%s}}\n' % (seed, _t_label(result)))
+    for start in range(0, len(result.mm_G), BLOCK_LEN):
+        chunk = slice(start, start + BLOCK_LEN)
+        alg, mm_q, mm_g = result.alg[chunk], result.mm_Q[chunk], result.mm_G[chunk]
+        count = len(mm_g)
+        # the IEEE quotient of Python's mm_q / mm_g where mm_g > 0.0, else 1.0
+        ratio = np.divide(mm_q, mm_g, out=np.ones(count), where=mm_g > 0.0)
+        bits, inverse = np.unique(np.stack([ratio, alg, mm_g, mm_q]).view(np.int64),
+                                  return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        ratio_s, alg_s, mm_g_s, mm_q_s = text[inverse.reshape(4, count)].tolist()
+        schemes = np.where(result.augmented[chunk], "augmented", "crucial").tolist()
+        fh.writelines(map(line.__mod__, zip(
+            ratio_s, range(start, start + count), schemes, alg_s, mm_g_s, mm_q_s)))
+
+
 def cmd_run(config: ExperimentConfig) -> Path:
     """t-sweep of the full pipeline; writes runs, aggregates and plot data."""
     g = load_graph(config)
@@ -231,16 +259,7 @@ def cmd_run(config: ExperimentConfig) -> Path:
     with open(runs_path, "w") as fh:
         fh.write(json.dumps({"config_hash": chash}, sort_keys=True) + "\n")
         for result in results:
-            # The bytes of json.dumps(record, sort_keys=True); the run index is the row.
-            t_label = _t_label(result)
-            fh.writelines(
-                f'{{"ratio": {(mm_q / mm_g if mm_g > 0.0 else 1.0)!r}, "run": {run}, '
-                f'"scheme_chosen": "{"augmented" if augmented else "crucial"}", '
-                f'"seed": {config.seed}, "t": {t_label}, "weights": '
-                f'{{"alg": {alg!r}, "mm_G": {mm_g!r}, "mm_Q": {mm_q!r}}}}}\n'
-                for run, (alg, mm_q, mm_g, augmented) in enumerate(zip(
-                    result.alg.tolist(), result.mm_Q.tolist(), result.mm_G.tolist(),
-                    result.augmented.tolist())))
+            _write_runs(fh, config.seed, result)
 
     agg_path = out_dir / "aggregate.csv"
     with open(agg_path, "w") as fh:
@@ -249,10 +268,7 @@ def cmd_run(config: ExperimentConfig) -> Path:
         for result in results:
             t_label = _t_label(result)
             n = len(result.mm_G)
-            # Python sums in run order, as the ratios take them.
-            mean_alg = sum(result.alg.tolist()) / n
-            mean_q = sum(result.mm_Q.tolist()) / n
-            mean_g = sum(result.mm_G.tolist()) / n
+            mean_alg, mean_q, mean_g = (total / n for total in result.totals)
             frac_aug = int(result.augmented.sum()) / n
             fh.write(
                 f"{config.seed},{t_label},{result.ratio!r},{mean_alg!r},"
@@ -297,7 +313,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
         )
     payload = {
         "config_hash": config.config_hash(),
-        "reports": [asdict(r) for r in reports],
+        "reports": [vars(r) for r in reports],  # read in place, not deep-copied
     }
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)

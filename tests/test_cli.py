@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stochmatch import augmenter, cli
@@ -227,6 +229,44 @@ def test_runs_jsonl_template_writes_the_json_dumps_bytes(tmp_path, monkeypatch, 
         assert (results[0].mm_G == 0.0).any()
 
 
+# Synthetic sweeps for the writer's edge cases: per point, the label (None is
+# the control) and the alg, mm_Q and mm_G columns; every run is augmented
+# when its index is odd.
+RUNS_JSONL_EDGE_CASES = {
+    "signed_zeros_in_one_column": [
+        (1, [0.0, -0.0, -0.0, 0.0], [-0.0, 0.0, 0.0, -0.0], [2.0, 2.0, 3.0, 3.0])],
+    "zero_mm_G_of_either_sign": [
+        (2, [0.0, -0.0, 1.5, -0.0], [0.0, -0.0, 0.5, 0.0], [0.0, -0.0, 1.5, 0.0])],
+    "values_shared_across_columns_and_points": [
+        (1, [0.5, 1.5, 0.5, 1.0], [0.5, 0.5, 1.0, 1.0], [1.0, 1.5, 1.0, 1.0]),
+        (4, [1.0, 1.5, 0.5, 1.5], [1.0, 1.5, 0.5, 1.0], [1.0, 1.5, 1.0, 1.0])],
+    "exponent_and_long_reprs": [
+        (8, [5e-324, 1e16, 1e300, 0.1 + 0.2], [5e-324, 0.1 + 0.2, 1e16, 2.5e-8],
+         [1e-5, 0.1 + 0.2, 1e16, 1e-7])],
+    "t_zero_and_control_labels": [
+        (0, [0.0, 0.25, 0.0], [0.0, 0.25, 0.5], [1.0, 0.75, 0.5]),
+        (None, [0.75, 0.25, 0.5], [1.0, 0.75, 0.5], [1.0, 0.75, 0.5])],
+    "more_runs_than_one_chunk": [
+        (3, [0.1 * k for k in range(8)], [0.2 * (k % 3) for k in range(8)],
+         [0.3 * (k % 5) for k in range(8)]),
+        (None, [0.4] * 8, [0.3 * (k % 5) for k in range(8)], [0.3 * (k % 5) for k in range(8)])],
+}
+
+
+@pytest.mark.parametrize("name", RUNS_JSONL_EDGE_CASES)
+def test_runs_jsonl_edge_cases_write_the_json_dumps_bytes(tmp_path, monkeypatch, name):
+    results = [augmenter.E2EResult(t, *(np.array(c, dtype=float) for c in (alg, mm_q, mm_g)),
+                                   np.arange(len(alg)) % 2 == 1)
+               for t, alg, mm_q, mm_g in RUNS_JSONL_EDGE_CASES[name]]
+    monkeypatch.setattr(cli, "build_tables", lambda *args: None)
+    monkeypatch.setattr(cli, "end_to_end", lambda *args: results)
+    monkeypatch.setattr(cli, "BLOCK_LEN", 3)  # 8 runs make chunks of 3, 3 and 2
+    config = tiny_run_config(tmp_path, seed=-7)
+    data = (cmd_run(config) / "runs.jsonl").read_bytes()
+    assert data == json_dumps_runs(config, results)
+    assert len(data.splitlines()) == 1 + sum(len(r.mm_G) for r in results)
+
+
 @pytest.mark.parametrize("column,value", [("alg", float("nan")), ("mm_Q", float("inf")),
                                           ("mm_G", float("-inf"))])
 def test_cmd_run_rejects_non_finite_weights_before_any_output(tmp_path, monkeypatch,
@@ -255,6 +295,21 @@ def test_cmd_verify_golden_digest(tmp_path):
     assert cmd_verify(config) == 0
     data = (tmp_path / "v" / "verify_reports.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == VERIFY_REPORTS_DIGEST
+
+
+def test_verify_reports_json_equals_the_asdict_bytes(tmp_path, monkeypatch):
+    # every report kind and details shape, the forced failure included
+    reports = []
+    suite = cli.default_suite
+    monkeypatch.setattr(cli, "default_suite", lambda **kw: reports.extend(suite(**kw)) or reports)
+    config = ExperimentConfig(out=str(tmp_path / "v"), seed=3, verify_trials=64,
+                              negative_control=True)
+    assert cmd_verify(config) == 1
+    assert {r.verdict for r in reports} == {"pass", "fail", "inconclusive"}
+    reference = json.dumps({"config_hash": config.config_hash(),
+                            "reports": [dataclasses.asdict(r) for r in reports]},
+                           sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "v" / "verify_reports.json").read_text() == reference
 
 
 def test_cmd_verify_byte_identical_across_workers(tmp_path):
