@@ -12,16 +12,17 @@ plan through :func:`sparsifier.draw_plans`.  For x and y a block's
 realizations are drawn as one array and answered by one
 :func:`mwm.mm_edge_masks` call, which scans the matching table once per
 chunk of distinct masks instead of calling the oracle per mask.  y' is
-estimated for a list of (edge, batch reveal) queries at once.  A reveal
-that at least the trial budget of rows of a pool agree with is counted on
-those rows: the y stage's realizations and their MM masks, which
-:func:`estimate_y` returns with y.  They are drawn apart from the x stage's
-rows, which decide the crucial edges, so no y' is counted on the rows that
-made its edge crucial.  Each other query draws only the edges its reveal
-leaves hidden, from its own stream, and one oracle call answers the draws
-of all of them.  :class:`MonteCarloConditional` carries
+estimated per batch reveal ``(batch_mask, batch_bits)``, for every realized
+edge of the batch at once.  A reveal that at least the trial budget of rows
+of a pool agree with is counted on those rows: the y stage's realizations
+and their MM masks, which :func:`estimate_y` returns with y.  They are drawn
+apart from the x stage's rows, which decide the crucial edges, so no y' is
+counted on the rows that made its edge crucial.  The edges of every other
+reveal are resampled by :func:`estimate_y_conditional`: each draws only the
+edges its reveal leaves hidden, from its own stream, and one oracle call
+answers the draws of all of them.  :class:`MonteCarloConditional` carries
 estimated ``y`` and a pool as the variance-bounding run's activation law,
-which a block of runs asks once for all its batch reveals, and
+which a block of runs asks once for all its new batch reveals, and
 :func:`sample_vb_statistics` reruns that run on any such law and counts its
 outcomes, mask arrays, with :func:`graph_core.mask_bits`, for
 :func:`estimate_pair_alive` and the verifier's checks alike.
@@ -137,7 +138,6 @@ def estimate_y_conditional(
     queries: Sequence[tuple[int, int, int]],
     trials: int,
     rngs: Sequence[np.random.Generator],
-    pool: RowPool | None = None,
 ) -> list[ProbEstimate]:
     """Conditional oracle-matching membership given a batch reveal, for each
     query ``(e, revealed_mask, revealed_bits)``.
@@ -146,16 +146,9 @@ def estimate_y_conditional(
     resampled independently (hidden crucial edges and the whole hallucinated
     non-crucial copy).  Valid because edges realize independently, so
     conditioning is just freezing the revealed bits.  An empty reveal (first
-    arrival) degenerates to the unconditional estimate.
-
-    ``pool`` holds rows drawn from the edge law (:class:`RowPool`, built with
-    the same ``crucial_mask``).  A reveal that at least ``trials`` pool rows
-    agree with (``R & revealed_mask == revealed_bits``) is answered from those
-    rows: the estimate is the share of them whose MM holds ``e`` on the
-    crucial side.  Every other query draws its ``trials`` realizations from
-    ``rngs[i]``, which is read only for those queries, and the draws of all
-    of them are answered by one :func:`mwm.mm_edge_masks` call.  Without a
-    pool every query is drawn.
+    arrival) degenerates to the unconditional estimate.  Query ``i`` draws
+    its ``trials`` realizations from ``rngs[i]``, and the draws of all the
+    queries are answered by one :func:`mwm.mm_edge_masks` call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -163,30 +156,20 @@ def estimate_y_conditional(
         raise ValueError("one stream per query is required")
     if not queries:
         return []
-    for e, revealed_mask, revealed_bits in queries:
+    draws = []
+    for (e, revealed_mask, revealed_bits), rng in zip(queries, rngs):
         if revealed_mask != 0:
             if not (revealed_mask >> e) & 1:
                 raise ValueError("edge is not part of the revealed batch")
             if not (revealed_bits >> e) & 1:
                 raise ValueError("activation only considers realized edges")
-    estimates: list[ProbEstimate | None] = [None] * len(queries)
-    if pool is not None:
-        for i, count, rows in _pooled_counts(g, queries, pool, trials):
-            estimates[i] = ProbEstimate.from_count(count, rows)
-    drawn = [i for i, est in enumerate(estimates) if est is None]
-    if drawn:
-        draws = []
-        for i in drawn:
-            _e, revealed_mask, revealed_bits = queries[i]
-            hidden = mask_edges(g.full_mask & ~revealed_mask)
-            draws.append(sample_masks(g, rngs[i], trials, scope=hidden) | revealed_bits)
-        answers = mm_edge_masks(g, np.concatenate(draws)).reshape(len(drawn), trials)
-        keep = np.array([crucial_mask & (1 << queries[i][0]) for i in drawn],
-                        dtype=answers.dtype)
-        counts = (answers & keep[:, None] != 0).sum(axis=1)
-        for i, count in zip(drawn, counts.tolist()):
-            estimates[i] = ProbEstimate.from_count(count, trials)
-    return estimates
+        hidden = mask_edges(g.full_mask & ~revealed_mask)
+        draws.append(sample_masks(g, rng, trials, scope=hidden) | revealed_bits)
+    answers = mm_edge_masks(g, np.concatenate(draws)).reshape(len(queries), trials)
+    keep = np.array([crucial_mask & (1 << e) for e, _mask, _bits in queries],
+                    dtype=answers.dtype)
+    counts = (answers & keep[:, None] != 0).sum(axis=1)
+    return [ProbEstimate.from_count(count, trials) for count in counts.tolist()]
 
 
 def _mask_words(masks: np.ndarray, width: int) -> np.ndarray:
@@ -200,64 +183,38 @@ def _mask_words(masks: np.ndarray, width: int) -> np.ndarray:
                     dtype=np.int64).reshape(-1, len(shifts))
 
 
-def _pooled_counts(g: StochasticGraph, queries, pool: RowPool, min_rows: int):
-    """``(i, count, rows)`` for each query ``i`` whose reveal at least
-    ``min_rows`` pool rows agree with: ``count`` of those ``rows`` rows have
-    the query's edge in the crucial part of their MM.
+def _pooled_counts(g: StochasticGraph, reveals: Sequence[tuple[int, int]], pool: RowPool,
+                   min_rows: int) -> dict[tuple[int, int], tuple[np.ndarray, int]]:
+    """``(counts, rows)`` of each batch reveal ``(batch_mask, batch_bits)``
+    that at least ``min_rows`` pool rows agree with (``R & batch_mask ==
+    batch_bits``), keyed by the reveal: ``counts[i]`` of those ``rows`` rows
+    have the ``i``-th realized edge of the batch, in edge order, in the
+    crucial part of their MM.
 
-    The agreement of every distinct reveal with every row is computed in
-    chunks of at most ``mwm.SCAN_CELLS`` reveal-row cells.
+    A matching holds at most one edge at a vertex, and the realized edges of
+    a batch all meet its arriving vertex, so each reveal's counts sum to at
+    most ``rows``: a pooled batch cannot clip.  The agreement of every reveal
+    with every row is computed in chunks of at most ``mwm.SCAN_CELLS``
+    reveal-row cells.
     """
-    reveals: dict[tuple[int, int], int] = {}
-    reveal_of = np.array([reveals.setdefault((mask, bits), len(reveals))
-                          for _e, mask, bits in queries])
-    edge_of = np.array([e for e, _mask, _bits in queries])
     dtype = mask_dtype(g.m)
     masks = _mask_words(np.array([mask for mask, _bits in reveals], dtype=dtype), g.m)
     bits = _mask_words(np.array([bits for _mask, bits in reveals], dtype=dtype), g.m)
-    rows = np.zeros(len(reveals), dtype=np.int64)
-    counts = np.zeros(len(queries), dtype=np.int64)
+    pooled = {}
     per_chunk = max(1, SCAN_CELLS // max(1, pool.words.size))
     for lo in range(0, len(reveals), per_chunk):
         hi = lo + per_chunk
         agree = ((pool.words & masks[lo:hi, None]) == bits[lo:hi, None]).all(axis=2)
-        rows[lo:hi] = agree.sum(axis=1)
-        chunk = np.flatnonzero((reveal_of >= lo) & (reveal_of < hi))
-        counts[chunk] = (agree[reveal_of[chunk] - lo] & pool.held[edge_of[chunk]]).sum(axis=1)
-    pooled = [(i, count, int(rows[j])) for i, (j, count) in
-              enumerate(zip(reveal_of.tolist(), counts.tolist())) if rows[j] >= min_rows]
-    _assert_batches_fit(g, queries, pooled)
+        rows = agree.sum(axis=1)
+        thick = np.flatnonzero(rows >= min_rows)
+        edges = [mask_edges(reveals[lo + j][1]) for j in thick.tolist()]
+        sizes = [len(es) for es in edges]
+        counts = (agree[np.repeat(thick, sizes)]
+                  & pool.held[[e for es in edges for e in es]]).sum(axis=1)
+        for j, count in zip(thick, np.split(counts, np.cumsum(sizes)[:-1])):
+            assert count.sum() <= rows[j], reveals[lo + j]
+            pooled[reveals[lo + j]] = count, int(rows[j])
     return pooled
-
-
-def _assert_batches_fit(g: StochasticGraph, queries, pooled) -> None:
-    """A matching holds at most one edge at a vertex, so on the rows of one
-    pooled reveal the conditionals of edges sharing a vertex sum to at most
-    1, and a batch (every edge meets the arriving vertex) cannot clip."""
-    batches: dict[tuple[int, int, int], dict[int, int]] = {}
-    for i, count, rows in pooled:
-        e, mask, bits = queries[i]
-        batches.setdefault((mask, bits, rows), {})[e] = count
-    for (mask, bits, rows), counts in batches.items():
-        if set.intersection(*(set(g.endpoints(e)) for e in counts)):
-            assert sum(counts.values()) <= rows, (mask, bits)
-
-
-class _Streams:
-    """``rng_from(seed, _TAG_COND, *queries[i])`` for each query, built when
-    read; ``built`` holds the indices read."""
-
-    def __init__(self, seed: int, queries: Sequence[tuple[int, int, int]]):
-        self.seed = seed
-        self.queries = queries
-        self.built: set[int] = set()
-
-    def __len__(self) -> int:
-        return len(self.queries)
-
-    def __getitem__(self, i: int) -> np.random.Generator:
-        self.built.add(i)
-        return rng_from(self.seed, _TAG_COND, *self.queries[i])
 
 
 class MonteCarloConditional:
@@ -267,21 +224,23 @@ class MonteCarloConditional:
 
     The pool is built from rows ``(reals, answers)``: realizations drawn
     from the edge law and their MM masks, as :func:`estimate_y` returns them.
-    The law keeps it as a :class:`RowPool`, built once.  A batch reveal that
-    at least ``trials`` pool rows agree with gets y' as the share of those
-    rows whose crucial MM holds the edge; every edge of the reveal is counted
-    on the same rows, and a matching holds at most one of them, so a pooled
-    batch sums to at most 1 and never clips.  A reveal with fewer rows is resampled at ``trials`` draws per
-    (edge, batch) query, each from its own stream, derived from the master
-    seed and the query key, so an estimate does not depend on query order or
-    on the other queries asked with it, and a repeated query gives the same
-    value.  The default, no pool, resamples every reveal.  :meth:`y_primes`
-    answers a list of queries with one :func:`estimate_y_conditional` call
-    and adds its distinct reveals to ``pooled_reveals`` or
-    ``resampled_reveals``; these count the calls made in this process, not in
-    worker processes.  The law keeps no memo of its own: the run's activation
-    table (``vb_matching``) asks each batch reveal once.  Batch clipping
-    downstream is logged by the run itself.
+    The law keeps it as a :class:`RowPool`, built once.  :meth:`y_primes`
+    answers a list of distinct batch reveals ``(batch_mask, batch_bits)``
+    with the y' of each realized edge of each batch, in edge order.  A reveal
+    that at least ``trials`` pool rows agree with gets y' as the share of
+    those rows whose crucial MM holds the edge; every edge of the batch is
+    counted on the same rows, and a matching holds at most one of them, so a
+    pooled batch sums to at most 1 and never clips.  The edges of a reveal
+    with fewer rows are resampled at ``trials`` draws each, from the stream
+    ``rng_from(seed, _TAG_COND, e, batch_mask, batch_bits)``, so an estimate
+    does not depend on the order of the reveals or on the other reveals asked
+    with it, and a repeated reveal gets the same values.  The default, no
+    pool, resamples every reveal.  Each call resamples through one
+    :func:`estimate_y_conditional` call, and adds its reveals to
+    ``pooled_reveals`` or ``resampled_reveals``; these count the calls made
+    in this process, not in worker processes.  The law keeps no memo of its
+    own: the run's activation table (``vb_matching``) asks each batch reveal
+    once.  Batch clipping downstream is logged by the run itself.
     """
 
     def __init__(self, g: StochasticGraph, crucial_mask: int, y: np.ndarray,
@@ -295,18 +254,18 @@ class MonteCarloConditional:
         self.pooled_reveals = 0
         self.resampled_reveals = 0
 
-    def y_primes(self, queries: Sequence[tuple[int, int, int]]) -> list[float]:
-        streams = _Streams(self.seed, queries)
-        estimates = estimate_y_conditional(self.graph, self.crucial_mask, queries,
-                                           self.trials, streams, self.pool)
-        resampled = {queries[i][1:] for i in streams.built}
-        self.resampled_reveals += len(resampled)
-        self.pooled_reveals += len({query[1:] for query in queries}) - len(resampled)
-        return [est.value for est in estimates]
-
-    def y_prime(self, e: int, batch_mask: int, batch_bits: int) -> float:
-        """One query of :meth:`y_primes`."""
-        return self.y_primes([(e, batch_mask, batch_bits)])[0]
+    def y_primes(self, reveals: Sequence[tuple[int, int]]) -> list[list[float]]:
+        pooled = {} if self.pool is None else _pooled_counts(self.graph, reveals, self.pool,
+                                                              self.trials)
+        queries = [(e, *reveal) for reveal in reveals if reveal not in pooled
+                   for e in mask_edges(reveal[1])]
+        drawn = iter(estimate_y_conditional(
+            self.graph, self.crucial_mask, queries, self.trials,
+            [rng_from(self.seed, _TAG_COND, *query) for query in queries]))
+        self.pooled_reveals += len(pooled)
+        self.resampled_reveals += len(reveals) - len(pooled)
+        return [np.divide(*pooled[reveal]).tolist() if reveal in pooled
+                else [next(drawn).value for _e in mask_edges(reveal[1])] for reveal in reveals]
 
 
 # ---------------------------------------------------------------------------

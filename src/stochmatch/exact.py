@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph_core import StochasticGraph
+from .graph_core import StochasticGraph, mask_edges
 from .mwm import mm_edge_masks
 
 # Largest edge count that is enumerated; every realization mask of such a
@@ -211,9 +211,12 @@ class MatchingLaw:
         num = float(self.prob[sel & ((self.mo >> e) & 1 == 1)].sum())
         return num / denom
 
-    def y_primes(self, queries) -> list[float]:
-        """:meth:`y_prime` of each ``(e, cond_mask, cond_bits)`` query."""
-        return [self.y_prime(*query) for query in queries]
+    def y_primes(self, reveals) -> list[list[float]]:
+        """:meth:`y_prime` of each realized edge (each set bit of
+        ``cond_bits``) of each reveal ``(cond_mask, cond_bits)``, in edge
+        order."""
+        return [[self.y_prime(e, mask, bits) for e in mask_edges(bits)]
+                for mask, bits in reveals]
 
     def validate_realization_marginals(self, tol: float = 1e-9) -> None:
         """Crucial bits must be independent Bernoulli(p) under the law."""

@@ -20,7 +20,8 @@ this order: the permutations, then the crucial realizations through
 block of inputs, one run per row, on numpy arrays of masks; a single run is
 a block of one row.  The batch reveals of a block are known before any
 activation, so the block asks the law for the conditionals ``y'`` of all
-its new reveals in one ``y_primes`` call.
+its new reveals in one ``y_primes`` call, which answers each reveal with
+the ``y'`` of every realized edge of its batch.
 
 ``exact_vb_enumeration`` is an independent oracle: it enumerates arrival
 orders, reveals and activation outcomes per connected component of the
@@ -53,14 +54,15 @@ ACTIVATION_CACHE_MAX = 1 << 16
 class ActivationLaw(Protocol):
     """The oracle-matching law as the run reads it: the graph, its crucial
     edges, the marginals ``y`` (indexed by edge) and the batch conditionals
-    ``y'``, answered for a list of ``(e, batch_mask, batch_bits)`` queries
-    at once."""
+    ``y'``, asked for a list of distinct batch reveals ``(batch_mask,
+    batch_bits)`` at once and answered per reveal with the ``y'`` of each
+    realized edge (each set bit of ``batch_bits``) in edge order."""
 
     graph: StochasticGraph
     crucial_mask: int
     y: np.ndarray
 
-    def y_primes(self, queries: Sequence[tuple[int, int, int]]) -> list[float]: ...
+    def y_primes(self, reveals: Sequence[tuple[int, int]]) -> list[Sequence[float]]: ...
 
 
 def attenuation_g(y: float) -> float:
@@ -92,9 +94,8 @@ def activate_batch(law: ActivationLaw, batch_mask: int,
     the batch clipped: if estimation noise pushes the probabilities past
     total 1 they are renormalized and the batch is flagged.
     """
-    edges = mask_edges(batch_bits)
-    return _activation_rule(law.y, edges,
-                            law.y_primes([(e, batch_mask, batch_bits) for e in edges]))
+    [y_primes] = law.y_primes([(batch_mask, batch_bits)])
+    return _activation_rule(law.y, mask_edges(batch_bits), y_primes)
 
 
 def _activation_rule(y: np.ndarray, edges: list[int], y_primes: Sequence[float]):
@@ -102,7 +103,7 @@ def _activation_rule(y: np.ndarray, edges: list[int], y_primes: Sequence[float])
     their conditionals ``y_primes``."""
     probs = []
     total = 0.0
-    for e, y_prime in zip(edges, y_primes):
+    for e, y_prime in zip(edges, y_primes, strict=True):
         if y_prime < 0.0:
             raise ValueError(f"negative conditional marginal for edge {e}")
         y_e = float(y[e])
@@ -168,20 +169,19 @@ def _activation_arrays(law: ActivationLaw, table: _ActivationTable, masks: list[
     ``table.clipped``.
 
     The entries missing from the table are added, with the conditionals of
-    all of them from one ``law.y_primes`` call.  The rows this call returns
-    do not depend on what the table held.
+    all of them from one ``law.y_primes`` call on their reveals.  The rows
+    this call returns do not depend on what the table held.
     """
     keys = list(zip(masks, bits))
     rows = [table.rows.get(key) for key in keys]
     missing = [i for i, row in enumerate(rows) if row is None]
     if missing:
-        realized = [mask_edges(bits[i]) for i in missing]
-        y_primes = iter(law.y_primes([(e, *keys[i]) for i, es in zip(missing, realized) for e in es]))
         cumulative = np.full((len(missing), table.width), np.inf)
         choices = np.full((len(missing), table.width + 1), -1, dtype=np.int64)
         clipped = np.zeros(len(missing), dtype=bool)
-        for j, (i, es) in enumerate(zip(missing, realized)):
-            edges, cum, clipped[j] = _activation_rule(law.y, es, [next(y_primes) for _e in es])
+        answers = law.y_primes([keys[i] for i in missing])
+        for j, (i, y_primes) in enumerate(zip(missing, answers)):
+            edges, cum, clipped[j] = _activation_rule(law.y, mask_edges(bits[i]), y_primes)
             cumulative[j, :len(cum)] = cum
             choices[j, :len(edges)] = edges
             rows[i] = table.rows[keys[i]] = len(table.cumulative) + j
@@ -469,7 +469,7 @@ def _enumerate_component(g, verts, edges, law):
     alive_single = {v: 0.0 for v in verts}
     active = {e: 0.0 for e in edges}
     selected = {e: 0.0 for e in edges}
-    y_prime: dict = {}  # (edge, batch mask, batch bits) -> the law's y'
+    rules: dict = {}  # (batch mask, batch bits) -> [(edge, activation probability)], total
 
     if not edges:
         # isolated vertices never see an active edge
@@ -527,17 +527,17 @@ def _enumerate_component(g, verts, edges, law):
                 for e in batches[i]:
                     batch_mask |= 1 << e
                 batch_bits = bits & batch_mask
-                qs = []
-                total = 0.0
-                for e in batches[i]:
-                    if not (bits >> e) & 1:
-                        continue
-                    key = (e, batch_mask, batch_bits)
-                    if key not in y_prime:
-                        y_prime[key] = law.y_primes([key])[0]
-                    q = 3.0 * y_prime[key] / (3.0 + 2.0 * float(y[e]))
-                    qs.append((e, q))
-                    total += q
+                key = (batch_mask, batch_bits)
+                if key not in rules:
+                    qs = []
+                    total = 0.0
+                    y_primes = law.y_primes([key])[0] if batch_bits else []
+                    for e, y_prime in zip(mask_edges(batch_bits), y_primes, strict=True):
+                        q = 3.0 * y_prime / (3.0 + 2.0 * float(y[e]))
+                        qs.append((e, q))
+                        total += q
+                    rules[key] = qs, total
+                qs, total = rules[key]
                 if total > 1.0 + _SUM_TOL:
                     raise ValueError("activation probabilities exceed one with exact inputs")
                 none_prob = max(0.0, 1.0 - total)

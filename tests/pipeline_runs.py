@@ -48,16 +48,16 @@ def reference_runs(g, tables, seed, runs, t):
 
 
 class RecordedLaw:
-    """``law`` with each ``y'`` answer kept after its first query.  Laws keep
-    no memo of their own, and thousands of reference runs ask the same few
-    keys again and again."""
+    """``law`` with each reveal's ``y'`` answer kept after its first query.
+    Laws keep no memo of their own, and thousands of reference runs ask the
+    same few reveals again and again."""
 
     def __init__(self, law):
         self.graph, self.crucial_mask, self.y = law.graph, law.crucial_mask, law.y
-        self.y_prime = functools.cache(law.y_prime)
+        self.reveal = functools.cache(lambda mask, bits: law.y_primes([(mask, bits)])[0])
 
-    def y_primes(self, queries):
-        return [self.y_prime(*query) for query in queries]
+    def y_primes(self, reveals):
+        return [self.reveal(*reveal) for reveal in reveals]
 
 
 def point_runs(g, tables, t, runs, seed):

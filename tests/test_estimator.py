@@ -166,20 +166,31 @@ def per_query_estimate(g, crucial_mask, e, revealed_mask, revealed_bits, trials,
     return ProbEstimate.from_count(count, trials)
 
 
-def reveal_queries(g, crucial_mask, seed, count):
-    """``count`` queries ``(e, batch_mask, batch_bits)``: the crucial edges of
-    a random endpoint of ``e``, a random part of them realized with ``e``,
-    and one empty reveal."""
+def batch_reveals(g, crucial_mask, seed, count):
+    """``count`` distinct batch reveals ``(batch_mask, batch_bits)``, the
+    first one empty: each other one the crucial edges of a random endpoint
+    of a random crucial edge ``e``, a random part of them realized with
+    ``e``."""
     rng = rng_from(seed)
     crucial = mask_edges(crucial_mask)
-    queries = [(crucial[0], 0, 0)]
-    for e in rng.choice(crucial, size=count - 1).tolist():
+    reveals = {(0, 0): None}
+    while len(reveals) < count:
+        e = int(rng.choice(crucial))
         v = g.endpoints(e)[int(rng.integers(2))]
         batch = [f for f in g.incident[v] if (crucial_mask >> f) & 1]
         batch_mask = sum(1 << f for f in batch)
         batch_bits = (1 << e) | sum(1 << f for f in batch if rng.random() < 0.5)
-        queries.append((e, batch_mask, batch_bits))
-    return queries
+        reveals[batch_mask, batch_bits] = None
+    return list(reveals)
+
+
+def resampled_y_primes(g, crucial_mask, batch_mask, batch_bits, trials, seed):
+    """:func:`per_query_estimate` of each realized edge of a reveal, on the
+    stream the law derives for it."""
+    return [per_query_estimate(g, crucial_mask, e, batch_mask, batch_bits, trials,
+                               rng_from(seed, estimator._TAG_COND, e, batch_mask,
+                                        batch_bits)).value
+            for e in mask_edges(batch_bits)]
 
 
 @pytest.mark.parametrize("n, density, trials", [(12, 0.3, 40), (14, 0.8, 6)],
@@ -190,13 +201,19 @@ def test_y_primes_equal_the_per_query_estimates(n, density, trials):
     assert g.m in (19, 76)  # int64 masks, and object masks past 63 edges
     crucial_mask = sum(1 << e for e in range(0, g.m, 2))
     law = MonteCarloConditional(g, crucial_mask, np.full(g.m, 0.4), trials, seed=5)
-    queries = reveal_queries(g, crucial_mask, 6, 12)
-    expected = [per_query_estimate(g, crucial_mask, *query, trials,
-                                   rng_from(5, estimator._TAG_COND, *query)).value
-                for query in queries]
-    assert law.y_primes(queries) == expected
-    assert 0.0 < sum(expected) < len(expected)
+    reveals = batch_reveals(g, crucial_mask, 6, 12)
+    expected = [resampled_y_primes(g, crucial_mask, *reveal, trials, 5) for reveal in reveals]
+    assert law.y_primes(reveals) == expected
+    flat = [value for values in expected for value in values]
+    assert expected[0] == [] and 0.0 < sum(flat) < len(flat)
     assert law.y_primes([]) == []
+    assert (law.pooled_reveals, law.resampled_reveals) == (0, len(reveals))
+    # the per-query resampler answers any query, an empty reveal of a
+    # non-crucial edge (edge 1) included
+    queries = [(e, *reveal) for reveal in reveals for e in mask_edges(reveal[1])] + [(1, 0, 0)]
+    rngs = [rng_from(5, estimator._TAG_COND, *query) for query in queries]
+    assert [est.value for est in estimate_y_conditional(g, crucial_mask, queries, trials, rngs)] \
+        == flat + [0.0]
 
 
 def pool_reference(pool, crucial_mask, e, batch_mask, batch_bits):
@@ -223,19 +240,21 @@ def test_pooled_y_primes_equal_the_reference(monkeypatch, n, density, pool_rows,
     assert [est.value for est in y_hat] == [
         pool_reference(pool, crucial_mask, e, 0, 0)[0] / pool_rows for e in range(g.m)]
     law = MonteCarloConditional(g, crucial_mask, np.full(g.m, 0.4), trials, seed=5, rows=pool)
-    queries = reveal_queries(g, crucial_mask, 6, 40) + [(1, 0, 0)]  # edge 1 is not crucial
+    reveals = batch_reveals(g, crucial_mask, 6, 40)
     expected, thin, pooled = [], set(), set()
-    for query in queries:
-        count, rows = pool_reference(pool, crucial_mask, *query)
+    for reveal in reveals:
+        counts = [pool_reference(pool, crucial_mask, e, *reveal)[0]
+                  for e in mask_edges(reveal[1])]
+        rows = pool_reference(pool, crucial_mask, 0, *reveal)[1]  # the same for any edge
         if rows >= trials:
-            pooled.add(query[1:])
-            expected.append(count / rows)
+            pooled.add(reveal)
+            expected.append([count / rows for count in counts])
         else:
-            thin.add(query[1:])
-            expected.append(per_query_estimate(g, crucial_mask, *query, trials,
-                                               rng_from(5, estimator._TAG_COND, *query)).value)
-    assert law.y_primes(queries) == expected
-    assert thin and pooled and 0.0 < sum(expected) < len(expected)
+            thin.add(reveal)
+            expected.append(resampled_y_primes(g, crucial_mask, *reveal, trials, 5))
+    assert law.y_primes(reveals) == expected
+    flat = [value for values in expected for value in values]
+    assert thin and pooled and 0.0 < sum(flat) < len(flat)
     assert (law.pooled_reveals, law.resampled_reveals) == (len(pooled), len(thin))
 
 
@@ -262,10 +281,12 @@ def test_pooled_y_primes_pass_a_z_test_against_the_exact_law(crucial):
     _y_hat, pool = estimate_y(g, crucial_mask, 100_000, seed=11)
     law = MonteCarloConditional(g, crucial_mask, exact.y, 400, seed=12, rows=pool)
     block = run_vb(law, *draw_run_inputs(law, rng_from(13), 300))
-    queries = [(e, mask, bits) for mask, bits in law._activation_table.rows for e in mask_edges(bits)]
     assert law.resampled_reveals == 0 and block.clip_events == 0
-    assert 50 <= len(queries) <= 400
-    for query, value in zip(queries, law.y_primes(queries)):
+    reveals = list(law._activation_table.rows)
+    queries = [(e, *reveal) for reveal in reveals for e in mask_edges(reveal[1])]
+    values = [value for values in law.y_primes(reveals) for value in values]
+    assert 50 <= len(queries) == len(values) <= 400
+    for query, value in zip(queries, values):
         p0 = exact.y_prime(*query)
         _count, rows = pool_reference(pool, crucial_mask, *query)
         assert abs(value - p0) <= 5.0 * math.sqrt(p0 * (1.0 - p0) / rows), (query, value, p0)
@@ -276,10 +297,10 @@ def test_monte_carlo_conditional_deterministic():
     g = gadget.graph
     a = MonteCarloConditional(g, g.full_mask, gadget.law.y, trials=500, seed=4)
     b = MonteCarloConditional(g, g.full_mask, gadget.law.y, trials=500, seed=4)
-    v1 = a.y_prime(0, 0b11, 0b11)
-    v2 = a.y_prime(0, 0b11, 0b11)
-    assert v1 == v2  # a repeated query reads the same stream
-    assert v1 == b.y_prime(0, 0b11, 0b11)  # seed-derived stream
+    v1 = a.y_primes([(0b11, 0b11)])
+    v2 = a.y_primes([(0b11, 0b11)])
+    assert v1 == v2  # a repeated reveal reads the same streams
+    assert v1 == b.y_primes([(0b11, 0b11)])  # seed-derived streams
 
 
 def test_tower_property_monte_carlo():
@@ -319,7 +340,7 @@ def test_tower_property_through_estimator_op():
             reveals[bits] += 1
     assert sorted(reveals) == [0b01, 0b11]
     # one estimate per distinct reveal, weighted by how often it was drawn
-    acc = sum(k * cond.y_prime(0, batch_mask, bits) for bits, k in reveals.items())
+    acc = sum(k * cond.y_primes([(batch_mask, bits)])[0][0] for bits, k in reveals.items())
     ys, _rows = estimate_y(g, g.full_mask, trials=40_000, seed=79)
     assert abs(acc / trials - ys[0].value) <= 0.015
 

@@ -68,8 +68,9 @@ def reference_run_vb(law, permutation, realization_mask, uniforms) -> ReferenceR
             continue
         probs = []
         total = 0.0
-        for _u, e in realized:
-            y_prime = law.y_prime(e, batch_mask, batch_bits)
+        [y_primes] = law.y_primes([(batch_mask, batch_bits)])
+        assert len(y_primes) == len(realized)
+        for (_u, e), y_prime in zip(realized, y_primes):
             if y_prime < 0.0:
                 raise ValueError(f"negative conditional marginal for edge {e}")
             if not (0.0 <= float(y[e]) <= 1.0):
