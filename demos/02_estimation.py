@@ -10,7 +10,7 @@ each estimate can be compared against exhaustive enumeration.
 from stochmatch import estimate_x, estimate_y, estimate_y_conditional
 from stochmatch.exact import MatchingLaw, exact_x
 from stochmatch.gadgets import benchmark_6v8e
-from stochmatch.parallel import rng_from
+from stochmatch.graph_core import mask_edges
 from stochmatch.sparsifier import classify_edges
 
 gadget = benchmark_6v8e()
@@ -36,12 +36,19 @@ print("\ncrucial-edge oracle-matching marginals:")
 for e in classes.crucial():
     print(f"  edge {e}: y_hat {y_hat[e].value:.4f}  exact {y_exact[e]:.4f}")
 
-# conditional marginal after revealing one batch: freezing the revealed
-# bits and resampling everything else is the exact conditional law
-e = classes.crucial()[0]
-batch_mask = 1 << e
-[est] = estimate_y_conditional(g, classes.crucial_mask, [(e, batch_mask, batch_mask)],
-                               trials=40_000, rngs=[rng_from(3)])
-exact = law.y_prime(e, batch_mask, batch_mask)
-print(f"\nconditional membership of edge {e} given it realized: "
-      f"estimated {est.value:.4f}, exact {exact:.4f}")
+# conditional marginals after revealing one batch, the crucial edges at the
+# vertex that has the most, all realized: freezing the revealed bits and
+# drawing everything else is the exact conditional law, and every realized
+# edge of the batch is counted on the same rows, so the sampled y' of a batch
+# sum to at most 1
+batches = [sum(1 << f for f in g.incident[u] if f in classes.crucial()) for u in range(g.n)]
+v = max(range(g.n), key=lambda u: batches[u].bit_count())
+batch_mask = batches[v]
+[(counts, rows)] = estimate_y_conditional(g, classes.crucial_mask, [(batch_mask, batch_mask)],
+                                          trials=40_000, seed=3)
+print(f"\nconditional membership given the crucial edges at vertex {v} realized "
+      f"({rows} rows):")
+for f, count in zip(mask_edges(batch_mask), counts.tolist()):
+    print(f"  edge {f}: y' sampled {count / rows:.4f}  exact "
+          f"{law.y_prime(f, batch_mask, batch_mask):.4f}")
+print(f"  batch sum: sampled {counts.sum() / rows:.4f}")

@@ -13,14 +13,16 @@ realizations are drawn as one array and answered by one
 :func:`mwm.mm_edge_masks` call, which scans the matching table once per
 chunk of distinct masks instead of calling the oracle per mask.  y' is
 estimated per batch reveal ``(batch_mask, batch_bits)``, for every realized
-edge of the batch at once.  A reveal that at least the trial budget of rows
-of a pool agree with is counted on those rows: the y stage's realizations
-and their MM masks, which :func:`estimate_y` returns with y.  They are drawn
-apart from the x stage's rows, which decide the crucial edges, so no y' is
-counted on the rows that made its edge crucial.  The edges of every other
-reveal are resampled by :func:`estimate_y_conditional`: each draws only the
-edges its reveal leaves hidden, from its own stream, and one oracle call
-answers the draws of all of them.  :class:`MonteCarloConditional` carries
+edge of the batch at once, as a count on rows that agree with the reveal.  A
+reveal that at least the trial budget of rows of a pool agree with is
+counted on those rows: the y stage's realizations and their MM masks, which
+:func:`estimate_y` returns with y.  They are drawn apart from the x stage's
+rows, which decide the crucial edges, so no y' is counted on the rows that
+made its edge crucial.  Every other reveal is counted on the trial budget of
+rows of its own, drawn by :func:`estimate_y_conditional` from the reveal's
+stream with its revealed bits fixed; one oracle call answers the rows of all
+of them.  All the edges of a batch are counted on the same rows, so the y'
+of a batch sum to at most 1.  :class:`MonteCarloConditional` carries
 estimated ``y`` and a pool as the variance-bounding run's activation law,
 which a block of runs asks once for all its new batch reveals, and
 :func:`sample_vb_statistics` reruns that run on any such law and counts its
@@ -132,44 +134,39 @@ class RowPool(NamedTuple):
                    mask_bits(answers & crucial_mask, range(g.m)).T.astype(bool))
 
 
-def estimate_y_conditional(
-    g: StochasticGraph,
-    crucial_mask: int,
-    queries: Sequence[tuple[int, int, int]],
-    trials: int,
-    rngs: Sequence[np.random.Generator],
-) -> list[ProbEstimate]:
-    """Conditional oracle-matching membership given a batch reveal, for each
-    query ``(e, revealed_mask, revealed_bits)``.
+def estimate_y_conditional(g: StochasticGraph, crucial_mask: int,
+                           reveals: Sequence[tuple[int, int]], trials: int,
+                           seed: int) -> list[tuple[np.ndarray, int]]:
+    """``(counts, trials)`` of each batch reveal ``(batch_mask, batch_bits)``,
+    as :func:`_pooled_counts` gives them, counted on ``trials`` rows of its
+    own: realizations with the revealed bits fixed and every other edge drawn
+    (hidden crucial edges and the whole hallucinated non-crucial copy) from
+    the stream ``rng_from(seed, _TAG_COND, batch_mask, batch_bits)``.
 
-    Revealed edges are frozen to their observed states; every other edge is
-    resampled independently (hidden crucial edges and the whole hallucinated
-    non-crucial copy).  Valid because edges realize independently, so
-    conditioning is just freezing the revealed bits.  An empty reveal (first
-    arrival) degenerates to the unconditional estimate.  Query ``i`` draws
-    its ``trials`` realizations from ``rngs[i]``, and the draws of all the
-    queries are answered by one :func:`mwm.mm_edge_masks` call.
+    Edges realize independently, so the rows follow the conditional law
+    given the reveal; an empty reveal (first arrival) gives the unconditional
+    one.  One :func:`mwm.mm_edge_masks` call answers the rows of all the
+    reveals, and each reveal's counts sum to at most ``trials``, as on the
+    pool.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if len(rngs) != len(queries):
-        raise ValueError("one stream per query is required")
-    if not queries:
+    if not reveals:
         return []
     draws = []
-    for (e, revealed_mask, revealed_bits), rng in zip(queries, rngs):
-        if revealed_mask != 0:
-            if not (revealed_mask >> e) & 1:
-                raise ValueError("edge is not part of the revealed batch")
-            if not (revealed_bits >> e) & 1:
-                raise ValueError("activation only considers realized edges")
-        hidden = mask_edges(g.full_mask & ~revealed_mask)
-        draws.append(sample_masks(g, rng, trials, scope=hidden) | revealed_bits)
-    answers = mm_edge_masks(g, np.concatenate(draws)).reshape(len(queries), trials)
-    keep = np.array([crucial_mask & (1 << e) for e, _mask, _bits in queries],
-                    dtype=answers.dtype)
-    counts = (answers & keep[:, None] != 0).sum(axis=1)
-    return [ProbEstimate.from_count(count, trials) for count in counts.tolist()]
+    for batch_mask, batch_bits in reveals:
+        if batch_bits & ~batch_mask:
+            raise ValueError("revealed bits must lie in the batch mask")
+        hidden = mask_edges(g.full_mask & ~batch_mask)
+        rng = rng_from(seed, _TAG_COND, batch_mask, batch_bits)
+        draws.append(sample_masks(g, rng, trials, scope=hidden) | batch_bits)
+    answers = mm_edge_masks(g, np.concatenate(draws)).reshape(len(reveals), trials)
+    counted = []
+    for rows, reveal in zip(answers & crucial_mask, reveals):
+        counts = mask_bits(rows, mask_edges(reveal[1])).sum(axis=0)
+        assert counts.sum() <= trials, reveal
+        counted.append((counts, trials))
+    return counted
 
 
 def _mask_words(masks: np.ndarray, width: int) -> np.ndarray:
@@ -193,7 +190,7 @@ def _pooled_counts(g: StochasticGraph, reveals: Sequence[tuple[int, int]], pool:
 
     A matching holds at most one edge at a vertex, and the realized edges of
     a batch all meet its arriving vertex, so each reveal's counts sum to at
-    most ``rows``: a pooled batch cannot clip.  The agreement of every reveal
+    most ``rows``: no batch can clip.  The agreement of every reveal
     with every row is computed in chunks of at most ``mwm.SCAN_CELLS``
     reveal-row cells.
     """
@@ -226,46 +223,42 @@ class MonteCarloConditional:
     from the edge law and their MM masks, as :func:`estimate_y` returns them.
     The law keeps it as a :class:`RowPool`, built once.  :meth:`y_primes`
     answers a list of distinct batch reveals ``(batch_mask, batch_bits)``
-    with the y' of each realized edge of each batch, in edge order.  A reveal
-    that at least ``trials`` pool rows agree with gets y' as the share of
-    those rows whose crucial MM holds the edge; every edge of the batch is
-    counted on the same rows, and a matching holds at most one of them, so a
-    pooled batch sums to at most 1 and never clips.  The edges of a reveal
-    with fewer rows are resampled at ``trials`` draws each, from the stream
-    ``rng_from(seed, _TAG_COND, e, batch_mask, batch_bits)``, so an estimate
-    does not depend on the order of the reveals or on the other reveals asked
-    with it, and a repeated reveal gets the same values.  The default, no
-    pool, resamples every reveal.  Each call resamples through one
-    :func:`estimate_y_conditional` call, and adds its reveals to
-    ``pooled_reveals`` or ``resampled_reveals``; these count the calls made
-    in this process, not in worker processes.  The law keeps no memo of its
-    own: the run's activation table (``vb_matching``) asks each batch reveal
-    once.  Batch clipping downstream is logged by the run itself.
+    with the y' of each realized edge of each batch, in edge order: the
+    share of a reveal's rows whose crucial MM holds the edge.  A reveal that
+    at least ``trials`` pool rows agree with is counted on those rows
+    (:func:`_pooled_counts`); every other reveal on ``trials`` rows of its
+    own, drawn given the reveal from the stream ``rng_from(seed, _TAG_COND,
+    batch_mask, batch_bits)`` (:func:`estimate_y_conditional`, one call per
+    request), so an estimate does not depend on the order of the reveals or
+    on the other reveals asked with it, and a repeated reveal gets the same
+    values.  An empty pool resamples every reveal.  Either way every edge of
+    a batch is counted on the same rows, and a matching holds at most one of
+    them, so a batch sums to at most 1 and never clips.  Each call adds its
+    reveals to ``pooled_reveals`` or ``resampled_reveals``; these count the
+    calls made in this process, not in worker processes.  The law keeps no
+    memo of its own: the run's activation table (``vb_matching``) asks each
+    batch reveal once.
     """
 
     def __init__(self, g: StochasticGraph, crucial_mask: int, y: np.ndarray,
-                 trials: int, seed: int, rows: tuple[np.ndarray, np.ndarray] | None = None):
+                 trials: int, seed: int, rows: tuple[np.ndarray, np.ndarray]):
         self.graph = g
         self.crucial_mask = crucial_mask
         self.y = y
         self.trials = trials
         self.seed = seed
-        self.pool = None if rows is None else RowPool.from_rows(g, crucial_mask, rows)
+        self.pool = RowPool.from_rows(g, crucial_mask, rows)
         self.pooled_reveals = 0
         self.resampled_reveals = 0
 
     def y_primes(self, reveals: Sequence[tuple[int, int]]) -> list[list[float]]:
-        pooled = {} if self.pool is None else _pooled_counts(self.graph, reveals, self.pool,
-                                                              self.trials)
-        queries = [(e, *reveal) for reveal in reveals if reveal not in pooled
-                   for e in mask_edges(reveal[1])]
-        drawn = iter(estimate_y_conditional(
-            self.graph, self.crucial_mask, queries, self.trials,
-            [rng_from(self.seed, _TAG_COND, *query) for query in queries]))
-        self.pooled_reveals += len(pooled)
-        self.resampled_reveals += len(reveals) - len(pooled)
-        return [np.divide(*pooled[reveal]).tolist() if reveal in pooled
-                else [next(drawn).value for _e in mask_edges(reveal[1])] for reveal in reveals]
+        counted = _pooled_counts(self.graph, reveals, self.pool, self.trials)
+        thin = [reveal for reveal in reveals if reveal not in counted]
+        self.pooled_reveals += len(counted)
+        self.resampled_reveals += len(thin)
+        counted.update(zip(thin, estimate_y_conditional(
+            self.graph, self.crucial_mask, thin, self.trials, self.seed)))
+        return [np.divide(*counted[reveal]).tolist() for reveal in reveals]
 
 
 # ---------------------------------------------------------------------------

@@ -194,11 +194,12 @@ class MatchingLaw:
 
     @cached_property
     def y(self) -> np.ndarray:
-        """Per-edge marginal of the oracle matching (zero off the crucial set)."""
+        """Per-edge marginal of the oracle matching (zero off the crucial set),
+        capped at 1: the float sum can pass it for an edge every row holds."""
         y = np.zeros(self.graph.m)
         for e in range(self.graph.m):
             if (self.crucial_mask >> e) & 1:
-                y[e] = float(self.prob[(self.mo >> e) & 1 == 1].sum())
+                y[e] = min(float(self.prob[(self.mo >> e) & 1 == 1].sum()), 1.0)
         y.setflags(write=False)
         return y
 

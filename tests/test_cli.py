@@ -147,6 +147,38 @@ def test_cmd_run_monte_carlo_tables_golden_digests(tmp_path):
     assert digests == MONTE_CARLO_RUN_DIGESTS
 
 
+# SHA-256 of the four `run` files where y' is also resampled: the same graph
+# at tau = 0.25 with a 500-row pool and cond_trials = 300, so some batch
+# reveals have too few pool rows and are counted on 300 rows of their own.
+# Moving the resampling stream (a shifted seed, or a key without the
+# revealed bits) changes these bytes.
+MONTE_CARLO_RESAMPLED_RUN_DIGESTS = {
+    "runs.jsonl": "9e909b128969c9d516cc71dd7dde825fd6a543bc4ed38401cbc439628a6b016d",
+    "aggregate.csv": "b60e54f6d5c4f66492f9881df8f40ab128ee0cb9967ac0f1ac2cc40b3cc32034",
+    "ratio_vs_t.txt": "e62fc4546038259533d22f25c3674b8e57bd4e6db7b74b72826bf3d31e5849ec",
+    "summary.json": "bcd70c521cd85247ab1d09c9ba0a4e91d37dd4a44be3c0f03676851852229aab",
+}
+
+
+MONTE_CARLO_RESAMPLED_CONFIG = dict(
+    MONTE_CARLO_GOLDEN_CONFIG, trials=400, tau=0.25,
+    budgets={"x_trials": 500, "q_trials": 200, "pair_trials": 80, "cond_trials": 300})
+
+
+def test_cmd_run_resampled_monte_carlo_golden_digests(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_tables
+    monkeypatch.setattr(cli, "build_tables", lambda *args: built.append(build(*args)) or built[0])
+    out = cmd_run(ExperimentConfig(**MONTE_CARLO_RESAMPLED_CONFIG, out=str(tmp_path / "mc")))
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in MONTE_CARLO_RESAMPLED_RUN_DIGESTS}
+    assert digests == MONTE_CARLO_RESAMPLED_RUN_DIGESTS
+    [tables] = built
+    assert isinstance(tables.law, MonteCarloConditional)
+    assert tables.law.resampled_reveals > 0 and tables.law.pooled_reveals > 0
+    assert '"scheme_chosen": "augmented"' in (out / "runs.jsonl").read_text()
+
+
 def pooled_run_config(tmp_path, **kw):
     """The Monte Carlo golden configuration with x, y and pair-alive budgets
     of two blocks, so with 2 workers the y' pool is drawn in worker processes

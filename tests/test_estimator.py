@@ -20,10 +20,11 @@ from stochmatch.graph_core import (
     Edge,
     StochasticGraph,
     gen_random_graph,
+    mask_dtype,
     mask_edges,
     sample_masks,
 )
-from stochmatch.mwm import mm_edge_masks
+from stochmatch.mwm import mm_edge_mask
 from stochmatch.parallel import rng_from, worker_pool
 from stochmatch.sparsifier import classify_edges, draw_plans
 from stochmatch.vb_matching import draw_run_inputs, exact_vb_enumeration, run_vb
@@ -124,26 +125,39 @@ def test_estimate_y_all_crucial_matches_x_distribution():
         assert gap <= 3.5 * math.hypot(xs[e].std_err, ys[e].std_err)
 
 
+def empty_pool(g):
+    """Rows ``(reals, answers)`` of a pool that holds none: a law built on it
+    resamples every reveal."""
+    empty = np.zeros(0, dtype=mask_dtype(g.m))
+    return empty, empty
+
+
 def test_estimate_y_conditional_single_edge():
     g = graph(2, [(0, 1, 1.0, 1.0)])
-    [est] = estimate_y_conditional(g, 1, [(0, 1, 1)], trials=200, rngs=[rng_from(0)])
-    assert est.value == 1.0  # a realized positive-weight edge is always kept
+    [(counts, rows)] = estimate_y_conditional(g, 1, [(1, 1)], trials=200, seed=0)
+    assert counts.tolist() == [rows] == [200]  # a realized positive-weight edge is always kept
 
 
 def test_estimate_y_conditional_requires_realized_edge():
+    # the realized edges of a reveal are edges of its revealed batch
     g = graph(3, [(0, 1, 1.0, 0.5), (1, 2, 1.0, 0.5)])
-    with pytest.raises(ValueError):
-        estimate_y_conditional(g, 0b11, [(0, 0b11, 0b10)], trials=10, rngs=[rng_from(0)])
-    with pytest.raises(ValueError):
-        estimate_y_conditional(g, 0b11, [(0, 0b10, 0b10)], trials=10, rngs=[rng_from(0)])
+    for reveal in ((0b10, 0b11), (0, 0b01)):
+        with pytest.raises(ValueError, match="bits must lie in the batch mask"):
+            estimate_y_conditional(g, 0b11, [(0b11, 0b10), reveal], trials=10, seed=0)
 
 
 def test_estimate_y_conditional_empty_reveal_matches_unconditional():
+    # an empty reveal (first arrival) has no realized edge to count; a
+    # batch of edge 0 alone conditions on nothing but its own realization,
+    # so its y' is y / p
     gadget = two_path()
     g = gadget.graph
-    [est] = estimate_y_conditional(g, g.full_mask, [(0, 0, 0)], trials=50_000,
-                                   rngs=[rng_from(7)])
-    y = gadget.law.y[0]
+    [(counts, rows)] = estimate_y_conditional(g, g.full_mask, [(0, 0)], trials=10, seed=7)
+    assert counts.tolist() == [] and rows == 10
+    [(counts, rows)] = estimate_y_conditional(g, g.full_mask, [(0b01, 0b01)], trials=50_000,
+                                              seed=7)
+    est = ProbEstimate.from_count(int(counts[0]), rows)
+    y = gadget.law.y[0] / g.edges[0].p
     assert abs(est.value - y) <= 3.5 * max(est.std_err, 1e-9)
 
 
@@ -151,19 +165,13 @@ def test_estimate_y_conditional_matches_exact_conditional():
     # two crucial edges sharing a vertex, both revealed realized
     gadget = two_path()
     g = gadget.graph
-    exact = gadget.law.y_prime(0, 0b11, 0b11)
-    [est] = estimate_y_conditional(g, g.full_mask, [(0, 0b11, 0b11)], trials=50_000,
-                                   rngs=[rng_from(8)])
-    assert abs(est.value - exact) <= 3.5 * max(est.std_err, 1e-9)
-
-
-def per_query_estimate(g, crucial_mask, e, revealed_mask, revealed_bits, trials, rng):
-    """One query of ``estimate_y_conditional`` answered on its own, as the
-    estimator did before it answered a list of queries with one oracle call."""
-    hidden = mask_edges(g.full_mask & ~revealed_mask)
-    answers = mm_edge_masks(g, sample_masks(g, rng, trials, scope=hidden) | revealed_bits)
-    count = int(np.count_nonzero(answers & (crucial_mask & (1 << e))))
-    return ProbEstimate.from_count(count, trials)
+    [(counts, rows)] = estimate_y_conditional(g, g.full_mask, [(0b11, 0b11)], trials=50_000,
+                                              seed=8)
+    assert counts.sum() <= rows
+    for e, count in enumerate(counts.tolist()):
+        est = ProbEstimate.from_count(count, rows)
+        exact = gadget.law.y_prime(e, 0b11, 0b11)
+        assert abs(est.value - exact) <= 3.5 * max(est.std_err, 1e-9)
 
 
 def batch_reveals(g, crucial_mask, seed, count):
@@ -184,36 +192,51 @@ def batch_reveals(g, crucial_mask, seed, count):
     return list(reveals)
 
 
+def resampled_rows(g, batch_mask, batch_bits, trials, seed):
+    """The ``trials`` rows ``(reals, answers)`` a law draws for a thin
+    reveal, each realization answered on its own: the reveal's hidden edges
+    from the stream the law derives for it, its revealed bits fixed."""
+    rng = rng_from(seed, estimator._TAG_COND, batch_mask, batch_bits)
+    hidden = mask_edges(g.full_mask & ~batch_mask)
+    reals = [mask | batch_bits for mask in sample_masks(g, rng, trials, scope=hidden).tolist()]
+    dtype = mask_dtype(g.m)
+    return (np.array(reals, dtype=dtype),
+            np.array([mm_edge_mask(g, real) for real in reals], dtype=dtype))
+
+
 def resampled_y_primes(g, crucial_mask, batch_mask, batch_bits, trials, seed):
-    """:func:`per_query_estimate` of each realized edge of a reveal, on the
-    stream the law derives for it."""
-    return [per_query_estimate(g, crucial_mask, e, batch_mask, batch_bits, trials,
-                               rng_from(seed, estimator._TAG_COND, e, batch_mask,
-                                        batch_bits)).value
-            for e in mask_edges(batch_bits)]
+    """y' of each realized edge of a thin reveal, counted row by row on the
+    reveal's own rows (:func:`resampled_rows`)."""
+    rows = resampled_rows(g, batch_mask, batch_bits, trials, seed)
+    counted = [pool_reference(rows, crucial_mask, e, batch_mask, batch_bits)
+               for e in mask_edges(batch_bits)]
+    assert all(agree == trials for _count, agree in counted)
+    return [count / trials for count, _agree in counted]
 
 
 @pytest.mark.parametrize("n, density, trials", [(12, 0.3, 40), (14, 0.8, 6)],
                          ids=["19_edges", "76_edges"])
 def test_y_primes_equal_the_per_query_estimates(n, density, trials):
+    # every reveal is thin on an empty pool: each is counted on its own rows
     g = gen_random_graph(n, density, {"name": "uniform", "low": 0.1, "high": 2.0},
                          {"name": "uniform", "low": 0.3, "high": 0.9}, seed=3)
     assert g.m in (19, 76)  # int64 masks, and object masks past 63 edges
     crucial_mask = sum(1 << e for e in range(0, g.m, 2))
-    law = MonteCarloConditional(g, crucial_mask, np.full(g.m, 0.4), trials, seed=5)
+    law = MonteCarloConditional(g, crucial_mask, np.full(g.m, 0.4), trials, seed=5,
+                                rows=empty_pool(g))
     reveals = batch_reveals(g, crucial_mask, 6, 12)
     expected = [resampled_y_primes(g, crucial_mask, *reveal, trials, 5) for reveal in reveals]
     assert law.y_primes(reveals) == expected
     flat = [value for values in expected for value in values]
     assert expected[0] == [] and 0.0 < sum(flat) < len(flat)
+    assert all(sum(values) <= 1.0 for values in expected)
     assert law.y_primes([]) == []
     assert (law.pooled_reveals, law.resampled_reveals) == (0, len(reveals))
-    # the per-query resampler answers any query, an empty reveal of a
-    # non-crucial edge (edge 1) included
-    queries = [(e, *reveal) for reveal in reveals for e in mask_edges(reveal[1])] + [(1, 0, 0)]
-    rngs = [rng_from(5, estimator._TAG_COND, *query) for query in queries]
-    assert [est.value for est in estimate_y_conditional(g, crucial_mask, queries, trials, rngs)] \
-        == flat + [0.0]
+    # the resampler answers any reveal, one whose realized edge is not
+    # crucial (edge 1) included
+    counted = estimate_y_conditional(g, crucial_mask, reveals + [(0b10, 0b10)], trials, 5)
+    assert [(counts / rows).tolist() for counts, rows in counted] == expected + [[0.0]]
+    assert [rows for _counts, rows in counted] == [trials] * (len(reveals) + 1)
 
 
 def pool_reference(pool, crucial_mask, e, batch_mask, batch_bits):
@@ -258,30 +281,35 @@ def test_pooled_y_primes_equal_the_reference(monkeypatch, n, density, pool_rows,
     assert (law.pooled_reveals, law.resampled_reveals) == (len(pooled), len(thin))
 
 
-@pytest.mark.parametrize("crucial", ["fixed", "classified"])
-def test_pooled_y_primes_pass_a_z_test_against_the_exact_law(crucial):
-    # every pooled y' of the batch reveals of 300 runs against the exact
-    # conditional, with the null standard error at the pooled row count.
-    # Bonferroni: at most 400 comparisons at 5 standard errors (two-sided
-    # normal tail 5.7e-7 each) raise a false alarm with probability at most
-    # 2.3e-4 per case, whatever the dependence between them (they share pool
-    # rows).  "classified" takes the crucial edges from an x estimate, as the
-    # Monte Carlo tables do, with edges of x near tau on both sides; the pool
-    # is drawn apart from it, so y' is not counted on the rows that chose them.
+@pytest.mark.parametrize("case", ["fixed", "classified", "thin_pool"])
+def test_pooled_y_primes_pass_a_z_test_against_the_exact_law(case):
+    # every y' of the batch reveals of 300 runs against the exact
+    # conditional, with the null standard error at the row count it was
+    # counted on: the agreeing pool rows, or the `cond_trials` rows of a
+    # resampled reveal.  Bonferroni: at most 400 comparisons at 5 standard
+    # errors (two-sided normal tail 5.7e-7 each) raise a false alarm with
+    # probability at most 2.3e-4 per case, whatever the dependence between
+    # them (they share pool rows).  "classified" takes the crucial edges from
+    # an x estimate, as the Monte Carlo tables do, with edges of x near tau on
+    # both sides; the pool is drawn apart from it, so y' is not counted on
+    # the rows that chose them.  "thin_pool" has too few pool rows for some
+    # reveals, which are resampled.
     g = gen_random_graph(8, 0.5, {"name": "uniform", "low": 0.1, "high": 2.0},
                          {"name": "uniform", "low": 0.3, "high": 0.9}, seed=4)
     assert g.m == 16
-    if crucial == "fixed":
-        crucial_mask = sum(1 << e for e in range(g.m) if e % 3)
-    else:
+    if case == "classified":
         x = np.array([est.value for est in estimate_x(g, 2000, seed=10)])
         crucial_mask = classify_edges(x, 0.13).crucial_mask
         assert bin(crucial_mask).count("1") == 8
+    else:
+        crucial_mask = sum(1 << e for e in range(g.m) if e % 3)
     exact = MatchingLaw.from_pipeline(g, crucial_mask)
-    _y_hat, pool = estimate_y(g, crucial_mask, 100_000, seed=11)
+    _y_hat, pool = estimate_y(g, crucial_mask, 4000 if case == "thin_pool" else 100_000,
+                              seed=11)
     law = MonteCarloConditional(g, crucial_mask, exact.y, 400, seed=12, rows=pool)
     block = run_vb(law, *draw_run_inputs(law, rng_from(13), 300))
-    assert law.resampled_reveals == 0 and block.clip_events == 0
+    assert block.clip_events == 0
+    assert (law.resampled_reveals > 0) == (case == "thin_pool")
     reveals = list(law._activation_table.rows)
     queries = [(e, *reveal) for reveal in reveals for e in mask_edges(reveal[1])]
     values = [value for values in law.y_primes(reveals) for value in values]
@@ -289,17 +317,18 @@ def test_pooled_y_primes_pass_a_z_test_against_the_exact_law(crucial):
     for query, value in zip(queries, values):
         p0 = exact.y_prime(*query)
         _count, rows = pool_reference(pool, crucial_mask, *query)
+        rows = rows if rows >= law.trials else law.trials
         assert abs(value - p0) <= 5.0 * math.sqrt(p0 * (1.0 - p0) / rows), (query, value, p0)
 
 
 def test_monte_carlo_conditional_deterministic():
     gadget = two_path()
     g = gadget.graph
-    a = MonteCarloConditional(g, g.full_mask, gadget.law.y, trials=500, seed=4)
-    b = MonteCarloConditional(g, g.full_mask, gadget.law.y, trials=500, seed=4)
+    a = MonteCarloConditional(g, g.full_mask, gadget.law.y, 500, 4, empty_pool(g))
+    b = MonteCarloConditional(g, g.full_mask, gadget.law.y, 500, 4, empty_pool(g))
     v1 = a.y_primes([(0b11, 0b11)])
     v2 = a.y_primes([(0b11, 0b11)])
-    assert v1 == v2  # a repeated reveal reads the same streams
+    assert v1 == v2  # a repeated reveal reads the same stream
     assert v1 == b.y_primes([(0b11, 0b11)])  # seed-derived streams
 
 
@@ -326,7 +355,7 @@ def test_tower_property_through_estimator_op():
     # same tower identity, but through the sampled conditional estimator
     gadget = two_path()
     g = gadget.graph
-    cond = MonteCarloConditional(g, g.full_mask, gadget.law.y, trials=4000, seed=77)
+    cond = MonteCarloConditional(g, g.full_mask, gadget.law.y, 4000, 77, empty_pool(g))
     rng = rng_from(78)
     batch_mask = 0b11
     reveals = Counter()

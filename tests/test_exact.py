@@ -16,6 +16,9 @@ from stochmatch.exact import (
 from stochmatch.gadgets import shared_tie_fixture, three_path, two_path, verification_gadgets
 from stochmatch.graph_core import Edge, Params, StochasticGraph
 from stochmatch.mwm import mm_edge_mask
+from stochmatch.parallel import rng_from
+from stochmatch.sparsifier import classify_edges
+from stochmatch.vb_matching import draw_run_inputs, run_vb
 
 
 def graph(n, edges):
@@ -32,6 +35,21 @@ def test_exact_x_shared_vertex_sums_to_one():
     g = graph(3, [(0, 1, 1.0, 1.0), (0, 2, 1.0, 1.0)])
     x = exact_x(g)
     assert x.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_matching_law_marginals_are_at_most_one():
+    # edge 12 (p = 1, weight 3) is in the oracle matching of every row; the
+    # law's rows summed to 1 + 4e-16 for it, which the run rejected as a
+    # marginal outside [0, 1]
+    g = graph(8, [(0, 4, 2.0, 1.0), (0, 5, 3.0, 0.7), (1, 2, 3.0, 1.0), (1, 5, 3.0, 0.7),
+                  (1, 6, 2.0, 0.7), (1, 7, 2.0, 0.7), (2, 4, 3.0, 0.3), (2, 5, 2.0, 0.7),
+                  (2, 6, 3.0, 1.0), (2, 7, 3.0, 0.7), (3, 4, 1.0, 0.3), (3, 6, 1.0, 0.7),
+                  (3, 7, 3.0, 1.0), (4, 5, 3.0, 1.0), (5, 7, 1.0, 0.3), (6, 7, 2.0, 1.0)])
+    crucial_mask = classify_edges(exact_x(g), 0.137).crucial_mask
+    law = MatchingLaw.from_pipeline(g, crucial_mask)
+    assert float(law.prob[(law.mo >> 12) & 1 == 1].sum()) > 1.0
+    assert law.y[12] == 1.0 and law.y.max() <= 1.0
+    assert len(run_vb(law, *draw_run_inputs(law, rng_from(0), 20)).matching) == 20
 
 
 def test_prob_in_plan_closed_form():

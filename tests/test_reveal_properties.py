@@ -8,8 +8,8 @@ realizations, as ``run_vb`` forms them.  Each property compares the array
 code with a plain reference:
 
 - ``MonteCarloConditional.y_primes`` with a row-by-row Python count of its
-  pool for the reveals that at least ``trials`` rows agree with, and with
-  ``per_query_estimate`` on each edge's own stream for the others;
+  pool for the reveals that at least ``trials`` rows agree with, and of the
+  reveal's own ``trials`` rows, drawn from its stream, for the others;
 - ``MatchingLaw.y_primes`` with ``MatchingLaw.y_prime``, edge by edge;
 - ``run_vb`` with ``reference_run_vb``, row by row.
 """
@@ -27,7 +27,7 @@ from stochmatch.graph_core import Edge, StochasticGraph, mask_edges, sample_mask
 from stochmatch.parallel import rng_from
 from stochmatch.vb_matching import draw_run_inputs
 
-from test_estimator import pool_reference, resampled_y_primes
+from test_estimator import empty_pool, pool_reference, resampled_y_primes
 from vb_reference import assert_rows_equal_reference
 
 WEIGHTS = (1.0, 2.0, 3.0)
@@ -128,7 +128,7 @@ def test_run_vb_rows_equal_the_reference(m, seed, pool_rows, trials, runs, y):
         law = ref_law = MatchingLaw.from_pipeline(g, crucial_mask)
     else:
         rows = estimate_y(g, crucial_mask, min(pool_rows, 12 if m > 63 else 40), seed=seed)[1] \
-            if pool_rows else None
+            if pool_rows else empty_pool(g)
         law, ref_law = (MonteCarloConditional(g, crucial_mask, np.full(g.m, y), trials, seed,
                                               rows=rows) for _ in range(2))
     perms, reals, uniforms = draw_run_inputs(law, rng_from(seed, 2), runs)

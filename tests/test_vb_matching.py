@@ -34,6 +34,7 @@ from stochmatch.vb_matching import (
     run_vb,
 )
 
+from test_estimator import empty_pool
 from vb_reference import assert_rows_equal_reference
 
 
@@ -329,10 +330,30 @@ def test_run_vb_equals_reference_on_every_gadget(gadget):
     assert_same_runs(law, 14, 150, realization=draw, permutation=perm)
 
 
+@dataclass
+class ClippingLaw:
+    """An activation law whose conditionals vary by edge and reveal, from 0.2
+    to 0.8, so that a batch of two or more realized edges can sum past 1 and
+    clip."""
+
+    graph: StochasticGraph
+    crucial_mask: int
+    y: np.ndarray
+
+    def y_primes(self, reveals):
+        return [[0.2 + 0.1 * ((e + mask + 3 * bits) % 7) for e in mask_edges(bits)]
+                for mask, bits in reveals]
+
+
 def clipping_law(g):
-    """Monte Carlo conditionals whose 2-trial estimates of y' clip, as the
-    denominators are small."""
-    return MonteCarloConditional(g, g.full_mask, np.full(g.m, 0.1), 2, 3)
+    return ClippingLaw(g, g.full_mask, np.full(g.m, 0.1))
+
+
+def two_trial_law(g, rows=None):
+    """Monte Carlo conditionals at a 2-trial budget, from the pool ``rows``
+    (default: empty, so every batch reveal is resampled on 2 rows)."""
+    return MonteCarloConditional(g, g.full_mask, np.full(g.m, 0.1), 2, 3,
+                                 empty_pool(g) if rows is None else rows)
 
 
 def random_graph(n, density, seed):
@@ -340,25 +361,41 @@ def random_graph(n, density, seed):
                             {"name": "uniform", "low": 0.3, "high": 0.9}, seed=seed)
 
 
-def test_run_vb_equals_reference_with_clipping_monte_carlo_conditionals():
+def test_run_vb_equals_reference_with_clipping_conditionals():
     g = random_graph(7, 0.6, 5)
     block = assert_same_runs(clipping_law(g), 21, 200, ref_law=clipping_law(g))
     assert block.clip_events > 0
     assert_same_runs(clipping_law(g), 22, 100, realization=lambda rng: sample_masks(g, rng, 1)[0])
 
 
+def assert_two_trial_law_never_clips(rows):
+    """200 runs of :func:`two_trial_law` on the pool ``rows`` equal the
+    reference and clip no batch, where conditionals that sum past 1 clip on
+    the same inputs; returns the law."""
+    g = random_graph(7, 0.6, 5)
+    law = two_trial_law(g, rows)
+    inputs = draw_run_inputs(law, rng_from(21), 200)
+    assert run_vb(clipping_law(g), *inputs).clip_events > 0
+    block, _refs = assert_rows_equal_reference(law, *inputs, ref_law=two_trial_law(g, rows))
+    assert block.clip_events == 0
+    return law
+
+
 def test_pooled_reveals_never_clip():
     # the same 2-trial budget, but every batch reveal answered from a pool of
     # rows: each row's matching holds at most one edge of a batch, so no
-    # batch sums past 1, where resampling clips
+    # batch sums past 1
     g = random_graph(7, 0.6, 5)
     _y_hat, pool = estimator.estimate_y(g, g.full_mask, 5000, seed=4)
-    law = MonteCarloConditional(g, g.full_mask, np.full(g.m, 0.1), 2, 3, rows=pool)
-    inputs = draw_run_inputs(law, rng_from(21), 200)
-    assert run_vb(clipping_law(g), *inputs).clip_events > 0
-    block, _refs = assert_rows_equal_reference(law, *inputs)
-    assert block.clip_events == 0
+    law = assert_two_trial_law_never_clips(pool)
     assert law.resampled_reveals == 0 and law.pooled_reveals > 10
+
+
+def test_resampled_reveals_never_clip():
+    # an empty pool: every batch reveal is counted on 2 rows of its own, and
+    # all its edges on the same 2 rows, so no batch sums past 1 either
+    law = assert_two_trial_law_never_clips(None)
+    assert law.pooled_reveals == 0 and law.resampled_reveals > 10
 
 
 def test_run_vb_equals_reference_without_crucial_edges():
@@ -421,7 +458,7 @@ def test_a_block_asks_the_oracle_once(monkeypatch):
     # call, and all its draws from one oracle call
     g = random_graph(12, 0.3, 3)
     law = MonteCarloConditional(g, sum(1 << e for e in range(0, g.m, 2)),
-                                np.full(g.m, 0.4), 40, 5)
+                                np.full(g.m, 0.4), 40, 5, empty_pool(g))
     calls = Counter()
     for name in ("estimate_y_conditional", "mm_edge_masks"):
         original = getattr(estimator, name)
@@ -463,7 +500,7 @@ def test_run_vb_block_equals_rows_on_every_gadget(gadget):
         assert any(block.activated)
 
 
-def test_run_vb_block_equals_rows_with_clipping_monte_carlo_conditionals():
+def test_run_vb_block_equals_rows_with_clipping_conditionals():
     law = clipping_law(random_graph(7, 0.6, 5))
     perms, reals, uniforms = draw_run_inputs(law, rng_from(34), 400)
     block, refs = assert_rows_equal_reference(law, perms, reals, uniforms)
