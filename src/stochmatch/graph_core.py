@@ -301,6 +301,19 @@ def mask_edges(mask: int) -> list[int]:
 _LAW_PARAMS = {"constant": ("value",), "uniform": ("low", "high"), "exponential": ("scale",)}
 
 
+def _law_number(law: Mapping, key: str, kind: str, finite: bool = False) -> float:
+    """``law[key]`` as a float, else a ValueError naming the law and the key."""
+    try:
+        value = float(law[key])
+    except (TypeError, ValueError):
+        pass
+    else:
+        if not finite or math.isfinite(value):
+            return value
+    raise ValueError(f"{kind} law {law['name']!r} needs a {'finite ' if finite else ''}"
+                     f"number for {key!r}, got {law[key]!r}")
+
+
 def _law_sampler(law: Mapping[str, float], kind: str):
     if not isinstance(law, Mapping):
         raise ValueError(f"{kind} law must be an object, got {law!r}")
@@ -313,24 +326,22 @@ def _law_sampler(law: Mapping[str, float], kind: str):
     if params and unknown:
         raise ValueError(f"unknown {kind} law key {', '.join(unknown)}; "
                          f"known: name, {', '.join(params)}")
-    if name == "constant":
-        value = float(law["value"])
-        if kind == "probability" and not (0.0 < value <= 1.0):
-            raise ValueError("probability law must stay inside (0, 1]")
-        if kind == "weight" and value < 0.0:
-            raise ValueError("weight law must be non-negative")
-        return lambda rng, k: np.full(k, value)
-    if name == "uniform":
-        low, high = float(law["low"]), float(law["high"])
+    if name in ("constant", "uniform"):
+        # a constant law is checked as the uniform law on [value, value];
+        # numpy's uniform draw needs finite bounds
+        low = _law_number(law, params[0], kind, finite=name == "uniform")
+        high = _law_number(law, params[-1], kind, finite=name == "uniform")
         if low > high:
             raise ValueError(f"{kind} law has low > high")
         if kind == "probability" and not (0.0 < low and high <= 1.0):
             raise ValueError("probability law must stay inside (0, 1]")
         if kind == "weight" and low < 0.0:
             raise ValueError("weight law must be non-negative")
+        if name == "constant":
+            return lambda rng, k: np.full(k, low)
         return lambda rng, k: rng.uniform(low, high, size=k)
     if name == "exponential" and kind == "weight":
-        scale = float(law["scale"])
+        scale = _law_number(law, "scale", kind)
         if scale <= 0:
             raise ValueError("exponential weight law needs a positive scale")
         return lambda rng, k: rng.exponential(scale, size=k)

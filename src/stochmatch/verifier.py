@@ -2,12 +2,12 @@
 
 Every check is a deterministic function of (instance, seed, trials) and
 produces a :class:`CheckReport` (:class:`CoverageReport` for plan coverage).
-Every statistical comparison fails past ``Z_GATE`` standard errors: a
-frequency against a target (``g(y)``, an enumeration oracle) in
-:func:`z_gap`, against a floor (8/15 y, 1/576, coverage) in :func:`short_of`,
-both with the standard error of :func:`estimator.binomial_se`.  Structural
-facts (matching validity, degree caps, alive-set disjointness) are asserted
-exactly inside the sampled runs themselves.
+A check lists its comparisons as :class:`Comparison` rows (a frequency
+against ``g(y)``, an enumeration oracle or a floor such as 8/15 y or 1/576;
+an exact quantity against its bound at zero standard error), and the one
+gate :func:`fails` decides each row at ``Z_GATE`` standard errors.
+Structural facts (matching validity, degree caps, alive-set disjointness)
+are asserted exactly inside the sampled runs themselves.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,31 +75,66 @@ def two_point_covariance(q: float) -> float:
     return -q * (1.0 - q)
 
 
-def z_gap(freq: float, target: float, trials: int) -> float:
-    """``|freq - target|`` in standard errors of ``freq`` (infinite for a gap
-    at zero standard error); gates fail when it exceeds ``Z_GATE``."""
-    se = binomial_se(freq, trials)
-    gap = abs(freq - target)
+def z_gap(estimate: float, target: float, se: float) -> float:
+    """``|estimate - target|`` in standard errors ``se`` (infinite for a gap
+    at zero standard error)."""
+    gap = abs(estimate - target)
     return gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
 
 
-def short_of(freq: float, floor: float, trials: int) -> bool:
-    """Whether ``freq`` falls more than ``Z_GATE`` standard errors below ``floor``."""
-    return freq < floor - Z_GATE * binomial_se(freq, trials)
+class Comparison(NamedTuple):
+    """``estimate`` against ``target``, failing ``"below"``, ``"above"`` or
+    ``"either"`` way; a failing row sets ``entry[flag]`` and, if it
+    ``gates``, fails its report."""
+
+    estimate: float
+    target: float
+    se: float
+    side: str = "either"
+    entry: dict | None = None
+    flag: str | None = None
+    gates: bool = True
+
+
+def fails(row: Comparison) -> bool:
+    """The one gate: whether ``row`` misses its target by more than
+    ``Z_GATE`` standard errors on its failing side."""
+    if row.side == "below":
+        return row.estimate < row.target - Z_GATE * row.se
+    if row.side == "above":
+        return row.estimate > row.target + Z_GATE * row.se
+    return z_gap(row.estimate, row.target, row.se) > Z_GATE
+
+
+def _flag_failures(rows) -> bool:
+    """Flag the entry of every failing row; whether a gated row failed."""
+    failed = False
+    for row in rows:
+        if fails(row):
+            if row.flag is not None:
+                row.entry[row.flag] = True
+            failed = failed or row.gates
+    return failed
+
+
+def _report(name: str, rows, estimate: float, threshold: float, trials: int,
+            details: dict, inconclusive: bool = False) -> CheckReport:
+    """A check's report: ``fail`` when a gated row fails, else ``pass`` or ``inconclusive``."""
+    verdict = "fail" if _flag_failures(rows) else "inconclusive" if inconclusive else "pass"
+    return CheckReport(name=name, verdict=verdict, gated=True, estimate=estimate,
+                       std_err=0.0, threshold=threshold, trials=trials, details=details)
+
+
+def _worst_excess(rows) -> float:
+    """The largest ``estimate - target - Z_GATE * se`` of ``rows``, or 0.0."""
+    return max((row.estimate - row.target - Z_GATE * row.se for row in rows), default=0.0)
 
 
 def _noncrucial_pairs(g: StochasticGraph, crucial_mask: int):
-    """Vertex pairs with no crucial edge between them (guarantee scope)."""
-    out = []
-    adjacent = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            idx = g.pair_index.get((u, v))
-            if idx is not None and (crucial_mask >> idx) & 1:
-                adjacent.append((u, v))
-            else:
-                out.append((u, v))
-    return out, adjacent
+    """Vertex pairs with no crucial edge between them (guarantee scope), and the rest."""
+    pairs = list(combinations(range(g.n), 2))
+    adjacent = [p for p in pairs if p in g.pair_index and (crucial_mask >> g.pair_index[p]) & 1]
+    return [p for p in pairs if p not in adjacent], adjacent
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +147,7 @@ def check_activation(gadget: Gadget, trials: int, seed: int) -> CheckReport:
     dist = gadget.enumeration
     y = gadget.law.y
     details = {}
+    rows = []
     z_max = 0.0
     oracle_gap = 0.0
     for e in mask_edges(gadget.crucial_mask):
@@ -123,51 +160,42 @@ def check_activation(gadget: Gadget, trials: int, seed: int) -> CheckReport:
             entry["exact"] = exact
             targets.append(exact)
             oracle_gap = max(oracle_gap, abs(exact - target))
-        z_edge = max(z_gap(freq, value, trials) for value in targets)
-        z_max = max(z_max, z_edge)
-        entry["z"] = z_edge
+        rows += [Comparison(freq, value, entry["se"]) for value in targets]
+        entry["z"] = max(z_gap(freq, value, entry["se"]) for value in targets)
+        z_max = max(z_max, entry["z"])
         details[str(e)] = entry
-    verdict = "pass" if z_max <= Z_GATE else "fail"
-    return CheckReport(
-        name=f"activation[{gadget.name}]", verdict=verdict, gated=True,
-        estimate=z_max, std_err=0.0, threshold=Z_GATE, trials=trials,
-        details={"edges": details, "oracle_vs_g_gap": oracle_gap,
-                 "enumerated": dist is not None, "clip_events": clip},
-    )
+    return _report(f"activation[{gadget.name}]", rows, z_max, Z_GATE, trials,
+                   {"edges": details, "oracle_vs_g_gap": oracle_gap,
+                    "enumerated": dist is not None, "clip_events": clip})
 
 
 def check_selectability(gadget: Gadget, trials: int, seed: int) -> CheckReport:
-    """Matching membership vs the enumeration oracle, and the 8/15 line."""
+    """Matching membership vs the enumeration oracle, and the 8/15 line
+    (gated only with a single crucial edge)."""
     _act, selected, _alive, _pairs, _clip = sample_vb_statistics(gadget.law, (), trials, seed, _TAG_VB)
     dist = gadget.enumeration
     y = gadget.law.y
+    single_edge = bin(gadget.crucial_mask).count("1") == 1
     details = {}
+    rows = []
     z_max = 0.0
-    ratio_floor_ok = True
     for e in mask_edges(gadget.crucial_mask):
         freq = selected[e] / trials
         floor = (8.0 / 15.0) * float(y[e])
         entry = {"freq": freq, "se": binomial_se(freq, trials), "target_8_15": floor}
         if dist is not None:
-            exact = dist.edge_selected_prob(e)
-            z_edge = z_gap(freq, exact, trials)
-            z_max = max(z_max, z_edge)
-            entry["exact"] = exact
-            entry["z"] = z_edge
-        if short_of(freq, floor, trials):
-            ratio_floor_ok = False
-            entry["below_8_15"] = True
+            entry["exact"] = dist.edge_selected_prob(e)
+            rows.append(Comparison(freq, entry["exact"], entry["se"]))
+            entry["z"] = z_gap(freq, entry["exact"], entry["se"])
+            z_max = max(z_max, entry["z"])
+        rows.append(Comparison(freq, floor, entry["se"], "below", entry, "below_8_15", single_edge))
         details[str(e)] = entry
-    single_edge = bin(gadget.crucial_mask).count("1") == 1
-    oracle_fail = dist is not None and z_max > Z_GATE
-    verdict = "fail" if oracle_fail or (single_edge and not ratio_floor_ok) else "pass"
-    return CheckReport(
-        name=f"selectability[{gadget.name}]", verdict=verdict, gated=True,
-        estimate=z_max, std_err=0.0, threshold=Z_GATE, trials=trials,
-        details={"edges": details, "enumerated": dist is not None,
-                 "eight_fifteenths_floor_ok": ratio_floor_ok,
-                 "eight_fifteenths_gated": single_edge},
-    )
+    report = _report(f"selectability[{gadget.name}]", rows, z_max, Z_GATE, trials,
+                     {"edges": details, "enumerated": dist is not None,
+                      "eight_fifteenths_gated": single_edge})
+    report.details["eight_fifteenths_floor_ok"] = all(
+        "below_8_15" not in entry for entry in details.values())
+    return report
 
 
 def check_pair_alive(gadget: Gadget, trials: int, seed: int) -> CheckReport:
@@ -178,20 +206,16 @@ def check_pair_alive(gadget: Gadget, trials: int, seed: int) -> CheckReport:
         gadget.law, tuple(pairs + adjacent), trials, seed, _TAG_VB)
     dist = gadget.enumeration
     details = {}
-    verdict = "pass"
+    rows = []
     worst = 1.0
     for u, v in pairs:
         freq = pair_counts[(u, v)] / trials
         entry = {"freq": freq, "se": binomial_se(freq, trials)}
-        if short_of(freq, PAIR_ALIVE_FLOOR, trials):
-            verdict = "fail"
-            entry["below_floor"] = True
+        rows.append(Comparison(freq, PAIR_ALIVE_FLOOR, entry["se"], "below", entry, "below_floor"))
         if dist is not None:
-            exact = dist.pair_alive_prob(u, v)
-            entry["exact"] = exact
-            if z_gap(freq, exact, trials) > Z_GATE:
-                verdict = "fail"
-                entry["off_oracle"] = True
+            entry["exact"] = dist.pair_alive_prob(u, v)
+            rows.append(Comparison(freq, entry["exact"], entry["se"], entry=entry,
+                                   flag="off_oracle"))
         worst = min(worst, freq)
         details[f"{u}-{v}"] = entry
     for u, v in adjacent:
@@ -204,15 +228,11 @@ def check_pair_alive(gadget: Gadget, trials: int, seed: int) -> CheckReport:
         freq = alive[v] / trials
         y_v = float(sum(y[e] for e in g.incident[v] if (gadget.crucial_mask >> e) & 1))
         singles[str(v)] = {"freq": freq, "floor": 1.0 - y_v}
-        if short_of(freq, 1.0 - y_v, trials):
-            verdict = "fail"
-            singles[str(v)]["below_floor"] = True
-    return CheckReport(
-        name=f"pair_alive[{gadget.name}]", verdict=verdict, gated=True,
-        estimate=worst, std_err=0.0, threshold=PAIR_ALIVE_FLOOR, trials=trials,
-        details={"pairs": details, "enumerated": dist is not None,
-                 "alive_single": singles},
-    )
+        rows.append(Comparison(freq, 1.0 - y_v, binomial_se(freq, trials), "below",
+                               singles[str(v)], "below_floor"))
+    return _report(f"pair_alive[{gadget.name}]", rows, worst, PAIR_ALIVE_FLOOR, trials,
+                   {"pairs": details, "enumerated": dist is not None,
+                    "alive_single": singles})
 
 
 # ---------------------------------------------------------------------------
@@ -256,33 +276,21 @@ def check_negative_association(gadget: Gadget, trials: int, seed: int) -> CheckR
     per plan' fact is recorded for the tie fixture.
     """
     g = gadget.graph
+    name = f"negative_association[{gadget.name}]"
     pairs = incident_edge_pairs(g)
     pairs += [p for p in gadget.declared_pairs if p not in pairs]
     if not pairs:
-        return CheckReport(name=f"negative_association[{gadget.name}]",
-                           verdict="pass", gated=True, estimate=0.0,
-                           std_err=0.0, threshold=0.0, trials=0,
-                           details={"pairs": {}})
+        return _report(name, [], 0.0, 0.0, 0, {"pairs": {}})
     parts = run_blocks(_plan_pair_block, (g, gadget.t, tuple(pairs), seed), trials)
     cells = sum(parts)
     details = {}
-    verdict = "pass"
-    worst = -math.inf
+    rows = []
     for j, (e1, e2) in enumerate(pairs):
         cov, se = covariance_from_cells(cells[j])
-        entry = {"cov": cov, "se": se}
-        exactly_one = int(cells[j, 1] + cells[j, 2])
-        entry["exactly_one_freq"] = exactly_one / trials
-        if cov > Z_GATE * se:
-            verdict = "fail"
-            entry["positive"] = True
-        worst = max(worst, cov - Z_GATE * se)
+        entry = {"cov": cov, "se": se, "exactly_one_freq": int(cells[j, 1] + cells[j, 2]) / trials}
+        rows.append(Comparison(cov, 0.0, se, "above", entry, "positive"))
         details[f"{e1},{e2}"] = entry
-    return CheckReport(
-        name=f"negative_association[{gadget.name}]", verdict=verdict, gated=True,
-        estimate=worst, std_err=0.0, threshold=0.0, trials=trials,
-        details={"pairs": details},
-    )
+    return _report(name, rows, _worst_excess(rows), 0.0, trials, {"pairs": details})
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +319,8 @@ def check_crucial_coverage(g: StochasticGraph, classes: EdgeClasses, x_hat: np.n
     Crucial edges are gated against the ``1 - epsilon`` floor whenever the
     ``t >= 1/(tau*epsilon)`` precondition actually holds (at practical ``t``
     it usually does not, and the floor is then informational only); every
-    edge is gated against the unconditional ``min(1/3, t*x/3)`` floor.  Both
-    floors are :func:`short_of` gates.  The structural ``max degree <= t``
-    bound is checked on every sampled plan.
+    edge is gated against the unconditional ``min(1/3, t*x/3)`` floor.  The
+    structural ``max degree <= t`` bound is checked on every sampled plan.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -325,7 +332,8 @@ def check_crucial_coverage(g: StochasticGraph, classes: EdgeClasses, x_hat: np.n
     precondition = t >= 1.0 / (classes.tau * epsilon)
 
     def entry(e: int, floor: float, gated: bool = True) -> tuple:
-        return float(freq[e]), floor, not (gated and short_of(freq[e], floor, trials))
+        row = Comparison(freq[e], floor, binomial_se(freq[e], trials), "below", gates=gated)
+        return float(freq[e]), floor, not _flag_failures([row])
 
     coverage = {e: entry(e, 1.0 - epsilon, precondition) for e in classes.crucial()}
     claim_floor = {e: entry(e, min(1.0 / 3.0, t * float(x_hat[e]) / 3.0)) for e in range(g.m)}
@@ -387,15 +395,11 @@ def check_var_z(gadget: Gadget, synthetic_x: dict[tuple[int, int], float],
     var = (sumsq - trials * mean**2) / (trials - 1)
     bound = 10.0 * tau / delta_hat**2 * (1.0 + slack)
     worst = float(np.max(var)) if g.n else 0.0
-    verdict = "pass" if worst <= bound else "fail"
-    return CheckReport(
-        name=f"var_z[{gadget.name}]", verdict=verdict, gated=True,
-        estimate=worst, std_err=0.0, threshold=bound, trials=trials,
-        details={"delta_hat": delta_hat, "tau": tau,
-                 "variance_per_vertex": [float(v) for v in var],
-                 "pair_alive": {f"{u}-{v}": pair_est[(u, v)].value
-                                for u, v in support}},
-    )
+    return _report(f"var_z[{gadget.name}]", [Comparison(worst, bound, 0.0, "above")],
+                   worst, bound, trials,
+                   {"delta_hat": delta_hat, "tau": tau,
+                    "variance_per_vertex": [float(v) for v in var],
+                    "pair_alive": {f"{u}-{v}": pair_est[(u, v)].value for u, v in support}})
 
 
 def _y_block(g: StochasticGraph, tables: PipelineTables, t: int, seed: int,
@@ -442,9 +446,8 @@ def check_concentration_y(gadget: Gadget, tables: PipelineTables, trials: int,
     tail_center = (np.abs(rows - means) >= eta).mean(axis=0)
     tail_high = (rows >= 1.0 + 3.0 * eta).mean(axis=0)
 
-    cheb_fail = False
     cheb = {}
-    worst_excess = -math.inf
+    comparisons = []
     for c in (3.0, 5.0, 10.0):
         bound = 1.0 / c**2
         for v in range(g.n):
@@ -452,12 +455,8 @@ def check_concentration_y(gadget: Gadget, tables: PipelineTables, trials: int,
                 continue
             mass = float((np.abs(rows[:, v] - means[v]) >= c * stds[v]).mean())
             se = binomial_se(mass, trials)
-            key = f"c={c:g},v={v}"
-            cheb[key] = {"mass": mass, "bound": bound, "se": se}
-            worst_excess = max(worst_excess, mass - bound - Z_GATE * se)
-            if mass > bound + Z_GATE * se:
-                cheb_fail = True
-                cheb[key]["exceeded"] = True
+            entry = cheb[f"c={c:g},v={v}"] = {"mass": mass, "bound": bound, "se": se}
+            comparisons.append(Comparison(mass, bound, se, "above", entry, "exceeded"))
     details = {
         "eta": eta,
         "beta": beta,
@@ -469,16 +468,8 @@ def check_concentration_y(gadget: Gadget, tables: PipelineTables, trials: int,
         "t_theory": params.t_theory,
         "t_used": gadget.t,
     }
-    if cheb_fail:
-        verdict = "fail"
-    else:
-        verdict = "inconclusive" if gadget.t < params.t_theory else "pass"
-    estimate = 0.0 if worst_excess == -math.inf else worst_excess
-    return CheckReport(
-        name=f"concentration_y[{gadget.name}]", verdict=verdict, gated=True,
-        estimate=estimate, std_err=0.0, threshold=0.0, trials=trials,
-        details=details,
-    )
+    return _report(f"concentration_y[{gadget.name}]", comparisons, _worst_excess(comparisons),
+                   0.0, trials, details, inconclusive=gadget.t < params.t_theory)
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +538,11 @@ def check_influence_independence(gadget: Gadget, u: int, w: int, perm,
             cells += 1
     dof = max(cells - 1, 1)
     p_value = float(sps.chi2.sf(statistic, dof))
-    verdict = "pass" if p_value >= alpha else "fail"
-    return CheckReport(
-        name=f"influence_independence[{gadget.name}:{u},{w}]", verdict=verdict,
-        gated=True, estimate=p_value, std_err=0.0, threshold=alpha, trials=trials,
-        details={"statistic": statistic, "dof": dof,
-                 "marginals_u": {str(k): v for k, v in pu.items()},
-                 "marginals_w": {str(k): v for k, v in pw.items()}},
-    )
+    return _report(f"influence_independence[{gadget.name}:{u},{w}]",
+                   [Comparison(p_value, alpha, 0.0, "below")], p_value, alpha, trials,
+                   {"statistic": statistic, "dof": dof,
+                    "marginals_u": {str(k): v for k, v in pu.items()},
+                    "marginals_w": {str(k): v for k, v in pw.items()}})
 
 
 # ---------------------------------------------------------------------------
@@ -574,12 +562,9 @@ def default_suite(trials: int = 20_000, seed: int = 2024,
 
     tie = shared_tie_fixture()
     oracle = two_point_covariance(0.5)
-    reports.append(CheckReport(
-        name="two_point_oracle[shared_tie]",
-        verdict="pass" if oracle == -0.25 else "fail",
-        gated=True, estimate=oracle, std_err=0.0, threshold=-0.25, trials=0,
-        details={"note": "covariance of the symmetric exactly-one-of-two law"},
-    ))
+    reports.append(_report(
+        "two_point_oracle[shared_tie]", [Comparison(oracle, -0.25, 0.0)], oracle, -0.25, 0,
+        {"note": "covariance of the symmetric exactly-one-of-two law"}))
     reports.append(check_negative_association(tie, trials, seed + 4))
 
     relaxed = relaxed_suite_8v()

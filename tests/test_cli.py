@@ -517,6 +517,20 @@ def test_config_rejects_bad_tables_and_budgets(tmp_path, field, value, message):
     ("run", "out", 5, "out must be a path string, got 5"),
     ("verify", "out", ["results"], r"out must be a path string, got \['results'\]"),
     ("verify", "verify_trials", 1, "verify trial budget must be an int >= 2, got 1"),
+    ("run", "graph", {"generator": {"n": 6, "density": 0.5,
+                                    "weight_law": {"name": "uniform", "low": 0.2,
+                                                   "high": float("nan")}}},
+     "weight law 'uniform' needs a finite number for 'high', got nan"),
+    ("run", "graph", {"generator": {"n": 6, "density": 0.5,
+                                    "weight_law": {"name": "uniform", "low": 0.2,
+                                                   "high": float("inf")}}},
+     "weight law 'uniform' needs a finite number for 'high', got inf"),
+    ("run", "graph", {"generator": {"n": 6, "density": 0.5,
+                                    "prob_law": {"name": "uniform", "low": [1], "high": 1}}},
+     r"probability law 'uniform' needs a finite number for 'low', got \[1\]"),
+    ("run", "graph", {"generator": {"n": 6, "density": 0.5,
+                                    "weight_law": {"name": "constant", "value": None}}},
+     "weight law 'constant' needs a number for 'value', got None"),
 ])
 def test_bad_config_fails_before_any_output(tmp_path, command, field, value, message):
     cfg_path = tmp_path / "cfg.json"

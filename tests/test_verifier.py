@@ -477,3 +477,37 @@ def test_every_gate_reads_z_gate(monkeypatch, z_gate, failed):
     for gate, flags in gate_outcomes().items():
         assert flags, gate
         assert all(flag is failed for flag in flags), (gate, flags)
+
+
+# Reports that hold no gated comparison: no crucial edge, no incident edge
+# pair, or (benchmark_6v8e, past the enumeration cap) only the 8/15 floors of
+# several crucial edges, which are flagged but gate only a single edge
+UNGATED = {"activation[isolated_pair]", "selectability[isolated_pair]",
+           "negative_association[two_disjoint_edges]", "selectability[benchmark_6v8e]"}
+
+
+@pytest.mark.parametrize("failed", [True, False])
+def test_every_verdict_comes_from_the_gate(monkeypatch, failed):
+    # with the one gate failing every comparison, exactly the reports that
+    # hold a gated comparison fail, and with it passing every comparison none
+    # does; a verdict decided outside the gate keeps its own outcome
+    monkeypatch.setattr(verifier, "fails", lambda row: failed)
+    relaxed = relaxed_suite_8v()
+    reports = verifier.default_suite(trials=256, seed=1, include_negative_control=True)
+    reports += [check_var_z(relaxed, var_z_synthetic_x(relaxed, relaxed.tau), relaxed.tau,
+                            trials=256, seed=2),
+                check_influence_independence(three_path(), u=1, w=2, perm=(0, 1, 2, 3),
+                                             trials=256, seed=3)]
+    assert UNGATED <= {report.name for report in reports}
+    for report in reports:
+        assert report.failed is (failed and report.name not in UNGATED), report.name
+    # plan coverage: the crucial floor gates only where t >= 1/(tau*epsilon)
+    g = StochasticGraph(n=2, edges=(Edge(0, 1, 1.0, 0.5),))
+    x = np.array([0.5])
+    for t, crucial_gated in ((5, True), (1, False)):
+        coverage = verifier.check_crucial_coverage(g, sparsifier.classify_edges(x, 0.4), x,
+                                                   epsilon=0.5, t=t, trials=256, seed=4)
+        assert coverage.theory_precondition_met is crucial_gated
+        assert [ok for _f, _floor, ok in coverage.claim_floor.values()] == [not failed]
+        assert ([ok for _f, _floor, ok in coverage.coverage.values()]
+                == [not (failed and crucial_gated)])
