@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .augmenter import (
 )
 from .exact import enumerable
 from .gadgets import benchmark_6v8e_graph
+from .graph_core import GENERATOR, Fields, check_rows, is_int, is_number
 from .graph_core import Params, StochasticGraph, gen_random_graph, read_graph, write_graph
 from .parallel import BLOCK_LEN, worker_pool
 from .verifier import default_suite, format_report_table, gated_failures
@@ -37,13 +38,41 @@ DEFAULT_BUDGETS = {
     "cond_trials": 400,
 }
 TABLE_MODES = ("auto", "exact", "monte_carlo")
-GRAPH_SOURCES = ("bundled", "file", "generator")
 
 
-def _reject_unknown(kind: str, keys, known) -> None:
-    unknown = [repr(key) for key in keys if key not in known]
-    if unknown:
-        raise ValueError(f"unknown {kind} {', '.join(unknown)}; known: {', '.join(known)}")
+_SOURCES = {
+    "bundled": [(lambda name: name == "benchmark_6v8e", "bundled graph must be 'benchmark_6v8e'")],
+    # open(0) would read stdin
+    "file": [(lambda path: isinstance(path, str), "graph file must be a path string")],
+    "generator": [GENERATOR],
+}
+GRAPH = [(lambda source: len(source) == 1 and set(source) <= set(_SOURCES),
+          f"graph must name one of {', '.join(_SOURCES)}"),
+         Fields("graph", "graph source", _SOURCES)]
+CONFIG = Fields("config file", "config field", {
+    "graph": [(lambda graph: isinstance(graph, dict), "graph must be an object")],
+    "seed": [(is_int, "seed must be an int"), (lambda seed: seed >= 0, "seed must be >= 0")],
+    "trials": [(lambda n: is_int(n) and n >= 1, "trial budget must be an int >= 1")],
+    "workers": [(lambda n: n is None or is_int(n), "workers must be an int"),
+                (lambda n: n is None or n >= 1, "worker count must be >= 1")],
+    "t": [(lambda t: isinstance(t, (int, list, tuple)), "t must be an int or a list of ints"),
+          (lambda t: t not in ([], ()), "t must hold at least one plan size"),
+          [(is_int, "t must be an int"), (lambda t: t >= 0, "plan sizes must be >= 0")]],
+    "epsilon": [(is_number, "epsilon must be a number")],
+    "delta": [(is_number, "delta must be a number")],
+    "tau": [(lambda tau: tau is None or is_number(tau), "tau must be a number"),
+            (lambda tau: tau is None or tau > 0, "tau must be > 0")],
+    "out": [(lambda out: isinstance(out, str), "out must be a path string")],
+    "budgets": [Fields("budgets", "budget", {
+        key: [(lambda n: is_int(n) and n >= 1, f"budget {key} must be an int >= 1")]
+        for key in DEFAULT_BUDGETS})],
+    "tables": [(TABLE_MODES.__contains__, f"tables must be one of {', '.join(TABLE_MODES)}")],
+    "control_full_plan": [(lambda v: type(v) is bool, "control_full_plan must be true or false")],
+    # verify's variance gates need at least two runs per check
+    "verify_trials": [(lambda n: is_int(n) and n >= 2,
+                       "verify trial budget must be an int >= 2")],
+    "negative_control": [(lambda v: type(v) is bool, "negative_control must be true or false")],
+}, shape="must hold a JSON object")
 
 
 @dataclass
@@ -66,67 +95,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if isinstance(self.t, int):
             self.t = [self.t]
-        if not isinstance(self.t, (list, tuple)):
-            raise ValueError(f"t must be an int or a list of ints, got {self.t!r}")
-        # JSON true/false are bools, which Python also counts as ints.
-        ints = [("seed", self.seed), *(("t", t) for t in self.t)]
-        if self.workers is not None:
-            ints.append(("workers", self.workers))
-        for name, value in ints:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        numbers = [("epsilon", self.epsilon), ("delta", self.delta)]
-        if self.tau is not None:
-            numbers.append(("tau", self.tau))
-        for name, value in numbers:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        for name in ("control_full_plan", "negative_control"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if type(self.trials) is not int or self.trials < 1:
-            raise ValueError(f"trial budget must be an int >= 1, got {self.trials!r}")
-        # verify's variance gates need at least two runs per check
-        if type(self.verify_trials) is not int or self.verify_trials < 2:
-            raise ValueError(f"verify trial budget must be an int >= 2, got {self.verify_trials!r}")
-        if self.tau is not None and not self.tau > 0:
-            raise ValueError(f"tau must be > 0, got {self.tau!r}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"worker count must be >= 1, got {self.workers}")
-        if not self.t:
-            raise ValueError("t must hold at least one plan size")
-        if min(self.t) < 0:
-            raise ValueError(f"plan sizes must be >= 0, got {min(self.t)}")
-        if not isinstance(self.out, str):
-            raise ValueError(f"out must be a path string, got {self.out!r}")
-        if self.tables not in TABLE_MODES:
-            raise ValueError(f"tables must be one of {', '.join(TABLE_MODES)}, got {self.tables!r}")
-        for name in ("graph", "budgets"):
-            if not isinstance(getattr(self, name), dict):
-                raise ValueError(f"{name} must be an object, got {getattr(self, name)!r}")
-        _reject_unknown("budget", self.budgets, DEFAULT_BUDGETS)
-        for key, value in self.budgets.items():
-            if type(value) is not int or value < 1:
-                raise ValueError(f"budget {key} must be an int >= 1, got {value!r}")
-
-    def to_canonical_dict(self) -> dict:
-        return {
-            "graph": self.graph,
-            "seed": self.seed,
-            "trials": self.trials,
-            "t": list(self.t),
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "tau": self.tau,
-            "budgets": {**DEFAULT_BUDGETS, **self.budgets},
-            "tables": self.tables,
-            "control_full_plan": self.control_full_plan,
-            "verify_trials": self.verify_trials,
-            "negative_control": self.negative_control,
-        }
+        check_rows(vars(self), [CONFIG])
 
     def config_hash(self) -> str:
-        text = json.dumps(self.to_canonical_dict(), sort_keys=True)
+        """Hash of every field but ``out`` and ``workers``, budgets merged over the defaults."""
+        fields = {key: value for key, value in vars(self).items() if key not in ("out", "workers")}
+        text = json.dumps({**fields, "budgets": {**DEFAULT_BUDGETS, **self.budgets}},
+                          sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -135,45 +110,23 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     if path:
         with open(path) as fh:
             data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"config file must hold a JSON object, got {type(data).__name__}")
-    data.update({k: v for k, v in overrides.items() if v is not None})
-    _reject_unknown("config field", data, [f.name for f in fields(ExperimentConfig)])
+    if isinstance(data, dict):
+        data.update({k: v for k, v in overrides.items() if v is not None})
+    check_rows(data, [CONFIG])  # unknown fields, before they reach the constructor
     return ExperimentConfig(**data)
 
 
 def load_graph(config: ExperimentConfig) -> StochasticGraph:
-    source = config.graph
-    if len(source) != 1 or not set(source) <= set(GRAPH_SOURCES):
-        raise ValueError(f"graph must name one of {', '.join(GRAPH_SOURCES)}, got {source!r}")
-    if "file" in source:
-        if not isinstance(source["file"], str):  # open(0) would read stdin
-            raise ValueError(f"graph file must be a path string, got {source['file']!r}")
-        return read_graph(source["file"])
-    if "generator" in source:
-        gen = source["generator"]
-        if not isinstance(gen, dict):
-            raise ValueError(f"generator graph source must be an object, got {gen!r}")
-        _reject_unknown("generator key", gen, ("n", "density", "weight_law", "prob_law", "seed"))
-        for key in ("n", "density"):
-            if key not in gen:
-                raise ValueError(f"generator graph source is missing {key!r}: {gen!r}")
-        n, density, seed = gen["n"], gen["density"], gen.get("seed", config.seed)
-        for name, value in (("n", n), ("seed", seed)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"generator {name} must be an int, got {value!r}")
-        if isinstance(density, bool) or not isinstance(density, (int, float)):
-            raise ValueError(f"generator density must be a number, got {density!r}")
-        return gen_random_graph(
-            n=n,
-            density=float(density),
-            weight_law=gen.get("weight_law", {"name": "uniform", "low": 0.1, "high": 2.0}),
-            prob_law=gen.get("prob_law", {"name": "uniform", "low": 0.3, "high": 0.9}),
-            seed=seed,
-        )
-    if source.get("bundled") == "benchmark_6v8e":
-        return benchmark_6v8e_graph()
-    raise ValueError(f"unrecognized graph source: {source!r}")
+    check_rows(config.graph, GRAPH)
+    (source, value), = config.graph.items()
+    if source == "file":
+        return read_graph(value)
+    if source == "generator":
+        return gen_random_graph(**{
+            "weight_law": {"name": "uniform", "low": 0.1, "high": 2.0},
+            "prob_law": {"name": "uniform", "low": 0.3, "high": 0.9},
+            "seed": config.seed, **value})
+    return benchmark_6v8e_graph()
 
 
 def build_tables(g: StochasticGraph, config: ExperimentConfig, t_max: int) -> PipelineTables:
@@ -187,11 +140,7 @@ def build_tables(g: StochasticGraph, config: ExperimentConfig, t_max: int) -> Pi
             g, params, t_max, tau=config.tau,
             pair_trials=budgets["pair_trials"], seed=config.seed,
         )
-    return build_tables_monte_carlo(
-        g, params, t_max, config.seed, tau=config.tau,
-        x_trials=budgets["x_trials"], q_trials=budgets["q_trials"],
-        pair_trials=budgets["pair_trials"], cond_trials=budgets["cond_trials"],
-    )
+    return build_tables_monte_carlo(g, params, t_max, config.seed, tau=config.tau, **budgets)
 
 
 def cmd_generate(config: ExperimentConfig) -> Path:
@@ -347,22 +296,11 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("generate", help="write the configured graph file")
     sub.add_parser("run", help="run the end-to-end experiment sweep")
     verify_parser = sub.add_parser("verify", help="run the verification suite")
-    verify_parser.add_argument("--negative-control", action="store_true",
+    verify_parser.add_argument("--negative-control", action="store_true", default=None,
                                help="include the forced-failure fixture")
 
     args = parser.parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "workers": args.workers,
-        "epsilon": args.epsilon,
-        "delta": args.delta,
-        "out": args.out,
-    }
-    if args.t is not None:
-        overrides["t"] = [args.t]
-    if getattr(args, "negative_control", False):
-        overrides["negative_control"] = True
+    overrides = {key: value for key, value in vars(args).items() if key in CONFIG.rows}
     config = load_config(args.config, overrides)
 
     if args.command == "generate":

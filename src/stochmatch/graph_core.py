@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
@@ -295,57 +297,99 @@ def mask_edges(mask: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Random instance generation
+# Input tables and random instance generation
+
+# The known keys of an input object and the rows of each.  Errors call the
+# object ``name`` ("<name> must be an object", "<name> is missing 'n'") and
+# its keys ``member`` ("unknown <member> 'x'; known: ...").
+Fields = namedtuple("Fields", "name member rows required shape",
+                    defaults=((), "must be an object"))
 
 
-_LAW_PARAMS = {"constant": ("value",), "uniform": ("low", "high"), "exponential": ("scale",)}
+def check_rows(value, rows) -> None:
+    """Raise a ValueError at the first of ``rows`` that ``value`` fails.  A
+    row is a ``(predicate, message)`` pair (``"<message>, got <value>"``), a
+    list (the rows of each item; a lone item is a list of one), or a
+    :data:`Fields` table or a function of the value returning one."""
+    for row in rows:
+        row = row(value) if callable(row) else row
+        if isinstance(row, list):
+            for item in value if isinstance(value, (list, tuple)) else [value]:
+                check_rows(item, row)
+        elif not isinstance(row, Fields):
+            if not row[0](value):
+                raise ValueError(f"{row[1]}, got {value!r}")
+        elif not isinstance(value, Mapping):
+            raise ValueError(f"{row.name} {row.shape}, got {value!r}")
+        else:
+            for key in row.required:
+                if key not in value:
+                    raise ValueError(f"{row.name} is missing {key!r}: {value!r}")
+            for key, key_rows in row.rows.items():
+                if key in value:
+                    check_rows(value[key], key_rows)
+            unknown = [repr(key) for key in value if key not in row.rows]
+            if unknown:
+                raise ValueError(f"unknown {row.member} {', '.join(unknown)}; "
+                                 f"known: {', '.join(row.rows)}")
 
 
-def _law_number(law: Mapping, key: str, kind: str, finite: bool = False) -> float:
-    """``law[key]`` as a float, else a ValueError naming the law and the key."""
-    try:
-        value = float(law[key])
-    except (TypeError, ValueError):
-        pass
-    else:
-        if not finite or math.isfinite(value):
-            return value
-    raise ValueError(f"{kind} law {law['name']!r} needs a {'finite ' if finite else ''}"
-                     f"number for {key!r}, got {law[key]!r}")
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is an int
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_LAW_PARAMS = {
+    "weight": {"constant": ("value",), "uniform": ("low", "high"), "exponential": ("scale",)},
+    "probability": {"constant": ("value",), "uniform": ("low", "high")},
+}
+
+
+def _law_table(kind: str):
+    """The table of the law a descriptor names, else one asking for a law
+    name of ``kind``.  Every parameter is a number finite as a float."""
+    laws = {name: Fields(f"{kind} law", f"{kind} law key", {"name": [], **{key: [(
+        lambda v: is_number(v) and abs(v) <= sys.float_info.max,
+        f"{kind} law {name!r} needs a finite number for {key!r}")] for key in keys}}, keys)
+        for name, keys in _LAW_PARAMS[kind].items()}
+    names = Fields(f"{kind} law", f"{kind} law key", {"name": [(
+        tuple(laws).__contains__, f"{kind} law name must be one of {', '.join(laws)}")]}, ("name",))
+    return lambda law: (laws[law["name"]] if isinstance(law, Mapping)
+                        and law.get("name") in tuple(laws) else names)
+
+
+GENERATOR = Fields("generator graph source", "generator key", {
+    "n": [(is_int, "generator n must be an int"), (lambda n: n >= 0, "generator n must be >= 0")],
+    "density": [(is_number, "generator density must be a number"),
+                (lambda d: 0.0 <= d <= 1.0, "generator density must be in [0, 1]")],
+    "weight_law": [_law_table("weight")], "prob_law": [_law_table("probability")],
+    "seed": [(is_int, "generator seed must be an int"),
+             (lambda seed: seed >= 0, "generator seed must be >= 0")],
+}, ("n", "density"))
 
 
 def _law_sampler(law: Mapping[str, float], kind: str):
-    if not isinstance(law, Mapping):
-        raise ValueError(f"{kind} law must be an object, got {law!r}")
-    name = law.get("name")
-    params = _LAW_PARAMS.get(name, ())
-    for key in params:
-        if key not in law:
-            raise ValueError(f"{kind} law is missing {key!r}: {law!r}")
-    unknown = [repr(key) for key in law if key != "name" and key not in params]
-    if params and unknown:
-        raise ValueError(f"unknown {kind} law key {', '.join(unknown)}; "
-                         f"known: name, {', '.join(params)}")
-    if name in ("constant", "uniform"):
-        # a constant law is checked as the uniform law on [value, value];
-        # numpy's uniform draw needs finite bounds
-        low = _law_number(law, params[0], kind, finite=name == "uniform")
-        high = _law_number(law, params[-1], kind, finite=name == "uniform")
-        if low > high:
-            raise ValueError(f"{kind} law has low > high")
-        if kind == "probability" and not (0.0 < low and high <= 1.0):
-            raise ValueError("probability law must stay inside (0, 1]")
-        if kind == "weight" and low < 0.0:
-            raise ValueError("weight law must be non-negative")
-        if name == "constant":
-            return lambda rng, k: np.full(k, low)
-        return lambda rng, k: rng.uniform(low, high, size=k)
-    if name == "exponential" and kind == "weight":
-        scale = _law_number(law, "scale", kind)
-        if scale <= 0:
+    """The draw of a law that passed its table, after the rules that join
+    its parameters: a constant law is checked as the uniform law on
+    [value, value], and an exponential one's scale as its bounds."""
+    keys = _LAW_PARAMS[kind][law["name"]]
+    low, high = float(law[keys[0]]), float(law[keys[-1]])
+    if law["name"] == "exponential":
+        if low <= 0:
             raise ValueError("exponential weight law needs a positive scale")
-        return lambda rng, k: rng.exponential(scale, size=k)
-    raise ValueError(f"unsupported {kind} law: {law!r}")
+        return lambda rng, k: rng.exponential(low, size=k)
+    if low > high:
+        raise ValueError(f"{kind} law has low > high")
+    if kind == "probability" and not (0.0 < low and high <= 1.0):
+        raise ValueError("probability law must stay inside (0, 1]")
+    if kind == "weight" and low < 0.0:
+        raise ValueError("weight law must be non-negative")
+    if law["name"] == "constant":
+        return lambda rng, k: np.full(k, low)
+    return lambda rng, k: rng.uniform(low, high, size=k)
 
 
 def gen_random_graph(
@@ -360,10 +404,10 @@ def gen_random_graph(
     Laws are descriptors like ``{"name": "uniform", "low": 0.2, "high": 1.0}``
     or ``{"name": "constant", "value": 0.5}``; weight laws also accept
     ``{"name": "exponential", "scale": s}``.  Laws that can produce
-    probabilities outside (0, 1] or negative weights are rejected.
+    probabilities outside (0, 1] or negative weights are rejected, as is any
+    argument that fails :data:`GENERATOR`.
     """
-    if not (0.0 <= density <= 1.0):
-        raise ValueError("density must be in [0, 1]")
+    check_rows(locals(), [GENERATOR])  # the arguments, as a generator source
     draw_w = _law_sampler(weight_law, "weight")
     draw_p = _law_sampler(prob_law, "probability")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x6E67)))
@@ -380,8 +424,6 @@ def gen_random_graph(
     ps = draw_p(rng, k)
     if k and (not np.all(np.isfinite(ws)) or np.any(ws < 0)):
         raise ValueError("weight law produced a negative or non-finite weight")
-    if k and (np.any(ps <= 0.0) or np.any(ps > 1.0)):
-        raise ValueError("probability law produced a value outside (0, 1]")
     edges = [Edge(u, v, float(w), float(p)) for (u, v), w, p in zip(chosen, ws, ps)]
     return StochasticGraph(n=n, edges=tuple(edges))
 

@@ -293,7 +293,7 @@ def test_runs_jsonl_edge_cases_write_the_json_dumps_bytes(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "build_tables", lambda *args: None)
     monkeypatch.setattr(cli, "end_to_end", lambda *args: results)
     monkeypatch.setattr(cli, "BLOCK_LEN", 3)  # 8 runs make chunks of 3, 3 and 2
-    config = tiny_run_config(tmp_path, seed=-7)
+    config = tiny_run_config(tmp_path, seed=2**64 + 7)  # %d past int64
     data = (cmd_run(config) / "runs.jsonl").read_bytes()
     assert data == json_dumps_runs(config, results)
     assert len(data.splitlines()) == 1 + sum(len(r.mm_G) for r in results)
@@ -530,7 +530,22 @@ def test_config_rejects_bad_tables_and_budgets(tmp_path, field, value, message):
      r"probability law 'uniform' needs a finite number for 'low', got \[1\]"),
     ("run", "graph", {"generator": {"n": 6, "density": 0.5,
                                     "weight_law": {"name": "constant", "value": None}}},
-     "weight law 'constant' needs a number for 'value', got None"),
+     "weight law 'constant' needs a finite number for 'value', got None"),
+    ("run", "graph", {"generator": {"n": 6, "density": 0.5,
+                                    "weight_law": {"name": "uniform", "low": True, "high": 3}}},
+     "weight law 'uniform' needs a finite number for 'low', got True"),
+    ("run", "graph", {"generator": {"n": 6, "density": 0.5,
+                                    "weight_law": {"name": "uniform", "low": 1, "high": "3"}}},
+     "weight law 'uniform' needs a finite number for 'high', got '3'"),
+    ("run", "graph", {"generator": {"n": 6, "density": 0.0,
+                                    "weight_law": {"name": "constant", "value": float("inf")}}},
+     "weight law 'constant' needs a finite number for 'value', got inf"),
+    ("run", "graph", {"generator": {"n": 6, "density": 0.5,
+                                    "weight_law": {"name": "exponential", "scale": float("nan")}}},
+     "weight law 'exponential' needs a finite number for 'scale', got nan"),
+    ("run", "seed", -1, "seed must be >= 0, got -1"),
+    ("run", "graph", {"generator": {"n": 6, "density": 0.5, "seed": -2}},
+     "generator seed must be >= 0, got -2"),
 ])
 def test_bad_config_fails_before_any_output(tmp_path, command, field, value, message):
     cfg_path = tmp_path / "cfg.json"
@@ -560,6 +575,55 @@ def test_load_graph_names_missing_generator_key(tmp_path, missing):
     with pytest.raises(ValueError, match=f"missing '{missing}'"):
         main(["--config", str(cfg_path), "run"])
     assert not (tmp_path / "out").exists()
+
+
+def test_config_rejects_negative_seed_flag(tmp_path):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        main(["--seed", "-1", "--out", str(tmp_path / "out"), "run"])
+    assert not (tmp_path / "out").exists()
+
+
+def test_absent_negative_control_flag_keeps_the_config_file_value(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"negative_control": True}))
+    calls = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda config: calls.append(config) or 0)
+    assert main(["--config", str(cfg_path), "verify"]) == 0
+    assert main(["verify", "--negative-control"]) == 0
+    assert main(["verify"]) == 0
+    assert [config.negative_control for config in calls] == [True, True, False]
+
+
+@pytest.mark.parametrize("kw,digest", [
+    ({}, "a6cb10d7b40d"),
+    (dict(graph={"generator": {"n": 12, "density": 0.3, "seed": 3}}, tables="monte_carlo",
+          budgets={"x_trials": 300}, tau=None, t=[1, 2, 4]), "a7ee550ab068"),
+    (dict(verify_trials=2048, negative_control=True, seed=2024), "60c5ef14ec85"),
+])
+def test_config_hash_keeps_its_values(kw, digest):
+    # every field but out and workers, budgets merged over the defaults
+    assert ExperimentConfig(**kw).config_hash() == digest
+    assert ExperimentConfig(**kw, out="elsewhere", workers=2).config_hash() == digest
+
+
+def test_config_table_lists_the_dataclass_fields():
+    assert list(cli.CONFIG.rows) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
+def test_readme_config_section_loads_and_names_every_field(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("Config file (JSON"):]
+    section = section[:section.index("\n### ")]
+    block = section[section.index("```json\n") + 8:section.index("\n```", section.index("```json"))]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(block)
+    assert load_config(str(cfg_path), {}).config_hash()
+    # the default the prose states (an omitted tau is not the theory value)
+    assert f"An omitted `tau` is {ExperimentConfig().tau}" in " ".join(section.split())
+    for fields in (cli.CONFIG, *cli.CONFIG.rows["budgets"], cli.GRAPH[-1]):
+        missing = [key for key in fields.rows
+                   if f"`{key}`" not in section and f'"{key}"' not in section]
+        assert not missing, f"README's config section does not name {missing}"
 
 
 def test_config_hash_stable_under_key_order():
